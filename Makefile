@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint lint-affinity lint-fix-dryrun test bench-telemetry bench bench-compare bench-shards fuzz fuzz-zns fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
+.PHONY: all check vet build lint lint-affinity lint-fix-dryrun test bench-selftest bench-telemetry bench bench-e2e bench-compare bench-shards fuzz fuzz-zns fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
 
 all: check
 
-check: vet build lint lint-affinity test bench-telemetry fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign
+check: vet build lint lint-affinity test bench-selftest bench-telemetry fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +46,11 @@ lint-fix-dryrun:
 test:
 	$(GO) test -race ./...
 
+# bench/ is a nested module (bench/go.mod), so `go test ./...` and `make
+# lint` at the root never descend into it: run its tests and lint it here.
+bench-selftest:
+	cd bench && $(GO) test ./... && $(GO) run blockhead/cmd/simlint ./...
+
 # The telemetry layer's contract: with no probe attached, every instrument
 # (including the latency-attribution sink, the zone state-machine auditor,
 # and the flight recorder) is a nil no-op — 0 allocs/op. A regression here
@@ -61,6 +66,17 @@ update-golden:
 # The full per-table benchmark suite (slow; custom metrics carry results).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
+
+# The repository benchmark end to end (bench/README.md): every workload in a
+# process of its own, or only W=<workload> as the driver runs it. OUT names
+# the whole-set result file.
+OUT ?= /tmp/blockhead-bench-e2e.json
+bench-e2e:
+ifdef W
+	bash bench/run.sh --workload $(W) --seed 42 --seconds 10 --trace 0
+else
+	bash bench/run.sh -repeat 1 -out $(OUT)
+endif
 
 # Rerun the committed benchmark suite (full E4+E6) and gate against the
 # committed baseline. The 25% threshold leaves room for modeling changes
@@ -155,3 +171,4 @@ fuzz-shards:
 clean:
 	$(GO) clean ./...
 	rm -f trace.json metrics.json cpu.pprof
+	rm -rf .bench_build

@@ -8,13 +8,14 @@ import (
 	"blockhead/internal/workload"
 )
 
-func benchDev(b *testing.B, op float64) *Device {
-	b.Helper()
-	d, err := NewDefault(flash.Geometry{Channels: 4, DiesPerChan: 1, PlanesPerDie: 1,
-		BlocksPerLUN: 128, PagesPerBlock: 64, PageSize: 4096},
-		flash.LatenciesFor(flash.TLC), op)
+var benchGeom = flash.Geometry{Channels: 4, DiesPerChan: 1, PlanesPerDie: 1,
+	BlocksPerLUN: 128, PagesPerBlock: 64, PageSize: 4096}
+
+func benchDev(tb testing.TB, geom flash.Geometry) *Device {
+	tb.Helper()
+	d, err := NewDefault(geom, flash.LatenciesFor(flash.TLC), 0.1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }
@@ -22,7 +23,7 @@ func benchDev(b *testing.B, op float64) *Device {
 // BenchmarkWritePageSequential measures the sequential write path with no
 // GC pressure.
 func BenchmarkWritePageSequential(b *testing.B) {
-	d := benchDev(b, 0.1)
+	d := benchDev(b, benchGeom)
 	var at sim.Time
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,10 +35,12 @@ func BenchmarkWritePageSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkWritePageSteadyStateGC measures random overwrites at GC steady
-// state — the per-op cost including amortized relocation.
-func BenchmarkWritePageSteadyStateGC(b *testing.B) {
-	d := benchDev(b, 0.1)
+// steadyStateGC fills a default device on geom and ages it with one capacity
+// of uniform random overwrites, returning it with the key stream and clock
+// to carry on from: every further write pays its amortized share of GC.
+func steadyStateGC(tb testing.TB, geom flash.Geometry) (*Device, *workload.Uniform, sim.Time) {
+	tb.Helper()
+	d := benchDev(tb, geom)
 	var at sim.Time
 	for lpn := int64(0); lpn < d.CapacityPages(); lpn++ {
 		at, _ = d.WritePage(at, lpn, nil)
@@ -46,19 +49,72 @@ func BenchmarkWritePageSteadyStateGC(b *testing.B) {
 	for i := int64(0); i < d.CapacityPages(); i++ { // age
 		at, _ = d.WritePage(at, keys.Next(), nil)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		at, err = d.WritePage(at, keys.Next(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+	return d, keys, at
+}
+
+var steadyStateGeoms = []struct {
+	name string
+	geom flash.Geometry
+}{
+	{"toy", benchGeom},
+	{"femu256", oracleFemu256},
+}
+
+// BenchmarkWritePageSteadyStateGC measures random overwrites at GC steady
+// state — the per-op cost including amortized victim selection and
+// relocation — on the 512-block device the other rungs use and at the
+// repository benchmark's 4 096-block geometry, where per-block costs show.
+func BenchmarkWritePageSteadyStateGC(b *testing.B) {
+	for _, bc := range steadyStateGeoms {
+		b.Run(bc.name, func(b *testing.B) {
+			d, keys, at := steadyStateGC(b, bc.geom)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				at, err = d.WritePage(at, keys.Next(), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(d.Counters().WriteAmp(), "WA")
+		})
 	}
-	b.ReportMetric(d.Counters().WriteAmp(), "WA")
+}
+
+var pickSink int
+
+// BenchmarkPickVictim measures one victim selection on a device in GC steady
+// state (a pick changes nothing, so every iteration sees the same state).
+func BenchmarkPickVictim(b *testing.B) {
+	for _, bc := range steadyStateGeoms {
+		b.Run(bc.name, func(b *testing.B) {
+			d, _, at := steadyStateGC(b, bc.geom)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pickSink = d.pickVictim(at)
+			}
+		})
+	}
+}
+
+// TestSteadyStateGCWritesDoNotAllocate pins the GC path — victim index
+// updates, picks, relocation, erase — at zero allocations per host write.
+func TestSteadyStateGCWritesDoNotAllocate(t *testing.T) {
+	d, keys, at := steadyStateGC(t, benchGeom)
+	runs := d.GCRuns()
+	allocs := testing.AllocsPerRun(20000, func() {
+		at, _ = d.WritePage(at, keys.Next(), nil)
+	})
+	if d.GCRuns() == runs {
+		t.Fatal("no GC ran during the measured writes")
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state GC write allocates %.2f times per op, want 0", allocs)
+	}
 }
 
 func BenchmarkReadPageMapped(b *testing.B) {
-	d := benchDev(b, 0.1)
+	d := benchDev(b, benchGeom)
 	at, _ := d.WritePage(0, 7, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -154,10 +154,11 @@ const unmapped = int64(-1)
 //
 //simlint:shared conventional-FTL state is device-global by design: the L2P/P2L tables are LPN-indexed and free-block stealing crosses LUNs, so the parallel core keeps this baseline on a single shard
 type Device struct {
-	cfg   Config
-	chip  *flash.Device
-	geom  flash.Geometry
-	pages int // pages per block, cached
+	cfg    Config
+	chip   *flash.Device
+	geom   flash.Geometry
+	pages  int // pages per block, cached
+	blocks int // total erasure blocks, cached
 
 	logicalPages int64
 
@@ -178,6 +179,18 @@ type Device struct {
 	gcFront        []frontier   // per-LUN GC write frontier (if separated)
 	rr             []int        // per-stream round-robin cursor over LUNs
 	gcRR           int
+	// hostResidual is the unwritten page slots in the blocks the host
+	// frontier slots reference — the sum hostSlots needs on every host write,
+	// kept as a counter by moveFrontier and consumeSlot.
+	hostResidual int64
+
+	// GC victim index (victim.go): the reclaimable blocks as doubly-linked
+	// lists bucketed by valid count. vicHead[v] is the first block holding v
+	// valid pages (-1 if none); vicPrev[b] is notIndexed for non-members.
+	vicHead, vicNext, vicPrev []int32
+	// pickHook observes every pickVictim result; the differential oracle
+	// test sets it, production leaves it nil.
+	pickHook func(at sim.Time, victim int)
 
 	data map[int64][]byte // logical page -> payload (if StoreData)
 
@@ -255,12 +268,13 @@ func New(cfg Config) (*Device, error) {
 	}
 
 	raw := cfg.Geom.TotalPages()
+	blocks := cfg.Geom.TotalBlocks()
 	// The reserve floor guarantees GC progress: even if every open frontier
 	// block (2 per LUN) is stuffed with invalid pages, enough invalid pages
 	// remain in closed blocks for pickVictim to find an eligible victim
 	// whenever free slots run low.
 	minReserveBlocks := (cfg.Streams+1)*cfg.Geom.LUNs() + cfg.GCLowWaterBlocks + 4
-	reserveBlocks := int64(cfg.ReserveFraction * float64(cfg.Geom.TotalBlocks()))
+	reserveBlocks := int64(cfg.ReserveFraction * float64(blocks))
 	if reserveBlocks < int64(minReserveBlocks) {
 		reserveBlocks = int64(minReserveBlocks)
 	}
@@ -279,29 +293,31 @@ func New(cfg Config) (*Device, error) {
 		chip:         chip,
 		geom:         cfg.Geom,
 		pages:        cfg.Geom.PagesPerBlock,
+		blocks:       blocks,
 		logicalPages: logical,
 		l2p:          make([]int64, logical),
 		p2l:          make([]int64, raw),
-		valid:        make([]int64, cfg.Geom.TotalBlocks()),
-		lastInval:    make([]sim.Time, cfg.Geom.TotalBlocks()),
+		valid:        make([]int64, blocks),
+		lastInval:    make([]sim.Time, blocks),
 		freePerLUN:   make([][]int, cfg.Geom.LUNs()),
-		freeBit:      make([]bool, cfg.Geom.TotalBlocks()),
+		freeBit:      make([]bool, blocks),
 		hostFront:    make([][]frontier, cfg.Streams),
 		gcFront:      make([]frontier, cfg.Geom.LUNs()),
 		rr:           make([]int, cfg.Streams),
+		vicHead:      make([]int32, cfg.Geom.PagesPerBlock+1),
+		vicNext:      make([]int32, blocks),
+		vicPrev:      make([]int32, blocks),
 	}
+	d.resetVictimIndex()
 	for i := range d.l2p {
 		d.l2p[i] = unmapped
 	}
 	for i := range d.p2l {
 		d.p2l[i] = unmapped
 	}
-	for b := 0; b < cfg.Geom.TotalBlocks(); b++ {
-		lun := cfg.Geom.LUNOfBlock(b)
-		d.freePerLUN[lun] = append(d.freePerLUN[lun], b)
-		d.freeBit[b] = true
+	for b := 0; b < blocks; b++ {
+		d.addFree(b)
 	}
-	d.freeCount = cfg.Geom.TotalBlocks()
 	for st := range d.hostFront {
 		d.hostFront[st] = make([]frontier, cfg.Geom.LUNs())
 		for i := range d.hostFront[st] {
@@ -348,7 +364,7 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.attr = p.Attribution()
 	if d.attr != nil && d.pageOwner == nil {
 		d.pageOwner = make([]telemetry.TenantID, d.geom.TotalPages())
-		d.deadBy = make([][telemetry.MaxTenants]int32, d.geom.TotalBlocks())
+		d.deadBy = make([][telemetry.MaxTenants]int32, d.blocks)
 		d.lastGCCulprit = telemetry.SelfTenant
 	}
 	d.mGCVictims = reg.Counter("ftl/gc/victims")
@@ -402,7 +418,7 @@ func (d *Device) SetInjector(inj *fault.Injector) { d.chip.SetInjector(inj) }
 // logical page for the mapping table (§2.2's estimate) plus 4 bytes per
 // block of GC metadata.
 func (d *Device) DRAMFootprintBytes() int64 {
-	return 4*d.logicalPages + 4*int64(d.geom.TotalBlocks())
+	return 4*d.logicalPages + 4*int64(d.blocks)
 }
 
 func (d *Device) ppn(block, page int) int64 {
@@ -417,9 +433,9 @@ func (d *Device) pageOf(ppn int64) int  { return int(ppn % int64(d.pages)) }
 // leveling) as frontiers fill. gc selects the GC frontier set when
 // separation is on.
 func (d *Device) allocPage(stream int, gc bool) (int64, error) {
-	fronts, cursor := d.hostFront[stream], &d.rr[stream]
+	fronts, cursor, host := d.hostFront[stream], &d.rr[stream], true
 	if gc && d.cfg.HotColdSeparation {
-		fronts, cursor = d.gcFront, &d.gcRR
+		fronts, cursor, host = d.gcFront, &d.gcRR, false
 	}
 	luns := len(fronts)
 	for try := 0; try < luns; try++ {
@@ -433,14 +449,42 @@ func (d *Device) allocPage(stream int, gc bool) (int64, error) {
 			return d.ppn(f.block, d.chip.WrittenPages(f.block)), nil
 		}
 		if b, ok := d.takeFreeBlock(lun, gc); ok {
-			f.block = b
+			d.moveFrontier(f, host, b)
 			return d.ppn(b, 0), nil
 		}
 		// Full frontier and no replacement: drop the reference so the full
 		// block becomes a GC candidate instead of being pinned forever.
-		f.block = -1
+		d.moveFrontier(f, host, -1)
 	}
 	return 0, ErrOutOfSpace
+}
+
+// moveFrontier points a frontier slot at block to (-1 for none). The block
+// the slot leaves joins the GC victim index if it is reclaimable — this is
+// the only way a block becomes a candidate outside Recover — and host slots
+// keep hostResidual in step.
+func (d *Device) moveFrontier(f *frontier, host bool, to int) {
+	if old := f.block; old >= 0 {
+		if host {
+			d.hostResidual -= int64(d.pages - d.chip.WrittenPages(old))
+		}
+		if d.reclaimable(old) {
+			d.indexInsert(old)
+		}
+	}
+	f.block = to
+	if host && to >= 0 {
+		d.hostResidual += int64(d.pages - d.chip.WrittenPages(to))
+	}
+}
+
+// consumeSlot accounts one successful program on the frontier block
+// allocPage(_, gc) handed out.
+func (d *Device) consumeSlot(gc bool) {
+	d.freeSlots--
+	if !gc || !d.cfg.HotColdSeparation {
+		d.hostResidual--
+	}
 }
 
 // gcReserveBlocks is the number of free blocks host allocation may never
@@ -490,7 +534,7 @@ func (d *Device) invalidate(at sim.Time, ppn int64) {
 	}
 	b := d.blockOf(ppn)
 	d.p2l[ppn] = unmapped
-	d.valid[b]--
+	d.decValid(b)
 	d.lastInval[b] = at
 	if d.deadBy != nil {
 		// The page died by host overwrite or trim; the worker doing that is
@@ -587,7 +631,7 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 		}
 		d.attr.Charge(telemetry.PhaseGCStall, at-retryFrom)
 	}
-	d.freeSlots--
+	d.consumeSlot(false)
 	d.invalidate(at, d.l2p[lpn])
 	d.l2p[lpn] = ppn
 	d.p2l[ppn] = lpn

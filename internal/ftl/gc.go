@@ -130,18 +130,13 @@ func (d *Device) incrementalGC(at sim.Time) sim.Time {
 				// surviving version.
 				eraseAt = sim.Max(eraseAt, d.gcRelocDone)
 			}
-			if eraseDone, err := d.chip.EraseBlock(eraseAt, victim); err == nil {
-				_ = eraseDone
+			d.indexRemove(victim) // erased or retired: out of circulation either way
+			d.valid[victim] = 0
+			if _, err := d.chip.EraseBlock(eraseAt, victim); err == nil {
 				d.counters.BlockErases++
-				d.valid[victim] = 0
 				d.freeSlots += int64(d.pages)
-				lun := d.geom.LUNOfBlock(victim)
-				d.freePerLUN[lun] = append(d.freePerLUN[lun], victim)
-				d.freeBit[victim] = true
-				d.freeCount++
+				d.addFree(victim)
 				d.gcRuns++
-			} else {
-				d.valid[victim] = 0
 			}
 			d.clearDeadBy(victim)
 			erased = true
@@ -191,7 +186,7 @@ func (d *Device) relocateChunk(at sim.Time, victim, budget int) (moved int, done
 			// Detected loss of the victim page; drop the mapping.
 			d.p2l[ppn] = unmapped
 			d.l2p[lpn] = unmapped
-			d.valid[victim]--
+			d.decValid(victim)
 			continue
 		}
 		if err != nil {
@@ -199,12 +194,12 @@ func (d *Device) relocateChunk(at sim.Time, victim, budget int) (moved int, done
 			return moved, done
 		}
 		done = sim.Max(done, cDone)
-		d.freeSlots--
+		d.consumeSlot(true)
 		d.p2l[ppn] = unmapped
 		d.l2p[lpn] = dst
 		d.p2l[dst] = lpn
 		d.valid[d.blockOf(dst)]++
-		d.valid[victim]--
+		d.decValid(victim)
 		if d.pageOwner != nil {
 			d.pageOwner[dst] = d.pageOwner[ppn]
 		}
@@ -257,69 +252,6 @@ func (d *Device) reclaimVictim(at sim.Time, victim int) (sim.Time, bool) {
 	return done, ok
 }
 
-// isFrontier reports whether block is a currently open write frontier.
-func (d *Device) isFrontier(block int) bool {
-	for _, fronts := range d.hostFront {
-		for i := range fronts {
-			if fronts[i].block == block {
-				return true
-			}
-		}
-	}
-	for i := range d.gcFront {
-		if d.gcFront[i].block == block {
-			return true
-		}
-	}
-	return false
-}
-
-// pickVictim selects a GC victim per the configured policy, or -1 if no
-// block is eligible. Only closed, non-frontier, non-free blocks are
-// candidates — fully-written blocks plus partially-written blocks sealed by
-// crash recovery (torn frontiers GC must be able to reclaim); ties break
-// toward the least-erased block (wear leveling).
-func (d *Device) pickVictim(at sim.Time) int {
-	best := -1
-	var bestValid int64
-	var bestScore float64
-	for b := 0; b < d.geom.TotalBlocks(); b++ {
-		if d.chip.IsBad(b) || d.isFree(b) || d.isFrontier(b) || b == d.gcVictim {
-			continue
-		}
-		if d.chip.WrittenPages(b) < d.pages && !d.chip.IsSealed(b) {
-			continue
-		}
-		v := d.valid[b]
-		if v >= int64(d.pages) {
-			continue // nothing to gain
-		}
-		switch d.cfg.GCPolicy {
-		case CostBenefit:
-			u := float64(v) / float64(d.pages)
-			age := float64(at-d.lastInval[b]) + 1
-			var score float64
-			if u == 0 {
-				score = age * 1e12 // free lunch: a fully dead block
-			} else {
-				score = age * (1 - u) / (2 * u)
-			}
-			if best < 0 || score > bestScore ||
-				(score == bestScore && d.chip.EraseCount(b) < d.chip.EraseCount(best)) {
-				best, bestScore = b, score
-			}
-		default: // Greedy
-			if best < 0 || v < bestValid ||
-				(v == bestValid && d.chip.EraseCount(b) < d.chip.EraseCount(best)) {
-				best, bestValid = b, v
-			}
-		}
-	}
-	return best
-}
-
-func (d *Device) isFree(block int) bool { return d.freeBit[block] }
-
 // hostSlots reports the page slots reachable by host allocation: free
 // blocks above the GC reserve plus residual space in the host frontiers.
 // GC triggers on this quantity — space parked in GC frontiers cannot serve
@@ -330,15 +262,7 @@ func (d *Device) hostSlots() int64 {
 	if free < 0 {
 		free = 0
 	}
-	slots := free * int64(d.pages)
-	for _, fronts := range d.hostFront {
-		for i := range fronts {
-			if b := fronts[i].block; b >= 0 {
-				slots += int64(d.pages - d.chip.WrittenPages(b))
-			}
-		}
-	}
-	return slots
+	return free*int64(d.pages) + d.hostResidual
 }
 
 // gcSlots reports the page slots reachable by GC allocation: free blocks
@@ -354,14 +278,7 @@ func (d *Device) gcSlots() int64 {
 		}
 		return slots
 	}
-	for _, fronts := range d.hostFront {
-		for i := range fronts {
-			if b := fronts[i].block; b >= 0 {
-				slots += int64(d.pages - d.chip.WrittenPages(b))
-			}
-		}
-	}
-	return slots
+	return slots + d.hostResidual
 }
 
 // dropFrontier removes block from every open frontier reference.
@@ -369,13 +286,13 @@ func (d *Device) dropFrontier(block int) {
 	for _, fronts := range d.hostFront {
 		for i := range fronts {
 			if fronts[i].block == block {
-				fronts[i].block = -1
+				d.moveFrontier(&fronts[i], true, -1)
 			}
 		}
 	}
 	for i := range d.gcFront {
 		if d.gcFront[i].block == block {
-			d.gcFront[i].block = -1
+			d.moveFrontier(&d.gcFront[i], false, -1)
 		}
 	}
 }
@@ -422,16 +339,16 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 					// mapping.
 					d.p2l[ppn] = unmapped
 					d.l2p[lpn] = unmapped
-					d.valid[b]--
+					d.decValid(b)
 					break
 				}
 				at = sim.Max(at, done)
-				d.freeSlots--
+				d.consumeSlot(true)
 				d.p2l[ppn] = unmapped
 				d.l2p[lpn] = dst
 				d.p2l[dst] = lpn
 				d.valid[d.blockOf(dst)]++
-				d.valid[b]--
+				d.decValid(b)
 				if d.pageOwner != nil {
 					d.pageOwner[dst] = d.pageOwner[ppn]
 				}
@@ -482,7 +399,7 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 				// strand reclamation on it.
 				d.p2l[ppn] = unmapped
 				d.l2p[lpn] = unmapped
-				d.valid[victim]--
+				d.decValid(victim)
 				break
 			}
 			if err != nil {
@@ -491,13 +408,13 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 			if done > lastDone {
 				lastDone = done
 			}
-			d.freeSlots--
+			d.consumeSlot(true)
 			// Re-point the mapping.
 			d.p2l[ppn] = unmapped
 			d.l2p[lpn] = dst
 			d.p2l[dst] = lpn
 			d.valid[d.blockOf(dst)]++
-			d.valid[victim]--
+			d.decValid(victim)
 			if d.pageOwner != nil {
 				d.pageOwner[dst] = d.pageOwner[ppn]
 			}
@@ -522,21 +439,17 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 		eraseAt = sim.Max(eraseAt, lastDone)
 	}
 	d.clearDeadBy(victim) // the block leaves circulation either way below
+	d.indexRemove(victim)
+	d.valid[victim] = 0
 	eraseDone, err := d.chip.EraseBlock(eraseAt, victim)
 	if err != nil {
 		// ErrWornOut: the block is retired and its capacity is permanently
 		// lost (it stays out of the free pool and out of freeSlots). Any
 		// other error is a bug; either way the block is not reusable.
-		_ = flash.ErrWornOut
-		d.valid[victim] = 0
 		return lastDone, true
 	}
 	d.counters.BlockErases++
-	d.valid[victim] = 0
 	d.freeSlots += int64(d.pages)
-	lun := d.geom.LUNOfBlock(victim)
-	d.freePerLUN[lun] = append(d.freePerLUN[lun], victim)
-	d.freeBit[victim] = true
-	d.freeCount++
+	d.addFree(victim)
 	return sim.Max(lastDone, eraseDone), true
 }

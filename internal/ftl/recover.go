@@ -62,7 +62,9 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	for i := range d.gcFront {
 		d.gcFront[i].block = -1
 	}
+	d.hostResidual = 0
 	d.gcVictim, d.gcCursor = -1, 0
+	d.resetVictimIndex()
 	if d.data != nil {
 		d.data = make(map[int64][]byte)
 	}
@@ -77,7 +79,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	for _, b := range cs.Torn {
 		torn[b] = true
 	}
-	for b := 0; b < d.geom.TotalBlocks(); b++ {
+	for b := 0; b < d.blocks; b++ {
 		w := d.chip.WrittenPages(b)
 		if w > 0 {
 			rep.ScannedBlocks++
@@ -132,6 +134,14 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 			// reclaim it with an erase.
 			d.chip.SealBlock(b)
 			rep.SealedBlocks++
+		}
+	}
+	// Valid counts are final only now (a later block's newer copy demotes an
+	// earlier block's page), and no frontier is open: every closed block is
+	// a GC candidate.
+	for b := 0; b < d.blocks; b++ {
+		if d.reclaimable(b) {
+			d.indexInsert(b)
 		}
 	}
 	d.nextSeq = maxSeq + 1
