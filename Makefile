@@ -55,8 +55,14 @@ bench-selftest:
 # (including the latency-attribution sink, the zone state-machine auditor,
 # and the flight recorder) is a nil no-op — 0 allocs/op. A regression here
 # slows every simulation.
+#
+# The same holds for what every event-driven run pays per event and per
+# latency sample: sim.Loop's schedule+dispatch allocates nothing once the
+# queue has its depth, and stats.Dist.Add allocates one chunk per 4096
+# samples. The pins run without -race, where allocation counts are exact.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench=ProbeDisabled -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
+	$(GO) test -run='DoesNotAllocate' -bench='^Benchmark(Loop|DistAddSummary)$$' -benchmem ./internal/sim/ ./internal/stats/
 
 # Regenerate the pinned JSON schemas served by /metrics.json and
 # /attribution.json after a deliberate schema change.

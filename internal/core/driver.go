@@ -177,7 +177,8 @@ func RunMixed(cfg MixedCfg) MixedResult {
 	}
 
 	// Open-loop Poisson streams: each arrival event performs its op and
-	// schedules the next arrival, so the queue stays O(1).
+	// schedules the next arrival, so the queue stays O(1). A nil lat (with
+	// nil ops) makes the stream unmeasured.
 	openLoop := func(rate float64, op OpFunc, ops *uint64, lat *stats.Dist) {
 		arrivals := workload.NewPoisson(cfg.Src, rate)
 		var onArrival func(now sim.Time)
@@ -193,7 +194,7 @@ func RunMixed(cfg MixedCfg) MixedResult {
 				fail(err)
 				return
 			}
-			if now >= warmup {
+			if lat != nil && now >= warmup {
 				*ops++
 				lat.Add(done - now)
 			}
@@ -207,8 +208,7 @@ func RunMixed(cfg MixedCfg) MixedResult {
 		openLoop(cfg.WriteRate, write, &res.WriteOps, wLat)
 	}
 	if cfg.AuxRate > 0 && cfg.Aux != nil {
-		var auxOps uint64
-		openLoop(cfg.AuxRate, cfg.Aux, &auxOps, stats.NewDist(16))
+		openLoop(cfg.AuxRate, cfg.Aux, nil, nil)
 	}
 
 	// Extra tenant streams share the loop machinery; each gets its own

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // event is a scheduled callback.
 type event struct {
 	at  Time
@@ -9,23 +7,14 @@ type event struct {
 	fn  func(now Time)
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq). seq is unique per loop, so this is a
+// total order: the sequence of pops is a function of what was scheduled and
+// when, never of how the queue is laid out.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Loop executes scheduled callbacks in strict virtual-time order.
@@ -37,7 +26,7 @@ func (h *eventHeap) Pop() interface{} {
 // operation and reschedules itself at the operation's completion time;
 // an open-loop arrival process schedules one callback per arrival.
 type Loop struct {
-	h       eventHeap
+	h       []event // binary min-heap under event.before
 	now     Time
 	seq     uint64
 	stopped bool
@@ -65,7 +54,68 @@ func (l *Loop) At(t Time, fn func(now Time)) {
 		panic("sim: event scheduled in the past")
 	}
 	l.seq++
-	heap.Push(&l.h, event{at: t, seq: l.seq, fn: fn})
+	l.push(event{at: t, seq: l.seq, fn: fn})
+}
+
+// push sifts e up from a new leaf. The hole moves instead of swapping, so
+// each level costs one 24-byte copy, and nothing is boxed.
+func (l *Loop) push(e event) {
+	l.h = append(l.h, e)
+	h := l.h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// pop removes the earliest event: the last leaf sifts down from the root.
+// The vacated tail slot is zeroed so the backing array does not keep the
+// closure of an event that already ran (and whatever it captured) reachable.
+func (l *Loop) pop() event {
+	h := l.h
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = event{}
+	h = h[:n]
+	l.h = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+	return top
+}
+
+// step runs the earliest queued event.
+func (l *Loop) step() {
+	e := l.pop()
+	l.now = e.at
+	l.steps++
+	e.fn(e.at)
+	if l.OnEvent != nil {
+		l.OnEvent(e.at)
+	}
 }
 
 // After schedules fn to run d after the loop's current time.
@@ -98,13 +148,7 @@ func (l *Loop) Steps() uint64 { return l.steps }
 func (l *Loop) Run() Time {
 	l.stopped = false
 	for len(l.h) > 0 && !l.stopped {
-		e := heap.Pop(&l.h).(event)
-		l.now = e.at
-		l.steps++
-		e.fn(e.at)
-		if l.OnEvent != nil {
-			l.OnEvent(e.at)
-		}
+		l.step()
 	}
 	return l.now
 }
@@ -119,13 +163,7 @@ func (l *Loop) Run() Time {
 func (l *Loop) RunUntil(deadline Time) Time {
 	l.stopped = false
 	for len(l.h) > 0 && !l.stopped && l.h[0].at <= deadline {
-		e := heap.Pop(&l.h).(event)
-		l.now = e.at
-		l.steps++
-		e.fn(e.at)
-		if l.OnEvent != nil {
-			l.OnEvent(e.at)
-		}
+		l.step()
 	}
 	if !l.stopped && l.now < deadline {
 		l.now = deadline

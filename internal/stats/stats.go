@@ -12,48 +12,70 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"blockhead/internal/sim"
 )
 
+// chunkLen is the number of samples in one storage chunk (32 KiB). It is
+// also the capacity RunMixed used to ask for up front, so a drive that never
+// outgrows one chunk allocates what it always did.
+const chunkLen = 4096
+
+// radixMin is the sample count from which the sorted view is built by radix
+// passes; below it the fixed cost of the digit histograms loses to
+// slices.Sort (measured crossover: between 1 024 and 1 536 samples).
+const radixMin = 1024
+
 // Dist records a distribution of latency samples and computes summary
 // statistics. The zero value is ready to use.
+//
+// Samples live in chunks: Add fills the last one and starts another when it
+// is full, so recording never copies what is already held. A percentile
+// query replaces the chunks with a single sorted one, which later Adds
+// extend with fresh chunks and the next query sorts again.
 type Dist struct {
-	samples []sim.Time
-	sum     sim.Time
-	max     sim.Time
-	min     sim.Time
-	sorted  bool
+	chunks [][]sim.Time
+	n      int
+	sum    sim.Time
+	max    sim.Time
+	min    sim.Time
+	sorted bool // chunks is a single sorted chunk (or empty)
 }
 
 // NewDist returns an empty distribution with capacity hint n.
 func NewDist(n int) *Dist {
-	return &Dist{samples: make([]sim.Time, 0, n)}
+	return &Dist{chunks: [][]sim.Time{make([]sim.Time, 0, min(n, chunkLen))}}
 }
 
 // Add records one sample.
 func (d *Dist) Add(v sim.Time) {
-	if len(d.samples) == 0 || v < d.min {
+	if d.n == 0 || v < d.min {
 		d.min = v
 	}
-	if v > d.max {
+	if d.n == 0 || v > d.max {
 		d.max = v
 	}
 	d.sum += v
-	d.samples = append(d.samples, v)
+	last := len(d.chunks) - 1
+	if last < 0 || len(d.chunks[last]) == cap(d.chunks[last]) {
+		d.chunks = append(d.chunks, make([]sim.Time, 0, chunkLen))
+		last++
+	}
+	d.chunks[last] = append(d.chunks[last], v)
+	d.n++
 	d.sorted = false
 }
 
 // Count reports the number of recorded samples.
-func (d *Dist) Count() int { return len(d.samples) }
+func (d *Dist) Count() int { return d.n }
 
 // Mean reports the arithmetic mean, or 0 with no samples.
 func (d *Dist) Mean() sim.Time {
-	if len(d.samples) == 0 {
+	if d.n == 0 {
 		return 0
 	}
-	return d.sum / sim.Time(len(d.samples))
+	return d.sum / sim.Time(d.n)
 }
 
 // Max reports the largest sample, or 0 with no samples.
@@ -61,7 +83,7 @@ func (d *Dist) Max() sim.Time { return d.max }
 
 // Min reports the smallest sample, or 0 with no samples.
 func (d *Dist) Min() sim.Time {
-	if len(d.samples) == 0 {
+	if d.n == 0 {
 		return 0
 	}
 	return d.min
@@ -70,13 +92,12 @@ func (d *Dist) Min() sim.Time {
 // Percentile reports the p-th percentile (0 < p <= 100) by nearest rank.
 // It returns 0 with no samples.
 func (d *Dist) Percentile(p float64) sim.Time {
-	n := len(d.samples)
+	n := d.n
 	if n == 0 {
 		return 0
 	}
 	if !d.sorted {
-		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
-		d.sorted = true
+		d.sort()
 	}
 	rank := int(math.Ceil(p * float64(n) / 100))
 	if rank < 1 {
@@ -85,7 +106,75 @@ func (d *Dist) Percentile(p float64) sim.Time {
 	if rank > n {
 		rank = n
 	}
-	return d.samples[rank-1]
+	return d.chunks[0][rank-1]
+}
+
+// sort replaces the chunks with one sorted chunk holding every sample.
+func (d *Dist) sort() {
+	var flat []sim.Time
+	if d.n >= radixMin && d.max != d.min {
+		flat = radixSorted(d.chunks, d.n, d.min, d.max)
+	} else {
+		flat = d.chunks[0]
+		if len(d.chunks) > 1 {
+			flat = slices.Concat(d.chunks...)
+		}
+		slices.Sort(flat)
+	}
+	d.chunks = [][]sim.Time{flat}
+	d.sorted = true
+}
+
+// radixSorted returns the n samples held in chunks, all within [lo, hi], in
+// ascending order, by least-significant-digit radix passes over the bytes of
+// v - lo. The offset makes every key a non-negative number no wider than the
+// span, so negative samples order correctly and the pass count follows the
+// spread of the data (three passes for latencies within 16 ms of each
+// other), not the width of sim.Time; the subtraction is done in uint64,
+// where it is exact for any lo <= v. The first pass reads the chunks
+// directly and releases each one as it goes, so no unsorted flat copy is
+// ever made and at most two n-sample buffers are live at a time.
+func radixSorted(chunks [][]sim.Time, n int, lo, hi sim.Time) []sim.Time {
+	base := uint64(lo)
+	passes := (bits.Len64(uint64(hi)-base) + 7) / 8
+	var next [8][256]int // per pass: digit count, then the digit's next slot
+	for _, c := range chunks {
+		for _, v := range c {
+			k := uint64(v) - base
+			for p := 0; p < passes; p++ {
+				next[p][byte(k>>(8*p))]++
+			}
+		}
+	}
+	for p := 0; p < passes; p++ {
+		at := 0
+		for digit, count := range next[p] {
+			next[p][digit] = at
+			at += count
+		}
+	}
+	sorted := make([]sim.Time, n)
+	for i, c := range chunks {
+		for _, v := range c {
+			digit := byte(uint64(v) - base)
+			sorted[next[0][digit]] = v
+			next[0][digit]++
+		}
+		chunks[i] = nil
+	}
+	var spare []sim.Time
+	for p := 1; p < passes; p++ {
+		if spare == nil {
+			spare = make([]sim.Time, n)
+		}
+		for _, v := range sorted {
+			digit := byte((uint64(v) - base) >> (8 * p))
+			spare[next[p][digit]] = v
+			next[p][digit]++
+		}
+		sorted, spare = spare, sorted
+	}
+	return sorted
 }
 
 // Summary bundles the statistics reported in experiment tables.
@@ -119,11 +208,7 @@ func (s Summary) String() string {
 }
 
 // Reset discards all samples.
-func (d *Dist) Reset() {
-	d.samples = d.samples[:0]
-	d.sum, d.max, d.min = 0, 0, 0
-	d.sorted = false
-}
+func (d *Dist) Reset() { *d = Dist{} }
 
 // Histogram is a log2-bucketed latency histogram for runs too long to keep
 // exact samples. Bucket i covers [2^i, 2^(i+1)) nanoseconds.
