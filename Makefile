@@ -60,9 +60,13 @@ bench-selftest:
 # latency sample: sim.Loop's schedule+dispatch allocates nothing once the
 # queue has its depth, and stats.Dist.Add allocates one chunk per 4096
 # samples. The pins run without -race, where allocation counts are exact.
+#
+# And for what every LSM run pays per table: zkv's one table builder adds
+# entries without allocating once it has built a table, and the blob it
+# hands the devices carries no spare capacity for them to pin.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench=ProbeDisabled -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
-	$(GO) test -run='DoesNotAllocate' -bench='^Benchmark(Loop|DistAddSummary)$$' -benchmem ./internal/sim/ ./internal/stats/
+	$(GO) test -run='DoesNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|CompactLevel|GetHit|GetBloomMiss)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/
 
 # Regenerate the pinned JSON schemas served by /metrics.json and
 # /attribution.json after a deliberate schema change.
@@ -154,9 +158,12 @@ bench-shards:
 	$(GO) run ./cmd/znsbench -shards 4 -run E4,E6 -bench-json /tmp/blockhead-shards-par.json > /dev/null
 	$(GO) run ./cmd/benchdiff -threshold 0.001 /tmp/blockhead-shards-serial.json /tmp/blockhead-shards-par.json
 
-# Short fuzz pass over the trace decoder.
+# Short fuzz passes over the parsers of outside bytes: the trace decoder
+# and zkv's table blobs (a whole table, and a bare entry region).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz=FuzzParseTable -fuzztime=30s ./internal/zkv/
+	$(GO) test -run='^$$' -fuzz=FuzzBlobIter -fuzztime=30s ./internal/zkv/
 
 # Short fuzz pass over the ZNS zone state machine (auditor attached).
 fuzz-zns:

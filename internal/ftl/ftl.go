@@ -192,7 +192,7 @@ type Device struct {
 	// test sets it, production leaves it nil.
 	pickHook func(at sim.Time, victim int)
 
-	data map[int64][]byte // logical page -> payload (if StoreData)
+	data [][]byte // payload by logical page; nil unless StoreData
 
 	// Incremental GC cursor (GCDeviceIncremental only).
 	gcVictim int
@@ -331,7 +331,7 @@ func New(cfg Config) (*Device, error) {
 	d.freeSlots = raw
 	d.thresholdSlots = int64(cfg.GCLowWaterBlocks) * int64(cfg.Geom.PagesPerBlock)
 	if cfg.StoreData {
-		d.data = make(map[int64][]byte)
+		d.data = make([][]byte, d.logicalPages)
 	}
 	if cfg.Recovery {
 		chip.EnableRecovery()
@@ -711,9 +711,9 @@ func (d *Device) Trim(at sim.Time, lpn, n int64) error {
 			d.invalidate(at, d.l2p[i])
 			d.l2p[i] = unmapped
 		}
-		if d.data != nil {
-			delete(d.data, i)
-		}
+	}
+	if d.data != nil && n > 0 {
+		clear(d.data[lpn : lpn+n])
 	}
 	return nil
 }

@@ -65,9 +65,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	d.hostResidual = 0
 	d.gcVictim, d.gcCursor = -1, 0
 	d.resetVictimIndex()
-	if d.data != nil {
-		d.data = make(map[int64][]byte)
-	}
+	clear(d.data)
 
 	// Recovery reads are maintenance traffic, not attributable host IO.
 	d.attr.Suspend()

@@ -25,6 +25,7 @@ type Backend interface {
 	// be placed differently.
 	WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error)
 	// ReadAt reads bytes [off, off+n) of a table, page-granular underneath.
+	// The returned slice is freshly allocated and belongs to the caller.
 	ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error)
 	// Delete drops a table, releasing its space.
 	Delete(at sim.Time, h TableHandle) error
@@ -85,6 +86,7 @@ type ConvBackend struct {
 	rngState uint64
 	tables   map[TableHandle]convTable
 	free     []extent // sorted by start
+	fitting  []int    // alloc's scratch under ScatterFit
 	next     TableHandle
 	walBase  int64
 	walPages int64
@@ -136,12 +138,13 @@ func (b *ConvBackend) alloc(pages int64) (int64, bool) {
 	}
 	if b.policy == ScatterFit {
 		// Pick uniformly among fitting extents (xorshift, deterministic).
-		var candidates []int
+		candidates := b.fitting[:0]
 		for i := range b.free {
 			if fits(i) {
 				candidates = append(candidates, i)
 			}
 		}
+		b.fitting = candidates
 		if len(candidates) == 0 {
 			return 0, false
 		}
@@ -211,24 +214,32 @@ func (b *ConvBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, 
 	if off < 0 || n < 0 || off+n > t.size {
 		return at, nil, ErrBadReadSpan
 	}
-	ps := int64(b.PageSize())
+	return readSpan(at, b.PageSize(), off, n, func(page int64) (sim.Time, []byte, error) {
+		return b.dev.ReadPage(at, t.ext.start+page)
+	})
+}
+
+// readSpan assembles bytes [off, off+n) of a table from its pages, all read
+// at time at. readPage returns the payload stored for one page of the
+// table, which may be shorter than a page (a table's last page) or nil (the
+// device kept none, or lost it to a crash); bytes past it read as zero.
+// Payload bytes are copied once, straight into the result.
+func readSpan(at sim.Time, pageSize, off, n int, readPage func(page int64) (sim.Time, []byte, error)) (sim.Time, []byte, error) {
 	out := make([]byte, 0, n)
 	done := at
-	for pos := int64(off); pos < int64(off+n); {
-		page := pos / ps
-		inPage := pos % ps
-		d, data, err := b.dev.ReadPage(at, t.ext.start+page)
+	for pos, end := off, off+n; pos < end; {
+		d, data, err := readPage(int64(pos / pageSize))
 		if err != nil {
 			return at, nil, err
 		}
-		chunk := padTo(data, int(ps))
-		take := ps - inPage
-		if rem := int64(off+n) - pos; take > rem {
-			take = rem
-		}
-		out = append(out, chunk[inPage:inPage+take]...)
-		pos += take
 		done = sim.Max(done, d)
+		from := pos % pageSize
+		take := min(pageSize-from, end-pos)
+		if have := min(from+take, len(data)); from < have {
+			out = append(out, data[from:have]...)
+		}
+		pos += take
+		out = append(out, make([]byte, pos-off-len(out))...) // zero fill
 	}
 	return done, out, nil
 }
@@ -274,14 +285,4 @@ func (b *ConvBackend) AppendWAL(at sim.Time, n int) (sim.Time, error) {
 func (b *ConvBackend) ResetWAL(at sim.Time) error {
 	b.walOff = 0
 	return b.dev.Trim(at, b.walBase, b.walPages)
-}
-
-// padTo right-pads data with zeros to n bytes.
-func padTo(data []byte, n int) []byte {
-	if len(data) >= n {
-		return data[:n]
-	}
-	out := make([]byte, n)
-	copy(out, data)
-	return out
 }

@@ -43,9 +43,10 @@ func BenchmarkTableBuilder(b *testing.B) {
 		keys[i] = []byte(fmt.Sprintf("key%08d", i))
 	}
 	val := make([]byte, 100)
+	tb := new(tableBuilder)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb := newTableBuilder()
 		for _, k := range keys {
 			tb.add(k, val)
 		}
@@ -105,5 +106,93 @@ func BenchmarkDBGet(b *testing.B) {
 		if err != nil || !found {
 			b.Fatalf("get: %v found=%v", err, found)
 		}
+	}
+}
+
+// benchTree is a flushed, compacted tree of n keys on the ZNS backend, with
+// the keys precomputed so the lookups below measure only the store.
+func benchTree(b *testing.B, n int) (*DB, sim.Time, [][]byte) {
+	db := benchZNSDB(b)
+	keys := make([][]byte, n)
+	var at sim.Time
+	var err error
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%08d", i))
+		if at, err = db.Put(at, keys[i], make([]byte, 128)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if at, err = db.Flush(at); err != nil {
+		b.Fatal(err)
+	}
+	return db, at, keys
+}
+
+// BenchmarkGetHit is a point lookup served from tables: range checks, one
+// key hash for every filter, one chunk read and walk.
+func BenchmarkGetHit(b *testing.B) {
+	db, at, keys := benchTree(b, 5000)
+	pick := workload.NewUniform(workload.NewSource(2), int64(len(keys)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, found, err := db.Get(at, keys[pick.Next()]); err != nil || !found {
+			b.Fatalf("get: %v found=%v", err, found)
+		}
+	}
+}
+
+// BenchmarkGetBloomMiss probes absent keys inside the stored key range, so
+// only the Bloom filters can turn them away: no device read, no allocation.
+func BenchmarkGetBloomMiss(b *testing.B) {
+	db, at, keys := benchTree(b, 5000)
+	for i := range keys {
+		keys[i] = append(keys[i], "-absent"...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, found, err := db.Get(at, keys[i%len(keys)]); err != nil || found {
+			b.Fatalf("get: %v found=%v", err, found)
+		}
+	}
+}
+
+// BenchmarkCompactLevel is the merge inside a level compaction at the
+// default size ratio: one newer table over the ten-table run it overlaps,
+// every input read from the device and every output table written to it.
+func BenchmarkCompactLevel(b *testing.B) {
+	db := benchZNSDB(b)
+	val := make([]byte, 128)
+	var at sim.Time
+	table := func(level, from, to, step int) *tableMeta {
+		for i := from; i < to; i += step {
+			db.tb.add([]byte(fmt.Sprintf("key%08d", i)), val)
+		}
+		blob, meta := db.tb.finish()
+		h, done, err := db.backend.WriteTable(at, blob, level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at, meta.handle = done, h
+		return meta
+	}
+	const perTable, tables = 200, 10
+	var overlap []*tableMeta
+	for t := 0; t < tables; t++ {
+		overlap = append(overlap, table(2, t*perTable, (t+1)*perTable, 1))
+	}
+	runs := [][]*tableMeta{{table(1, 0, tables*perTable, tables)}, overlap}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		outs, done, err := db.merge(at, runs, 2)
+		if err != nil || len(outs) == 0 {
+			b.Fatalf("merge: %v, %d tables", err, len(outs))
+		}
+		if err := db.dropTables(done, outs); err != nil {
+			b.Fatal(err)
+		}
+		at = done
 	}
 }

@@ -1,9 +1,6 @@
 package zkv
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
+import "encoding/binary"
 
 // bloom is a split-free Bloom filter with double hashing (the
 // Kirsch-Mitzenmacher construction LevelDB uses). It keeps point lookups
@@ -38,14 +35,19 @@ func newBloom(n int) *bloom {
 	return &bloom{bits: make([]byte, (bits+7)/8), k: k}
 }
 
+// bloomHash is 64-bit FNV-1a, the one hash every probe position derives
+// from: callers hash a key once and hand the result to add or mayContain,
+// however many filters they consult.
 func bloomHash(key []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(key)
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
-func (b *bloom) add(key []byte) {
-	h := bloomHash(key)
+// add inserts the key whose bloomHash is h.
+func (b *bloom) add(h uint64) {
 	h1, h2 := uint32(h), uint32(h>>32)
 	n := uint32(len(b.bits) * 8)
 	for i := uint32(0); i < b.k; i++ {
@@ -54,11 +56,11 @@ func (b *bloom) add(key []byte) {
 	}
 }
 
-func (b *bloom) mayContain(key []byte) bool {
+// mayContain reports whether the key whose bloomHash is h may be present.
+func (b *bloom) mayContain(h uint64) bool {
 	if b == nil || len(b.bits) == 0 {
 		return true // no filter: cannot exclude
 	}
-	h := bloomHash(key)
 	h1, h2 := uint32(h), uint32(h>>32)
 	n := uint32(len(b.bits) * 8)
 	for i := uint32(0); i < b.k; i++ {
@@ -70,13 +72,13 @@ func (b *bloom) mayContain(key []byte) bool {
 	return true
 }
 
-// marshal serializes the filter as k (uvarint) followed by the bit array.
-func (b *bloom) marshal() []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(b.k))
-	out := make([]byte, 0, n+len(b.bits))
-	out = append(out, hdr[:n]...)
-	return append(out, b.bits...)
+// marshaledLen is the size appendTo adds: k is below 128 (newBloom caps it
+// at 30, unmarshalBloom at 64), so one uvarint byte, then the bits.
+func (b *bloom) marshaledLen() int { return 1 + len(b.bits) }
+
+// appendTo serializes the filter as k (uvarint) followed by the bit array.
+func (b *bloom) appendTo(dst []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(b.k)), b.bits...)
 }
 
 // unmarshalBloom parses a marshaled filter; a nil/empty buffer yields nil

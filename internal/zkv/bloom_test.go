@@ -11,10 +11,10 @@ import (
 func TestBloomNoFalseNegatives(t *testing.T) {
 	b := newBloom(1000)
 	for i := 0; i < 1000; i++ {
-		b.add([]byte(fmt.Sprintf("key%06d", i)))
+		b.add(bloomHash([]byte(fmt.Sprintf("key%06d", i))))
 	}
 	for i := 0; i < 1000; i++ {
-		if !b.mayContain([]byte(fmt.Sprintf("key%06d", i))) {
+		if !b.mayContain(bloomHash([]byte(fmt.Sprintf("key%06d", i)))) {
 			t.Fatalf("false negative for key%06d", i)
 		}
 	}
@@ -23,12 +23,12 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 func TestBloomFalsePositiveRate(t *testing.T) {
 	b := newBloom(2000)
 	for i := 0; i < 2000; i++ {
-		b.add([]byte(fmt.Sprintf("key%06d", i)))
+		b.add(bloomHash([]byte(fmt.Sprintf("key%06d", i))))
 	}
 	fp := 0
 	probes := 10000
 	for i := 0; i < probes; i++ {
-		if b.mayContain([]byte(fmt.Sprintf("absent%06d", i))) {
+		if b.mayContain(bloomHash([]byte(fmt.Sprintf("absent%06d", i)))) {
 			fp++
 		}
 	}
@@ -41,14 +41,14 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 func TestBloomMarshalRoundTrip(t *testing.T) {
 	b := newBloom(100)
 	for i := 0; i < 100; i++ {
-		b.add([]byte(fmt.Sprintf("k%d", i)))
+		b.add(bloomHash([]byte(fmt.Sprintf("k%d", i))))
 	}
-	b2, err := unmarshalBloom(b.marshal())
+	b2, err := unmarshalBloom(b.appendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if !b2.mayContain([]byte(fmt.Sprintf("k%d", i))) {
+		if !b2.mayContain(bloomHash([]byte(fmt.Sprintf("k%d", i)))) {
 			t.Fatalf("round-tripped filter lost k%d", i)
 		}
 	}
@@ -61,7 +61,7 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 	}
 	// A nil filter never excludes.
 	var nilFilter *bloom
-	if !nilFilter.mayContain([]byte("x")) {
+	if !nilFilter.mayContain(bloomHash([]byte("x"))) {
 		t.Error("nil filter must not exclude")
 	}
 }
@@ -71,10 +71,10 @@ func TestBloomProperty(t *testing.T) {
 	f := func(keys [][]byte) bool {
 		b := newBloom(len(keys))
 		for _, k := range keys {
-			b.add(k)
+			b.add(bloomHash(k))
 		}
 		for _, k := range keys {
-			if !b.mayContain(k) {
+			if !b.mayContain(bloomHash(k)) {
 				return false
 			}
 		}

@@ -7,50 +7,126 @@ import (
 	"blockhead/internal/sim"
 )
 
-// mergeSource is one input stream to a compaction merge. Lower prio wins
-// on equal keys (upper levels and newer L0 tables shadow older data).
+// mergeSource is one sorted input to a merge: a run of tables that is
+// sorted and disjoint (a whole level's overlap, or a single L0 table), read
+// one table after another, or — for Scan — the memtable.
 type mergeSource struct {
-	it   *blobIter
-	prio int
-	ok   bool
+	run        []blobIter // tables still to read, in key order
+	mem        *memIter   // the memtable instead of a run
+	key, value []byte
+	ok         bool
 }
 
-func (s *mergeSource) advance() { s.ok = s.it.next() }
+// advance steps to the source's next entry; a corrupt table ends the
+// source and is returned.
+func (s *mergeSource) advance() error {
+	if s.mem != nil {
+		if s.ok = s.mem.next(); s.ok {
+			s.key, s.value = s.mem.key(), s.mem.value()
+		}
+		return nil
+	}
+	s.ok = false
+	for len(s.run) > 0 {
+		it := &s.run[0]
+		if it.next() {
+			s.key, s.value, s.ok = it.key, it.value, true
+			return nil
+		}
+		if it.err != nil {
+			return it.err
+		}
+		s.run = s.run[1:] // this table is done: on to the next of the run
+	}
+	return nil
+}
+
+// merger is the package's one k-way merge: it yields each distinct key
+// once, in ascending order, with its newest version. Sources are listed
+// newest first — on equal keys the earlier source wins and the later ones'
+// versions are skipped as shadowed. Compaction and Scan both run on it.
+type merger struct {
+	srcs       []mergeSource
+	key, value []byte // valid until the tables' buffers are dropped
+	err        error
+}
+
+// add appends a source (older than every source added before it),
+// positioned at its first entry at or after start.
+func (m *merger) add(s mergeSource, start []byte) {
+	if m.err != nil {
+		return
+	}
+	m.err = s.advance()
+	for m.err == nil && s.ok && bytes.Compare(s.key, start) < 0 {
+		m.err = s.advance()
+	}
+	m.srcs = append(m.srcs, s)
+}
+
+// next moves to the next key; it reports false at the end of every source
+// or at the first corrupt table, which err then holds.
+func (m *merger) next() bool {
+	if m.err != nil {
+		return false
+	}
+	best := -1
+	for i := range m.srcs {
+		s := &m.srcs[i]
+		if s.ok && (best < 0 || bytes.Compare(s.key, m.srcs[best].key) < 0) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	m.key, m.value = m.srcs[best].key, m.srcs[best].value
+	// Step every source past this key. No source earlier than best holds it.
+	for i := best; i < len(m.srcs); i++ {
+		for s := &m.srcs[i]; s.ok && bytes.Equal(s.key, m.key); {
+			if m.err = s.advance(); m.err != nil {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // compactL0 merges every L0 table with the overlapping part of L1.
 func (db *DB) compactL0(at sim.Time) (sim.Time, error) {
-	inputs := append([]*tableMeta(nil), db.levels[0]...)
-	if len(inputs) == 0 {
+	l0 := db.levels[0]
+	if len(l0) == 0 {
 		return at, nil
 	}
-	lo, hi := keyRange(inputs)
+	lo, hi := keyRange(l0)
 	overlap, rest := splitOverlap(db.levels[1], lo, hi)
 
-	// Newest L0 table gets the best priority; all (disjoint) L1 tables
-	// share the worst.
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].seq > inputs[j].seq })
-	var sources []*tableMeta
-	prios := make([]int, 0, len(inputs)+len(overlap))
-	for i, t := range inputs {
-		sources = append(sources, t)
-		prios = append(prios, i)
-	}
-	for _, t := range overlap {
-		sources = append(sources, t)
-		prios = append(prios, len(inputs))
-	}
-
-	outs, done, err := db.merge(at, sources, prios, 1)
+	// The overlapping L1 tables are disjoint and sorted, so they form a
+	// single run, older than every L0 table.
+	runs := append(newestFirst(l0), overlap)
+	outs, done, err := db.merge(at, runs, 1)
 	if err != nil {
 		return at, err
 	}
 	db.levels[0] = db.levels[0][:0]
 	db.levels[1] = insertSorted(rest, outs)
-	if err := db.dropTables(done, append(inputs, overlap...)); err != nil {
-		return done, err
+	for _, run := range runs {
+		if err := db.dropTables(done, run); err != nil {
+			return done, err
+		}
 	}
 	db.stats.Compactions++
 	return done, nil
+}
+
+// newestFirst lists L0's tables as merge runs: they may overlap each other,
+// so each is a run of its own, the last flushed first.
+func newestFirst(l0 []*tableMeta) [][]*tableMeta {
+	runs := make([][]*tableMeta, 0, len(l0)+1)
+	for i := len(l0) - 1; i >= 0; i-- {
+		runs = append(runs, l0[i:i+1])
+	}
+	return runs
 }
 
 // compactLevel pushes one table from level l into l+1 (picked round-robin
@@ -63,12 +139,7 @@ func (db *DB) compactLevel(at sim.Time, l int) (sim.Time, error) {
 	victim := db.pickCompactionVictim(l)
 	overlap, rest := splitOverlap(db.levels[l+1], victim.firstKey, victim.lastKey)
 
-	sources := append([]*tableMeta{victim}, overlap...)
-	prios := make([]int, len(sources))
-	for i := 1; i < len(prios); i++ {
-		prios[i] = 1
-	}
-	outs, done, err := db.merge(at, sources, prios, l+1)
+	outs, done, err := db.merge(at, [][]*tableMeta{{victim}, overlap}, l+1)
 	if err != nil {
 		return at, err
 	}
@@ -107,26 +178,30 @@ func (db *DB) pickCompactionVictim(l int) *tableMeta {
 	return lvl[0]
 }
 
-// merge reads all sources, merges them newest-wins, and writes output
+// merge reads every table of every run, merges the runs newest-wins (runs
+// are listed newest first; each is sorted and disjoint), and writes output
 // tables to outLevel. Tombstones are dropped only when outLevel is the
 // bottom level (nothing deeper could hold an older version).
-func (db *DB) merge(at sim.Time, tables []*tableMeta, prios []int, outLevel int) ([]*tableMeta, sim.Time, error) {
+func (db *DB) merge(at sim.Time, runs [][]*tableMeta, outLevel int) ([]*tableMeta, sim.Time, error) {
 	bottom := outLevel == db.opts.MaxLevels-1
 	done := at
-	srcs := make([]*mergeSource, len(tables))
-	for i, t := range tables {
-		d, blob, err := db.backend.ReadAt(at, t.handle, 0, t.sizeB)
-		if err != nil {
-			return nil, at, err
+	m := merger{srcs: make([]mergeSource, 0, len(runs))}
+	for _, run := range runs {
+		its := make([]blobIter, len(run))
+		for i, t := range run {
+			d, blob, err := db.backend.ReadAt(at, t.handle, 0, t.sizeB)
+			if err != nil {
+				return nil, at, err
+			}
+			done = sim.Max(done, d)
+			db.stats.CompactionReadBytes += uint64(t.sizeB)
+			its[i].data = blob[:t.indexOff]
 		}
-		done = sim.Max(done, d)
-		db.stats.CompactionReadBytes += uint64(t.sizeB)
-		srcs[i] = &mergeSource{it: newBlobIter(blob[:t.indexOff]), prio: prios[i]}
-		srcs[i].advance()
+		m.add(mergeSource{run: its}, nil)
 	}
 
 	var outs []*tableMeta
-	b := newTableBuilder()
+	b := &db.tb
 	emit := func() error {
 		blob, meta := b.finish()
 		h, wDone, err := db.backend.WriteTable(done, blob, outLevel)
@@ -143,46 +218,19 @@ func (db *DB) merge(at sim.Time, tables []*tableMeta, prios []int, outLevel int)
 		return nil
 	}
 
-	for {
-		// Find the smallest key; among equals, the best (lowest) priority.
-		best := -1
-		for i, s := range srcs {
-			if !s.ok {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			c := bytes.Compare(s.it.key, srcs[best].it.key)
-			if c < 0 || (c == 0 && s.prio < srcs[best].prio) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		key, value := srcs[best].it.key, srcs[best].it.value
-		if !(value == nil && bottom) { // drop tombstones at the bottom
-			b.add(key, value)
-		}
-		// Skip shadowed versions of the same key in every source.
-		for _, s := range srcs {
-			for s.ok && bytes.Equal(s.it.key, key) {
-				s.advance()
-			}
+	for m.next() {
+		if !(m.value == nil && bottom) { // drop tombstones at the bottom
+			b.add(m.key, m.value)
 		}
 		if b.sizeEstimate() >= db.opts.TableTargetBytes {
 			if err := emit(); err != nil {
 				return nil, done, err
 			}
-			b = newTableBuilder()
 		}
 	}
-	for _, s := range srcs {
-		if s.it.err != nil {
-			return nil, done, s.it.err
-		}
+	if m.err != nil {
+		b.reset()
+		return nil, done, m.err
 	}
 	if !b.empty() {
 		if err := emit(); err != nil {
@@ -215,24 +263,27 @@ func keyRange(tables []*tableMeta) (lo, hi []byte) {
 	return lo, hi
 }
 
-// splitOverlap partitions a sorted level into tables overlapping [lo, hi]
-// and the rest.
+// splitOverlap partitions a sorted, disjoint level into the tables
+// overlapping [lo, hi] — one contiguous stretch, so two binary searches find
+// it — and the rest. overlap aliases lvl.
 func splitOverlap(lvl []*tableMeta, lo, hi []byte) (overlap, rest []*tableMeta) {
-	for _, t := range lvl {
-		if bytes.Compare(t.lastKey, lo) < 0 || bytes.Compare(t.firstKey, hi) > 0 {
-			rest = append(rest, t)
-		} else {
-			overlap = append(overlap, t)
-		}
-	}
-	return overlap, rest
+	i := sort.Search(len(lvl), func(i int) bool { return bytes.Compare(lvl[i].lastKey, lo) >= 0 })
+	j := i + sort.Search(len(lvl)-i, func(j int) bool { return bytes.Compare(lvl[i+j].firstKey, hi) > 0 })
+	rest = make([]*tableMeta, 0, len(lvl)-(j-i))
+	rest = append(append(rest, lvl[:i]...), lvl[j:]...)
+	return lvl[i:j], rest
 }
 
-// insertSorted merges new tables into a (disjoint) sorted level.
+// insertSorted merges new tables into a (disjoint) sorted level. Both
+// lists are already in key order, so this is one pass of a two-way merge.
 func insertSorted(lvl, outs []*tableMeta) []*tableMeta {
-	lvl = append(lvl, outs...)
-	sort.Slice(lvl, func(i, j int) bool {
-		return bytes.Compare(lvl[i].firstKey, lvl[j].firstKey) < 0
-	})
-	return lvl
+	merged := make([]*tableMeta, 0, len(lvl)+len(outs))
+	for len(lvl) > 0 && len(outs) > 0 {
+		if bytes.Compare(outs[0].firstKey, lvl[0].firstKey) < 0 {
+			merged, outs = append(merged, outs[0]), outs[1:]
+		} else {
+			merged, lvl = append(merged, lvl[0]), lvl[1:]
+		}
+	}
+	return append(append(merged, lvl...), outs...)
 }

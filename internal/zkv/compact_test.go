@@ -1,0 +1,240 @@
+package zkv
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"blockhead/internal/sim"
+)
+
+// recBackend records every table call with its arguments and result, and
+// keeps a copy of every blob written, so two stores can be compared call by
+// call and byte by byte.
+type recBackend struct {
+	Backend
+	log   []string
+	blobs map[TableHandle][]byte
+}
+
+func (r *recBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error) {
+	h, done, err := r.Backend.WriteTable(at, blob, level)
+	r.log = append(r.log, fmt.Sprintf("write at=%d len=%d level=%d -> h=%d done=%d err=%v", at, len(blob), level, h, done, err))
+	r.blobs[h] = append([]byte(nil), blob...)
+	return h, done, err
+}
+
+func (r *recBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error) {
+	done, p, err := r.Backend.ReadAt(at, h, off, n)
+	r.log = append(r.log, fmt.Sprintf("read at=%d h=%d off=%d n=%d -> done=%d err=%v", at, h, off, n, done, err))
+	return done, p, err
+}
+
+func (r *recBackend) Delete(at sim.Time, h TableHandle) error {
+	err := r.Backend.Delete(at, h)
+	r.log = append(r.log, fmt.Sprintf("delete at=%d h=%d err=%v", at, h, err))
+	return err
+}
+
+// manualOpts never compacts on its own: the tests below decide when.
+func manualOpts(seed int64) Options {
+	return Options{MemtableBytes: 1 << 30, L0CompactAt: 1 << 30, BaseLevelBytes: 1 << 40,
+		MaxLevels: 3, TableTargetBytes: 2 << 10, Seed: seed}
+}
+
+// describe renders the tree: every table's place and shape.
+func describe(db *DB) []string {
+	var out []string
+	for l, lvl := range db.levels {
+		for i, t := range lvl {
+			out = append(out, fmt.Sprintf("L%d[%d] h=%d level=%d seq=%d size=%d entries=%d indexOff=%d index=%d [%q..%q]",
+				l, i, t.handle, t.level, t.seq, t.sizeB, t.entries, t.indexOff, len(t.index), t.firstKey, t.lastKey))
+		}
+	}
+	return out
+}
+
+// TestCompactionMatchesPerTableOracle drives twin stores through random
+// trees, compacting one with the production (run-chained) merger and the
+// other with the parent's one-source-per-table merge, and requires the same
+// backend calls at the same virtual times, the same output tables byte for
+// byte, and the same levels afterwards.
+func TestCompactionMatchesPerTableOracle(t *testing.T) {
+	for _, seed := range []int64{42, 7, 13} {
+		for _, backend := range []string{"conv", "zns"} {
+			t.Run(fmt.Sprintf("%s/seed%d", backend, seed), func(t *testing.T) {
+				open := func() (*DB, *recBackend) {
+					r := &recBackend{Backend: dbBackends(t)[backend], blobs: map[TableHandle][]byte{}}
+					return Open(r, manualOpts(seed)), r
+				}
+				got, gotRec := open()
+				want, wantRec := open()
+				var at sim.Time
+				// both runs one step on each store; the records and trees
+				// are compared whenever tables were written.
+				both := func(what string, prod, oracle func(*DB) (sim.Time, error)) {
+					t.Helper()
+					gotAt, gotErr := prod(got)
+					wantAt, wantErr := oracle(want)
+					if gotAt != wantAt || gotErr != nil || wantErr != nil {
+						t.Fatalf("%s: done %d err %v, oracle %d err %v", what, gotAt, gotErr, wantAt, wantErr)
+					}
+					at = gotAt
+					if len(gotRec.log) == 0 && len(wantRec.log) == 0 {
+						return
+					}
+					if !reflect.DeepEqual(gotRec.log, wantRec.log) {
+						t.Fatalf("%s: backend calls differ from the oracle's\n got %q\nwant %q", what, gotRec.log, wantRec.log)
+					}
+					if !reflect.DeepEqual(gotRec.blobs, wantRec.blobs) {
+						t.Fatalf("%s: output tables differ from the oracle's", what)
+					}
+					if g, w := describe(got), describe(want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s: tree differs from the oracle's\n got %q\nwant %q", what, g, w)
+					}
+					gotRec.log, wantRec.log = nil, nil
+					clear(gotRec.blobs)
+					clear(wantRec.blobs)
+				}
+				flush := func(db *DB) (sim.Time, error) { return db.Flush(at) }
+
+				rng := rand.New(rand.NewSource(seed))
+				var l0s, deeper int
+				for round := 0; round < 60; round++ {
+					// One to three overlapping L0 tables of puts, overwrites,
+					// empty values and tombstones over a window of the key
+					// space; now and then a fresh window that overlaps nothing.
+					base := rng.Intn(3) * 300
+					if rng.Intn(5) == 0 {
+						base = 1000 + round*500
+					}
+					for f := 1 + rng.Intn(3); f > 0; f-- {
+						for n := 1 + rng.Intn(120); n > 0; n-- {
+							k := key(base + rng.Intn(300))
+							v := bytes.Repeat([]byte{byte(round)}, rng.Intn(2)*(1+rng.Intn(150)))
+							write := func(db *DB) (sim.Time, error) { return db.Put(at, k, v) }
+							if rng.Intn(4) == 0 {
+								write = func(db *DB) (sim.Time, error) { return db.Delete(at, k) }
+							}
+							both("write", write, write)
+						}
+						both("flush", flush, flush)
+					}
+					if rng.Intn(3) == 0 || len(got.levels[1]) == 0 {
+						both("compactL0", func(db *DB) (sim.Time, error) { return db.compactL0(at) },
+							func(db *DB) (sim.Time, error) { return db.oracleCompactL0(at) })
+						l0s++
+					} else { // L1 -> L2, the bottom level: tombstones drop
+						both("compactLevel", func(db *DB) (sim.Time, error) { return db.compactLevel(at, 1) },
+							func(db *DB) (sim.Time, error) { return db.oracleCompactLevel(at, 1) })
+						deeper++
+					}
+				}
+				if l0s < 5 || deeper < 5 || len(got.levels[2]) < 2 {
+					t.Fatalf("weak run: %d+%d compactions, %d bottom tables", l0s, deeper, len(got.levels[2]))
+				}
+			})
+		}
+	}
+}
+
+// randomLevel builds a sorted, disjoint level of n tables (metadata only).
+func randomLevel(rng *rand.Rand, n int) []*tableMeta {
+	bounds := rng.Perm(4 * (n + 1))[:2*n]
+	sort.Ints(bounds)
+	lvl := make([]*tableMeta, n)
+	for i := range lvl {
+		lvl[i] = &tableMeta{firstKey: key(bounds[2*i]), lastKey: key(bounds[2*i+1])}
+	}
+	return lvl
+}
+
+func sameTables(a, b []*tableMeta) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// insertSorted's two-way merge and splitOverlap's binary searches against
+// the sort.Slice and the linear scan they replaced, on random disjoint
+// levels — empty and single-table ones included.
+func TestLevelHelpersMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 2000; trial++ {
+		all := randomLevel(rng, rng.Intn(12))
+		var lvl, outs []*tableMeta
+		for _, tm := range all { // any split of a sorted level is two sorted lists
+			if rng.Intn(2) == 0 {
+				lvl = append(lvl, tm)
+			} else {
+				outs = append(outs, tm)
+			}
+		}
+		want := oracleInsertSorted(append([]*tableMeta(nil), lvl...), outs)
+		if got := insertSorted(lvl, outs); !sameTables(got, want) || !sameTables(got, all) {
+			t.Fatalf("trial %d: insertSorted = %v, want %v", trial, got, want)
+		}
+
+		lo, hi := rng.Intn(4*len(all)+4), rng.Intn(4*len(all)+4)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		wantOver, wantRest := oracleSplitOverlap(all, key(lo), key(hi))
+		gotOver, gotRest := splitOverlap(all, key(lo), key(hi))
+		if !sameTables(gotOver, wantOver) || !sameTables(gotRest, wantRest) {
+			t.Fatalf("trial %d: splitOverlap(%v, %d, %d) = %v | %v, want %v | %v",
+				trial, all, lo, hi, gotOver, gotRest, wantOver, wantRest)
+		}
+	}
+}
+
+// corruptBackend, once armed, overwrites the second half of everything
+// ReadAt returns: a table damaged mid-region.
+type corruptBackend struct {
+	Backend
+	armed bool
+}
+
+func (c *corruptBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error) {
+	done, p, err := c.Backend.ReadAt(at, h, off, n)
+	if c.armed {
+		for i := len(p) / 2; i < len(p); i++ {
+			p[i] = 0xff
+		}
+	}
+	return done, p, err
+}
+
+// A corrupt table must surface as ErrCorrupt from every reader. Scan used
+// to drop its iterators' errors and return a silently truncated result.
+func TestCorruptTableIsReported(t *testing.T) {
+	c := &corruptBackend{Backend: bigZNSBackend(t)}
+	db := Open(c, manualOpts(1))
+	var at sim.Time
+	const n = 200
+	for i := 0; i < n; i++ {
+		at, _ = db.Put(at, key(i), make([]byte, 64))
+	}
+	at, err := db.Flush(at)
+	if err != nil || len(db.levels[0]) < 2 {
+		t.Fatalf("flush: %v, %d tables", err, len(db.levels[0]))
+	}
+
+	seen := 0
+	if _, err := db.Scan(at, key(0), nil, func(k, v []byte) bool { seen++; return true }); err != nil || seen != n {
+		t.Fatalf("intact scan: %d keys, err %v", seen, err)
+	}
+	c.armed = true
+	if _, err := db.Scan(at, key(0), nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Scan over a corrupt table: err = %v, want ErrCorrupt", err)
+	}
+	// The last key of a table lies beyond the damage.
+	if _, _, _, err := db.Get(at, key(n-1)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get through a corrupt table: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := db.compactL0(at); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("compaction of a corrupt table: err = %v, want ErrCorrupt", err)
+	}
+}

@@ -83,6 +83,7 @@ type DB struct {
 	backend Backend
 
 	mem    *memtable
+	tb     tableBuilder   // builds every table, flushed or compacted; empty in between
 	levels [][]*tableMeta // levels[0] unsorted (newest last); 1+ sorted, disjoint
 	seq    uint64
 	cursor [][]byte // per-level compaction cursor (last victim's lastKey)
@@ -173,13 +174,14 @@ func (db *DB) Get(at sim.Time, key []byte) (done sim.Time, value []byte, found b
 	if v, ok := db.mem.get(key); ok {
 		return at, cloneOrNil(v), v != nil, nil
 	}
+	hash := bloomHash(key) // once, for every table's filter
 	// L0: newest table wins.
 	for i := len(db.levels[0]) - 1; i >= 0; i-- {
 		t := db.levels[0][i]
 		if !t.mayContain(key) {
 			continue
 		}
-		at, value, found, err = db.searchTable(at, t, key)
+		at, value, found, err = db.searchTable(at, t, key, hash)
 		if err != nil || found || value != nil {
 			break
 		}
@@ -190,7 +192,7 @@ func (db *DB) Get(at sim.Time, key []byte) (done sim.Time, value []byte, found b
 			if t == nil {
 				continue
 			}
-			at, value, found, err = db.searchTable(at, t, key)
+			at, value, found, err = db.searchTable(at, t, key, hash)
 			if err != nil || found || value != nil {
 				break
 			}
@@ -202,12 +204,14 @@ func (db *DB) Get(at sim.Time, key []byte) (done sim.Time, value []byte, found b
 	return at, value, true, nil
 }
 
-// searchTable probes one table. Outcomes:
+// searchTable probes one table for key, whose bloomHash is hash. Outcomes:
 //   - live value: (value, found=true)
 //   - tombstone:  (tombstoneMark, found=false) — definitive miss
 //   - absent:     (nil, found=false) — keep descending
-func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte) (sim.Time, []byte, bool, error) {
-	if !t.filter.mayContain(key) {
+//
+// A live value aliases the chunk ReadAt returned, which is the caller's.
+func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (sim.Time, []byte, bool, error) {
+	if !t.filter.mayContain(hash) {
 		return at, nil, false, nil // Bloom-negative: no I/O at all
 	}
 	lo, hi := t.chunkFor(key)
@@ -218,7 +222,7 @@ func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte) (sim.Time, []by
 	if err != nil {
 		return at, nil, false, err
 	}
-	it := newBlobIter(chunk)
+	it := blobIter{data: chunk}
 	for it.next() {
 		c := bytes.Compare(it.key, key)
 		if c > 0 {
@@ -228,7 +232,7 @@ func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte) (sim.Time, []by
 			if it.value == nil {
 				return done, tombstoneMark, false, nil
 			}
-			return done, cloneOrNil(it.value), true, nil
+			return done, it.value, true, nil
 		}
 	}
 	if it.err != nil {
@@ -262,7 +266,7 @@ func (db *DB) Flush(at sim.Time) (sim.Time, error) {
 		return at, nil
 	}
 	it := db.mem.iter()
-	b := newTableBuilder()
+	b := &db.tb
 	emit := func() error {
 		blob, meta := b.finish()
 		h, done, err := db.backend.WriteTable(at, blob, 0)
@@ -284,7 +288,6 @@ func (db *DB) Flush(at sim.Time) (sim.Time, error) {
 			if err := emit(); err != nil {
 				return at, err
 			}
-			b = newTableBuilder()
 		}
 	}
 	if !b.empty() {

@@ -100,7 +100,7 @@ func TestMemtableModelProperty(t *testing.T) {
 }
 
 func TestSSTableRoundTrip(t *testing.T) {
-	b := newTableBuilder()
+	b := new(tableBuilder)
 	var keys []string
 	for i := 0; i < 300; i++ {
 		keys = append(keys, fmt.Sprintf("key%06d", i*7))
@@ -140,7 +140,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 		if lo >= hi {
 			t.Fatalf("chunkFor(%q) empty", k)
 		}
-		it := newBlobIter(blob[lo:hi])
+		it := &blobIter{data: blob[lo:hi]}
 		found := false
 		for it.next() {
 			if string(it.key) == k {
@@ -179,7 +179,7 @@ func TestSSTableCorruptDetection(t *testing.T) {
 	if _, err := parseTable(make([]byte, 20)); err == nil {
 		t.Error("zero blob accepted")
 	}
-	b := newTableBuilder()
+	b := new(tableBuilder)
 	b.add([]byte("k"), []byte("v"))
 	blob, _ := b.finish()
 	// Corrupt the magic.
@@ -196,17 +196,17 @@ func TestTableBuilderOrderPanics(t *testing.T) {
 			t.Error("out-of-order add did not panic")
 		}
 	}()
-	b := newTableBuilder()
+	b := new(tableBuilder)
 	b.add([]byte("b"), nil)
 	b.add([]byte("a"), nil)
 }
 
 func TestEmptyValueVsTombstone(t *testing.T) {
-	b := newTableBuilder()
+	b := new(tableBuilder)
 	b.add([]byte("empty"), []byte{})
 	b.add([]byte("tomb"), nil)
 	blob, meta := b.finish()
-	it := newBlobIter(blob[:meta.indexOff])
+	it := &blobIter{data: blob[:meta.indexOff]}
 	if !it.next() || it.value == nil {
 		t.Error("empty value decoded as tombstone")
 	}

@@ -6,130 +6,46 @@ import (
 	"blockhead/internal/sim"
 )
 
-// scanSource is one ordered input to a merged range scan. Lower prio wins
-// for equal keys (the memtable is newest, then L0 newest-first, then each
-// deeper level).
-type scanSource struct {
-	prio int
-	// next advances to the next entry at or after the scan start; ok
-	// reports whether one exists.
-	key, value []byte
-	ok         bool
-	advance    func() ([]byte, []byte, bool)
-}
-
-func (s *scanSource) step() {
-	s.key, s.value, s.ok = s.advance()
-}
-
 // Scan visits every live key in [start, limit) in ascending order, calling
 // fn with each key/value; fn returning false stops early. A nil limit means
 // "to the end". Tombstones and shadowed versions are skipped. The returned
 // time includes all table reads the scan needed.
 func (db *DB) Scan(at sim.Time, start, limit []byte, fn func(key, value []byte) bool) (sim.Time, error) {
-	var sources []*scanSource
-
-	// Memtable (priority 0: newest).
-	mit := db.mem.iter()
-	sources = append(sources, &scanSource{
-		prio: 0,
-		advance: func() ([]byte, []byte, bool) {
-			for mit.next() {
-				if bytes.Compare(mit.key(), start) < 0 {
-					continue
-				}
-				return mit.key(), mit.value(), true
+	// Sources newest first: the memtable, each L0 table, then one run per
+	// deeper level, whose tables are disjoint and sorted. Of each run, read
+	// the entry region, from start's chunk on, of every table that can hold a
+	// key in [start, limit).
+	var m merger
+	m.add(mergeSource{mem: db.mem.iter()}, start)
+	for _, tables := range append(newestFirst(db.levels[0]), db.levels[1:]...) {
+		var run []blobIter
+		for _, t := range tables {
+			if limit != nil && bytes.Compare(t.firstKey, limit) >= 0 {
+				continue
 			}
-			return nil, nil, false
-		},
-	})
-
-	// Table sources: read each candidate table's entry region once.
-	addTable := func(t *tableMeta, prio int) error {
-		if limit != nil && bytes.Compare(t.firstKey, limit) >= 0 {
-			return nil
-		}
-		if bytes.Compare(t.lastKey, start) < 0 {
-			return nil
-		}
-		lo, _ := t.chunkFor(start)
-		done, chunk, err := db.backend.ReadAt(at, t.handle, lo, t.indexOff-lo)
-		if err != nil {
-			return err
-		}
-		if done > at {
-			at = done
-		}
-		it := newBlobIter(chunk)
-		sources = append(sources, &scanSource{
-			prio: prio,
-			advance: func() ([]byte, []byte, bool) {
-				for it.next() {
-					if bytes.Compare(it.key, start) < 0 {
-						continue
-					}
-					return it.key, it.value, true
-				}
-				return nil, nil, false
-			},
-		})
-		return nil
-	}
-
-	// L0, newest table first (priority 1..k).
-	prio := 1
-	for i := len(db.levels[0]) - 1; i >= 0; i-- {
-		if err := addTable(db.levels[0][i], prio); err != nil {
-			return at, err
-		}
-		prio++
-	}
-	// Deeper levels: disjoint within a level, so one priority per level.
-	for l := 1; l < len(db.levels); l++ {
-		for _, t := range db.levels[l] {
-			if err := addTable(t, prio); err != nil {
+			if bytes.Compare(t.lastKey, start) < 0 {
+				continue
+			}
+			lo, _ := t.chunkFor(start)
+			done, chunk, err := db.backend.ReadAt(at, t.handle, lo, t.indexOff-lo)
+			if err != nil {
 				return at, err
 			}
+			at = sim.Max(at, done)
+			run = append(run, blobIter{data: chunk})
 		}
-		prio++
+		m.add(mergeSource{run: run}, start)
 	}
 
-	for _, s := range sources {
-		s.step()
-	}
-	for {
-		best := -1
-		for i, s := range sources {
-			if !s.ok {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			c := bytes.Compare(s.key, sources[best].key)
-			if c < 0 || (c == 0 && s.prio < sources[best].prio) {
-				best = i
-			}
+	for m.next() {
+		if limit != nil && bytes.Compare(m.key, limit) >= 0 {
+			break
 		}
-		if best < 0 {
-			return at, nil
-		}
-		key := append([]byte(nil), sources[best].key...)
-		if limit != nil && bytes.Compare(key, limit) >= 0 {
-			return at, nil
-		}
-		value := sources[best].value
-		live := value != nil
-		cloned := cloneOrNil(value)
-		// Skip shadowed versions everywhere.
-		for _, s := range sources {
-			for s.ok && bytes.Equal(s.key, key) {
-				s.step()
-			}
-		}
-		if live && !fn(key, cloned) {
-			return at, nil
+		// fn gets private copies: the key and value live in table buffers
+		// and memtable nodes.
+		if m.value != nil && !fn(append([]byte(nil), m.key...), cloneOrNil(m.value)) {
+			break
 		}
 	}
+	return at, m.err
 }

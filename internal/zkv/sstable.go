@@ -47,44 +47,47 @@ type tableMeta struct {
 	seq      uint64       // creation sequence; larger = newer (L0 ordering)
 }
 
-// tableBuilder accumulates sorted entries into a blob.
+// tableBuilder accumulates sorted entries and serializes them into a blob.
+// One builder serves every table a DB writes: its scratch survives finish,
+// so after the first table add neither allocates nor regrows. The blob
+// itself is the exception — the devices keep sub-slices of it as page
+// payloads, so finish allocates each one fresh, at exactly its final size,
+// and the builder never touches it again.
 type tableBuilder struct {
-	buf     bytes.Buffer
-	index   []indexEntry
-	keys    [][]byte // copies for the Bloom filter
-	first   []byte
-	last    []byte
+	ents    []byte   // entry region
+	idx     []byte   // index region, serialized as checkpoints are taken
+	hashes  []uint64 // bloomHash of every key, for the filter
+	last    []byte   // the latest key, aliasing ents
 	count   int
 	nextIdx int
-	scratch [2 * binary.MaxVarintLen64]byte
 }
 
-func newTableBuilder() *tableBuilder { return &tableBuilder{} }
+// reset empties the builder for the next table, keeping its scratch.
+func (b *tableBuilder) reset() {
+	*b = tableBuilder{ents: b.ents[:0], idx: b.idx[:0], hashes: b.hashes[:0]}
+}
 
 // add appends an entry; keys must arrive in strictly increasing order.
 func (b *tableBuilder) add(key, value []byte) {
 	if b.count > 0 && bytes.Compare(key, b.last) <= 0 {
 		panic("zkv: tableBuilder keys out of order")
 	}
-	if b.buf.Len() >= b.nextIdx {
-		k := append([]byte(nil), key...)
-		b.index = append(b.index, indexEntry{key: k, off: b.buf.Len()})
-		b.nextIdx = b.buf.Len() + indexInterval
+	if len(b.ents) >= b.nextIdx {
+		b.idx = binary.AppendUvarint(b.idx, uint64(len(key)))
+		b.idx = append(b.idx, key...)
+		b.idx = binary.AppendUvarint(b.idx, uint64(len(b.ents)))
+		b.nextIdx = len(b.ents) + indexInterval
 	}
-	n := binary.PutUvarint(b.scratch[:], uint64(len(key)))
 	vlen := uint64(0)
 	if value != nil {
 		vlen = uint64(len(value)) + 1
 	}
-	n += binary.PutUvarint(b.scratch[n:], vlen)
-	b.buf.Write(b.scratch[:n])
-	b.buf.Write(key)
-	b.buf.Write(value)
-	if b.count == 0 {
-		b.first = append([]byte(nil), key...)
-	}
-	b.last = append([]byte(nil), key...)
-	b.keys = append(b.keys, b.last)
+	b.ents = binary.AppendUvarint(b.ents, uint64(len(key)))
+	b.ents = binary.AppendUvarint(b.ents, vlen)
+	b.ents = append(b.ents, key...)
+	b.last = b.ents[len(b.ents)-len(key):]
+	b.ents = append(b.ents, value...)
+	b.hashes = append(b.hashes, bloomHash(key))
 	b.count++
 }
 
@@ -92,43 +95,70 @@ func (b *tableBuilder) add(key, value []byte) {
 func (b *tableBuilder) empty() bool { return b.count == 0 }
 
 // sizeEstimate reports the current entry-region size.
-func (b *tableBuilder) sizeEstimate() int { return b.buf.Len() }
+func (b *tableBuilder) sizeEstimate() int { return len(b.ents) }
 
-// finish serializes the blob and returns it with the table's metadata
-// (handle and level are filled in by the caller after the backend write).
+// finish serializes the blob, returns it with the table's metadata (handle
+// and level are filled in by the caller after the backend write) and resets
+// the builder. Every region's size is known by now, so the blob is
+// allocated once with no slack; the metadata owns copies of the keys it
+// holds, never the builder's scratch.
 func (b *tableBuilder) finish() ([]byte, *tableMeta) {
-	indexOff := b.buf.Len()
-	var scratch [binary.MaxVarintLen64]byte
-	for _, ie := range b.index {
-		n := binary.PutUvarint(scratch[:], uint64(len(ie.key)))
-		b.buf.Write(scratch[:n])
-		b.buf.Write(ie.key)
-		n = binary.PutUvarint(scratch[:], uint64(ie.off))
-		b.buf.Write(scratch[:n])
-	}
-	filterOff := b.buf.Len()
 	filter := newBloom(b.count)
-	for _, k := range b.keys {
-		filter.add(k)
+	for _, h := range b.hashes {
+		filter.add(h)
 	}
-	b.buf.Write(filter.marshal())
-	var footer [footerSize]byte
-	binary.LittleEndian.PutUint32(footer[0:], uint32(indexOff))
-	binary.LittleEndian.PutUint32(footer[4:], uint32(filterOff))
-	binary.LittleEndian.PutUint32(footer[8:], uint32(b.count))
-	binary.LittleEndian.PutUint32(footer[12:], tableMagic)
-	b.buf.Write(footer[:])
-	blob := b.buf.Bytes()
+	indexOff := len(b.ents)
+	filterOff := indexOff + len(b.idx)
+	blob := make([]byte, 0, filterOff+filter.marshaledLen()+footerSize)
+	blob = append(blob, b.ents...)
+	blob = append(blob, b.idx...)
+	blob = filter.appendTo(blob)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(indexOff))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(filterOff))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(b.count))
+	blob = binary.LittleEndian.AppendUint32(blob, tableMagic)
+	index, err := parseIndex(b.idx, indexOff)
+	if err != nil {
+		panic("zkv: tableBuilder wrote an index it cannot parse")
+	}
+	var first []byte
+	if len(index) > 0 {
+		first = index[0].key // the first add always takes a checkpoint
+	}
 	meta := &tableMeta{
 		sizeB:    len(blob),
 		entries:  b.count,
-		firstKey: b.first,
-		lastKey:  b.last,
-		index:    b.index,
+		firstKey: first,
+		lastKey:  append([]byte(nil), b.last...),
+		index:    index,
 		indexOff: indexOff,
 		filter:   filter,
 	}
+	b.reset()
 	return blob, meta
+}
+
+// parseIndex decodes a serialized index region whose checkpoints must lie
+// within [0, indexOff]. The entries' keys share one private copy of the
+// region, so the result does not alias idx.
+func parseIndex(idx []byte, indexOff int) ([]indexEntry, error) {
+	idx = append([]byte(nil), idx...)
+	index := make([]indexEntry, 0, indexOff/indexInterval+1)
+	for len(idx) > 0 {
+		klen, n := binary.Uvarint(idx)
+		if n <= 0 || klen > uint64(len(idx)-n) {
+			return nil, ErrCorrupt
+		}
+		key := idx[n : n+int(klen) : n+int(klen)]
+		idx = idx[n+int(klen):]
+		off, n := binary.Uvarint(idx)
+		if n <= 0 || off > uint64(indexOff) {
+			return nil, ErrCorrupt
+		}
+		idx = idx[n:]
+		index = append(index, indexEntry{key: key, off: int(off)})
+	}
+	return index, nil
 }
 
 // parseTable reconstructs metadata from a blob — used on "open" and in
@@ -153,24 +183,11 @@ func parseTable(blob []byte) (*tableMeta, error) {
 		return nil, err
 	}
 	meta.filter = filter
-	// Index region.
-	idx := blob[indexOff:filterOff]
-	for len(idx) > 0 {
-		klen, n := binary.Uvarint(idx)
-		if n <= 0 || int(klen) > len(idx)-n {
-			return nil, ErrCorrupt
-		}
-		key := append([]byte(nil), idx[n:n+int(klen)]...)
-		idx = idx[n+int(klen):]
-		off, n := binary.Uvarint(idx)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		idx = idx[n:]
-		meta.index = append(meta.index, indexEntry{key: key, off: int(off)})
+	if meta.index, err = parseIndex(blob[indexOff:filterOff], indexOff); err != nil {
+		return nil, err
 	}
 	// First/last keys from the entry region.
-	it := newBlobIter(blob[:indexOff])
+	it := blobIter{data: blob[:indexOff]}
 	for it.next() {
 		if meta.firstKey == nil {
 			meta.firstKey = append([]byte(nil), it.key...)
@@ -191,8 +208,9 @@ type blobIter struct {
 	err   error
 }
 
-func newBlobIter(entryRegion []byte) *blobIter { return &blobIter{data: entryRegion} }
-
+// next decodes one entry. Lengths are compared as uint64 before any
+// conversion: a length of 2^63 or more would turn negative as an int, pass
+// a signed bounds check and panic in the slice expression.
 func (it *blobIter) next() bool {
 	if len(it.data) == 0 || it.err != nil {
 		return false
@@ -209,7 +227,7 @@ func (it *blobIter) next() bool {
 		return false
 	}
 	it.data = it.data[n:]
-	if int(klen) > len(it.data) {
+	if klen > uint64(len(it.data)) {
 		it.err = ErrCorrupt
 		return false
 	}
@@ -219,13 +237,12 @@ func (it *blobIter) next() bool {
 		it.value = nil
 		return true
 	}
-	vlen := int(vlenPlus - 1)
-	if vlen > len(it.data) {
+	if vlenPlus-1 > uint64(len(it.data)) {
 		it.err = ErrCorrupt
 		return false
 	}
-	it.value = it.data[:vlen]
-	it.data = it.data[vlen:]
+	it.value = it.data[:vlenPlus-1]
+	it.data = it.data[vlenPlus-1:]
 	return true
 }
 

@@ -205,26 +205,9 @@ func (b *ZNSBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, [
 	if off < 0 || n < 0 || off+n > t.size {
 		return at, nil, ErrBadReadSpan
 	}
-	ps := int64(b.PageSize())
-	out := make([]byte, 0, n)
-	done := at
-	for pos := int64(off); pos < int64(off+n); {
-		page := pos / ps
-		inPage := pos % ps
-		d, data, err := b.dev.Read(at, b.dev.LBA(t.zone, t.off+page))
-		if err != nil {
-			return at, nil, err
-		}
-		chunk := padTo(data, int(ps))
-		take := ps - inPage
-		if rem := int64(off+n) - pos; take > rem {
-			take = rem
-		}
-		out = append(out, chunk[inPage:inPage+take]...)
-		pos += take
-		done = sim.Max(done, d)
-	}
-	return done, out, nil
+	return readSpan(at, b.PageSize(), off, n, func(page int64) (sim.Time, []byte, error) {
+		return b.dev.Read(at, b.dev.LBA(t.zone, t.off+page))
+	})
 }
 
 // Delete implements Backend: mark the table dead; a sealed zone whose

@@ -46,9 +46,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 		LostPages:  cs.LostPages,
 		TornBlocks: len(cs.Torn),
 	}
-	if d.data != nil {
-		d.data = make(map[int64][]byte)
-	}
+	clear(d.data)
 
 	// Recovery traffic is maintenance, not attributable host IO.
 	d.attr.Suspend()

@@ -143,7 +143,7 @@ type Device struct {
 	active int
 	open   int
 
-	data map[int64][]byte // lba -> payload
+	data [][]byte // payload by LBA; nil unless StoreData
 
 	counters stats.Counters
 	resets   uint64
@@ -230,7 +230,7 @@ func New(cfg Config) (*Device, error) {
 		d.zones[z] = zone{state: Empty, blocks: blocks, cap: d.zonePages}
 	}
 	if cfg.StoreData {
-		d.data = make(map[int64][]byte)
+		d.data = make([][]byte, int64(len(d.zones))*d.zonePages)
 	}
 	if cfg.ScaleWPSerial {
 		if cfg.WPSerialScale < 0 || cfg.WPSerialScale > 1 {
@@ -551,9 +551,7 @@ func (d *Device) Reset(at sim.Time, z int) (sim.Time, error) {
 	zn.blocks = survivors
 	if d.data != nil {
 		base := d.LBA(z, 0)
-		for o := int64(0); o < zn.wp; o++ {
-			delete(d.data, base+o)
-		}
+		clear(d.data[base : base+zn.wp])
 	}
 	zn.wp = 0
 	zn.cap = int64(len(zn.blocks)) * int64(d.cfg.Geom.PagesPerBlock)
@@ -812,9 +810,7 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 			d.transition(at, dstZone, Full)
 		}
 		if d.data != nil {
-			if payload, ok := d.data[src]; ok {
-				d.data[dst] = payload
-			}
+			d.data[dst] = d.data[src]
 		}
 		d.counters.FlashReadPages++
 		d.counters.FlashProgramPages++
