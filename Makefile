@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint lint-affinity lint-fix-dryrun test bench-selftest bench-telemetry bench bench-e2e bench-compare bench-shards fuzz fuzz-zns fuzz-faults fuzz-shards fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign update-golden clean
+.PHONY: all check vet build lint lint-fix-dryrun test bench-selftest bench-telemetry bench bench-e2e bench-compare fuzz fuzz-zns fuzz-faults fault-campaign slo-campaign whatif-campaign explain-campaign update-golden clean
 
 all: check
 
-check: vet build lint lint-affinity test bench-selftest bench-telemetry fault-campaign slo-campaign whatif-campaign explain-campaign shard-campaign
+check: vet build lint test bench-selftest bench-telemetry fault-campaign slo-campaign whatif-campaign explain-campaign
 
 vet:
 	$(GO) vet ./...
@@ -19,24 +19,14 @@ build:
 # Project-specific static analysis (docs/static-analysis.md): determinism
 # (no wall clock/global rand/map-order leaks), concurrency (sim core is a
 # single-threaded virtual-time loop), nilguard (nil instruments are no-ops),
-# tickunit (no time.Duration in tick arithmetic), shardcheck (per-LUN code
-# only writes shard-keyed state), pairing (AttrSink brackets close on every
-# path), exhaustive (zone-state switches and the experiment registry are
-# complete). Diffs against the committed baseline — LINT_BASELINE.json holds
-# the accepted findings (currently none) — and fails on anything new AND on
-# stale entries, so suppression debt can only shrink deliberately.
+# tickunit (no time.Duration in tick arithmetic), pairing (AttrSink brackets
+# close on every path), exhaustive (zone-state switches and the experiment
+# registry are complete). Diffs against the committed baseline —
+# LINT_BASELINE.json holds the accepted findings (currently none) — and fails
+# on anything new AND on stale entries, so suppression debt can only shrink
+# deliberately.
 lint:
 	$(GO) run ./cmd/simlint -baseline LINT_BASELINE.json ./...
-
-# The shard-affinity report is the parallel core's carve-out contract: which
-# state is per-channel/per-LUN/per-block (shardable), which is deliberately
-# shared, and which functions run on per-LUN paths. Its acceptance bar is
-# the same as every campaign's: two fresh runs reproduce it byte-for-byte.
-lint-affinity:
-	$(GO) run ./cmd/simlint -affinity ./internal/sim ./internal/flash > /tmp/blockhead-affinity-a.txt
-	$(GO) run ./cmd/simlint -affinity ./internal/sim ./internal/flash > /tmp/blockhead-affinity-b.txt
-	cmp /tmp/blockhead-affinity-a.txt /tmp/blockhead-affinity-b.txt
-	cat /tmp/blockhead-affinity-a.txt
 
 # Triage helper: list the findings the tool could fix mechanically (nilguard
 # inserts, missing switch cases) with the edit each would get. Never edits.
@@ -100,8 +90,6 @@ bench-compare:
 	$(GO) run ./cmd/benchdiff -threshold 0.001 BENCH_exemplars.json /tmp/blockhead-bench-new.json
 	$(GO) run ./cmd/znsbench -slo -run E14 -bench-json /tmp/blockhead-bench-slo.json > /dev/null
 	$(GO) run ./cmd/benchdiff -threshold 0.25 BENCH_slo.json /tmp/blockhead-bench-slo.json
-	$(GO) run ./cmd/znsbench -shards 4 -run E4,E6 -bench-json /tmp/blockhead-bench-shards.json > /dev/null
-	$(GO) run ./cmd/benchdiff -threshold 0.001 /tmp/blockhead-bench-new.json /tmp/blockhead-bench-shards.json
 
 # The fault campaign's acceptance bar (docs/faults.md): the same seed and
 # profile reproduce the E13 report bit-for-bit — NAND faults, the power
@@ -137,27 +125,6 @@ explain-campaign:
 	$(GO) run ./cmd/znsbench -quick -explain E6:926 > /tmp/blockhead-explain-b.txt
 	cmp /tmp/blockhead-explain-a.txt /tmp/blockhead-explain-b.txt
 
-# The parallel core's acceptance bar (docs/parallel-sim.md): the same seed
-# renders byte-identical reports whatever the -shards count — the serial
-# loop at 1 is the reference, the shard scheduler at 2 and 4 must reproduce
-# it exactly. TestShardEquivalence covers every experiment under -race; this
-# campaign pins the shipped binary end to end.
-shard-campaign:
-	$(GO) run ./cmd/znsbench -quick -shards 1 -run E4,E13,E14 -slo -faults default > /tmp/blockhead-shards-1.txt
-	$(GO) run ./cmd/znsbench -quick -shards 2 -run E4,E13,E14 -slo -faults default > /tmp/blockhead-shards-2.txt
-	$(GO) run ./cmd/znsbench -quick -shards 4 -run E4,E13,E14 -slo -faults default > /tmp/blockhead-shards-4.txt
-	cmp /tmp/blockhead-shards-1.txt /tmp/blockhead-shards-2.txt
-	cmp /tmp/blockhead-shards-1.txt /tmp/blockhead-shards-4.txt
-
-# Wall-clock scaling of the shard scheduler on E4/E6 (the experiments whose
-# parts dominate run time), committed as BENCH_shards.json. Honest numbers:
-# on a single-CPU host the lanes time-slice one core and the speedup is ~1x;
-# see docs/parallel-sim.md for the scaling model.
-bench-shards:
-	$(GO) run ./cmd/znsbench -shards 1 -run E4,E6 -bench-json /tmp/blockhead-shards-serial.json > /dev/null
-	$(GO) run ./cmd/znsbench -shards 4 -run E4,E6 -bench-json /tmp/blockhead-shards-par.json > /dev/null
-	$(GO) run ./cmd/benchdiff -threshold 0.001 /tmp/blockhead-shards-serial.json /tmp/blockhead-shards-par.json
-
 # Short fuzz passes over the parsers of outside bytes: the trace decoder
 # and zkv's table blobs (a whole table, and a bare entry region).
 fuzz:
@@ -169,16 +136,13 @@ fuzz:
 fuzz-zns:
 	$(GO) test -run='^$$' -fuzz=FuzzZoneStateMachine -fuzztime=30s ./internal/zns/
 
-# Short fuzz pass over the differential fault harness: random
+# Short fuzz passes over the differential fault harness: random
 # (seed, profile, crash point) schedules against the integrity oracle and
-# the zone state-machine auditor, both stacks.
+# the zone state-machine auditor, both stacks; then random (seed, worker
+# count, crash point) schedules with both stacks as parts under runParts,
+# whose oracle verdicts must match the direct calls exactly.
 fuzz-faults:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=30s ./internal/core/
-
-# Short fuzz pass over the parallel scheduler: random (seed, lane count,
-# crash point) schedules run both fault-campaign stacks serially and as
-# shard lanes; the oracle verdicts must match exactly.
-fuzz-shards:
 	$(GO) test -run='^$$' -fuzz=FuzzShardSchedule -fuzztime=30s ./internal/core/
 
 clean:

@@ -1,15 +1,13 @@
 // Command simlint runs the project's static-analysis suite over the module:
-// the determinism, concurrency, nil-guard, tick-unit, shard-affinity,
-// bracket-pairing, and exhaustiveness contracts that keep every simulation
-// bit-identical across runs, every disabled instrument a zero-alloc no-op,
-// and the road to the parallel sim core provable. See docs/static-analysis.md
-// for the rule set, the //simlint:allow and //simlint:shared directives, and
-// the baseline workflow.
+// the determinism, concurrency, nil-guard, tick-unit, bracket-pairing, and
+// exhaustiveness contracts that keep every simulation bit-identical across
+// runs and every disabled instrument a zero-alloc no-op. See
+// docs/static-analysis.md for the rule set, the //simlint:allow directive,
+// and the baseline workflow.
 //
 // Usage:
 //
 //	go run ./cmd/simlint ./...
-//	go run ./cmd/simlint -affinity ./internal/sim ./internal/flash
 //	go run ./cmd/simlint -json -baseline LINT_BASELINE.json ./...
 //
 // Exit status is 0 when the module is clean (or matches the baseline), 1
@@ -29,13 +27,12 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "print the rule set and exit")
 	jsonOut := flag.Bool("json", false, "print findings as the machine-readable simlint/v1 JSON document")
-	affinity := flag.Bool("affinity", false, "print the shard-affinity report (the parallel-core carve-out contract) and exit")
 	baseline := flag.String("baseline", "", "compare findings against the baseline `file`; fail on new findings and on stale entries")
 	writeBaseline := flag.String("write-baseline", "", "write the current findings to the baseline `file` and exit 0")
 	fixDryRun := flag.Bool("fix-dryrun", false, "list auto-fixable findings with the fix each would get; always exits 0")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Lints the module against the simulator's contracts: determinism,\nconcurrency, nil-guards, tick units, shard affinity, AttrSink bracket\npairing, and zone-state/registry exhaustiveness. Defaults to ./... when\nno package pattern is given.\n\n")
+		fmt.Fprintf(os.Stderr, "Lints the module against the simulator's contracts: determinism,\nconcurrency, nil-guards, tick units, AttrSink bracket pairing, and\nzone-state/registry exhaustiveness. Defaults to ./... when\nno package pattern is given.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,10 +50,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
-	}
-	if *affinity {
-		fmt.Print(lint.AffinityReport(pkgs))
-		return
 	}
 	findings := lint.Check(pkgs)
 	cwd, _ := os.Getwd()

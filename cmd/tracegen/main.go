@@ -40,6 +40,10 @@ func main() {
 		seed   = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
+	if err := validate(*device, *reads, *ops); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(2)
+	}
 
 	var traceBytes []byte
 	if *replay != "" {
@@ -73,6 +77,23 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// validate rejects flag values that would otherwise run to a silent no-op
+// (an unknown -device replays on nothing) or a trace nobody asked for.
+func validate(device string, reads float64, ops int) error {
+	switch device {
+	case "conv", "zns", "both":
+	default:
+		return fmt.Errorf("unknown -device %q (valid: conv, zns, both)", device)
+	}
+	if !(reads >= 0 && reads <= 1) { // also rejects NaN
+		return fmt.Errorf("-reads %v is not a fraction (valid: 0 to 1)", reads)
+	}
+	if ops < 0 {
+		return fmt.Errorf("-ops %d is negative (valid: 0 or more)", ops)
+	}
+	return nil
 }
 
 func fatal(err error) {

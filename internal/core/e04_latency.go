@@ -52,8 +52,8 @@ type E4Result struct {
 	Device DeviceState
 }
 
-// rebaseSeqs shifts the result's exemplar sequence numbers after a
-// parallel run, restoring the serial reference's cross-stack numbering.
+// rebaseSeqs shifts the result's exemplar sequence numbers past those of
+// the parts that precede it (runParts).
 func (e *E4Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
 
 // E4Conventional drives a steady-state conventional SSD: the device is

@@ -56,8 +56,8 @@ type E6Result struct {
 	Device DeviceState
 }
 
-// rebaseSeqs shifts the result's exemplar sequence numbers after a
-// parallel run, restoring the serial reference's cross-stack numbering.
+// rebaseSeqs shifts the result's exemplar sequence numbers past those of
+// the parts that precede it (runParts).
 func (e *E6Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
 
 // e6Stack abstracts the two configurations for the shared two-phase drive.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"blockhead/internal/fault"
@@ -147,6 +148,28 @@ func TestE13ReportByteIdentical(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("E13 report not reproducible:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestE13CrashBehindGCStall pins the seeds at which the campaign's last
+// write before the plug is pulled stalls behind foreground GC for over a
+// second: its midpoint, the crash instant the harness asks for, precedes
+// erases the model has already applied. The flash layer moves the crash up
+// to the latest erase issue, so the relocation copies those erases depended
+// on are durable and recovery finds every acknowledged page.
+func TestE13CrashBehindGCStall(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 5}, {Seed: 71}, {Seed: 97, Quick: true}, {Seed: 256, Quick: true},
+	} {
+		rep, err := runE13(cfg)
+		if err != nil {
+			t.Errorf("seed %d quick=%v: %v", cfg.Seed, cfg.Quick, err)
+		}
+		for _, n := range rep.Notes {
+			if strings.Contains(n, "ORACLE VIOLATION") {
+				t.Errorf("seed %d quick=%v: %s", cfg.Seed, cfg.Quick, n)
+			}
+		}
 	}
 }
 

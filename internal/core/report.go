@@ -44,15 +44,14 @@ type Config struct {
 	// the ground truth the what-if engine's predictions are validated
 	// against (make whatif-campaign).
 	Scenario *critpath.Scenario
-	// Shards selects the scheduler for experiments built from independent
-	// sub-simulations ("parts": one device stack + workload + telemetry
-	// session each). 0 or 1 runs parts serially on the shared session —
-	// today's loop, the reference implementation. N > 1 runs parts on an
-	// internal/sim/shard scheduler with min(N, parts) lanes and merges at
-	// the final barrier in part order; a seeded run's report is
-	// byte-identical at any value (TestShardEquivalence is the gate).
-	// Probe and explain runs force the serial path: both hang live state
-	// (metric registries, the narrator) off one shared sink.
+	// Shards is how many of an experiment's independent sub-simulations
+	// ("parts": one device stack + workload + telemetry session each) run
+	// at once; 0 means 1. A seeded run's report is byte-identical at any
+	// value (TestShardEquivalence is the gate), so the choice is the
+	// caller's resources: each resident part holds a device's memory (the
+	// benchmark's peak-RSS bound wants 1), and idle cores want more. Probe
+	// and explain runs execute parts in order whatever the value: both hang
+	// live state (metric registries, the narrator) off one shared sink.
 	Shards int
 	// ExplainSeq, when nonzero, arms per-IO forensics (znsbench -explain):
 	// instead of the critpath recorder and exemplar reservoir, the session

@@ -1,40 +1,37 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// shardCounts is the equivalence table's -shards axis: the serial reference,
-// two intermediate counts, and the benchmark geometry's LUN count (the
-// ISSUE's shard key is the channel/LUN partition, so numLUNs is the natural
-// upper operating point; counts beyond the part count clamp).
-func shardCounts() []int {
-	counts := []int{1, 2, 4, e4Geometry().LUNs()}
-	seen := map[int]bool{}
-	out := counts[:0]
-	for _, n := range counts {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// workerCounts is the invariance table's Config.Shards axis: one worker, then
+// counts below and at-or-above any experiment's part count (counts beyond
+// the part count clamp).
+var workerCounts = []int{1, 2, 4}
 
-// runReportAt runs one experiment at a shard count and returns the rendered
-// report — the byte-exact artifact the whole battery compares.
-func runReportAt(t *testing.T, id string, seed int64, shards int) string {
+// runReportAt runs one experiment at a worker count and returns the rendered
+// report followed by its -bench-json entries — the byte-exact artifacts the
+// whole table compares. The entries carry what the text does not print (a
+// histogram's max is exact on a part's own sink and only a bucket edge in a
+// delta against a sink another part has used).
+func runReportAt(t *testing.T, id string, cfg Config, workers int) string {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	rep, err := e.Run(Config{Quick: true, Seed: seed, Shards: shards})
+	cfg.Shards = workers
+	rep, err := e.Run(cfg)
 	if err != nil {
-		t.Fatalf("%s shards=%d: %v", id, shards, err)
+		t.Fatalf("%s workers=%d: %v", id, workers, err)
 	}
-	return rep.Format()
+	bench, err := json.Marshal(rep.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Format() + string(bench)
 }
 
 // diffAt reports the first differing byte with context, so a determinism
@@ -63,24 +60,34 @@ func diffAt(t *testing.T, label, got, want string) {
 	t.Errorf("%s: reports differ in length: %d vs %d bytes", label, len(got), len(want))
 }
 
-// TestShardEquivalence is the gate for the parallel core: for every
-// registered experiment, the full rendered report is byte-identical between
-// the serial reference (-shards=1) and every parallel count, same seed.
-// Everything the reports embed rides along — latency tables, attribution
-// breakdowns, critical paths, exemplar sequence numbers and -explain hints,
-// blame matrices with their exact conservation lines, device audits, and
-// oracle verdicts.
+// TestShardEquivalence is the one worker-count invariance table: for every
+// registered experiment, the full rendered report is byte-identical at every
+// worker count, same seed. All counts run the same code (private session per
+// part, rebased numbering), so this is one property, not a comparison of two
+// paths. Everything the reports embed rides along — latency tables,
+// attribution breakdowns, critical paths, exemplar sequence numbers and
+// -explain hints, blame matrices with their exact conservation lines, device
+// audits, and oracle verdicts. The experiments that inject faults or attribute
+// per tenant get a second row under the default fault profile.
 func TestShardEquivalence(t *testing.T) {
-	counts := shardCounts()
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			ref := runReportAt(t, e.ID, 42, counts[0])
-			for _, n := range counts[1:] {
-				if got := runReportAt(t, e.ID, 42, n); got != ref {
-					diffAt(t, e.ID+" shards="+itoa(n), got, ref)
-				}
+	invariant := func(t *testing.T, id string, cfg Config) {
+		ref := runReportAt(t, id, cfg, workerCounts[0])
+		for _, n := range workerCounts[1:] {
+			if got := runReportAt(t, id, cfg, n); got != ref {
+				diffAt(t, id+" workers="+itoa(n), got, ref)
 			}
+		}
+	}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			invariant(t, e.ID, quickCfg)
+		})
+	}
+	for _, id := range []string{"E4", "E13", "E14"} {
+		t.Run(id+"-faults-default", func(t *testing.T) {
+			cfg := quickCfg
+			cfg.FaultProfile = "default"
+			invariant(t, id, cfg)
 		})
 	}
 }
@@ -99,17 +106,17 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestShardMetamorphic checks shard-count invariance of the semantic
-// properties the reports carry, across seeds the byte-identity gate never
+// TestShardMetamorphic checks worker-count invariance of the semantic
+// properties the reports carry, across seeds the byte-identity table never
 // sees: for 3 seeds and both stacks of the blame (E14) and fault-oracle
-// (E13) experiments, the parallel run must preserve the exact
+// (E13) experiments, a four-worker run must preserve the exact
 // blame-conservation line, report zero oracle violations, and stay
-// byte-identical to its serial reference.
+// byte-identical to the one-worker run.
 func TestShardMetamorphic(t *testing.T) {
 	for _, seed := range []int64{7, 42, 99} {
 		for _, id := range []string{"E13", "E14"} {
-			serial := runReportAt(t, id, seed, 1)
-			parallel := runReportAt(t, id, seed, 4)
+			serial := runReportAt(t, id, Config{Quick: true, Seed: seed}, 1)
+			parallel := runReportAt(t, id, Config{Quick: true, Seed: seed}, 4)
 			label := id + "/seed=" + itoa(int(seed))
 			if parallel != serial {
 				diffAt(t, label, parallel, serial)
@@ -123,7 +130,7 @@ func TestShardMetamorphic(t *testing.T) {
 				// Oracle verdicts: the violation column renders 0 for every
 				// (stack, profile) row and no violation note appears.
 				if strings.Contains(parallel, "ORACLE VIOLATION") {
-					t.Errorf("%s: oracle violations under sharding", label)
+					t.Errorf("%s: oracle violations at four workers", label)
 				}
 			case "E14":
 				// Blame conservation (sum(blame) == sum(stalls), exact) must

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"blockhead/internal/fault"
-	"blockhead/internal/sim"
-	"blockhead/internal/sim/shard"
 )
 
 // faultOutcome is the comparable digest of one stack's oracle-checked crash
@@ -37,13 +35,13 @@ func runFaultOutcome(cfg Config, build func(Config, fault.Profile) (e13Stack, er
 	}, nil
 }
 
-// FuzzShardSchedule fuzzes the (seed, shard count, crash point) space of
-// the parallel core: both fault-campaign stacks run once on the serial path
-// and once as lanes of a shard scheduler, and the oracle's verdicts —
-// violation count, detail text, and the recovery sequence horizon — must
-// match exactly, whatever the schedule. The seed corpus pins the operating
-// points the equivalence battery exercises (2/4/8 lanes) plus crash-at-zero
-// and a crash in recovery-heavy steady state.
+// FuzzShardSchedule fuzzes the (seed, worker count, crash point) space of
+// the part runner: both fault-campaign stacks run once by direct calls and
+// once as parts under runParts, and the oracle's verdicts — violation count,
+// detail text, and the recovery sequence horizon — must match exactly,
+// whatever the schedule. The seed corpus pins worker counts below, at and
+// above the part count plus crash-at-zero and a crash in recovery-heavy
+// steady state.
 func FuzzShardSchedule(f *testing.F) {
 	f.Add(int64(42), uint8(2), uint16(100))
 	f.Add(int64(42), uint8(4), uint16(700))
@@ -52,9 +50,8 @@ func FuzzShardSchedule(f *testing.F) {
 	f.Add(int64(1234), uint8(5), uint16(650))
 
 	prof, _ := fault.ProfileByName("default")
-	cfg := Config{Quick: true, Seed: 42}
 	f.Fuzz(func(t *testing.T, seed int64, shards uint8, crashAt uint16) {
-		lanes := 2 + int(shards)%7 // 2..8 lanes; 1 is the reference below
+		cfg := Config{Quick: true, Seed: 42, Shards: 1 + int(shards)%8}
 		const total = 1200
 		crashIdx := int64(crashAt) % total
 
@@ -62,29 +59,26 @@ func FuzzShardSchedule(f *testing.F) {
 		for i, sb := range faultStackBuilders {
 			out, err := runFaultOutcome(cfg, sb.build, prof, seed, total, crashIdx)
 			if err != nil {
-				t.Fatalf("serial %s seed=%d crash@%d: %v", sb.name, seed, crashIdx, err)
+				t.Fatalf("direct %s seed=%d crash@%d: %v", sb.name, seed, crashIdx, err)
 			}
 			ref[i] = out
 		}
 
-		l := shard.New(lanes)
 		got := make([]faultOutcome, len(faultStackBuilders))
-		errs := make([]error, len(faultStackBuilders))
+		var parts []partTask
 		for i, sb := range faultStackBuilders {
-			i, sb := i, sb
-			l.At(i%lanes, 0, func(sim.Time) {
-				got[i], errs[i] = runFaultOutcome(cfg, sb.build, prof, seed, total, crashIdx)
-			})
+			parts = append(parts, part(&got[i], func(c Config) (faultOutcome, error) {
+				return runFaultOutcome(c, sb.build, prof, seed, total, crashIdx)
+			}))
 		}
-		l.Run()
+		if err := runParts(cfg, parts...); err != nil {
+			t.Fatalf("runParts seed=%d workers=%d crash@%d: %v", seed, cfg.Shards, crashIdx, err)
+		}
 
 		for i, sb := range faultStackBuilders {
-			label := fmt.Sprintf("%s seed=%d lanes=%d crash@%d", sb.name, seed, lanes, crashIdx)
-			if errs[i] != nil {
-				t.Fatalf("sharded %s: %v", label, errs[i])
-			}
+			label := fmt.Sprintf("%s seed=%d workers=%d crash@%d", sb.name, seed, cfg.Shards, crashIdx)
 			if got[i] != ref[i] {
-				t.Errorf("%s: sharded outcome diverged from serial:\n  serial   %+v\n  parallel %+v",
+				t.Errorf("%s: outcome under runParts diverged from the direct call:\n  direct   %+v\n  runParts %+v",
 					label, ref[i], got[i])
 			}
 			if got[i].violations != 0 {

@@ -1,37 +1,22 @@
 package core
 
-import (
-	"blockhead/internal/sim"
-	"blockhead/internal/sim/shard"
-)
+import "sync"
 
-// This file is the experiment harness's side of the parallel core: it runs
-// an experiment's independent sub-simulations ("parts") either serially —
-// the reference implementation, byte-for-byte today's behavior — or as
-// lane events on an internal/sim/shard scheduler, then merges results
-// deterministically in part order.
+// This file runs an experiment's independent sub-simulations ("parts") and
+// merges their results in part order.
 //
-// A part is one device stack with its own flash chip, workload source, and
-// telemetry session: the flash channel/LUN isolation the ISSUE's shard key
-// names is what makes parts independent (no part ever touches another's
-// LUNs, free-block pool, or L2P map — shardcheck's affinity report proves
-// the per-LUN paths write only shard-keyed state). The only cross-part
-// coupling in the serial path is the session's shared AttrSink, which
-// numbers measured IOs consecutively across parts so `-explain <exp>:<seq>`
-// is unambiguous. The parallel path gives each part a private sink
-// (numbering from 1) and restores the serial numbering at the final
-// barrier: part k's exemplar sequence numbers are rebased by the total
-// measured-IO count of parts 0..k-1. Aggregates need no correction — the
-// serial path already snapshot-deltas them per part, and a from-zero
-// private sink yields the same delta.
-//
-// The fault RNG needs no correction either: each part owns its injector,
-// seeded from cfg.Seed, consumed in the part's own virtual-time order —
-// a single virtual-time-ordered stream per part under both schedulers.
+// A part is one device stack with its own flash chip, workload source, fault
+// injector (seeded from cfg.Seed, consumed in the part's own virtual-time
+// order) and telemetry session, so parts share nothing while they run. The
+// one thing a report needs across parts is the numbering of measured IOs:
+// `-explain <exp>:<seq>` must be unambiguous within a run. Each part's
+// private sink numbers from 1, and part k's exemplar sequence numbers are
+// rebased afterwards by the measured-IO count of parts 0..k-1. Aggregates
+// need no correction: a private sink starts from zero.
 
-// partTask is one schedulable part: run executes it under a part-scoped
-// Config; rebase, if non-nil, shifts the result's measured-IO sequence
-// numbers after a parallel run (delta = measured IOs in preceding parts).
+// partTask is one part: run executes it under a part-scoped Config; rebase,
+// if non-nil, shifts the result's measured-IO sequence numbers by the
+// measured-IO count of the preceding parts.
 type partTask struct {
 	run    func(cfg Config) error
 	rebase func(delta uint64)
@@ -63,13 +48,17 @@ func part[T any](out *T, f func(Config) (T, error)) partTask {
 	}
 }
 
-// runParts executes the parts in order (serial reference) or on the shard
-// scheduler (cfg.Shards > 1), returning the first failed part's error in
-// part order. Probe and explain runs always take the serial path: a live
-// probe hangs one metric registry and flight recorder off the run, and the
-// explain narrator must see the whole run's numbering on one sink.
+// runParts runs the parts on clamp(cfg.Shards, 1, len(parts)) workers, each
+// part on a private session, and returns the first failed part's error in
+// part order; a part's panic is re-raised on the caller the same way. A
+// seeded run's results are identical at every worker count.
+//
+// Explain and live-probe runs instead execute the parts in order on the
+// caller's session: the narrator must see the whole run's numbering on one
+// sink, and a probe hangs one metric registry and flight recorder off the
+// run.
 func runParts(cfg Config, parts ...partTask) error {
-	if cfg.Shards <= 1 || cfg.Probe != nil || cfg.ExplainSeq != 0 || len(parts) < 2 {
+	if cfg.Probe != nil || cfg.ExplainSeq != 0 {
 		for _, p := range parts {
 			if err := p.run(cfg); err != nil {
 				return err
@@ -77,27 +66,43 @@ func runParts(cfg Config, parts ...partTask) error {
 		}
 		return nil
 	}
-	lanes := cfg.Shards
-	if lanes > len(parts) {
-		lanes = len(parts)
-	}
-	l := shard.New(lanes)
+	workers := min(max(cfg.Shards, 1), len(parts))
 	sessions := make([]*session, len(parts))
 	errs := make([]error, len(parts))
-	for i := range parts {
-		i := i
+	panics := make([]any, len(parts))
+	// A part that fails ends its worker, so with one worker nothing runs
+	// past the first failure; the first failure in part order always ran.
+	runOne := func(i int) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				panics[i], ok = r, false
+			}
+		}()
 		pcfg := cfg
 		pcfg.session = newSession()
 		sessions[i] = pcfg.session
-		// One lane event per part at t=0: parts are independent
-		// sub-simulations, so the meta-schedule needs no barriers until
-		// the merge below (which runs after Run, i.e. at the implicit
-		// final barrier — every lane quiesced).
-		l.At(i%lanes, 0, func(sim.Time) { errs[i] = parts[i].run(pcfg) })
+		errs[i] = parts[i].run(pcfg)
+		return errs[i] == nil
 	}
-	l.Run()
+	var wg sync.WaitGroup //simlint:allow concurrency parts share no state; this is the one place the harness spends a second core
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		//simlint:allow concurrency worker w owns parts w, w+workers, ... and their slots in sessions/errs/panics until wg.Wait
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(parts); i += workers {
+				if !runOne(i) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	var offset uint64
 	for i, p := range parts {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
 		if errs[i] != nil {
 			return errs[i]
 		}

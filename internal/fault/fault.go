@@ -116,10 +116,11 @@ type Counts struct {
 // is the disabled no-op on every method — device hot paths query it
 // unconditionally — and profiles with a zero probability for an operation
 // class skip the draw entirely, so "none" consumes no entropy and perturbs
-// nothing.
+// nothing. An injector belongs to one device: its draws form a single
+// sequence in that device's virtual-time order, which is what makes a seeded
+// campaign bit-identical.
 //
 //simlint:nilsafe
-//simlint:shared one per-device RNG stream: draws must stay a single sequence in virtual-time order for bit-identical campaigns, so the parallel core funnels them through the owning shard
 type Injector struct {
 	prof   Profile
 	rng    *rand.Rand

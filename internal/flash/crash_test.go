@@ -98,6 +98,42 @@ func TestCrashTruncation(t *testing.T) {
 	}
 }
 
+// TestCrashNotBeforeIssuedErase: the model applies an erase at issue and
+// cannot undo it, so a crash instant that precedes an issued erase moves up
+// to it. A relocation copy whose source that erase destroyed must then be
+// durable — truncating it would leave the page with no copy at all.
+func TestCrashNotBeforeIssuedErase(t *testing.T) {
+	d := recoveryDev()
+	written, err := d.ProgramPage(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.StampOOB(0, 0, 7, 1)
+	copied, err := d.CopyPage(written, 0, 0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.EraseBlock(copied, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	st := d.CrashAt(written) // before the copy completed
+	if st.At != copied {
+		t.Fatalf("CrashStats.At = %d, want the erase's issue time %d", st.At, copied)
+	}
+	if st.LostPages != 0 || d.WrittenPages(1) != 1 {
+		t.Fatalf("the copy was truncated (LostPages %d, block 1 holds %d pages) though its source is erased",
+			st.LostPages, d.WrittenPages(1))
+	}
+	if lpn, seq := d.OOB(1, 0); lpn != 7 || seq != 1 {
+		t.Fatalf("surviving copy's OOB = (%d,%d), want (7,1)", lpn, seq)
+	}
+	// A later instant is taken as given.
+	if st := d.CrashAt(copied + 5); st.At != copied+5 {
+		t.Fatalf("CrashStats.At = %d, want %d", st.At, copied+5)
+	}
+}
+
 // TestCrashRequiresRecovery: CrashAt without EnableRecovery is a harness
 // bug, not a silent no-op.
 func TestCrashRequiresRecovery(t *testing.T) {

@@ -190,10 +190,7 @@ type blockState struct {
 // lunState is one LUN's complete mutable timing state: the busy-until
 // execution unit, its accumulated utilization, and the attribution occupancy
 // (last tenant and service phase, so a LUN-wait can blame what it queued
-// behind). Keeping all of it in one struct is the shard boundary the
-// channel-sharded scheduler (internal/sim/shard) relies on: a shard owns its
-// channels' LUNs, so every write lands in d.luns[lun] and the affinity
-// report classifies the whole unit per-lun.
+// behind).
 type lunState struct {
 	res   sim.Resource
 	busy  sim.Time
@@ -223,19 +220,20 @@ type Device struct {
 	luns   []lunState
 	chans  []chanState
 	blocks []blockState
-	//simlint:shared commutative aggregate op totals: per-shard counts merge by summing at barriers
 	counts OpCounts
 
 	// Fault injection (nil = perfect media) and crash/recovery support.
 	// The OOB arrays model the out-of-band area real NAND pages carry
 	// (logical address + sequence stamp) and exist only when recovery is
 	// armed, as does the per-page program-completion clock CrashAt uses to
-	// find the durable prefix.
-	inj      *fault.Injector
-	recovery bool
-	oobLPN   []int64
-	oobSeq   []uint64
-	progDone []sim.Time
+	// find the durable prefix, and the latest erase-issue time, the earliest
+	// instant CrashAt can truncate to.
+	inj       *fault.Injector
+	recovery  bool
+	oobLPN    []int64
+	oobSeq    []uint64
+	progDone  []sim.Time
+	lastErase sim.Time
 
 	// owners arms the occupancy half of lunState/chanState: SetProbe sets it
 	// when attribution attaches, and claimLUN/claimChan stamp the current
@@ -568,6 +566,9 @@ func (d *Device) EraseBlock(at sim.Time, block int) (sim.Time, error) {
 		d.fl.Record(at, telemetry.FlightErase, int32(block), "worn_out", int64(b.eraseCount))
 		return at, ErrWornOut
 	}
+	if d.recovery && at > d.lastErase {
+		d.lastErase = at
+	}
 	lun := d.Geom.LUNOfBlock(block)
 	prevLUN, lunBind := d.claimLUN(lun, telemetry.PhaseNANDErase)
 	eraseStart, done := d.luns[lun].res.Acquire(at, d.Lat.EraseBlock)
@@ -618,9 +619,12 @@ func (d *Device) CopyPage(at sim.Time, srcBlock, srcPage, dstBlock, dstPage int)
 	return done, nil
 }
 
-// CrashStats summarizes a power-loss event: what truncating to the durable
-// prefix cost, and which blocks need attention before reuse.
+// CrashStats summarizes a power-loss event: when it took effect, what
+// truncating to the durable prefix cost, and which blocks need attention
+// before reuse.
 type CrashStats struct {
+	// At is the instant truncated to: CrashAt's t, or the latest erase
+	// issue if that is later.
 	At        sim.Time
 	LostPages int64 // in-flight programs undone (completion after the cut)
 	Torn      []int // blocks truncated to zero written pages; indeterminate cells, re-erase before reuse
@@ -634,10 +638,18 @@ type CrashStats struct {
 // abandoned. The volatile layers above (mapping tables, zone states) are the
 // stacks' problem; their Recover methods rebuild from what this leaves.
 // Requires EnableRecovery (the per-page completion clock).
+//
+// The model applies an erase when it is issued and cannot take it back, so a
+// t that precedes an erase already issued is moved up to that erase's issue
+// time: truncating earlier would drop relocation copies whose sources are
+// already gone (a caller that crashes "halfway through" a write stalled
+// behind foreground GC asks for exactly that). CrashStats.At reports the
+// instant used; callers continue from it.
 func (d *Device) CrashAt(t sim.Time) CrashStats {
 	if !d.recovery {
 		panic("flash: CrashAt requires EnableRecovery")
 	}
+	t = max(t, d.lastErase)
 	st := CrashStats{At: t}
 	for blk := range d.blocks {
 		b := &d.blocks[blk]

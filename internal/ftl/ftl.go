@@ -151,8 +151,6 @@ var (
 const unmapped = int64(-1)
 
 // Device is a conventional SSD.
-//
-//simlint:shared conventional-FTL state is device-global by design: the L2P/P2L tables are LPN-indexed and free-block stealing crosses LUNs, so the parallel core keeps this baseline on a single shard
 type Device struct {
 	cfg    Config
 	chip   *flash.Device

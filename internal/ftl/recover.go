@@ -10,7 +10,8 @@ import (
 
 // Recover models a power loss at crashAt followed by a restart of the
 // conventional FTL. The flash layer is truncated to its durable prefix
-// (flash.Device.CrashAt), every piece of volatile FTL state — the mapping
+// (flash.Device.CrashAt, which may move the instant up to the latest erase
+// issue; the report's CrashAt says when), every piece of volatile FTL state — the mapping
 // table, valid counts, frontiers, the free pool — is discarded, and the
 // mapping is rebuilt the way a page-mapped FTL without a persisted journal
 // has to: by reading every written page and parsing its out-of-band stamp,
@@ -30,7 +31,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	cs := d.chip.CrashAt(crashAt)
 	rep := fault.RecoveryReport{
 		Stack:      "conventional",
-		CrashAt:    crashAt,
+		CrashAt:    cs.At,
 		LostPages:  cs.LostPages,
 		TornBlocks: len(cs.Torn),
 	}
@@ -71,7 +72,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	d.attr.Suspend()
 	defer d.attr.Resume()
 
-	at := crashAt
+	at := cs.At
 	var maxSeq uint64
 	torn := make(map[int]bool, len(cs.Torn))
 	for _, b := range cs.Torn {

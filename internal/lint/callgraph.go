@@ -1,47 +1,13 @@
-// Module call graph and per-function write summaries — the interprocedural
-// substrate under the shardcheck rule. Cross-package function and field
-// identity is symbolic (package path + type name + member name) because the
-// loader type-checks each package against export data, so the same function
-// seen from two packages is two distinct *types.Func objects.
+// Static type and callee resolution shared by the pairing and exhaustive
+// rules.
 
 package lint
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
-
-// funcKey names one module function symbolically: package path, receiver
-// type name ("" for free functions), function name.
-type funcKey struct {
-	pkg  string
-	recv string
-	name string
-}
-
-func (k funcKey) String() string {
-	if k.recv != "" {
-		return k.pkg + ".(*" + k.recv + ")." + k.name
-	}
-	return k.pkg + "." + k.name
-}
-
-// stateRef names one piece of module state symbolically: a struct field
-// (pkg, typ, field) or, with typ == "", the package-level var `field`.
-type stateRef struct {
-	pkg   string
-	typ   string
-	field string
-}
-
-func (s stateRef) String() string {
-	if s.typ == "" {
-		return shortPkg(s.pkg) + "." + s.field
-	}
-	return shortPkg(s.pkg) + "." + s.typ + "." + s.field
-}
 
 // shortPkg trims the module prefix for findings: "blockhead/internal/flash"
 // reads better as "flash".
@@ -50,127 +16,6 @@ func shortPkg(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// summary is one function's write effects as seen by its callers, computed
-// to a fixpoint over the call graph. The bool is "every write is indexed by
-// a shard key" — true means the effect is shard-local whenever the object
-// itself is.
-type summary struct {
-	// recv: receiver field name -> all writes to it shard-keyed.
-	recv map[string]bool
-	// globals: state beyond the receiver (package vars, fields reached
-	// through pointer fields, cross-shard elements) -> all writes keyed.
-	globals map[stateRef]bool
-}
-
-func newSummary() *summary {
-	return &summary{recv: map[string]bool{}, globals: map[stateRef]bool{}}
-}
-
-func (s *summary) addRecv(field string, keyed bool) bool {
-	old, ok := s.recv[field]
-	if !ok {
-		s.recv[field] = keyed
-		return true
-	}
-	if old && !keyed {
-		s.recv[field] = false
-		return true
-	}
-	return false
-}
-
-func (s *summary) addGlobal(ref stateRef, keyed bool) bool {
-	old, ok := s.globals[ref]
-	if !ok {
-		s.globals[ref] = keyed
-		return true
-	}
-	if old && !keyed {
-		s.globals[ref] = false
-		return true
-	}
-	return false
-}
-
-// funcNode is one module function: its declaration, package, and summary.
-type funcNode struct {
-	key  funcKey
-	pkg  *Package
-	decl *ast.FuncDecl
-	fn   *types.Func
-	scan *fnScan
-	sum  *summary
-}
-
-// module indexes every function declared in the loaded packages.
-type module struct {
-	pkgs  []*Package
-	funcs map[funcKey]*funcNode
-	order []funcKey // sorted, for deterministic fixpoint iteration
-}
-
-func buildModule(pkgs []*Package) *module {
-	m := &module{pkgs: pkgs, funcs: map[funcKey]*funcNode{}}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				k, ok := keyOfFunc(obj)
-				if !ok {
-					continue
-				}
-				m.funcs[k] = &funcNode{key: k, pkg: p, decl: fd, fn: obj, sum: newSummary()}
-			}
-		}
-	}
-	for k := range m.funcs {
-		m.order = append(m.order, k)
-	}
-	sort.Slice(m.order, func(i, j int) bool {
-		a, b := m.order[i], m.order[j]
-		if a.pkg != b.pkg {
-			return a.pkg < b.pkg
-		}
-		if a.recv != b.recv {
-			return a.recv < b.recv
-		}
-		return a.name < b.name
-	})
-	return m
-}
-
-// keyOfFunc builds the symbolic key for a (possibly imported) function.
-// Interface methods have no analyzable body and resolve to no key.
-func keyOfFunc(fn *types.Func) (funcKey, bool) {
-	if fn.Pkg() == nil {
-		return funcKey{}, false
-	}
-	k := funcKey{pkg: fn.Pkg().Path(), name: fn.Name()}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return funcKey{}, false
-	}
-	if r := sig.Recv(); r != nil {
-		n := namedOf(r.Type())
-		if n == nil || n.Obj().Pkg() == nil {
-			return funcKey{}, false
-		}
-		if _, isIface := n.Underlying().(*types.Interface); isIface {
-			return funcKey{}, false
-		}
-		k.recv = n.Obj().Name()
-		k.pkg = n.Obj().Pkg().Path()
-	}
-	return k, true
 }
 
 // namedOf unwraps pointers to the underlying named type, or nil.
@@ -199,82 +44,4 @@ func calleeOf(p *Package, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// computeSummaries runs the write-effect fixpoint: each function's summary
-// folds in its direct writes and the current summaries of its callees, until
-// nothing changes. All merges are monotone (sets grow, keyed-flags only
-// decay true->false), so the iteration terminates.
-func computeSummaries(m *module) {
-	for _, k := range m.order {
-		n := m.funcs[k]
-		n.scan = scanFunc(n)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range m.order {
-			if m.resummarize(m.funcs[k]) {
-				changed = true
-			}
-		}
-	}
-}
-
-// resummarize folds n's scan plus current callee summaries into n.sum,
-// reporting whether the summary grew.
-func (m *module) resummarize(n *funcNode) bool {
-	changed := false
-	for _, w := range n.scan.writes {
-		switch w.root {
-		case rootRecv:
-			if n.sum.addRecv(w.ref.field, w.keyedSafe()) {
-				changed = true
-			}
-		case rootGlobal, rootPointee:
-			if n.sum.addGlobal(w.ref, w.keyedSafe()) {
-				changed = true
-			}
-		}
-	}
-	for _, c := range n.scan.calls {
-		callee, ok := m.funcs[c.callee]
-		if !ok {
-			continue // out-of-module: stdlib or unloaded package
-		}
-		// The callee's global effects happen regardless of the receiver.
-		for ref, keyed := range callee.sum.globals {
-			if n.sum.addGlobal(ref, keyed) {
-				changed = true
-			}
-		}
-		switch c.shape {
-		case recvIsCallerRecv:
-			for f, keyed := range callee.sum.recv {
-				if n.sum.addRecv(f, keyed) {
-					changed = true
-				}
-			}
-		case recvIsShardElem:
-			// The receiver is one shard's element (d.luns[lun]); every
-			// receiver-side write stays inside the shard.
-		case recvIsCrossElem:
-			// The receiver is an element reached without a shard key: its
-			// writes escape the shard via the container field.
-			if len(callee.sum.recv) > 0 {
-				if n.sum.addGlobal(c.elem, false) {
-					changed = true
-				}
-			}
-		case recvIsFieldPtr:
-			// The receiver is an object shared through a pointer field
-			// (d.attr): the callee's receiver writes land on the callee's
-			// receiver type, reached from outside the shard key space.
-			for f, keyed := range callee.sum.recv {
-				if n.sum.addGlobal(stateRef{pkg: c.callee.pkg, typ: c.callee.recv, field: f}, keyed) {
-					changed = true
-				}
-			}
-		}
-	}
-	return changed
 }

@@ -11,18 +11,9 @@ import (
 // a model package would both break run-to-run determinism and invalidate the
 // busy-until resource model. The only legitimate homes for goroutines are
 // the HTTP telemetry server and the command/example binaries, which are
-// scope-exempt (see concurrencyExempt), and the shard scheduler
-// (internal/sim/shard), which exists to run plain sim.Loops on goroutines
-// and is held to a different contract instead: because its lanes do run
-// concurrently, no function in the package may write package-level state —
-// mutable state belongs on a lane or on the coordinator's merge path, where
-// the deterministic-replay argument covers it.
+// scope-exempt (see concurrencyExempt).
 func checkConcurrency(p *Package, rep *reporter) {
 	if concurrencyExempt(p.Path) {
-		return
-	}
-	if shardScheduler(p.Path) {
-		checkShardGlobals(p, rep)
 		return
 	}
 	for _, f := range p.Files {
@@ -59,60 +50,5 @@ func checkConcurrency(p *Package, rep *reporter) {
 			}
 			return true
 		})
-	}
-}
-
-// checkShardGlobals is the shard scheduler's side of the concurrency
-// bargain: the package may spawn goroutines, but every write must land on
-// lane- or coordinator-owned memory. A write whose access path roots in a
-// package-level var is shared across lanes by construction and is a finding
-// — the barrier-merge determinism proof only covers state threaded through
-// the Loop and Lane structs.
-func checkShardGlobals(p *Package, rep *reporter) {
-	flag := func(lv ast.Expr, pos token.Pos) {
-		if obj := rootPkgVar(p, lv); obj != nil {
-			rep.findf(pos, "concurrency",
-				"write to package-level %s from the shard scheduler; lanes run concurrently — state must live on the lane or the coordinator", obj.Name())
-		}
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range st.Lhs {
-					flag(lhs, st.Pos())
-				}
-			case *ast.IncDecStmt:
-				flag(st.X, st.Pos())
-			}
-			return true
-		})
-	}
-}
-
-// rootPkgVar resolves an lvalue's access path (selectors, indexes, derefs)
-// to its root identifier and returns that object if it is a package-level
-// var — of this package or any other.
-func rootPkgVar(p *Package, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			obj := p.Info.Uses[x]
-			if obj == nil {
-				obj = p.Info.Defs[x]
-			}
-			if obj != nil && isPkgVar(obj) {
-				return obj
-			}
-			return nil
-		default:
-			return nil
-		}
 	}
 }

@@ -26,19 +26,12 @@
 //     sim-core packages.
 //   - concurrency: no go statements, channels, select, or sync primitives
 //     outside telemetry/httpserve, cmd/, and examples/ — the sim core is a
-//     single-threaded virtual-time loop. The shard scheduler
-//     (internal/sim/shard) is carved out with an inverted contract: it may
-//     spawn goroutines, but writes to package-level state are findings.
+//     single-threaded virtual-time loop.
 //   - nilguard: every exported pointer-receiver method on an instrument type
 //     (exported types in internal/telemetry, plus any type marked with a
 //     `//simlint:nilsafe` directive) must start with a nil-receiver guard.
 //   - tickunit: time.Duration must not leak into sim-core tick arithmetic,
 //     and nothing may convert directly between time.Duration and sim.Time.
-//   - shardcheck (interprocedural): every mutable field/package var written
-//     from a per-LUN code path must be indexed by a shard key on all access
-//     paths, or carry a //simlint:shared <reason> carve-out; the resulting
-//     classification is the affinity report (simlint -affinity) — the
-//     contract for the planned channel-sharded parallel scheduler.
 //   - pairing (path-sensitive): AttrSink bracket discipline — Begin reaches
 //     End/Drop on all paths, Suspend/Resume and PushWorker/PopWorker balance
 //     on every path including early returns, charges only inside an open
@@ -86,10 +79,9 @@ type RuleDoc struct {
 func Rules() []RuleDoc {
 	return []RuleDoc{
 		{"determinism", "no wall-clock/entropy reads module-wide; no order-dependent map iteration in sim-core packages"},
-		{"concurrency", "no goroutines, channels, select, or sync primitives outside telemetry/httpserve, cmd/, and examples/; the shard scheduler (internal/sim/shard) instead must not write package-level state"},
+		{"concurrency", "no goroutines, channels, select, or sync primitives outside telemetry/httpserve, cmd/, and examples/"},
 		{"nilguard", "exported pointer-receiver methods on instrument types must begin with a nil-receiver guard"},
 		{"tickunit", "no time.Duration in sim-core tick arithmetic; no direct time.Duration<->sim.Time conversion"},
-		{"shardcheck", "interprocedural: per-LUN code paths may only write shard-keyed state; cross-shard writes need a //simlint:shared <reason> carve-out (report: simlint -affinity)"},
 		{"pairing", "AttrSink bracket discipline on every path: Begin reaches End/Drop, Suspend/Resume and PushWorker/PopWorker balance, charges land inside an open bracket"},
 		{"exhaustive", "switches on internal/zns enum types cover every state or carry a default; experiment registry IDs are literal, unique, well-formed, and hole-free"},
 		{"allow", "meta: every //simlint:allow must name a known rule, carry a reason, and suppress a real finding"},
@@ -147,14 +139,6 @@ func concurrencyExempt(path string) bool {
 		strings.Contains(path, "/examples/")
 }
 
-// shardScheduler reports whether path is the parallel shard scheduler — the
-// one library package allowed to hold goroutines and sync primitives, in
-// exchange for the no-package-level-writes contract checkShardGlobals
-// enforces (see docs/parallel-sim.md).
-func shardScheduler(path string) bool {
-	return strings.HasSuffix(path, "internal/sim/shard")
-}
-
 // reporter accumulates findings for one package, deduplicating by
 // (file, line, rule) so two checks that trip over the same expression do not
 // double-report.
@@ -183,13 +167,6 @@ func (r *reporter) findfAt(position token.Position, rule, format string, args ..
 // Check runs every rule over the packages and returns the surviving findings
 // (allow directives applied), sorted by position.
 func Check(pkgs []*Package) []Finding {
-	findings, _ := checkAll(pkgs)
-	return findings
-}
-
-// checkAll is Check plus the shardcheck classification, which the affinity
-// report renders.
-func checkAll(pkgs []*Package) ([]Finding, *shardResult) {
 	reps := make(map[string]*reporter, len(pkgs))
 	rep := func(p *Package) *reporter {
 		r := reps[p.Path]
@@ -205,10 +182,8 @@ func checkAll(pkgs []*Package) ([]Finding, *shardResult) {
 		checkConcurrency(p, r)
 		checkNilGuard(p, r)
 		checkTickUnit(p, r)
+		checkPairing(p, r)
 	}
-	m := buildModule(pkgs)
-	res := checkShard(m, rep)
-	checkPairing(m, rep)
 	checkExhaustive(pkgs, rep)
 	var all []Finding
 	for _, p := range pkgs {
@@ -231,7 +206,7 @@ func checkAll(pkgs []*Package) ([]Finding, *shardResult) {
 		}
 		return a.Msg < b.Msg
 	})
-	return all, res
+	return all
 }
 
 type allowDirective struct {
@@ -259,14 +234,12 @@ func applyAllows(p *Package, findings []Finding) []Finding {
 					meta = append(meta, Finding{pos, "allow", "bare //simlint: directive; expected //simlint:allow <rule> <reason> or //simlint:nilsafe"})
 				case fields[0] == "nilsafe":
 					// Type marker, consumed by the nilguard rule.
-				case fields[0] == "shared":
-					// Shard carve-out, consumed (and validated) by shardcheck.
 				case fields[0] != "allow":
-					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown //simlint: directive %q (directives: allow, nilsafe, shared)", fields[0])})
+					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown //simlint: directive %q (directives: allow, nilsafe)", fields[0])})
 				case len(fields) == 1:
 					meta = append(meta, Finding{pos, "allow", "//simlint:allow needs a rule and a reason: //simlint:allow <rule> <reason>"})
 				case !knownRule(fields[1]):
-					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown rule %q in //simlint:allow (rules: determinism, concurrency, nilguard, tickunit, shardcheck, pairing, exhaustive)", fields[1])})
+					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown rule %q in //simlint:allow (rules: determinism, concurrency, nilguard, tickunit, pairing, exhaustive)", fields[1])})
 				default:
 					a := &allowDirective{pos: pos, rule: fields[1]}
 					if len(fields) == 2 {

@@ -128,28 +128,33 @@ func scanOps(p *Package, body *ast.BlockStmt) bodyOps {
 // function literal) that participates in the bracket protocol. Functions
 // containing only charges are skipped: they charge inside a bracket their
 // caller opened, which is the protocol working as designed.
-func checkPairing(m *module, rep func(*Package) *reporter) {
-	for _, k := range m.order {
-		n := m.funcs[k]
-		if !isSimCore(n.pkg.Path) || declaresAttrSink(n.pkg) {
-			continue
-		}
-		pairBody(n.pkg, rep, n.decl.Body)
-		// Nested literals with openers are their own protocol scopes. A
-		// closer-only literal is a deferred/callback fragment of the
-		// enclosing protocol and is covered there (via defer effects).
-		ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
-			if fl, ok := nd.(*ast.FuncLit); ok {
-				if scanOps(n.pkg, fl.Body).opener {
-					pairBody(n.pkg, rep, fl.Body)
-				}
+func checkPairing(p *Package, rep *reporter) {
+	if !isSimCore(p.Path) || declaresAttrSink(p) {
+		return
+	}
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-			return true
-		})
+			pairBody(p, rep, fd.Body)
+			// Nested literals with openers are their own protocol scopes. A
+			// closer-only literal is a deferred/callback fragment of the
+			// enclosing protocol and is covered there (via defer effects).
+			ast.Inspect(fd.Body, func(nd ast.Node) bool {
+				if fl, ok := nd.(*ast.FuncLit); ok {
+					if scanOps(p, fl.Body).opener {
+						pairBody(p, rep, fl.Body)
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 
-func pairBody(p *Package, rep func(*Package) *reporter, body *ast.BlockStmt) {
+func pairBody(p *Package, rep *reporter, body *ast.BlockStmt) {
 	ops := scanOps(p, body)
 	if !ops.bracket {
 		return
@@ -161,5 +166,5 @@ func pairBody(p *Package, rep func(*Package) *reporter, body *ast.BlockStmt) {
 	}
 	out := e.run(body)
 	e.checkExit(body.Rbrace, out)
-	e.flush(rep(p))
+	e.flush(rep)
 }

@@ -1,5 +1,5 @@
-// Tests for the v2 interprocedural suite: the affinity-report contract the
-// parallel core will build on, the findings baseline, and the dry-run fixer.
+// Tests for the path-sensitive pairing sweep, the findings baseline, and the
+// dry-run fixer.
 package lint
 
 import (
@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -25,34 +24,6 @@ func TestPairingModuleClean(t *testing.T) {
 	for _, f := range Check(pkgs) {
 		if f.Rule == "pairing" {
 			t.Errorf("%s", f)
-		}
-	}
-}
-
-// TestAffinityReportDeterministic is the affinity report's acceptance bar:
-// two fresh loads render byte-identical reports (the parallel-core
-// carve-out contract is stable), the FEMU-style per-LUN timing state is
-// classified shard-local, and nothing crosses shards unannotated.
-func TestAffinityReportDeterministic(t *testing.T) {
-	run := func() string {
-		pkgs, err := LoadModule("../..", []string{"./internal/sim", "./internal/flash"})
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
-		return AffinityReport(pkgs)
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("affinity report is not deterministic across two runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
-	}
-	for _, re := range []string{
-		`(?m)^\s*per-lun\s+flash\.Device\.luns\b`,
-		`(?m)^\s*per-block\s+flash\.Device\.blocks\b`,
-		`(?m)^\s*per-chan\s+flash\.Device\.chans\b`,
-		`(?m)^\s*unannotated cross-shard writes: 0$`,
-	} {
-		if !regexp.MustCompile(re).MatchString(a) {
-			t.Errorf("affinity report does not match %s; report:\n%s", re, a)
 		}
 	}
 }
@@ -90,7 +61,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "baseline.json")
 	cur := []JSONFinding{
-		{File: "internal/x/x.go", Line: 7, Rule: "shardcheck", Msg: "cross-shard write"},
+		{File: "internal/x/x.go", Line: 7, Rule: "pairing", Msg: "leaked bracket"},
 	}
 	if err := os.WriteFile(path, EncodeJSON(cur), 0o644); err != nil {
 		t.Fatal(err)
@@ -133,8 +104,8 @@ func TestFixDryRun(t *testing.T) {
 		},
 		{
 			Pos:  token.Position{Filename: "/mod/internal/sim/s.go", Line: 1},
-			Rule: "shardcheck",
-			Msg:  "write to sim.Loop.now (class instance) from a per-LUN path",
+			Rule: "concurrency",
+			Msg:  "go statement spawns a goroutine",
 		},
 	}
 	got := FixDryRun(findings, "/mod")

@@ -122,8 +122,7 @@ func (l *Loop) step() {
 func (l *Loop) After(d Time, fn func(now Time)) { l.At(l.now+d, fn) }
 
 // NextAt reports the timestamp of the earliest queued event, or false if the
-// queue is empty. The shard scheduler uses it to compute conservative
-// horizons without disturbing the queue.
+// queue is empty.
 func (l *Loop) NextAt() (Time, bool) {
 	if len(l.h) == 0 {
 		return 0, false

@@ -176,8 +176,7 @@ func TestLoopStop(t *testing.T) {
 }
 
 // Stop is scoped to the in-progress run: a Stop issued while no run is in
-// progress is cleared by the next Run call, which executes normally. The
-// shard scheduler mirrors this exactly (lanes are plain Loops).
+// progress is cleared by the next Run call, which executes normally.
 func TestLoopStopBeforeRunIsCleared(t *testing.T) {
 	l := NewLoop()
 	ran := 0
@@ -264,8 +263,7 @@ func TestLoopRunUntilIdleAdvancesClock(t *testing.T) {
 	}
 }
 
-// The panic message is part of the contract: the shard scheduler re-raises
-// it verbatim for lane-local causality violations.
+// The panic message is part of the contract.
 func TestLoopPastEventPanicMessage(t *testing.T) {
 	l := NewLoop()
 	l.At(100, func(now Time) {

@@ -407,12 +407,12 @@ func (r *Reservoir) Snapshot() Snapshot {
 }
 
 // Rebase shifts every retained exemplar's sequence number by delta. The
-// parallel harness runs each shard's stack against its own sink, whose
-// measured-IO numbering starts at 1; rebasing by the total measured-IO
-// count of the preceding shards (in shard order) reproduces the serial
-// reference's numbering exactly, so `-explain <exp>:<seq>` hints stay valid
-// at any shard count. A constant offset preserves the reservoir's
-// worst-K tie-break order (older wins), so only the labels change.
+// experiment harness runs each of an experiment's stacks against its own
+// sink, whose measured-IO numbering starts at 1; rebasing by the total
+// measured-IO count of the preceding stacks numbers the run's IOs
+// consecutively, which is the numbering `-explain <exp>:<seq>` replays on
+// one sink. A constant offset preserves the reservoir's worst-K tie-break
+// order (older wins), so only the labels change.
 func (s *Snapshot) Rebase(delta uint64) {
 	if delta == 0 {
 		return

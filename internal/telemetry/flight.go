@@ -90,8 +90,6 @@ const flightMaxAutoDumps = 3
 // On a Violation the recorder dumps its contents (text) to DumpTo
 // automatically, at most flightMaxAutoDumps times; on-demand dumps go
 // through WriteText (text) and Dump (JSON).
-//
-//simlint:shared bounded event ring ordered by virtual time: shards record locally and the rings interleave-merge by timestamp at barriers
 type Flight struct {
 	ring  []FlightEvent
 	next  int

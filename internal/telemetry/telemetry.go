@@ -34,8 +34,6 @@ import (
 
 // Counter is a monotonically increasing named metric. The nil Counter is a
 // valid no-op, so device hot paths call Add/Inc unconditionally.
-//
-//simlint:shared commutative aggregate: increments from any shard merge by summing at barriers
 type Counter struct {
 	name string
 	v    uint64
@@ -70,8 +68,6 @@ func (c *Counter) Name() string {
 
 // Hist is a named log2-bucketed histogram of virtual-time durations,
 // backed by stats.Histogram. The nil Hist is a valid no-op.
-//
-//simlint:shared commutative aggregate: bucket counts from any shard merge by summing at barriers
 type Hist struct {
 	name string
 	h    stats.Histogram

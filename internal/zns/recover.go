@@ -10,7 +10,8 @@ import (
 
 // Recover models a power loss at crashAt followed by a restart of the zoned
 // device. The flash layer is truncated to its durable prefix
-// (flash.Device.CrashAt) and each zone's write pointer is rediscovered from
+// (flash.Device.CrashAt, which may move the instant up to the latest erase
+// issue; the report's CrashAt says when) and each zone's write pointer is rediscovered from
 // the per-block program counts the flash array itself persists — one
 // confirming read per written block, O(blocks) total. That constant-per-zone
 // cost is the structural asymmetry against the conventional FTL's O(written
@@ -42,7 +43,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	cs := d.chip.CrashAt(crashAt)
 	rep := fault.RecoveryReport{
 		Stack:      "zns",
-		CrashAt:    crashAt,
+		CrashAt:    cs.At,
 		LostPages:  cs.LostPages,
 		TornBlocks: len(cs.Torn),
 	}
@@ -52,7 +53,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	d.attr.Suspend()
 	defer d.attr.Resume()
 
-	at := crashAt
+	at := cs.At
 	for _, b := range cs.Torn {
 		// Truncated to zero durable pages: the cells are indeterminate, so
 		// erase before trusting the block again. A failed erase grows the
