@@ -54,9 +54,14 @@ bench-selftest:
 # And for what every LSM run pays per table: zkv's one table builder adds
 # entries without allocating once it has built a table, and the blob it
 # hands the devices carries no spare capacity for them to pin.
+#
+# And for what an aged device pays per host write: a reclaiming write through
+# either stack (victim pick, relocation, erase or zone reset) allocates
+# nothing, and the two benchmarks print its cost and copies/op at femu256,
+# where the mapping tables outgrow the caches.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench=ProbeDisabled -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
-	$(GO) test -run='DoesNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|CompactLevel|GetHit|GetBloomMiss)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/
+	$(GO) test -run='DoesNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/
 
 # Regenerate the pinned JSON schemas served by /metrics.json and
 # /attribution.json after a deliberate schema change.

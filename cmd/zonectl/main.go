@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -61,6 +62,10 @@ func main() {
 		serve      = flag.String("serve", "", "serve the telemetry over HTTP on this address (e.g. :8078)")
 	)
 	flag.Parse()
+	if err := validate(*zones, *zonePages, *maxActive); err != nil {
+		fmt.Fprintln(os.Stderr, "zonectl:", err)
+		os.Exit(2)
+	}
 
 	dev, err := buildDevice(*zones, *zonePages, *maxActive, *cell)
 	if err != nil {
@@ -135,6 +140,10 @@ func runInspect(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if err := validate(*zones, *zonePages, *maxActive); err != nil {
+		fmt.Fprintln(os.Stderr, "zonectl inspect:", err)
+		os.Exit(2)
 	}
 	dev, err := buildDevice(*zones, *zonePages, *maxActive, *cell)
 	if err != nil {
@@ -211,6 +220,30 @@ func export(p *telemetry.Probe, at sim.Time, metricsOut, traceOut string) error 
 		if err := f.Close(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// maxZones bounds -zones: the tool prints a row per zone and the device keeps
+// state per zone, so a count far past any real drive's is a typo, not a
+// layout. (The flash layer's own ceiling is in pages and would let a billion
+// one-page zones through to the allocator.)
+const maxZones = 1 << 20
+
+// validate rejects layouts the device cannot be built from, and a negative
+// active-zone limit, which would otherwise be accepted and resurface on the
+// first append as "active zone limit reached".
+func validate(zones, zonePages, maxActive int) error {
+	if zones < 1 || zones > maxZones {
+		return fmt.Errorf("-zones %d is out of range (valid: 1 to %d)", zones, maxZones)
+	}
+	// buildDevice rounds the zone count up to a multiple of its 4 channels.
+	if most := math.MaxInt32 / ((zones + 3) / 4 * 4); zonePages < 1 || zonePages > most {
+		return fmt.Errorf("-zone-pages %d is out of range (valid: 1 to %d with -zones %d; a device holds at most %d pages)",
+			zonePages, most, zones, math.MaxInt32)
+	}
+	if maxActive < 0 {
+		return fmt.Errorf("-max-active %d is negative (valid: 0 for unlimited, or 1 or more)", maxActive)
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"blockhead/internal/fault"
 	"blockhead/internal/sim"
@@ -115,11 +116,27 @@ func DefaultGeometry(blocksPerLUN int) Geometry {
 	}
 }
 
-// Validate reports an error if any field is non-positive.
+// maxPages is the largest device Validate accepts, in pages: the device
+// layers keep their mapping tables as 4-byte page numbers (§2.2's 4 B per
+// 4 KiB page), and a size that user input can reach needs a ceiling that is
+// an error rather than an allocation failure.
+const maxPages = math.MaxInt32
+
+// Validate reports an error if any field is non-positive or the device
+// would hold more than 2^31-1 pages (8 TiB of 4 KiB pages). The product is
+// checked factor by factor, so a geometry whose block or page count
+// overflows int is an error too, never a wrapped-around size.
 func (g Geometry) Validate() error {
 	if g.Channels <= 0 || g.DiesPerChan <= 0 || g.PlanesPerDie <= 0 ||
 		g.BlocksPerLUN <= 0 || g.PagesPerBlock <= 0 || g.PageSize <= 0 {
 		return fmt.Errorf("flash: invalid geometry %+v", g)
+	}
+	pages := int64(1)
+	for _, n := range [...]int{g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerLUN, g.PagesPerBlock} {
+		if int64(n) > maxPages/pages {
+			return fmt.Errorf("flash: geometry %+v is too large (valid: 1 to %d pages in all)", g, maxPages)
+		}
+		pages *= int64(n)
 	}
 	return nil
 }
@@ -183,8 +200,11 @@ type OpCounts struct {
 type blockState struct {
 	nextPage   int32 // next programmable page; == PagesPerBlock when full
 	eraseCount uint32
-	bad        bool
-	sealed     bool // closed to further programs until erased (torn frontier)
+	// lun and ch are Geometry.LUNOfBlock and ChannelOfBlock, filled once by
+	// New so no page op divides.
+	lun, ch int32
+	bad     bool
+	sealed  bool // closed to further programs until erased (torn frontier)
 }
 
 // lunState is one LUN's complete mutable timing state: the busy-until
@@ -255,13 +275,18 @@ func New(geom Geometry, lat Latencies) *Device {
 	if err := geom.Validate(); err != nil {
 		panic(err)
 	}
-	return &Device{
+	d := &Device{
 		Geom:   geom,
 		Lat:    lat,
 		luns:   make([]lunState, geom.LUNs()),
 		chans:  make([]chanState, geom.Channels),
 		blocks: make([]blockState, geom.TotalBlocks()),
 	}
+	for b := range d.blocks {
+		lun := geom.LUNOfBlock(b)
+		d.blocks[b].lun, d.blocks[b].ch = int32(lun), int32(geom.ChannelOfLUN(lun))
+	}
+	return d
 }
 
 // SetProbe attaches (or, with nil, detaches) telemetry: physical-op
@@ -465,8 +490,7 @@ func (d *Device) ReadPage(at sim.Time, block, page int) (sim.Time, error) {
 		d.attr.FlagIO(telemetry.FlagFaultRetry)
 	}
 	sense := sim.Time(1+retries) * d.Lat.ReadPage
-	lun := d.Geom.LUNOfBlock(block)
-	ch := d.Geom.ChannelOfLUN(lun)
+	lun, ch := int(b.lun), int(b.ch)
 	prevLUN, lunBind := d.claimLUN(lun, telemetry.PhaseNANDRead)
 	senseStart, senseEnd := d.luns[lun].res.Acquire(at, sense)
 	d.luns[lun].busy += sense
@@ -516,8 +540,7 @@ func (d *Device) ProgramPage(at sim.Time, block, page int) (sim.Time, error) {
 	if int32(page) != b.nextPage {
 		return at, ErrNotSequential
 	}
-	lun := d.Geom.LUNOfBlock(block)
-	ch := d.Geom.ChannelOfLUN(lun)
+	lun, ch := int(b.lun), int(b.ch)
 	prevCh := d.claimChan(ch)
 	xferStart, xferEnd := d.chans[ch].res.Acquire(at, d.Lat.XferPage)
 	prevLUN, lunBind := d.claimLUN(lun, telemetry.PhaseNANDProgram)
@@ -569,7 +592,7 @@ func (d *Device) EraseBlock(at sim.Time, block int) (sim.Time, error) {
 	if d.recovery && at > d.lastErase {
 		d.lastErase = at
 	}
-	lun := d.Geom.LUNOfBlock(block)
+	lun := int(b.lun)
 	prevLUN, lunBind := d.claimLUN(lun, telemetry.PhaseNANDErase)
 	eraseStart, done := d.luns[lun].res.Acquire(at, d.Lat.EraseBlock)
 	d.luns[lun].busy += d.Lat.EraseBlock
@@ -691,7 +714,7 @@ func (d *Device) CrashAt(t sim.Time) CrashStats {
 // use it to schedule maintenance work (host-controlled GC, §4.1) around
 // foreground I/O.
 func (d *Device) LUNFreeAt(block int) sim.Time {
-	return d.luns[d.Geom.LUNOfBlock(block)].res.FreeAt()
+	return d.luns[d.blocks[block].lun].res.FreeAt()
 }
 
 // BusyLUNs reports how many LUNs are still acquired past instant at — the

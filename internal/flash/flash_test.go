@@ -2,6 +2,8 @@ package flash
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +62,47 @@ func TestGeometryValidate(t *testing.T) {
 	bad.Channels = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid geometry accepted")
+	}
+	// The size ceiling: 2^31-1 pages is the largest device, and a product
+	// that overflows int is an error like any other, not a wrapped-around size.
+	for _, tc := range []struct {
+		name string
+		g    Geometry
+		ok   bool
+	}{
+		{"2^31-1 pages in one block", Geometry{1, 1, 1, 1, math.MaxInt32, 4096}, true},
+		{"2^31-1 one-page blocks", Geometry{1, 1, 1, math.MaxInt32, 1, 4096}, true},
+		{"2^31 pages", Geometry{8, 8, 1, 64, 1 << 19, 4096}, false},
+		{"2^31 one-page blocks", Geometry{2, 1, 1, 1 << 30, 1, 4096}, false},
+		{"block count overflows int64", Geometry{math.MaxInt32, math.MaxInt32, math.MaxInt32, 2, 1, 4096}, false},
+		{"page count wraps to a small positive int64", Geometry{1 << 16, 1 << 16, 1 << 16, 1 << 16, 3, 4096}, false},
+	} {
+		err := tc.g.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "valid: 1 to 2147483647 pages")):
+			t.Errorf("%s: Validate() = %v, want an error naming the valid range", tc.name, err)
+		}
+	}
+}
+
+// TestBlockLUNAndChannelCached: the LUN and channel New stores with each
+// block are the ones the Geometry methods compute, at the benchmark's
+// geometry, the exact FEMU point, and one where nothing is a power of two.
+func TestBlockLUNAndChannelCached(t *testing.T) {
+	for _, g := range []Geometry{
+		{Channels: 8, DiesPerChan: 8, PlanesPerDie: 1, BlocksPerLUN: 64, PagesPerBlock: 256, PageSize: 4096},
+		{Channels: 8, DiesPerChan: 8, PlanesPerDie: 1, BlocksPerLUN: 64, PagesPerBlock: 2048, PageSize: 4096},
+		{Channels: 3, DiesPerChan: 5, PlanesPerDie: 1, BlocksPerLUN: 7, PagesPerBlock: 4, PageSize: 4096},
+	} {
+		d := New(g, LatenciesFor(TLC))
+		for b := range d.blocks {
+			if lun, ch := int(d.blocks[b].lun), int(d.blocks[b].ch); lun != g.LUNOfBlock(b) || ch != g.ChannelOfBlock(b) {
+				t.Fatalf("%+v: block %d cached (LUN %d, channel %d), geometry says (%d, %d)",
+					g, b, lun, ch, g.LUNOfBlock(b), g.ChannelOfBlock(b))
+			}
+		}
 	}
 }
 

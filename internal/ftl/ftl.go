@@ -148,7 +148,7 @@ var (
 	ErrBadStream  = errors.New("ftl: stream ID out of range")
 )
 
-const unmapped = int64(-1)
+const unmapped = int32(-1)
 
 // Device is a conventional SSD.
 type Device struct {
@@ -160,8 +160,13 @@ type Device struct {
 
 	logicalPages int64
 
-	l2p []int64 // logical page -> physical page, or unmapped
-	p2l []int64 // physical page -> logical page, or unmapped
+	// The mapping tables hold 4-byte page numbers, the paper's own estimate
+	// (§2.2); flash.Geometry.Validate keeps every device under 2^31 pages.
+	l2p []int32 // logical page -> physical page, or unmapped
+	p2l []int32 // physical page -> logical page, or unmapped
+	// pending is relocation's deferred l2p stores (relocateAndErase,
+	// retireBlock): empty whenever anything else can read the table.
+	pending []l2pStore
 
 	valid      []int64 // per-block count of valid pages
 	lastInval  []sim.Time
@@ -189,6 +194,11 @@ type Device struct {
 	// pickHook observes every pickVictim result; the differential oracle
 	// test sets it, production leaves it nil.
 	pickHook func(at sim.Time, victim int)
+	// relocHook and retireHook stand in for relocateAndErase and retireBlock;
+	// the differential test sets them to the per-page versions those
+	// replaced, production leaves them nil.
+	relocHook  func(at sim.Time, victim int) (sim.Time, bool)
+	retireHook func(at sim.Time, block int) sim.Time
 
 	data [][]byte // payload by logical page; nil unless StoreData
 
@@ -236,6 +246,9 @@ type Device struct {
 	mGCForced  *telemetry.Counter
 	hGCStall   *telemetry.Hist
 }
+
+// l2pStore is one deferred mapping update: l2p[lpn] = ppn.
+type l2pStore struct{ lpn, ppn int32 }
 
 type frontier struct {
 	block int // open block, -1 if none
@@ -293,8 +306,9 @@ func New(cfg Config) (*Device, error) {
 		pages:        cfg.Geom.PagesPerBlock,
 		blocks:       blocks,
 		logicalPages: logical,
-		l2p:          make([]int64, logical),
-		p2l:          make([]int64, raw),
+		l2p:          make([]int32, logical),
+		p2l:          make([]int32, raw),
+		pending:      make([]l2pStore, 0, cfg.Geom.PagesPerBlock),
 		valid:        make([]int64, blocks),
 		lastInval:    make([]sim.Time, blocks),
 		freePerLUN:   make([][]int, cfg.Geom.LUNs()),
@@ -419,18 +433,18 @@ func (d *Device) DRAMFootprintBytes() int64 {
 	return 4*d.logicalPages + 4*int64(d.blocks)
 }
 
-func (d *Device) ppn(block, page int) int64 {
-	return int64(block)*int64(d.pages) + int64(page)
+func (d *Device) ppn(block, page int) int32 {
+	return int32(block*d.pages + page)
 }
 
-func (d *Device) blockOf(ppn int64) int { return int(ppn / int64(d.pages)) }
-func (d *Device) pageOf(ppn int64) int  { return int(ppn % int64(d.pages)) }
+func (d *Device) blockOf(ppn int32) int { return int(ppn) / d.pages }
+func (d *Device) pageOf(ppn int32) int  { return int(ppn) % d.pages }
 
 // allocPage returns the next physical page on the rotating frontier set of
 // the given stream, pulling fresh free blocks (least-erased first, for wear
 // leveling) as frontiers fill. gc selects the GC frontier set when
 // separation is on.
-func (d *Device) allocPage(stream int, gc bool) (int64, error) {
+func (d *Device) allocPage(stream int, gc bool) (int32, error) {
 	fronts, cursor, host := d.hostFront[stream], &d.rr[stream], true
 	if gc && d.cfg.HotColdSeparation {
 		fronts, cursor, host = d.gcFront, &d.gcRR, false
@@ -526,7 +540,7 @@ func (d *Device) takeFreeBlock(lun int, gc bool) (int, bool) {
 	return b, true
 }
 
-func (d *Device) invalidate(at sim.Time, ppn int64) {
+func (d *Device) invalidate(at sim.Time, ppn int32) {
 	if ppn == unmapped {
 		return
 	}
@@ -632,7 +646,7 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 	d.consumeSlot(false)
 	d.invalidate(at, d.l2p[lpn])
 	d.l2p[lpn] = ppn
-	d.p2l[ppn] = lpn
+	d.p2l[ppn] = int32(lpn)
 	d.valid[d.blockOf(ppn)]++
 	if d.pageOwner != nil {
 		d.pageOwner[ppn] = clampOwner(d.attr.Worker())

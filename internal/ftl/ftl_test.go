@@ -43,6 +43,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("negative OPFraction accepted")
 	}
+	// 2^31 pages: one more than the 4-byte mapping tables can name. An error
+	// before anything is allocated, never a truncated table.
+	cfg = defaultCfg()
+	cfg.Geom = flash.Geometry{Channels: 8, DiesPerChan: 8, PlanesPerDie: 1,
+		BlocksPerLUN: 64, PagesPerBlock: 1 << 19, PageSize: 4096}
+	if _, err := New(cfg); err == nil {
+		t.Error("a 2^31-page device accepted")
+	}
 }
 
 func TestCapacityAccounting(t *testing.T) {
@@ -390,7 +398,7 @@ func TestMappingInvariants(t *testing.T) {
 		if ppn == unmapped {
 			continue
 		}
-		if d.p2l[ppn] != int64(lpn) {
+		if d.p2l[ppn] != int32(lpn) {
 			t.Fatalf("l2p[%d]=%d but p2l[%d]=%d", lpn, ppn, ppn, d.p2l[ppn])
 		}
 	}

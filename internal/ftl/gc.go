@@ -305,6 +305,9 @@ func (d *Device) dropFrontier(block int) {
 // migration destination failing in turn joins the work list. Returns when
 // the migration traffic completes.
 func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
+	if d.retireHook != nil {
+		return d.retireHook(at, block)
+	}
 	// Migration copies fan out like GC; per-copy attribution would
 	// double-count, so the caller charges the host-visible stall instead.
 	d.attr.Suspend()
@@ -345,7 +348,7 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 				at = sim.Max(at, done)
 				d.consumeSlot(true)
 				d.p2l[ppn] = unmapped
-				d.l2p[lpn] = dst
+				d.pending = append(d.pending, l2pStore{lpn, dst})
 				d.p2l[dst] = lpn
 				d.valid[d.blockOf(dst)]++
 				d.decValid(b)
@@ -358,8 +361,25 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 				break
 			}
 		}
+		// Per block, not per call: a destination that failed above is scanned
+		// later in this loop, and re-migrating a page must find (and then
+		// overwrite) the l2p entry its first move made.
+		d.flushL2P()
 	}
 	return at
+}
+
+// flushL2P applies relocation's deferred l2p stores. The copy loops defer the
+// one table update nothing inside them reads — l2p[lpn] = dst is a random
+// store into a table far larger than any cache, and issuing a block's worth
+// back to back lets the misses overlap instead of each stalling the next
+// page's device calls. p2l, valid and the victim index are updated in place:
+// the loops read them. See DESIGN.md, "Relocation and the mapping tables".
+func (d *Device) flushL2P() {
+	for _, s := range d.pending {
+		d.l2p[s.lpn] = s.ppn
+	}
+	d.pending = d.pending[:0]
 }
 
 // relocateAndErase copies the victim's valid pages forward, erases it, and
@@ -367,12 +387,17 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 // serialize per-LUN through the flash resource model; the erase queues
 // behind the victim-LUN reads. Returns the erase completion time.
 func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
+	if d.relocHook != nil {
+		return d.relocHook(at, victim)
+	}
 	// Refuse up front if the victim's survivors cannot fit in GC-reachable
 	// space: a partial relocation would consume slots without freeing the
 	// block, leaking space until reclamation deadlocks.
 	if d.valid[victim] > d.gcSlots() {
 		return at, false
 	}
+	// Every return below leaves l2p complete, the early ones included.
+	defer d.flushL2P()
 	copied := d.counters.GCCopyPages
 	var lastDone = at
 	for p := 0; p < d.pages; p++ {
@@ -389,14 +414,17 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 			done, err := d.chip.CopyPage(at, victim, p, d.blockOf(dst), d.pageOf(dst))
 			if err == flash.ErrProgramFailed {
 				// The destination went bad mid-GC: retire it (migrating
-				// anything already copied into it) and retry this page.
+				// anything already copied into it, so their l2p entries
+				// must be in place first) and retry this page.
+				d.flushL2P()
 				at = d.retireBlock(done, d.blockOf(dst))
 				continue
 			}
 			if err == flash.ErrUncorrectable {
 				// The victim page itself is unreadable after the retry
 				// ladder: a detected loss. Drop the mapping rather than
-				// strand reclamation on it.
+				// strand reclamation on it. (No deferred store names this
+				// lpn: one is queued only once a page's copy has succeeded.)
 				d.p2l[ppn] = unmapped
 				d.l2p[lpn] = unmapped
 				d.decValid(victim)
@@ -409,9 +437,9 @@ func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
 				lastDone = done
 			}
 			d.consumeSlot(true)
-			// Re-point the mapping.
+			// Re-point the mapping; the l2p store waits for flushL2P.
 			d.p2l[ppn] = unmapped
-			d.l2p[lpn] = dst
+			d.pending = append(d.pending, l2pStore{lpn, dst})
 			d.p2l[dst] = lpn
 			d.valid[d.blockOf(dst)]++
 			d.decValid(victim)

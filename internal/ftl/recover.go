@@ -110,7 +110,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 				d.valid[d.blockOf(old)]--
 			}
 			d.l2p[lpn] = ppn
-			d.p2l[ppn] = lpn
+			d.p2l[ppn] = int32(lpn)
 			d.valid[b]++
 		}
 		switch {

@@ -22,6 +22,7 @@ package hostftl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
@@ -57,7 +58,7 @@ var (
 	ErrBadStream  = errors.New("hostftl: stream out of range")
 )
 
-const unmapped = int64(-1)
+const unmapped = int32(-1)
 
 // Config parameterizes the layer.
 type Config struct {
@@ -94,15 +95,29 @@ type FTL struct {
 	logicalPages int64
 	zonePages    int64
 
-	l2p []int64 // logical page -> device LBA
-	p2l []int64 // device LBA -> logical page
+	// The mapping tables hold 4-byte page numbers; New refuses a device of
+	// 2^31 pages or more. (DRAMFootprintBytes reports the modelled 8 bytes.)
+	l2p []int32 // logical page -> device LBA
+	p2l []int32 // device LBA -> logical page
 	// valid counts live pages per zone.
 	valid []int64
 
-	freeZones  []int
+	freeZones  zoneRing
 	streamZone [][]int // open data zones per stream (ZonesPerStream wide)
 	streamRR   []int   // per-stream round-robin cursor
 	gcZone     int     // open relocation destination, -1 if none
+
+	// reloc is relocateRange's reusable scratch: the host path's deferred
+	// remaps (empty whenever anything else can read the mapping) and the
+	// simple-copy path's batch of source LBAs.
+	reloc struct {
+		moves []move
+		batch []int64
+	}
+
+	// relocHook stands in for relocateRange; the differential test sets it
+	// to the per-page version that replaced, production leaves it nil.
+	relocHook func(at sim.Time, victim int, from, to int64) (sim.Time, bool)
 
 	// Incremental GC cursor.
 	gcVictim int
@@ -181,14 +196,19 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 		return nil, fmt.Errorf("hostftl: %d zones too few for reserve %d", nz, reserve)
 	}
 	zp := dev.ZonePages()
+	if int64(nz)*zp > math.MaxInt32 {
+		return nil, fmt.Errorf("hostftl: device of %d pages exceeds the mapping tables' %d (valid: 1 to %d pages)",
+			int64(nz)*zp, math.MaxInt32, math.MaxInt32)
+	}
 	f := &FTL{
 		dev:          dev,
 		cfg:          cfg,
 		logicalPages: int64(nz-reserve) * zp,
 		zonePages:    zp,
-		l2p:          make([]int64, int64(nz-reserve)*zp),
-		p2l:          make([]int64, int64(nz)*zp),
+		l2p:          make([]int32, int64(nz-reserve)*zp),
+		p2l:          make([]int32, int64(nz)*zp),
 		valid:        make([]int64, nz),
+		freeZones:    zoneRing{buf: make([]int, nz)},
 		streamZone:   make([][]int, cfg.Streams),
 		streamRR:     make([]int, cfg.Streams),
 		gcZone:       -1,
@@ -204,8 +224,13 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 	for i := range f.p2l {
 		f.p2l[i] = unmapped
 	}
+	if cfg.UseSimpleCopy {
+		f.reloc.batch = make([]int64, 0, zp)
+	} else {
+		f.reloc.moves = make([]move, 0, zp)
+	}
 	for z := 0; z < nz; z++ {
-		f.freeZones = append(f.freeZones, z)
+		f.freeZones.push(z)
 	}
 	for i := range f.streamZone {
 		f.streamZone[i] = make([]int, cfg.ZonesPerStream)
@@ -238,7 +263,7 @@ func (f *FTL) SetProbe(p *telemetry.Probe) {
 	f.tr.NameProcess(telemetry.ProcHostFTL, "host FTL")
 	f.tr.NameTrack(telemetry.ProcHostFTL, 0, "reclaim")
 	reg.Gauge("hostftl/write_amp", func(sim.Time) float64 { return f.WriteAmp() })
-	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(len(f.freeZones)) })
+	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(f.freeZones.n) })
 	f.fl = p.Flight()
 	p.Heat().Register("hostftl", f.heatSection)
 }
@@ -315,10 +340,29 @@ func (f *FTL) DRAMFootprintBytes() int64 {
 	return 8*f.logicalPages + 8*int64(len(f.p2l))
 }
 
+// zoneRing is the free-zone pool: a FIFO over one slot per zone, so taking
+// from the head and returning to the tail never reallocates. A zone is in
+// the pool at most once, which is what bounds it.
+type zoneRing struct {
+	buf     []int
+	head, n int
+}
+
+func (r *zoneRing) push(z int) {
+	r.buf[(r.head+r.n)%len(r.buf)] = z
+	r.n++
+}
+
+func (r *zoneRing) pop() int {
+	z := r.buf[r.head]
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return z
+}
+
 func (f *FTL) takeFreeZone() (int, bool) {
-	for len(f.freeZones) > 0 {
-		z := f.freeZones[0]
-		f.freeZones = f.freeZones[1:]
+	for f.freeZones.n > 0 {
+		z := f.freeZones.pop()
 		if f.dev.State(z) == zns.Offline || f.dev.WritableCap(z) == 0 {
 			continue // lost to wear
 		}
@@ -354,6 +398,9 @@ func (f *FTL) appendTo(at sim.Time, zoneSlot *int, data []byte) (int64, sim.Time
 			ro := *zoneSlot
 			*zoneSlot = -1
 			retryFrom := at
+			// A relocation in progress has copied pages into ro; evacuation
+			// finds them through the mapping, so it must be complete.
+			f.flushRemaps()
 			at = f.evacuateZone(at, ro)
 			// Charged as reclamation stall; no-op when the caller is
 			// already inside suspended maintenance work.
@@ -383,11 +430,11 @@ func (f *FTL) evacuateZone(at sim.Time, z int) sim.Time {
 // Evacuations reports how many read-only zone evacuations have run.
 func (f *FTL) Evacuations() uint64 { return f.evacuations }
 
-func (f *FTL) invalidate(devLBA int64) {
+func (f *FTL) invalidate(devLBA int32) {
 	if devLBA == unmapped {
 		return
 	}
-	z, _ := f.dev.ZoneOf(devLBA)
+	z, _ := f.dev.ZoneOf(int64(devLBA))
 	f.p2l[devLBA] = unmapped
 	f.valid[z]--
 	if f.deadBy != nil {
@@ -460,8 +507,8 @@ func (f *FTL) WriteStream(at sim.Time, lpn int64, stream int, data []byte) (sim.
 		f.nextSeq++
 	}
 	f.invalidate(f.l2p[lpn])
-	f.l2p[lpn] = lba
-	f.p2l[lba] = lpn
+	f.l2p[lpn] = int32(lba)
+	f.p2l[lba] = int32(lpn)
 	z, _ := f.dev.ZoneOf(lba)
 	f.valid[z]++
 	if f.slotOwner != nil {
@@ -489,7 +536,7 @@ func (f *FTL) Read(at sim.Time, lpn int64) (sim.Time, []byte, error) {
 	if lba == unmapped {
 		return at, nil, ErrUnmapped
 	}
-	done, data, err := f.dev.Read(at, lba)
+	done, data, err := f.dev.Read(at, int64(lba))
 	if err != nil {
 		return at, nil, err
 	}
@@ -513,7 +560,7 @@ func (f *FTL) Trim(lpn, n int64) error {
 }
 
 // FreeZones reports the number of zones in the free pool.
-func (f *FTL) FreeZones() int { return len(f.freeZones) }
+func (f *FTL) FreeZones() int { return f.freeZones.n }
 
 // NextSeq reports the sequence number the next stamped write will carry —
 // the integrity oracle resyncs to it after recovery.

@@ -48,6 +48,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(dev, Config{Streams: 4}); err == nil {
 		t.Error("stream count exceeding MaxActive accepted")
 	}
+	// A device of 2^31 pages, one more than the 4-byte mapping tables can
+	// name, cannot be handed to New: the layer below refuses to build it.
+	// (New checks the page count itself too, so the tables never rest on
+	// another package's ceiling.)
+	if _, err := zns.New(zns.Config{
+		Geom: flash.Geometry{Channels: 8, DiesPerChan: 8, PlanesPerDie: 1,
+			BlocksPerLUN: 64, PagesPerBlock: 1 << 19, PageSize: 4096},
+		Lat: flash.LatenciesFor(flash.TLC), ZoneBlocks: 4,
+	}); err == nil {
+		t.Error("a 2^31-page device accepted")
+	}
 }
 
 func TestCapacityBelowDevice(t *testing.T) {
@@ -208,8 +219,8 @@ func TestStreamsSeparateZones(t *testing.T) {
 	if _, err = f.WriteStream(at, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	z0, _ := dev.ZoneOf(f.l2p[0])
-	z1, _ := dev.ZoneOf(f.l2p[1])
+	z0, _ := dev.ZoneOf(int64(f.l2p[0]))
+	z1, _ := dev.ZoneOf(int64(f.l2p[1]))
 	if z0 == z1 {
 		t.Error("different streams must write to different zones")
 	}
@@ -275,7 +286,7 @@ func TestMappingInvariants(t *testing.T) {
 			if lba == unmapped {
 				continue
 			}
-			if f.p2l[lba] != int64(lpn) {
+			if f.p2l[lba] != int32(lpn) {
 				t.Fatalf("simpleCopy=%v: l2p[%d]=%d but p2l=%d", sc, lpn, lba, f.p2l[lba])
 			}
 		}

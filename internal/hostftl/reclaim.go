@@ -30,13 +30,13 @@ func (f *FTL) MaintenanceStep(at sim.Time, budget, targetFree int) bool {
 	// whatever host IO record happens to be open.
 	f.attr.Suspend()
 	defer f.attr.Resume()
-	if len(f.freeZones) > targetFree {
+	if f.freeZones.n > targetFree {
 		return false
 	}
 	before := f.gcResets
-	beforeFree := len(f.freeZones)
+	beforeFree := f.freeZones.n
 	f.reclaimChunk(at, budget, targetFree)
-	return f.gcResets != before || len(f.freeZones) != beforeFree || f.gcVictim >= 0
+	return f.gcResets != before || f.freeZones.n != beforeFree || f.gcVictim >= 0
 }
 
 // reclaim makes free space per the configured policy and returns the time
@@ -56,19 +56,19 @@ func (f *FTL) reclaim(at sim.Time) sim.Time {
 	f.gcTopAdv = 0
 	switch f.cfg.GCMode {
 	case GCIncremental:
-		if len(f.freeZones) <= 1 {
+		if f.freeZones.n <= 1 {
 			// Emergency: the pool is dry; fall back to a blocking pass.
 			f.emergencies++
 			f.mEmergencies.Inc()
 			f.tr.Instant(telemetry.ProcHostFTL, 0, "hostftl", "emergency", at)
 			return f.reclaimInline(at)
 		}
-		if len(f.freeZones) <= incrementalStartWater {
+		if f.freeZones.n <= incrementalStartWater {
 			f.reclaimChunk(at, f.cfg.GCChunkPages, incrementalStartWater)
 		}
 		return at
 	default:
-		if len(f.freeZones) > inlineLowWater {
+		if f.freeZones.n > inlineLowWater {
 			return at
 		}
 		return f.reclaimInline(at)
@@ -88,7 +88,7 @@ func (f *FTL) reclaimInline(at sim.Time) sim.Time {
 			at = sim.Max(at, done)
 		}
 	}
-	for len(f.freeZones) <= inlineLowWater {
+	for f.freeZones.n <= inlineLowWater {
 		victim := f.pickVictim()
 		if victim < 0 {
 			break
@@ -182,7 +182,7 @@ func (f *FTL) finishVictim(at sim.Time, victim int, from int64) (sim.Time, bool)
 	f.valid[victim] = 0
 	f.clearDeadBy(victim)
 	if f.dev.State(victim) == zns.Empty {
-		f.freeZones = append(f.freeZones, victim)
+		f.freeZones.push(victim)
 	}
 	f.gcResets++
 	f.mGCResets.Inc()
@@ -192,64 +192,69 @@ func (f *FTL) finishVictim(at sim.Time, victim int, from int64) (sim.Time, bool)
 	return resetDone, true
 }
 
+// move is one deferred remap: the page at src now also lives at dst.
+type move struct{ src, dst int64 }
+
 // relocateRange moves the valid pages in [from, to) of victim into the GC
 // zone, via simple copy or host read+write. It returns the completion time
 // of the last relocation op.
 func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, bool) {
+	if f.relocHook != nil {
+		return f.relocHook(at, victim, from, to)
+	}
 	done := at
 	if f.cfg.UseSimpleCopy {
 		// Batch the valid LBAs and let the controller move them; no PCIe.
-		var batch []int64
-		flush := func() bool {
-			for len(batch) > 0 {
-				if f.gcZone < 0 {
-					z, ok := f.takeFreeZone()
-					if !ok {
-						return false
-					}
-					f.gcZone = z
-				}
-				room := f.dev.WritableCap(f.gcZone) - f.dev.WP(f.gcZone)
-				n := int64(len(batch))
-				if n > room {
-					n = room
-				}
-				if n == 0 {
-					f.gcZone = -1
-					continue
-				}
-				first, cDone, err := f.dev.SimpleCopy(at, batch[:n], f.gcZone)
-				if errors.Is(err, zns.ErrZoneReadOnly) {
-					// The destination grew a bad block mid-copy; pages it
-					// already absorbed are orphans (never remapped). Retry
-					// the whole batch into a fresh zone.
-					f.gcZone = -1
-					continue
-				}
-				if err != nil {
-					return false
-				}
-				for i := int64(0); i < n; i++ {
-					f.remap(batch[i], first+i)
-				}
-				batch = batch[n:]
-				done = sim.Max(done, cDone)
-			}
-			return true
-		}
+		batch := f.reloc.batch[:0]
 		for o := from; o < to; o++ {
 			src := f.dev.LBA(victim, o)
 			if f.p2l[src] != unmapped {
 				batch = append(batch, src)
 			}
 		}
-		if !flush() {
-			return at, false
+		for len(batch) > 0 {
+			if f.gcZone < 0 {
+				z, ok := f.takeFreeZone()
+				if !ok {
+					return at, false
+				}
+				f.gcZone = z
+			}
+			room := f.dev.WritableCap(f.gcZone) - f.dev.WP(f.gcZone)
+			n := int64(len(batch))
+			if n > room {
+				n = room
+			}
+			if n == 0 {
+				f.gcZone = -1
+				continue
+			}
+			first, cDone, err := f.dev.SimpleCopy(at, batch[:n], f.gcZone)
+			if errors.Is(err, zns.ErrZoneReadOnly) {
+				// The destination grew a bad block mid-copy; pages it
+				// already absorbed are orphans (never remapped). Retry
+				// the whole batch into a fresh zone.
+				f.gcZone = -1
+				continue
+			}
+			if err != nil {
+				return at, false
+			}
+			for i := int64(0); i < n; i++ {
+				f.remap(batch[i], first+i)
+			}
+			batch = batch[n:]
+			done = sim.Max(done, cDone)
 		}
 		return done, true
 	}
 
-	// Host path: read each valid page over PCIe and append it back.
+	// Host path: read each valid page over PCIe and append it back. The
+	// remaps wait for the end of the range (flushRemaps): each is a random
+	// store into tables far larger than any cache, and nothing below reads
+	// what they write — except an evacuation, which appendTo flushes for.
+	// Every return leaves the mapping complete, the early ones included.
+	defer f.flushRemaps()
 	for o := from; o < to; o++ {
 		src := f.dev.LBA(victim, o)
 		if f.p2l[src] == unmapped {
@@ -270,10 +275,19 @@ func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, 
 			lpn, seq := f.dev.OOB(src)
 			f.dev.StampOOB(dst, lpn, seq)
 		}
-		f.remap(src, dst)
+		f.reloc.moves = append(f.reloc.moves, move{src, dst})
 		done = sim.Max(done, wDone)
 	}
 	return done, true
+}
+
+// flushRemaps applies the host relocation path's deferred remaps, in copy
+// order. See DESIGN.md, "Relocation and the mapping tables".
+func (f *FTL) flushRemaps() {
+	for _, m := range f.reloc.moves {
+		f.remap(m.src, m.dst)
+	}
+	f.reloc.moves = f.reloc.moves[:0]
 }
 
 // remap moves a live mapping from src to dst.
@@ -292,7 +306,7 @@ func (f *FTL) remap(src, dst int64) {
 	dz, _ := f.dev.ZoneOf(dst)
 	f.p2l[src] = unmapped
 	f.valid[sz]--
-	f.l2p[lpn] = dst
+	f.l2p[lpn] = int32(dst)
 	f.p2l[dst] = lpn
 	f.valid[dz]++
 	f.remaps++
@@ -307,7 +321,7 @@ func (f *FTL) remap(src, dst int64) {
 // the LUNs — exactly the tail spike this mode exists to avoid.
 func (f *FTL) reclaimChunk(at sim.Time, budget, water int) {
 	resets := 0
-	for budget > 0 && resets == 0 && len(f.freeZones) <= water {
+	for budget > 0 && resets == 0 && f.freeZones.n <= water {
 		if f.gcVictim < 0 {
 			v := f.pickVictim()
 			if v < 0 {
@@ -353,7 +367,7 @@ func (f *FTL) reclaimChunk(at sim.Time, budget, water int) {
 				f.valid[victim] = 0
 				f.clearDeadBy(victim)
 				if f.dev.State(victim) == zns.Empty {
-					f.freeZones = append(f.freeZones, victim)
+					f.freeZones.push(victim)
 				}
 				f.gcResets++
 				resets++

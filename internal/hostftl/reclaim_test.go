@@ -78,16 +78,16 @@ func TestMaintenanceStepPacing(t *testing.T) {
 	}
 	// Now drive maintenance with a generous target: it must reclaim, one
 	// bounded nibble per call, and eventually raise the pool.
-	before := len(f.freeZones)
+	before := f.freeZones.n
 	resetsBefore := f.GCResets()
-	for i := 0; i < 500 && len(f.freeZones) <= before+3; i++ {
+	for i := 0; i < 500 && f.freeZones.n <= before+3; i++ {
 		f.MaintenanceStep(at, 4, before+4)
 	}
 	if f.GCResets() == resetsBefore {
 		t.Error("maintenance never reclaimed a zone")
 	}
-	if len(f.freeZones) <= before {
-		t.Errorf("pool did not grow: %d -> %d", before, len(f.freeZones))
+	if f.freeZones.n <= before {
+		t.Errorf("pool did not grow: %d -> %d", before, f.freeZones.n)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestEmergencyCounterAndRecovery(t *testing.T) {
 	}
 	// Mappings still consistent after emergencies.
 	for lpn, lba := range f.l2p {
-		if lba != unmapped && f.p2l[lba] != int64(lpn) {
+		if lba != unmapped && f.p2l[lba] != int32(lpn) {
 			t.Fatalf("mapping broken after emergency: l2p[%d]=%d", lpn, lba)
 		}
 	}

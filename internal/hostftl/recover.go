@@ -42,7 +42,7 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	for i := range f.valid {
 		f.valid[i] = 0
 	}
-	f.freeZones = f.freeZones[:0]
+	f.freeZones.head, f.freeZones.n = 0, 0
 	for s := range f.streamZone {
 		for j := range f.streamZone[s] {
 			f.streamZone[s][j] = -1
@@ -61,7 +61,7 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 		case zns.Offline:
 			continue
 		case zns.Empty:
-			f.freeZones = append(f.freeZones, z)
+			f.freeZones.push(z)
 			continue
 		case zns.Open, zns.Closed, zns.Full, zns.ReadOnly:
 			// Holds data: rediscover its write pointer below.
@@ -86,16 +86,16 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 				maxSeq = seq
 			}
 			if old := f.l2p[lpn]; old != unmapped {
-				_, oldSeq := f.dev.OOB(old)
+				_, oldSeq := f.dev.OOB(int64(old))
 				if seq <= oldSeq {
 					continue // equal seqs are identical copies; first wins
 				}
-				oz, _ := f.dev.ZoneOf(old)
+				oz, _ := f.dev.ZoneOf(int64(old))
 				f.p2l[old] = unmapped
 				f.valid[oz]--
 			}
-			f.l2p[lpn] = lba
-			f.p2l[lba] = lpn
+			f.l2p[lpn] = int32(lba)
+			f.p2l[lba] = int32(lpn)
 			f.valid[z]++
 		}
 	}
@@ -113,7 +113,7 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 		}
 		at = done
 		if f.dev.State(z) == zns.Empty {
-			f.freeZones = append(f.freeZones, z)
+			f.freeZones.push(z)
 		}
 	}
 
@@ -138,7 +138,7 @@ func (f *FTL) ReadMeta(at sim.Time, lpn int64) (done sim.Time, gotLPN int64, seq
 	if lba == unmapped {
 		return at, -1, 0, ErrUnmapped
 	}
-	done, gotLPN, seq, err = f.dev.ReadMeta(at, lba)
+	done, gotLPN, seq, err = f.dev.ReadMeta(at, int64(lba))
 	if err != nil {
 		return done, -1, 0, err
 	}

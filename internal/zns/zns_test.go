@@ -42,6 +42,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("MaxOpen > MaxActive accepted")
 	}
+	// 2^31 pages: past the flash layer's ceiling (and the host FTL's 4-byte
+	// tables). An error before anything is allocated.
+	cfg = testCfg()
+	cfg.Geom = flash.Geometry{Channels: 8, DiesPerChan: 8, PlanesPerDie: 1,
+		BlocksPerLUN: 64, PagesPerBlock: 1 << 19, PageSize: 4096}
+	if _, err := New(cfg); err == nil {
+		t.Error("a 2^31-page device accepted")
+	}
 }
 
 func TestLayout(t *testing.T) {
