@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint lint-fix-dryrun test bench-selftest bench-telemetry bench bench-e2e bench-compare fuzz fuzz-zns fuzz-faults fault-campaign slo-campaign whatif-campaign explain-campaign update-golden clean
+.PHONY: all check vet build lint test bench-selftest bench-telemetry bench bench-e2e coverage-product fuzz fuzz-zns fuzz-faults clean
 
 all: check
 
-check: vet build lint test bench-selftest bench-telemetry fault-campaign slo-campaign whatif-campaign explain-campaign
+check: vet build lint test bench-selftest bench-telemetry
 
 vet:
 	$(GO) vet ./...
@@ -27,11 +27,6 @@ build:
 # deliberately.
 lint:
 	$(GO) run ./cmd/simlint -baseline LINT_BASELINE.json ./...
-
-# Triage helper: list the findings the tool could fix mechanically (nilguard
-# inserts, missing switch cases) with the edit each would get. Never edits.
-lint-fix-dryrun:
-	$(GO) run ./cmd/simlint -fix-dryrun ./...
 
 test:
 	$(GO) test -race ./...
@@ -63,11 +58,6 @@ bench-telemetry:
 	$(GO) test -run='^$$' -bench=ProbeDisabled -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
 	$(GO) test -run='DoesNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/
 
-# Regenerate the pinned JSON schemas served by /metrics.json and
-# /attribution.json after a deliberate schema change.
-update-golden:
-	$(GO) test ./internal/telemetry/httpserve/ -update
-
 # The full per-table benchmark suite (slow; custom metrics carry results).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
@@ -83,52 +73,55 @@ else
 	bash bench/run.sh -repeat 1 -out $(OUT)
 endif
 
-# Rerun the committed benchmark suite (full E4+E6) and gate against the
-# committed baseline. The 25% threshold leaves room for modeling changes
-# while catching order-of-magnitude regressions; tighten per-investigation
-# with `go run ./cmd/benchdiff -threshold ...`.
-bench-compare:
-	$(GO) run ./cmd/znsbench -run E4,E6 -bench-json /tmp/blockhead-bench-new.json > /dev/null
-	$(GO) run ./cmd/benchdiff -threshold 0.25 BENCH_attribution.json /tmp/blockhead-bench-new.json
-	$(GO) run ./cmd/benchdiff -threshold 0.001 BENCH_attribution.json BENCH_faults.json
-	$(GO) run ./cmd/benchdiff -threshold 0.001 BENCH_critpath.json /tmp/blockhead-bench-new.json
-	$(GO) run ./cmd/benchdiff -threshold 0.001 BENCH_exemplars.json /tmp/blockhead-bench-new.json
-	$(GO) run ./cmd/znsbench -slo -run E14 -bench-json /tmp/blockhead-bench-slo.json > /dev/null
-	$(GO) run ./cmd/benchdiff -threshold 0.25 BENCH_slo.json /tmp/blockhead-bench-slo.json
-
-# The fault campaign's acceptance bar (docs/faults.md): the same seed and
-# profile reproduce the E13 report bit-for-bit — NAND faults, the power
-# loss, and both stacks' recoveries included.
-fault-campaign:
-	$(GO) run ./cmd/znsbench -quick -faults default -run E13 > /tmp/blockhead-e13-a.txt
-	$(GO) run ./cmd/znsbench -quick -faults default -run E13 > /tmp/blockhead-e13-b.txt
-	cmp /tmp/blockhead-e13-a.txt /tmp/blockhead-e13-b.txt
-
-# The SLO campaign's acceptance bar: the same seed reproduces the E14
-# noisy-neighbor report bit-for-bit — per-tenant breakdowns, the blame
-# matrix with its exact conservation line, and the SLO verdicts included.
-slo-campaign:
-	$(GO) run ./cmd/znsbench -quick -slo -run E14 > /tmp/blockhead-e14-a.txt
-	$(GO) run ./cmd/znsbench -quick -slo -run E14 > /tmp/blockhead-e14-b.txt
-	cmp /tmp/blockhead-e14-a.txt /tmp/blockhead-e14-b.txt
-
-# The what-if campaign's acceptance bar: a counterfactual run (scaled
-# timing parameters + write-pointer early ack) reproduces its report
-# bit-for-bit — the early-ack path is computed from device state alone, so
-# probes cannot perturb the schedule.
-whatif-campaign:
-	$(GO) run ./cmd/znsbench -quick -whatif zone_reset:0,wp_serial:0 -run E4 > /tmp/blockhead-whatif-a.txt
-	$(GO) run ./cmd/znsbench -quick -whatif zone_reset:0,wp_serial:0 -run E4 > /tmp/blockhead-whatif-b.txt
-	cmp /tmp/blockhead-whatif-a.txt /tmp/blockhead-whatif-b.txt
-
-# The explain campaign's acceptance bar (docs/observability.md): the
-# forensic replay of one measured IO — timeline, blame, device state, and
-# what-if verdicts — reproduces byte-for-byte across two runs, because the
-# narrative is a pure function of (seed, experiment, sequence number).
-explain-campaign:
-	$(GO) run ./cmd/znsbench -quick -explain E6:926 > /tmp/blockhead-explain-a.txt
-	$(GO) run ./cmd/znsbench -quick -explain E6:926 > /tmp/blockhead-explain-b.txt
-	cmp /tmp/blockhead-explain-a.txt /tmp/blockhead-explain-b.txt
+# The product-coverage audit: machinery stays only if the product runs it.
+# Builds the three CLIs with coverage of every package in the module, runs
+# the invocations that define the product (the README quick start, the
+# benchmark JSON, the fault and SLO campaigns, -explain, -whatif, tracegen's
+# usage lines, zonectl and its inspect views), and fails on any non-test
+# function they never execute — or any package they never link — that
+# COVERAGE_ALLOWLIST does not name, one line each, with a caller outside the
+# CLIs or the question it answers. An entry for something the product now
+# runs, or that is gone, fails too, so the list can only shrink deliberately.
+COVDIR ?= .coverage-product
+coverage-product:
+	rm -rf $(COVDIR) && mkdir -p $(COVDIR)/bin $(COVDIR)/data $(COVDIR)/out
+	$(GO) build -cover -coverpkg=blockhead/... -o $(COVDIR)/bin/ ./cmd/znsbench ./cmd/zonectl ./cmd/tracegen
+	@set -e; export GOCOVERDIR=$(COVDIR)/data; b=$(COVDIR)/bin; o=$(COVDIR)/out; \
+	run() { echo "  $$*"; "$$@" > /dev/null; }; \
+	run $$b/znsbench; \
+	run $$b/znsbench -quick -run E2,E5; \
+	run $$b/znsbench -list; \
+	run $$b/znsbench -run E1; \
+	run $$b/znsbench -quick -run E2,E8 -trace-out $$o/trace.json -metrics-out $$o/metrics.json; \
+	run $$b/znsbench -run E4,E6 -bench-json $$o/bench.json; \
+	run $$b/znsbench -slo -run E14 -bench-json $$o/bench_slo.json; \
+	run $$b/znsbench -shards 2 -run E4,E13; \
+	run $$b/znsbench -faults default -run E13; \
+	run $$b/znsbench -seed 42 -faults default -slo; \
+	run $$b/znsbench -quick -run E4; \
+	run $$b/znsbench -quick -run E4 -whatif zone_reset:0; \
+	run $$b/znsbench -quick -run E6; \
+	run $$b/znsbench -quick -whatif zone_reset:0,wp_serial:0 -run E4; \
+	run $$b/znsbench -quick -explain E6:926; \
+	run $$b/tracegen -out $$o/w.ztrc -ops 50000 -workload zipf; \
+	run $$b/tracegen -replay $$o/w.ztrc -device conv; \
+	run $$b/tracegen -replay $$o/w.ztrc -device zns; \
+	run $$b/tracegen -ops 20000 -device both; \
+	run $$b/zonectl -ops "append:0,append:0,finish:1,reset:0"; \
+	run $$b/zonectl -ops "append:0,finish:0" -trace-out $$o/t.json -metrics-out $$o/m.json; \
+	run $$b/zonectl inspect -ops "append:0,append:0,finish:1,reset:0"; \
+	run $$b/zonectl inspect -json -ops "append:0,append:0,finish:1,reset:0"
+	@$(GO) tool covdata func -i=$(COVDIR)/data | \
+		awk '$$NF == "0.0%" { sub(/^blockhead\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1 ":" $$2 }' > $(COVDIR)/unrun
+	@$(GO) tool covdata pkglist -i=$(COVDIR)/data | sort > $(COVDIR)/linked
+	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | sort | comm -23 - $(COVDIR)/linked | sed 's|^blockhead/||' >> $(COVDIR)/unrun
+	@sort -u -o $(COVDIR)/unrun $(COVDIR)/unrun
+	@awk '!/^#/ && NF == 1 { print "COVERAGE_ALLOWLIST: " $$1 " names no caller or question"; bad = 1 } END { exit bad }' COVERAGE_ALLOWLIST
+	@awk '!/^#/ && NF { print $$1 }' COVERAGE_ALLOWLIST | sort > $(COVDIR)/allowed
+	@comm -23 $(COVDIR)/unrun $(COVDIR)/allowed | sed 's/^/never run by the product: /' > $(COVDIR)/report
+	@comm -13 $(COVDIR)/unrun $(COVDIR)/allowed | sed 's/^/stale COVERAGE_ALLOWLIST entry (run by the product, or gone): /' >> $(COVDIR)/report
+	@if [ -s $(COVDIR)/report ]; then cat $(COVDIR)/report; exit 1; fi
+	@echo "coverage-product: $$(wc -l < $(COVDIR)/allowed) allowlisted, nothing else unrun"
 
 # Short fuzz passes over the parsers of outside bytes: the trace decoder
 # and zkv's table blobs (a whole table, and a bare entry region).
@@ -153,4 +146,4 @@ fuzz-faults:
 clean:
 	$(GO) clean ./...
 	rm -f trace.json metrics.json cpu.pprof
-	rm -rf .bench_build
+	rm -rf .bench_build .coverage-product

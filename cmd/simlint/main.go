@@ -29,7 +29,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print findings as the machine-readable simlint/v1 JSON document")
 	baseline := flag.String("baseline", "", "compare findings against the baseline `file`; fail on new findings and on stale entries")
 	writeBaseline := flag.String("write-baseline", "", "write the current findings to the baseline `file` and exit 0")
-	fixDryRun := flag.Bool("fix-dryrun", false, "list auto-fixable findings with the fix each would get; always exits 0")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Lints the module against the simulator's contracts: determinism,\nconcurrency, nil-guards, tick units, AttrSink bracket pairing, and\nzone-state/registry exhaustiveness. Defaults to ./... when\nno package pattern is given.\n\n")
@@ -54,12 +53,6 @@ func main() {
 	findings := lint.Check(pkgs)
 	cwd, _ := os.Getwd()
 
-	if *fixDryRun {
-		for _, line := range lint.FixDryRun(findings, cwd) {
-			fmt.Println(line)
-		}
-		return
-	}
 	if *writeBaseline != "" {
 		doc := lint.EncodeJSON(lint.ToJSONFindings(findings, cwd))
 		if err := os.WriteFile(*writeBaseline, doc, 0o644); err != nil {

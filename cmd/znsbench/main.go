@@ -13,8 +13,6 @@
 // Telemetry (see docs/observability.md):
 //
 //	znsbench -run E2,E8 -trace-out out.json -metrics-out metrics.json
-//	znsbench -run E2 -metrics-out m.json -sample-every 5ms
-//	znsbench -run E4 -serve :8077        # live dashboard + JSON endpoints
 //	znsbench -run E4,E6 -bench-json BENCH.json
 //	znsbench -slo -run E14 -bench-json BENCH_slo.json  # per-tenant SLO run
 //	znsbench -run E4 -whatif nand_program:0.5  # counterfactual ground truth
@@ -23,212 +21,222 @@
 //
 // -trace-out writes Chrome trace-event JSON (open in chrome://tracing or
 // https://ui.perfetto.dev) with one track per flash channel, LUN, and zone;
-// -metrics-out writes counters, gauges, histograms, and the virtual-time
-// series sampled every -sample-every of virtual time.
+// -metrics-out writes counters, gauges, and histograms.
 //
-// -serve starts an HTTP server with /metrics.json, /attribution.json, an
-// SSE /events stream, and a live dashboard at /; it publishes while the
-// experiments run and keeps serving the final snapshots until interrupted.
 // -bench-json writes the machine-readable results (throughput, latency
-// percentiles, per-phase attribution) suitable for committing as
-// BENCH_*.json.
+// percentiles, per-phase attribution, critical path, exemplars); the
+// committed BENCH_*.json files are its output, pinned byte for byte by this
+// package's tests.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"blockhead/internal/core"
 	"blockhead/internal/fault"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
-	"blockhead/internal/telemetry/httpserve"
 )
 
 func main() {
-	var (
-		runIDs      = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		quick       = flag.Bool("quick", false, "shrink sweeps and run lengths")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		seed        = flag.Int64("seed", 42, "workload seed")
-		metricsOut  = flag.String("metrics-out", "", "write metrics JSON (counters, gauges, time series) to this file")
-		traceOut    = flag.String("trace-out", "", "write Chrome trace-event JSON to this file")
-		traceText   = flag.String("trace-text", "", "write a plain-text event dump to this file")
-		sampleEvery = flag.Duration("sample-every", 10*time.Millisecond, "virtual-time interval between time-series samples")
-		traceCap    = flag.Int("trace-events", telemetry.DefaultTraceEvents, "trace ring capacity (older events are dropped)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to this file")
-		serve       = flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :8077)")
-		benchJSON   = flag.String("bench-json", "", "write machine-readable benchmark results (BENCH_*.json schema) to this file")
-		faults      = flag.String("faults", "", "fault profile for the fault-campaign experiment (E13); implies running E13")
-		slo         = flag.Bool("slo", false, "run the per-tenant SLO experiment (E14); implies adding E14 to -run")
-		whatif      = flag.String("whatif", "", "run under counterfactual phase scalings, e.g. nand_program:0.5 or zone_reset:0,wp_serial:0 — the ground truth the what-if engine predicts")
-		explain     = flag.String("explain", "", "replay one measured IO with tick-by-tick forensics, e.g. E6:512 (experiment:sequence from a 'slowest IOs' report section); prints the annotated narrative and exits")
-		shards      = flag.Int("shards", 1, "how many of an experiment's independent device stacks run at once (reports are byte-identical at any count; each resident stack costs memory, idle cores want more); probe/explain runs go one at a time")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := core.CheckRegistry(); err != nil {
-		fmt.Fprintln(os.Stderr, "znsbench:", err)
-		os.Exit(1)
+// run is znsbench with its arguments and output streams as parameters, so
+// the tests drive exactly what the command does. It returns the exit code:
+// 0 on success, 1 when a run fails, 2 for a flag value it cannot run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("znsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		runIDs     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		quick      = fs.Bool("quick", false, "shrink sweeps and run lengths")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		seed       = fs.Int64("seed", 42, "workload seed")
+		metricsOut = fs.String("metrics-out", "", "write metrics JSON (counters, gauges, histograms) to this file")
+		traceOut   = fs.String("trace-out", "", "write Chrome trace-event JSON to this file")
+		traceCap   = fs.Int("trace-events", telemetry.DefaultTraceEvents, "trace ring capacity (older events are dropped)")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator to this file")
+		benchJSON  = fs.String("bench-json", "", "write machine-readable benchmark results (BENCH_*.json schema) to this file")
+		faults     = fs.String("faults", "", "fault profile for the fault-campaign experiment (E13); implies running E13")
+		slo        = fs.Bool("slo", false, "run the per-tenant SLO experiment (E14); implies adding E14 to -run")
+		whatif     = fs.String("whatif", "", "run under counterfactual phase scalings, e.g. nand_program:0.5 or zone_reset:0,wp_serial:0 — the ground truth the what-if engine predicts")
+		explain    = fs.String("explain", "", "replay one measured IO with tick-by-tick forensics, e.g. E6:512 (experiment:sequence from a 'slowest IOs' report section); prints the annotated narrative and exits")
+		shards     = fs.Int("shards", 1, "how many of an experiment's independent device stacks run at once (reports are byte-identical at any count; each resident stack costs memory, idle cores want more); probe/explain runs go one at a time")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "znsbench:", err)
+		return code
 	}
 
+	if err := core.CheckRegistry(); err != nil {
+		return fail(1, err)
+	}
 	if *list {
 		for _, e := range core.All() {
-			fmt.Printf("%-4s %s\n     paper: %s\n", e.ID, e.Title, e.PaperClaim)
+			fmt.Fprintf(stdout, "%-4s %s\n     paper: %s\n", e.ID, e.Title, e.PaperClaim)
 		}
-		return
+		return 0
+	}
+	if err := validate(*runIDs, *faults, *whatif, *explain, *traceCap, *shards); err != nil {
+		return fail(2, err)
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "znsbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "znsbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "znsbench: -shards must be >= 1, got %d\n", *shards)
-		os.Exit(2)
-	}
 	cfg := core.Config{Quick: *quick, Seed: *seed, FaultProfile: *faults, Shards: *shards}
 	if *whatif != "" {
-		sc, err := critpath.ParseScenario(*whatif)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "znsbench:", err)
-			os.Exit(2)
-		}
+		sc, _ := critpath.ParseScenario(*whatif) // validated
 		cfg.Scenario = &sc
-		fmt.Fprintf(os.Stderr, "znsbench: counterfactual run under %s\n", sc.Name)
-	}
-	if *faults != "" {
-		if _, ok := fault.ProfileByName(*faults); !ok {
-			fmt.Fprintf(os.Stderr, "znsbench: unknown fault profile %q (valid: %s)\n",
-				*faults, strings.Join(fault.ProfileNames(), ", "))
-			os.Exit(2)
-		}
+		fmt.Fprintf(stderr, "znsbench: counterfactual run under %s\n", sc.Name)
 	}
 	if *explain != "" {
-		id, seq, err := parseExplain(*explain)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "znsbench:", err)
-			os.Exit(2)
-		}
+		id, seq, _ := parseExplain(*explain) // validated
 		transcript, err := core.Explain(cfg, id, seq)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "znsbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Print(transcript)
-		return
+		fmt.Fprint(stdout, transcript)
+		return 0
 	}
-	if *metricsOut != "" || *traceOut != "" || *traceText != "" || *serve != "" {
-		cfg.Probe = telemetry.NewProbe(telemetry.Options{
-			SampleEvery: sim.Time((*sampleEvery).Nanoseconds()),
-			TraceEvents: *traceCap,
-		})
-	}
-	var server *httpserve.Server
-	if *serve != "" {
-		var err error
-		server, err = httpserve.New(cfg.Probe, httpserve.Options{Addr: *serve})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "znsbench:", err)
-			os.Exit(1)
-		}
-		cfg.Probe.Pub = server
-		fmt.Fprintf(os.Stderr, "znsbench: serving live telemetry at %s/\n", server.URL())
+	if *metricsOut != "" || *traceOut != "" {
+		cfg.Probe = telemetry.NewProbe(telemetry.Options{TraceEvents: *traceCap})
 	}
 
-	var selected []core.Experiment
-	if *runIDs == "" {
-		selected = core.All()
-	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
-			e, ok := core.ByID(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "znsbench: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-		if *faults != "" {
-			// -faults exists to drive the fault campaign: make sure it runs
-			// even when the -run list predates E13.
-			hasE13 := false
-			for _, e := range selected {
-				hasE13 = hasE13 || e.ID == "E13"
-			}
-			if !hasE13 {
-				e, _ := core.ByID("E13")
-				selected = append(selected, e)
-			}
-		}
-		if *slo {
-			// -slo drives the per-tenant SLO experiment the same way.
-			hasE14 := false
-			for _, e := range selected {
-				hasE14 = hasE14 || e.ID == "E14"
-			}
-			if !hasE14 {
-				e, _ := core.ByID("E14")
-				selected = append(selected, e)
-			}
-		}
-	}
 	var bench []core.BenchEntry
-	for _, e := range selected {
+	for _, e := range selectExperiments(*runIDs, *faults != "", *slo) {
 		rep, err := e.Run(cfg)
 		if err != nil {
 			// What an experiment returns beside its error is the diagnosis:
 			// E13 names the pages behind an integrity failure in its notes.
-			fmt.Fprintln(os.Stderr, rep.Format())
-			fmt.Fprintf(os.Stderr, "znsbench: %s: %v\n", e.ID, err)
-			pprof.StopCPUProfile() // os.Exit skips the deferred stop
-			os.Exit(1)
+			fmt.Fprintln(stderr, rep.Format())
+			return fail(1, fmt.Errorf("%s: %v", e.ID, err))
 		}
-		fmt.Println(rep.Format())
+		fmt.Fprintln(stdout, rep.Format())
 		bench = append(bench, rep.Bench...)
 	}
 
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON, cfg, bench); err != nil {
-			fmt.Fprintf(os.Stderr, "znsbench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "znsbench: wrote %d benchmark entries to %s\n", len(bench), *benchJSON)
+		fmt.Fprintf(stderr, "znsbench: wrote %d benchmark entries to %s\n", len(bench), *benchJSON)
 	}
 	if cfg.Probe != nil {
-		if err := exportTelemetry(cfg.Probe, *metricsOut, *traceOut, *traceText); err != nil {
-			fmt.Fprintf(os.Stderr, "znsbench: %v\n", err)
-			os.Exit(1)
+		if err := exportTelemetry(stderr, cfg.Probe, *metricsOut, *traceOut); err != nil {
+			return fail(1, err)
 		}
 	}
-	if server != nil {
-		// Publish the end-of-run snapshots, then keep serving them so the
-		// endpoints stay curl-able until the user is done.
-		server.Publish(lastSampleTime(cfg.Probe.Metrics))
-		fmt.Fprintf(os.Stderr, "znsbench: runs complete; still serving at %s/ (Ctrl-C to exit)\n", server.URL())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		server.Close()
+	return 0
+}
+
+// maxTraceEvents bounds -trace-events: the ring is allocated up front, and
+// four million events are already more than a trace viewer loads.
+const maxTraceEvents = 1 << 22
+
+// validate rejects flag values znsbench cannot run, naming the valid range or
+// set, before any experiment starts.
+func validate(runIDs, faults, whatif, explain string, traceEvents, shards int) error {
+	if runIDs != "" {
+		for _, id := range strings.Split(runIDs, ",") {
+			if _, ok := core.ByID(strings.TrimSpace(id)); !ok {
+				return fmt.Errorf("unknown experiment %q in -run (valid: %s)", id, experimentIDs())
+			}
+		}
 	}
+	if _, ok := fault.ProfileByName(faults); !ok {
+		return fmt.Errorf("unknown -faults profile %q (valid: %s)", faults, strings.Join(fault.ProfileNames(), ", "))
+	}
+	if whatif != "" {
+		if _, err := critpath.ParseScenario(whatif); err != nil {
+			var phases []string
+			for p := 0; p < telemetry.NumPhases; p++ {
+				phases = append(phases, telemetry.Phase(p).String())
+			}
+			return fmt.Errorf("-whatif: %v (valid: comma-separated phase:factor terms, factor 0 to 1e6, phase one of %s)",
+				err, strings.Join(phases, ", "))
+		}
+	}
+	if explain != "" {
+		id, seq, err := parseExplain(explain)
+		if err != nil {
+			return err
+		}
+		if _, ok := core.ByID(id); !ok {
+			return fmt.Errorf("unknown experiment %q in -explain (valid: %s)", id, experimentIDs())
+		}
+		if seq == 0 {
+			return fmt.Errorf("-explain sequence 0 never matches (valid: 1 or more; measured IOs are numbered from 1)")
+		}
+	}
+	if traceEvents < 0 || traceEvents > maxTraceEvents {
+		return fmt.Errorf("-trace-events %d is out of range (valid: 0 for the default %d, or 1 to %d)",
+			traceEvents, telemetry.DefaultTraceEvents, maxTraceEvents)
+	}
+	if shards < 1 {
+		return fmt.Errorf("-shards %d is out of range (valid: 1 or more)", shards)
+	}
+	return nil
+}
+
+// experimentIDs lists the registered experiment IDs in run order.
+func experimentIDs() string {
+	var ids []string
+	for _, e := range core.All() {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(ids, ", ")
+}
+
+// selectExperiments resolves a validated -run list (empty: all). -faults
+// exists to drive the fault campaign and -slo the per-tenant SLO
+// experiment, so each adds its experiment when the list leaves it out.
+func selectExperiments(runIDs string, faults, slo bool) []core.Experiment {
+	if runIDs == "" {
+		return core.All()
+	}
+	var selected []core.Experiment
+	has := map[string]bool{}
+	for _, id := range strings.Split(runIDs, ",") {
+		e, _ := core.ByID(strings.TrimSpace(id))
+		selected = append(selected, e)
+		has[e.ID] = true
+	}
+	for _, implied := range []struct {
+		on bool
+		id string
+	}{{faults, "E13"}, {slo, "E14"}} {
+		if implied.on && !has[implied.id] {
+			e, _ := core.ByID(implied.id)
+			selected = append(selected, e)
+		}
+	}
+	return selected
 }
 
 // parseExplain splits an -explain target "E6:512" into its experiment ID
@@ -245,8 +253,7 @@ func parseExplain(spec string) (string, uint64, error) {
 	return id, seq, nil
 }
 
-// benchFile is the -bench-json schema, committed as BENCH_*.json to track
-// the performance trajectory across PRs.
+// benchFile is the -bench-json schema, committed as BENCH_*.json.
 type benchFile struct {
 	Schema  string            `json:"schema"`
 	Seed    int64             `json:"seed"`
@@ -274,7 +281,7 @@ func writeBenchJSON(path string, cfg core.Config, entries []core.BenchEntry) err
 }
 
 // exportTelemetry writes the requested telemetry outputs after the runs.
-func exportTelemetry(p *telemetry.Probe, metricsOut, traceOut, traceText string) error {
+func exportTelemetry(stderr io.Writer, p *telemetry.Probe, metricsOut, traceOut string) error {
 	writeTo := func(path string, write func(w io.Writer) error) error {
 		f, err := os.Create(path)
 		if err != nil {
@@ -287,38 +294,31 @@ func exportTelemetry(p *telemetry.Probe, metricsOut, traceOut, traceText string)
 		return f.Close()
 	}
 	if metricsOut != "" {
-		// Dump at the last sampled instant so final gauge polls line up with
-		// the end of the sampled series.
-		at := lastSampleTime(p.Metrics)
+		// Poll the gauges at the end of the traced timeline, so busy
+		// fractions are over the span the trace shows.
+		at := traceEnd(p.Trace)
 		if err := writeTo(metricsOut, func(w io.Writer) error {
 			return p.Metrics.WriteJSON(w, at)
 		}); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "znsbench: wrote metrics to %s\n", metricsOut)
+		fmt.Fprintf(stderr, "znsbench: wrote metrics to %s\n", metricsOut)
 	}
 	if traceOut != "" {
 		if err := writeTo(traceOut, p.Trace.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "znsbench: wrote %d trace events to %s (%d dropped)\n",
+		fmt.Fprintf(stderr, "znsbench: wrote %d trace events to %s (%d dropped)\n",
 			p.Trace.Len(), traceOut, p.Trace.Dropped())
-	}
-	if traceText != "" {
-		if err := writeTo(traceText, p.Trace.WriteText); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// lastSampleTime finds the latest sampled timestamp, or 0.
-func lastSampleTime(r *telemetry.Registry) sim.Time {
-	var last sim.Time
-	for _, s := range r.SeriesSnapshot() {
-		if n := len(s.Points); n > 0 && s.Points[n-1].At > last {
-			last = s.Points[n-1].At
-		}
+// traceEnd is the latest instant a retained trace event reaches, or 0.
+func traceEnd(t *telemetry.Tracer) sim.Time {
+	var end sim.Time
+	for _, e := range t.Events() {
+		end = sim.Max(end, e.Start+sim.Max(e.Dur, 0))
 	}
-	return last
+	return end
 }

@@ -9,21 +9,18 @@
 //	zonectl -zones 8 -zone-pages 64           # custom layout
 //	zonectl -ops "append:0,append:0,finish:1,reset:0,open:2"
 //	zonectl -ops "append:0,finish:0" -trace-out t.json -metrics-out m.json
-//	zonectl -ops "append:0,reset:0" -serve :8078
 //	zonectl inspect -ops "append:0,reset:0"   # zone map, wear, audit, flight
 //	zonectl inspect -json -ops "append:0"     # same as machine-readable JSON
 //
 // Each op is name:zone; supported ops: open, close, finish, reset, append.
 // -trace-out / -metrics-out record the op sequence through the telemetry
-// layer; -serve keeps an HTTP server up after the sequence with the
-// metrics, per-phase latency attribution of the appends and resets, and
-// the live dashboard (see docs/observability.md).
+// layer (see docs/observability.md).
 //
 // The inspect subcommand runs the same op sequence with the zone
 // state-machine auditor attached and prints the device's introspection
 // state: the zone census and per-zone report, the flash wear summary, the
 // audit verdict, and the flight recorder's event history. With -json it
-// emits the /heatmap.json and /flight.json shapes instead.
+// emits the heatmap and flight-recorder dumps as JSON instead.
 package main
 
 import (
@@ -32,14 +29,12 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 
 	"blockhead/internal/flash"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
-	"blockhead/internal/telemetry/httpserve"
 	"blockhead/internal/zns"
 )
 
@@ -59,7 +54,6 @@ func main() {
 		cell       = flag.String("cell", "TLC", "cell type: SLC, MLC, TLC, QLC, PLC")
 		metricsOut = flag.String("metrics-out", "", "write metrics JSON for the op sequence to this file")
 		traceOut   = flag.String("trace-out", "", "write Chrome trace-event JSON for the op sequence to this file")
-		serve      = flag.String("serve", "", "serve the telemetry over HTTP on this address (e.g. :8078)")
 	)
 	flag.Parse()
 	if err := validate(*zones, *zonePages, *maxActive); err != nil {
@@ -74,23 +68,15 @@ func main() {
 	}
 
 	var probe *telemetry.Probe
-	if *metricsOut != "" || *traceOut != "" || *serve != "" {
-		probe = telemetry.NewProbe(telemetry.Options{SampleEvery: 100 * sim.Microsecond})
+	if *metricsOut != "" || *traceOut != "" {
+		probe = telemetry.NewProbe(telemetry.Options{})
 		dev.SetProbe(probe)
-	}
-	var server *httpserve.Server
-	if *serve != "" {
-		if server, err = httpserve.New(probe, httpserve.Options{Addr: *serve}); err != nil {
-			fmt.Fprintln(os.Stderr, "zonectl:", err)
-			os.Exit(1)
-		}
-		probe.Pub = server
 	}
 
 	var at sim.Time
 	if *ops != "" {
 		for _, op := range strings.Split(*ops, ",") {
-			at, err = apply(dev, probe.Attribution(), at, strings.TrimSpace(op))
+			at, err = apply(dev, at, strings.TrimSpace(op))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "zonectl: %s: %v\n", op, err)
 				os.Exit(1)
@@ -114,20 +100,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if server != nil {
-		server.Publish(at)
-		fmt.Fprintf(os.Stderr, "zonectl: serving telemetry at %s/ (Ctrl-C to exit)\n", server.URL())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		server.Close()
-	}
 }
 
 // runInspect is the `zonectl inspect` subcommand: it applies the op
 // sequence with a full probe and the state-machine auditor attached, then
 // prints the device's introspection state (or, with -json, the heatmap and
-// flight dumps the HTTP endpoints would serve).
+// flight-recorder dumps).
 func runInspect(args []string) error {
 	fs := flag.NewFlagSet("zonectl inspect", flag.ExitOnError)
 	var (
@@ -156,7 +134,7 @@ func runInspect(args []string) error {
 	var at sim.Time
 	if *ops != "" {
 		for _, op := range strings.Split(*ops, ",") {
-			if at, err = apply(dev, probe.Attribution(), at, strings.TrimSpace(op)); err != nil {
+			if at, err = apply(dev, at, strings.TrimSpace(op)); err != nil {
 				return fmt.Errorf("%s: %w", op, err)
 			}
 		}
@@ -272,10 +250,8 @@ func buildDevice(zones, zonePages, maxActive int, cell string) (*zns.Device, err
 		ZoneBlocks: 1, MaxActive: maxActive})
 }
 
-// apply runs one op. Appends and resets — the ops with device latency —
-// are bracketed as attributed writes, so /attribution.json decomposes the
-// sequence's time into phases (nil sink: no-op).
-func apply(dev *zns.Device, attr *telemetry.AttrSink, at sim.Time, op string) (sim.Time, error) {
+// apply runs one op issued at virtual time at and returns when it completed.
+func apply(dev *zns.Device, at sim.Time, op string) (sim.Time, error) {
 	name, zoneStr, ok := strings.Cut(op, ":")
 	if !ok {
 		return at, fmt.Errorf("want name:zone")
@@ -283,16 +259,6 @@ func apply(dev *zns.Device, attr *telemetry.AttrSink, at sim.Time, op string) (s
 	z, err := strconv.Atoi(zoneStr)
 	if err != nil {
 		return at, err
-	}
-	attributed := func(run func() (sim.Time, error)) (sim.Time, error) {
-		attr.Begin(telemetry.OpWrite, at)
-		done, err := run()
-		if err != nil {
-			attr.Drop()
-			return done, err
-		}
-		attr.End(done)
-		return done, nil
 	}
 	switch name {
 	case "open":
@@ -302,12 +268,10 @@ func apply(dev *zns.Device, attr *telemetry.AttrSink, at sim.Time, op string) (s
 	case "finish":
 		return at, dev.Finish(at, z)
 	case "reset":
-		return attributed(func() (sim.Time, error) { return dev.Reset(at, z) })
+		return dev.Reset(at, z)
 	case "append":
-		return attributed(func() (sim.Time, error) {
-			_, done, err := dev.Append(at, z, nil)
-			return done, err
-		})
+		_, done, err := dev.Append(at, z, nil)
+		return done, err
 	default:
 		return at, fmt.Errorf("unknown op %q", name)
 	}

@@ -49,7 +49,7 @@ func TestAttributionInvariantE4(t *testing.T) {
 	}
 	// The conventional stack must have attributed some foreground GC stall —
 	// otherwise the decomposition the report prints is vacuous.
-	if sink.Op(telemetry.OpWrite).PhaseSum[telemetry.PhaseGCStall] == 0 {
+	if sink.Snapshot().Ops[telemetry.OpWrite].PhaseSum[telemetry.PhaseGCStall] == 0 {
 		t.Error("conventional writes show no gc_stall time")
 	}
 	zres, err := E4ZNS(cfg)
@@ -63,7 +63,7 @@ func TestAttributionInvariantE4(t *testing.T) {
 		t.Fatalf("zns device audit: audited=%v violations=%d",
 			zres.Device.Audited, zres.Device.AuditViolations)
 	}
-	if sink.Op(telemetry.OpWrite).PhaseSum[telemetry.PhaseZoneReset] == 0 {
+	if sink.Snapshot().Ops[telemetry.OpWrite].PhaseSum[telemetry.PhaseZoneReset] == 0 {
 		t.Error("zns writes show no zone_reset time")
 	}
 	if v := sink.Violations(); v != 0 {
@@ -135,7 +135,7 @@ func TestAttributionInvariantFTLChurn(t *testing.T) {
 	// Churn 3x the logical space with per-IO attribution: deep into the
 	// sustained-GC regime.
 	for i := int64(0); i < dev.CapacityPages()*3; i++ {
-		sink.Begin(telemetry.OpWrite, at)
+		sink.BeginTenant(telemetry.OpWrite, 0, at)
 		done, err := dev.WritePage(at, keys.Next(), nil)
 		if err != nil {
 			t.Fatal(err)

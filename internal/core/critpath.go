@@ -119,8 +119,7 @@ func formatCritSection(b *strings.Builder, cs CritSection) {
 		fmt.Fprintf(b, "  WARNING: %d critical-path invariant violations over %d IOs\n",
 			cs.Snap.Violations, cs.Snap.IOs)
 	}
-	cd := cs.Snap.Dump(cs.Opts)
-	for _, od := range cd.Ops {
+	for _, od := range cs.Snap.Dump() {
 		fmt.Fprintf(b, "  %-5s n=%-8d mean=%8.1fus  phases by critical-path ticks:\n",
 			od.Op, od.Count, od.MeanUs)
 		phases := append([]critpath.PhasePathDump(nil), od.Phases...)

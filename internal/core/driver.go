@@ -87,10 +87,9 @@ type MixedCfg struct {
 	Duration sim.Time
 	Warmup   sim.Time
 	Src      *workload.Source
-	// Probe, when non-nil, is ticked from the event loop and its
-	// attribution sink brackets every measured (post-warmup) read and write
-	// with a per-IO latency-attribution record. Aux ops are never
-	// attributed.
+	// Probe, when non-nil, has its attribution sink bracket every measured
+	// (post-warmup) read and write with a per-IO latency-attribution
+	// record. Aux ops are never attributed.
 	Probe *telemetry.Probe
 }
 
@@ -105,9 +104,6 @@ func RunMixed(cfg MixedCfg) MixedResult {
 	rLat := stats.NewDist(4096)
 	deadline := cfg.Start + cfg.Duration
 	warmup := cfg.Start + cfg.Warmup
-	if cfg.Probe != nil {
-		loop.OnEvent = cfg.Probe.Tick
-	}
 	// instrument brackets each measured op with an attribution record; the
 	// device layers in between charge the phases. End receives the raw
 	// completion time, before the done<=now clamp below, so the sum

@@ -35,7 +35,7 @@ func E2Point(op float64, churnMultiple int, seed int64) (wa float64, gcPerHostWr
 }
 
 // e2Point is E2Point with an optional telemetry probe attached to the
-// device, so a full run exposes write-amp and GC-stall time series.
+// device, so a probed run exports its write-amp gauge and GC-stall spans.
 func e2Point(op float64, churnMultiple int, seed int64, probe *telemetry.Probe) (wa float64, gcPerHostWrite float64, err error) {
 	dev, err := ftl.New(ftl.Config{
 		Geom: e2Geometry(),

@@ -75,14 +75,9 @@ func E8Run(policy ZonePolicy, cfg Config) (E8Result, error) {
 	// limit), so every transition is validated regardless of telemetry.
 	aud := dev.AttachAuditor()
 	loop := sim.NewLoop()
-	if cfg.Probe != nil {
-		// Attach telemetry to the dynamic-policy run only (the interesting
-		// one) and drive the sampler from the event loop, so active-zone
-		// occupancy is sampled even across idle gaps between bursts.
-		if policy == DynamicZones {
-			dev.SetProbe(cfg.Probe)
-			loop.OnEvent = cfg.Probe.Tick
-		}
+	if cfg.Probe != nil && policy == DynamicZones {
+		// Attach telemetry to the dynamic-policy run only, the interesting one.
+		dev.SetProbe(cfg.Probe)
 	}
 	src := workload.NewSource(cfg.Seed)
 	lat := stats.NewDist(256)

@@ -162,8 +162,8 @@ func (r *Report) AddExemplars(cfg Config, name string, snap exemplar.Snapshot, o
 		Name: name, ID: r.ID, Seed: cfg.Seed, Quick: cfg.Quick, Snap: snap, Opts: opts, Names: names})
 }
 
-// exemplarShow bounds the merged worst-IO rows a section renders (each
-// tenant's full worst-K stays in /exemplars.json).
+// exemplarShow bounds the merged worst-IO rows a section renders (the
+// bench JSON summarizes each tenant's full worst-K).
 const exemplarShow = 5
 
 // phaseSum folds an exemplar's timeline; the attribution invariant says it
@@ -314,8 +314,8 @@ func exemplarBestWhatIf(e exemplar.Exemplar, opts critpath.PredictOpts) (string,
 // Explain re-runs experiment id under the same Config the report used, with
 // per-IO forensics armed on measured-IO sequence number seq, and returns
 // the annotated tick-by-tick narrative. The run is the same seeded
-// simulation, so the transcript is byte-identical across invocations (make
-// explain-campaign pins this).
+// simulation, so the transcript is byte-identical across invocations
+// (TestReportsByteIdentical pins this).
 func Explain(cfg Config, id string, seq uint64) (string, error) {
 	e, ok := ByID(id)
 	if !ok {
@@ -325,7 +325,7 @@ func Explain(cfg Config, id string, seq uint64) (string, error) {
 		return "", fmt.Errorf("explain: measured-IO sequence numbers are 1-based; 0 never matches")
 	}
 	// The narrator rides the session's shared sink; an external probe would
-	// bring its own sink (live-dashboard config) and bypass the session.
+	// bring its own sink and bypass the session.
 	cfg.Probe = nil
 	cfg.ExplainSeq = seq
 	cfg.session = newSession()

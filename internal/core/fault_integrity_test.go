@@ -133,24 +133,6 @@ func TestFaultIntegrityDifferential(t *testing.T) {
 	}
 }
 
-// TestE13ReportByteIdentical pins the acceptance bar for the fault campaign:
-// the same seed and profile reproduce the full E13 report bit-for-bit,
-// faults, crash, recovery and all.
-func TestE13ReportByteIdentical(t *testing.T) {
-	cfg := Config{Quick: true, Seed: 42, FaultProfile: "default"}
-	run := func() string {
-		rep, err := runE13(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Format()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("E13 report not reproducible:\n--- first ---\n%s\n--- second ---\n%s", a, b)
-	}
-}
-
 // TestE13CrashBehindGCStall pins the seeds at which the campaign's last
 // write before the plug is pulled stalls behind foreground GC for over a
 // second: its midpoint, the crash instant the harness asks for, precedes

@@ -42,7 +42,7 @@ type Config struct {
 	// on zoned stacks, and wp_serial scales the write-pointer
 	// serialization the ZNS device exposes to the host. These runs are
 	// the ground truth the what-if engine's predictions are validated
-	// against (make whatif-campaign).
+	// against (TestReportsByteIdentical pins one).
 	Scenario *critpath.Scenario
 	// Shards is how many of an experiment's independent sub-simulations
 	// ("parts": one device stack + workload + telemetry session each) run
@@ -68,17 +68,12 @@ type Config struct {
 	session *session
 }
 
-// DefaultConfig is the standard full-size run.
-func DefaultConfig() Config { return Config{Seed: 42} }
-
-// attrProbe returns a probe carrying the session's shared attribution sink,
-// heatmap-source registry, flight recorder, and live publisher when
-// cfg.Probe is set, or private instances otherwise. Experiments that drive
-// several device stacks attach one of these to each stack instead of the
-// full cfg.Probe: sharing the metric registry would let the stacks
-// overwrite each other's gauges (flash/chan/N/util etc.), while the
-// attribution sink, heat set (replace-by-name), and flight recorder are
-// designed to be shared. The flight recorder is always present — even
+// attrProbe returns a probe carrying the session's shared attribution sink
+// and flight recorder when cfg.Probe is set, or private instances otherwise.
+// Experiments that drive several device stacks attach one of these to each
+// stack instead of the full cfg.Probe: sharing the metric registry would let
+// the stacks overwrite each other's gauges (flash/chan/N/util etc.), while
+// the attribution sink and flight recorder are designed to be shared. The flight recorder is always present — even
 // without cfg.Probe — so auditor and attribution violations inside
 // experiments dump recent history.
 func attrProbe(cfg Config) *telemetry.Probe {
@@ -88,8 +83,7 @@ func attrProbe(cfg Config) *telemetry.Probe {
 		// session) so measured-IO sequence numbers are unique within the
 		// run — the identity `-explain <exp>:<seq>` depends on it. The
 		// aggregates tolerate sharing: experiments snapshot-delta around
-		// their measured windows, exactly as in the cfg.Probe (live
-		// dashboard) configuration.
+		// their measured windows, exactly as with a cfg.Probe sink.
 		if cfg.session != nil {
 			if cfg.session.sink == nil {
 				cfg.session.sink = telemetry.NewAttrSink()
@@ -99,7 +93,7 @@ func attrProbe(cfg Config) *telemetry.Probe {
 			sink = telemetry.NewAttrSink()
 		}
 	}
-	p := &telemetry.Probe{Attr: sink, HeatSrc: cfg.Probe.Heat(), FlightRec: cfg.Probe.Flight()}
+	p := &telemetry.Probe{Attr: sink, FlightRec: cfg.Probe.Flight()}
 	if p.FlightRec == nil {
 		p.FlightRec = telemetry.NewFlight(0)
 	}
@@ -108,9 +102,6 @@ func attrProbe(cfg Config) *telemetry.Probe {
 		sink.OnViolation = func(at sim.Time) {
 			fl.Violation(at, telemetry.FlightAttrViolation, -1, "attribution_invariant", 0)
 		}
-	}
-	if cfg.Probe != nil {
-		p.Pub = cfg.Probe.Pub
 	}
 	// Arm the per-IO layers once per sink. Explain mode installs a
 	// narrator as both the path and exemplar sink (the critpath recorder
@@ -222,8 +213,8 @@ func (r *Report) AddTenants(name string, snap telemetry.TenantSnapshot, slo []te
 	}
 }
 
-// BenchEntry is one machine-readable benchmark result, the schema committed
-// as BENCH_*.json to track the perf trajectory across PRs.
+// BenchEntry is one machine-readable benchmark result, the schema of the
+// committed BENCH_*.json files.
 type BenchEntry struct {
 	Experiment  string             `json:"experiment"`
 	Name        string             `json:"name"`
@@ -237,11 +228,11 @@ type BenchEntry struct {
 	WriteP99Us  float64            `json:"write_p99_us"`
 	Attribution telemetry.AttrDump `json:"attribution"`
 	// CritPath carries the critical-path invariant counters, top path
-	// phase, and canonical what-if ratios (znsbench -bench-json; gated by
-	// benchdiff at 0.1% like every other metric).
+	// phase, and canonical what-if ratios (znsbench -bench-json).
 	CritPath *critpath.BenchSummary `json:"critpath,omitempty"`
 	// Exemplars carries the exemplar reservoir's capture counts and worst
-	// latencies (gated at 0.1% against BENCH_exemplars.json).
+	// latencies. The committed BENCH_*.json files pin every field byte for
+	// byte (cmd/znsbench's TestPinnedOutputs).
 	Exemplars *exemplar.BenchSummary `json:"exemplars,omitempty"`
 }
 

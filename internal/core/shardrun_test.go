@@ -81,7 +81,7 @@ func measuringPart(out *rebaseProbe, n int) partTask {
 		}
 		sink := attrProbe(cfg).Attribution()
 		for i := 0; i < n; i++ {
-			sink.Begin(telemetry.OpRead, 0)
+			sink.BeginTenant(telemetry.OpRead, 0, 0)
 			sink.End(0)
 		}
 		return rebaseProbe{}, nil

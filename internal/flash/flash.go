@@ -342,9 +342,6 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 // LUNBusy reports the accumulated busy time of a LUN (cell operations).
 func (d *Device) LUNBusy(lun int) sim.Time { return d.luns[lun].busy }
 
-// ChannelBusy reports the accumulated busy time of a channel bus.
-func (d *Device) ChannelBusy(ch int) sim.Time { return d.chans[ch].busy }
-
 // Counts returns a copy of the physical operation counters.
 func (d *Device) Counts() OpCounts { return d.counts }
 
@@ -740,11 +737,3 @@ func (d *Device) BusyChans(at sim.Time) int {
 	}
 	return n
 }
-
-// MaxEraseCount reports the highest per-block erase count — the wear-leveling
-// figure of merit. Equivalent to Wear().MaxErase.
-func (d *Device) MaxEraseCount() uint32 { return d.Wear().MaxErase }
-
-// TotalEraseSpread reports max-min erase counts across non-bad blocks.
-// Equivalent to Wear().Spread.
-func (d *Device) TotalEraseSpread() uint32 { return d.Wear().Spread }

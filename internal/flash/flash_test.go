@@ -335,11 +335,11 @@ func TestWearAccounting(t *testing.T) {
 	d.EraseBlock(0, 0)
 	d.EraseBlock(0, 0)
 	d.EraseBlock(0, 1)
-	if d.MaxEraseCount() != 2 {
-		t.Errorf("MaxEraseCount = %d, want 2", d.MaxEraseCount())
+	if d.Wear().MaxErase != 2 {
+		t.Errorf("Wear().MaxErase = %d, want 2", d.Wear().MaxErase)
 	}
-	if d.TotalEraseSpread() != 2 {
-		t.Errorf("TotalEraseSpread = %d, want 2 (max 2, min 0)", d.TotalEraseSpread())
+	if d.Wear().Spread != 2 {
+		t.Errorf("Wear().Spread = %d, want 2 (max 2, min 0)", d.Wear().Spread)
 	}
 }
 

@@ -39,10 +39,6 @@ func TestWearTracksErases(t *testing.T) {
 	if w.Skew != 4/wantMean {
 		t.Errorf("Skew = %v, want %v", w.Skew, 4/wantMean)
 	}
-	// The legacy accessors are views of the same summary.
-	if d.MaxEraseCount() != 4 || d.TotalEraseSpread() != 4 {
-		t.Errorf("MaxEraseCount=%d TotalEraseSpread=%d", d.MaxEraseCount(), d.TotalEraseSpread())
-	}
 }
 
 func TestEraseCounts(t *testing.T) {

@@ -237,7 +237,6 @@ type Device struct {
 	gcTopAdv sim.Time
 
 	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	reg        *telemetry.Registry
 	tr         *telemetry.Tracer
 	attr       *telemetry.AttrSink
 	fl         *telemetry.Flight
@@ -371,7 +370,6 @@ func NewDefault(geom flash.Geometry, lat flash.Latencies, opFraction float64) (*
 func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.chip.SetProbe(p)
 	reg := p.Registry()
-	d.reg = reg
 	d.tr = p.Tracer()
 	d.attr = p.Attribution()
 	if d.attr != nil && d.pageOwner == nil {
@@ -390,19 +388,6 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	reg.Gauge("ftl/free_slots", func(sim.Time) float64 { return float64(d.freeSlots) })
 	reg.Gauge("ftl/utilization", func(sim.Time) float64 { return d.Utilization() })
 	d.fl = p.Flight()
-	p.Heat().Register("ftl", d.heatSection)
-}
-
-// heatSection is the conventional FTL's heatmap source: the valid-page
-// fraction of every erasure block, downsampled to a grid — the spatial
-// picture GC victim selection acts on.
-func (d *Device) heatSection(sim.Time) telemetry.DeviceHeat {
-	fr := make([]float64, len(d.valid))
-	for b := range d.valid {
-		fr[b] = float64(d.valid[b]) / float64(d.pages)
-	}
-	cells, stride := telemetry.HeatCellsFrac(fr)
-	return telemetry.DeviceHeat{Blocks: &telemetry.GridHeat{Cells: cells, CellBlocks: stride}}
 }
 
 // CapacityPages reports the logical (host-visible) capacity in pages.
@@ -597,7 +582,6 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 	if stream < 0 || stream >= len(d.hostFront) {
 		return at, ErrBadStream
 	}
-	d.reg.Tick(at)
 	// GC is parallel fan-out: its chip ops suspend the attribution sink
 	// (maybeGC/forceGC suspend themselves) and the write is charged the
 	// host-visible stall — exactly how far GC pushed its start time.
@@ -671,7 +655,6 @@ func (d *Device) ReadPage(at sim.Time, lpn int64) (sim.Time, []byte, error) {
 	if ppn == unmapped {
 		return at, nil, ErrUnmapped
 	}
-	d.reg.Tick(at)
 	done, err := d.chip.ReadPage(at, d.blockOf(ppn), d.pageOf(ppn))
 	if err != nil {
 		return at, nil, err
@@ -743,9 +726,6 @@ func (d *Device) Utilization() float64 {
 
 // FreeBlocks reports the current free-block count.
 func (d *Device) FreeBlocks() int { return d.freeCount }
-
-// FreeSlots reports the number of programmable page slots device-wide.
-func (d *Device) FreeSlots() int64 { return d.freeSlots }
 
 // NextSeq reports the sequence number the next stamped write will carry —
 // the integrity oracle resyncs to it after recovery.

@@ -289,8 +289,8 @@ func TestWearLeveling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spread := d.Flash().TotalEraseSpread()
-	max := d.Flash().MaxEraseCount()
+	spread := d.Flash().Wear().Spread
+	max := d.Flash().Wear().MaxErase
 	if max == 0 {
 		t.Fatal("no erases happened")
 	}

@@ -157,7 +157,6 @@ type FTL struct {
 	gcTopAdv    sim.Time
 
 	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	reg          *telemetry.Registry
 	tr           *telemetry.Tracer
 	attr         *telemetry.AttrSink
 	fl           *telemetry.Flight
@@ -248,7 +247,6 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 func (f *FTL) SetProbe(p *telemetry.Probe) {
 	f.dev.SetProbe(p)
 	reg := p.Registry()
-	f.reg = reg
 	f.tr = p.Tracer()
 	f.attr = p.Attribution()
 	if f.attr != nil && f.slotOwner == nil {
@@ -265,29 +263,6 @@ func (f *FTL) SetProbe(p *telemetry.Probe) {
 	reg.Gauge("hostftl/write_amp", func(sim.Time) float64 { return f.WriteAmp() })
 	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(f.freeZones.n) })
 	f.fl = p.Flight()
-	p.Heat().Register("hostftl", f.heatSection)
-}
-
-// heatSection is the host FTL's heatmap source: per-zone snapshots carrying
-// the host's true valid-page fraction (valid pages / written pages) — the
-// liveness picture the raw device cannot see.
-func (f *FTL) heatSection(sim.Time) telemetry.DeviceHeat {
-	zones := make([]telemetry.ZoneHeat, f.dev.NumZones())
-	for z := range zones {
-		wp := f.dev.WP(z)
-		valid := float64(0)
-		if wp > 0 {
-			valid = float64(f.valid[z]) / float64(wp)
-		}
-		zones[z] = telemetry.ZoneHeat{
-			Zone:  z,
-			State: f.dev.State(z).String(),
-			WP:    wp,
-			Cap:   f.dev.WritableCap(z),
-			Valid: valid,
-		}
-	}
-	return telemetry.DeviceHeat{Zones: zones}
 }
 
 // CapacityPages reports the logical capacity in pages.
@@ -493,7 +468,6 @@ func (f *FTL) WriteStream(at sim.Time, lpn int64, stream int, data []byte) (sim.
 		return at, ErrBadStream
 	}
 	start := at
-	f.reg.Tick(at)
 	at = f.reclaim(at)
 
 	slot := f.streamRR[stream] % len(f.streamZone[stream])

@@ -25,7 +25,6 @@ const (
 // mechanism behind the paper's §2.4 tail-latency results.
 func (f *FTL) MaintenanceStep(at sim.Time, budget, targetFree int) bool {
 	f.maintTicks++
-	f.reg.Tick(at)
 	// Maintenance is background work: never attribute its device ops to
 	// whatever host IO record happens to be open.
 	f.attr.Suspend()
@@ -160,11 +159,6 @@ func (f *FTL) isOpenForWriting(z int) bool {
 		}
 	}
 	return false
-}
-
-// relocateAll moves every valid page out of victim and resets it.
-func (f *FTL) relocateAll(at sim.Time, victim int) (sim.Time, bool) {
-	return f.finishVictim(at, victim, 0)
 }
 
 // finishVictim relocates the valid pages in [from, WP) of victim and resets

@@ -9,9 +9,9 @@ import (
 // checkConcurrency flags goroutines, channels, select, and sync primitives.
 // The simulator is a single-threaded virtual-time event loop: concurrency in
 // a model package would both break run-to-run determinism and invalidate the
-// busy-until resource model. The only legitimate homes for goroutines are
-// the HTTP telemetry server and the command/example binaries, which are
-// scope-exempt (see concurrencyExempt).
+// busy-until resource model. The only legitimate home for goroutines is the
+// command binaries that wrap the simulator, which are scope-exempt (see
+// concurrencyExempt).
 func checkConcurrency(p *Package, rep *reporter) {
 	if concurrencyExempt(p.Path) {
 		return
@@ -21,7 +21,7 @@ func checkConcurrency(p *Package, rep *reporter) {
 			switch e := n.(type) {
 			case *ast.GoStmt:
 				rep.findf(e.Pos(), "concurrency",
-					"go statement spawns a goroutine; the sim core is a single-threaded virtual-time loop (concurrency belongs in telemetry/httpserve and cmd/)")
+					"go statement spawns a goroutine; the sim core is a single-threaded virtual-time loop (concurrency belongs in cmd/)")
 			case *ast.SelectStmt:
 				rep.findf(e.Pos(), "concurrency",
 					"select statement implies channel concurrency; schedule virtual-time events on the sim loop instead")

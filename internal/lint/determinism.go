@@ -9,8 +9,8 @@ import (
 // wallFuncs lists, per package, the functions whose results depend on the
 // wall clock or process identity. Referencing any of them (call or value)
 // anywhere in the module is a determinism finding: every simulator quantity
-// is virtual time, and legitimate wall-clock uses (the HTTP dashboard's
-// publish throttle) carry an explicit //simlint:allow.
+// is virtual time, and legitimate wall-clock uses (the benchmark's host
+// timers) carry an explicit //simlint:allow.
 var wallFuncs = map[string]map[string]bool{
 	"time": {
 		"Now": true, "Since": true, "Until": true, "Sleep": true,

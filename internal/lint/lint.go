@@ -4,7 +4,7 @@
 //
 //   - Determinism. The sim core is a single-threaded virtual-time event loop;
 //     every benchmark number must be bit-identical across runs from the same
-//     seed (the bench-compare regression gate depends on it). Wall-clock
+//     seed (the pinned reports and bench/golden depend on it). Wall-clock
 //     reads, the process-global rand source, and order-dependent map
 //     iteration all silently break this.
 //
@@ -25,8 +25,7 @@
 //     os.Getpid, ...), and no order-dependent iteration over a map in the
 //     sim-core packages.
 //   - concurrency: no go statements, channels, select, or sync primitives
-//     outside telemetry/httpserve, cmd/, and examples/ — the sim core is a
-//     single-threaded virtual-time loop.
+//     outside cmd/ — the sim core is a single-threaded virtual-time loop.
 //   - nilguard: every exported pointer-receiver method on an instrument type
 //     (exported types in internal/telemetry, plus any type marked with a
 //     `//simlint:nilsafe` directive) must start with a nil-receiver guard.
@@ -79,7 +78,7 @@ type RuleDoc struct {
 func Rules() []RuleDoc {
 	return []RuleDoc{
 		{"determinism", "no wall-clock/entropy reads module-wide; no order-dependent map iteration in sim-core packages"},
-		{"concurrency", "no goroutines, channels, select, or sync primitives outside telemetry/httpserve, cmd/, and examples/"},
+		{"concurrency", "no goroutines, channels, select, or sync primitives outside cmd/"},
 		{"nilguard", "exported pointer-receiver methods on instrument types must begin with a nil-receiver guard"},
 		{"tickunit", "no time.Duration in sim-core tick arithmetic; no direct time.Duration<->sim.Time conversion"},
 		{"pairing", "AttrSink bracket discipline on every path: Begin reaches End/Drop, Suspend/Resume and PushWorker/PopWorker balance, charges land inside an open bracket"},
@@ -130,13 +129,10 @@ func isSimCore(path string) bool {
 	return false
 }
 
-// concurrencyExempt reports whether path is one of the places concurrency is
-// legitimate: the HTTP telemetry server and the command/example binaries that
-// wrap the simulator.
+// concurrencyExempt reports whether path is where concurrency is legitimate:
+// the command binaries that wrap the simulator.
 func concurrencyExempt(path string) bool {
-	return strings.HasSuffix(path, "internal/telemetry/httpserve") ||
-		strings.Contains(path, "/cmd/") ||
-		strings.Contains(path, "/examples/")
+	return strings.Contains(path, "/cmd/")
 }
 
 // reporter accumulates findings for one package, deduplicating by

@@ -1,9 +1,7 @@
-// Tests for the path-sensitive pairing sweep, the findings baseline, and the
-// dry-run fixer.
+// Tests for the path-sensitive pairing sweep and the findings baseline.
 package lint
 
 import (
-	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -84,42 +82,6 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadBaseline(bad); err == nil {
 		t.Error("LoadBaseline accepted a wrong-version document")
-	}
-}
-
-// TestFixDryRun checks the dry-run fixer renders the mechanical subset —
-// nilguard inserts and missing switch cases — and passes over everything
-// it cannot fix.
-func TestFixDryRun(t *testing.T) {
-	findings := []Finding{
-		{
-			Pos:  token.Position{Filename: "/mod/internal/telemetry/t.go", Line: 3},
-			Rule: "nilguard",
-			Msg:  "exported method (*Counter).Add must start with a nil-receiver guard (`if c == nil { return }`) so a nil instrument stays a no-op",
-		},
-		{
-			Pos:  token.Position{Filename: "/mod/internal/zns/z.go", Line: 9},
-			Rule: "exhaustive",
-			Msg:  "switch on zns.ZoneState does not cover Closed, Full — add the missing cases or a default",
-		},
-		{
-			Pos:  token.Position{Filename: "/mod/internal/sim/s.go", Line: 1},
-			Rule: "concurrency",
-			Msg:  "go statement spawns a goroutine",
-		},
-	}
-	got := FixDryRun(findings, "/mod")
-	want := []string{
-		"internal/telemetry/t.go:3: [nilguard] would insert guard-first `if c == nil { return ... }` at the top of (*Counter).Add",
-		"internal/zns/z.go:9: [exhaustive] would add `case Closed, Full:` to the switch on zns.ZoneState",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("FixDryRun = %q, want %q", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("line %d = %q, want %q", i, got[i], want[i])
-		}
 	}
 }
 

@@ -198,17 +198,11 @@ func NewStore(dev *zns.Device, policy Policy) (*Store, error) {
 	return s, nil
 }
 
-// Policy returns the store's placement policy.
-func (s *Store) Policy() Policy { return s.policy }
-
 // HostPages reports pages of object data written by callers.
 func (s *Store) HostPages() uint64 { return s.hostPages }
 
 // GCResets reports zones recycled by reclamation.
 func (s *Store) GCResets() uint64 { return s.gcResets }
-
-// GCCopies reports pages copied forward by reclamation.
-func (s *Store) GCCopies() uint64 { return s.gcCopies }
 
 // Live reports whether an object is currently stored.
 func (s *Store) Live(id int64) bool {

@@ -31,12 +31,6 @@ type Loop struct {
 	seq     uint64
 	stopped bool
 	steps   uint64
-
-	// OnEvent, if set, runs after every executed event with the loop's
-	// current time. It is the hook telemetry uses to drive its virtual-time
-	// sampler from the event loop (telemetry.Probe.Tick is nil-safe and fits
-	// directly); keep it cheap, it runs once per event.
-	OnEvent func(now Time)
 }
 
 // NewLoop returns an empty event loop positioned at time 0.
@@ -113,9 +107,6 @@ func (l *Loop) step() {
 	l.now = e.at
 	l.steps++
 	e.fn(e.at)
-	if l.OnEvent != nil {
-		l.OnEvent(e.at)
-	}
 }
 
 // After schedules fn to run d after the loop's current time.

@@ -260,16 +260,3 @@ func (t Table) Shares() (simplified, affected, orthogonal float64) {
 	orthogonal = float64(t.Total.Counts[Orthogonal]) / n
 	return simplified, affected, orthogonal
 }
-
-// Format renders the table in the paper's layout.
-func (t Table) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %6s %6s %6s %6s %6s\n", "Venue", "#Pubs.", "Simpl", "Appr", "Res", "Orth")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-7s %6d %6d %6d %6d %6d\n",
-			r.Venue, r.Pubs, r.Counts[0], r.Counts[1], r.Counts[2], r.Counts[3])
-	}
-	fmt.Fprintf(&b, "%-7s %6d %6d %6d %6d %6d\n",
-		t.Total.Venue, t.Total.Pubs, t.Total.Counts[0], t.Total.Counts[1], t.Total.Counts[2], t.Total.Counts[3])
-	return b.String()
-}

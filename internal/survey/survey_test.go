@@ -105,22 +105,6 @@ func TestCategoryStrings(t *testing.T) {
 	}
 }
 
-func TestFormat(t *testing.T) {
-	out := Table1().Format()
-	for _, needle := range []string{"Venue", "FAST", "OSDI", "SOSP", "MSST", "Total", "465", "104"} {
-		if needle == "104" {
-			continue // 104 is not printed directly
-		}
-		if !strings.Contains(out, needle) {
-			t.Errorf("Format output missing %q:\n%s", needle, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 { // header + 4 venues + total
-		t.Errorf("Format lines = %d, want 6", len(lines))
-	}
-}
-
 func TestTabulateIgnoresUnknownVenue(t *testing.T) {
 	tbl := tabulate([]Paper{{Key: "x", Venue: "ATC", Cat: Simplified}})
 	if tbl.Classified() != 0 {

@@ -149,7 +149,7 @@ func (s AttrSnapshot) Delta(prev AttrSnapshot) AttrSnapshot {
 
 // AttrSink collects per-IO latency attribution. One record is active at a
 // time — the simulator executes device ops synchronously, so the host
-// driver brackets each measured op with Begin/End and the layers in between
+// driver brackets each measured op with BeginTenant/End and the layers in between
 // call Charge for the sub-intervals they own.
 //
 // The nil *AttrSink is a valid no-op on every method, and no method
@@ -221,14 +221,6 @@ type AttrSink struct {
 
 // NewAttrSink returns an empty sink.
 func NewAttrSink() *AttrSink { return &AttrSink{} }
-
-// Begin opens the attribution record for one measured IO issued at start,
-// owned by the sys tenant (BeginTenant tags a specific tenant). No-op on a
-// nil sink. A Begin while a record is open abandons the old record
-// (counted as a violation: the driver failed to End or Drop it).
-func (s *AttrSink) Begin(op OpKind, start sim.Time) {
-	s.BeginTenant(op, 0, start)
-}
 
 // Charge attributes d of the active IO's latency to phase p. No-op when the
 // sink is nil, no record is open (unmeasured work: prefill, warmup,
@@ -461,25 +453,14 @@ func (s *AttrSink) Seq() uint64 {
 	return s.seq
 }
 
-// Active reports whether a record is open.
-func (s *AttrSink) Active() bool { return s != nil && s.active }
-
 // Violations reports how many records broke the attribution contract
-// (phases not summing to total, unbalanced suspends, Begin over an open
+// (phases not summing to total, unbalanced suspends, BeginTenant over an open
 // record). Always 0 in a correct build; the invariant test asserts it.
 func (s *AttrSink) Violations() uint64 {
 	if s == nil {
 		return 0
 	}
 	return s.violations
-}
-
-// Op returns a copy of the aggregates for one op kind.
-func (s *AttrSink) Op(k OpKind) OpAttr {
-	if s == nil {
-		return OpAttr{}
-	}
-	return s.ops[k]
 }
 
 // Snapshot returns a copy of all aggregates. Snapshots of a shared sink
@@ -562,7 +543,3 @@ func (s AttrSnapshot) Dump() AttrDump {
 	}
 	return d
 }
-
-// Dump converts the sink's current aggregates to their JSON shape. Safe on
-// a nil sink (empty dump).
-func (s *AttrSink) Dump() AttrDump { return s.Snapshot().Dump() }

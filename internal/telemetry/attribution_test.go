@@ -9,20 +9,20 @@ import (
 
 func TestAttrSinkNilSafe(t *testing.T) {
 	var s *AttrSink
-	s.Begin(OpWrite, 0)
+	s.BeginTenant(OpWrite, 0, 0)
 	s.Charge(PhaseGCStall, sim.Millisecond)
 	s.Reclassify(PhaseLUNWait, PhaseWPSerial, sim.Microsecond)
 	s.Suspend()
 	s.Resume()
 	s.End(sim.Second)
 	s.Drop()
-	if s.Active() || s.Violations() != 0 || s.Value(PhaseGCStall) != 0 {
+	if s.Violations() != 0 || s.Value(PhaseGCStall) != 0 {
 		t.Fatal("nil sink must report zero state")
 	}
 	if got := s.Snapshot(); got.Ops[OpWrite].Count != 0 {
 		t.Fatal("nil sink snapshot must be empty")
 	}
-	if d := s.Dump(); len(d.Ops) != 0 {
+	if d := s.Snapshot().Dump(); len(d.Ops) != 0 {
 		t.Fatal("nil sink dump must be empty")
 	}
 }
@@ -40,7 +40,7 @@ func TestAttrSumInvariant(t *testing.T) {
 			t.Fatalf("phases sum %v != total %v", sum, total)
 		}
 	}
-	s.Begin(OpWrite, 100)
+	s.BeginTenant(OpWrite, 0, 100)
 	s.Charge(PhaseGCStall, 40)
 	s.Charge(PhaseNANDProgram, 60)
 	s.End(200)
@@ -50,14 +50,14 @@ func TestAttrSumInvariant(t *testing.T) {
 	if v := s.Violations(); v != 0 {
 		t.Fatalf("violations = %d, want 0", v)
 	}
-	a := s.Op(OpWrite)
+	a := s.ops[OpWrite]
 	if a.Count != 1 || a.TotalSum != 100 || a.PhaseSum[PhaseGCStall] != 40 {
 		t.Fatalf("bad aggregate: %+v", a)
 	}
 
 	// A record that does not cover the total must count as a violation.
 	s.OnComplete = nil
-	s.Begin(OpRead, 0)
+	s.BeginTenant(OpRead, 0, 0)
 	s.Charge(PhaseNANDRead, 10)
 	s.End(50) // 40 ticks unattributed
 	if v := s.Violations(); v != 1 {
@@ -68,9 +68,9 @@ func TestAttrSumInvariant(t *testing.T) {
 func TestAttrChargeOutsideRecord(t *testing.T) {
 	s := NewAttrSink()
 	s.Charge(PhaseGCStall, sim.Second) // no Begin: prefill-style traffic
-	s.Begin(OpWrite, 0)
+	s.BeginTenant(OpWrite, 0, 0)
 	s.End(0)
-	if got := s.Op(OpWrite).PhaseSum[PhaseGCStall]; got != 0 {
+	if got := s.ops[OpWrite].PhaseSum[PhaseGCStall]; got != 0 {
 		t.Fatalf("charge outside a record leaked: %v", got)
 	}
 	if s.Violations() != 0 {
@@ -80,7 +80,7 @@ func TestAttrChargeOutsideRecord(t *testing.T) {
 
 func TestAttrSuspendResume(t *testing.T) {
 	s := NewAttrSink()
-	s.Begin(OpWrite, 0)
+	s.BeginTenant(OpWrite, 0, 0)
 	s.Suspend()
 	s.Suspend()
 	s.Charge(PhaseNANDProgram, 100) // suppressed (fan-out work)
@@ -92,14 +92,14 @@ func TestAttrSuspendResume(t *testing.T) {
 	if v := s.Violations(); v != 0 {
 		t.Fatalf("violations = %d, want 0", v)
 	}
-	if got := s.Op(OpWrite).PhaseSum[PhaseNANDProgram]; got != 0 {
+	if got := s.ops[OpWrite].PhaseSum[PhaseNANDProgram]; got != 0 {
 		t.Fatalf("suspended charges leaked: %v", got)
 	}
 }
 
 func TestAttrReclassifyClamps(t *testing.T) {
 	s := NewAttrSink()
-	s.Begin(OpWrite, 0)
+	s.BeginTenant(OpWrite, 0, 0)
 	s.Charge(PhaseLUNWait, 30)
 	s.Reclassify(PhaseLUNWait, PhaseWPSerial, 100) // more than charged
 	if got := s.Value(PhaseWPSerial); got != 30 {
@@ -116,8 +116,8 @@ func TestAttrReclassifyClamps(t *testing.T) {
 
 func TestAttrBeginOverOpenRecord(t *testing.T) {
 	s := NewAttrSink()
-	s.Begin(OpWrite, 0)
-	s.Begin(OpRead, 10) // driver bug: previous record neither ended nor dropped
+	s.BeginTenant(OpWrite, 0, 0)
+	s.BeginTenant(OpRead, 0, 10) // driver bug: previous record neither ended nor dropped
 	s.End(10)
 	if s.Violations() != 1 {
 		t.Fatalf("violations = %d, want 1", s.Violations())
@@ -127,7 +127,7 @@ func TestAttrBeginOverOpenRecord(t *testing.T) {
 func TestAttrSnapshotDelta(t *testing.T) {
 	s := NewAttrSink()
 	record := func(total sim.Time) {
-		s.Begin(OpRead, 0)
+		s.BeginTenant(OpRead, 0, 0)
 		s.Charge(PhaseNANDRead, total)
 		s.End(total)
 	}
@@ -146,11 +146,11 @@ func TestAttrSnapshotDelta(t *testing.T) {
 
 func TestAttrDumpShape(t *testing.T) {
 	s := NewAttrSink()
-	s.Begin(OpWrite, 0)
+	s.BeginTenant(OpWrite, 0, 0)
 	s.Charge(PhaseGCStall, 3*sim.Millisecond)
 	s.Charge(PhaseNANDProgram, 700*sim.Microsecond)
 	s.End(3*sim.Millisecond + 700*sim.Microsecond)
-	raw, err := json.Marshal(s.Dump())
+	raw, err := json.Marshal(s.Snapshot().Dump())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAttrDumpShape(t *testing.T) {
 func TestAttrZeroAllocs(t *testing.T) {
 	var nilSink *AttrSink
 	if allocs := testing.AllocsPerRun(1000, func() {
-		nilSink.Begin(OpWrite, 0)
+		nilSink.BeginTenant(OpWrite, 0, 0)
 		nilSink.Charge(PhaseGCStall, 10)
 		nilSink.Suspend()
 		nilSink.Resume()
@@ -188,7 +188,7 @@ func TestAttrZeroAllocs(t *testing.T) {
 	}
 	s := NewAttrSink()
 	if allocs := testing.AllocsPerRun(1000, func() {
-		s.Begin(OpWrite, 0)
+		s.BeginTenant(OpWrite, 0, 0)
 		s.Charge(PhaseGCStall, 10)
 		s.Reclassify(PhaseGCStall, PhaseWPSerial, 5)
 		s.End(10)

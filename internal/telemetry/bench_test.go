@@ -26,10 +26,9 @@ func BenchmarkProbeDisabled(b *testing.B) {
 		c.Add(4)
 		h.Observe(at)
 		tr.Span(ProcFlashLUN, 3, "flash", "read", at, at+40*sim.Microsecond)
-		tr.InstantArg(ProcZone, 9, "zone", "->open", at, "zone", 9)
-		r.Tick(at)
-		p.Tick(at)
-		a.Begin(OpRead, at)
+		tr.Instant(ProcZone, 9, "zone", "->open", at)
+		_ = r.Counter("bench/ops")
+		a.BeginTenant(OpRead, 0, at)
 		a.Charge(PhaseNANDRead, 40*sim.Microsecond)
 		a.Suspend()
 		a.Resume()
@@ -61,9 +60,7 @@ func BenchmarkProbeDisabledSLO(b *testing.B) {
 		at := sim.Time(i)
 		w.Observe(2, OpRead, at, 40*sim.Microsecond)
 		_ = w.Width()
-		_ = w.Late()
 		e.Add(SLO{Tenant: 2, Op: OpRead})
-		_ = e.Objectives()
 		if e.Evaluate() != nil {
 			b.Fatal("nil engine must evaluate to nil")
 		}
@@ -84,8 +81,7 @@ func BenchmarkWindowObserveEnabled(b *testing.B) {
 }
 
 // The enabled path for comparison: counters and spans on a live probe.
-// Spans into a pre-sized ring are allocation-free too; only gauge samples
-// (append into a series) amortize allocations.
+// Spans into a pre-sized ring are allocation-free too.
 func BenchmarkProbeEnabled(b *testing.B) {
 	p := NewProbe(Options{TraceEvents: 1 << 10})
 	c := p.Metrics.Counter("bench/ops")
@@ -99,8 +95,7 @@ func BenchmarkProbeEnabled(b *testing.B) {
 		c.Add(4)
 		h.Observe(at)
 		tr.Span(ProcFlashLUN, 3, "flash", "read", at, at+40*sim.Microsecond)
-		tr.InstantArg(ProcZone, 9, "zone", "->open", at, "zone", 9)
-		p.Tick(at)
+		tr.Instant(ProcZone, 9, "zone", "->open", at)
 	}
 }
 
@@ -121,8 +116,8 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		c.Inc()
 		tr.Span(ProcFTL, 0, "ftl", "gc", 0, sim.Millisecond)
 		tr.Instant(ProcZone, 1, "zone", "->open", 0)
-		r.Tick(sim.Second)
-		a.Begin(OpWrite, 0)
+		_ = r.Histogram("ftl/gc/stall")
+		a.BeginTenant(OpWrite, 0, 0)
 		a.Charge(PhaseGCStall, sim.Millisecond)
 		a.End(sim.Millisecond)
 		a.BeginTenant(OpRead, 1, 0)
@@ -133,7 +128,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		a.SetTenantName(1, "web")
 		a.End(sim.Millisecond)
 		w.Observe(1, OpRead, sim.Millisecond, sim.Microsecond)
-		w.Reset()
 		e.Add(SLO{Tenant: 1, Op: OpRead})
 		_ = e.Evaluate()
 		fl.Record(0, FlightErase, 7, "worn_out", 3)

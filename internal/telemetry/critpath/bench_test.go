@@ -26,8 +26,6 @@ func BenchmarkProbeDisabledCritPath(b *testing.B) {
 		r.Refund(telemetry.PhaseWPSerial, sim.Microsecond)
 		r.EndPath(at + 61*sim.Microsecond)
 		r.DropPath()
-		_ = r.IOs()
-		_ = r.Violations()
 		// The sink-side additions share the contract: nil sink, no-ops.
 		a.ChargeWaitBlamed(telemetry.PhaseLUNWait, sim.Microsecond, 2, telemetry.PhaseNANDProgram)
 		_ = a.Refund(telemetry.PhaseWPSerial, sim.Microsecond)

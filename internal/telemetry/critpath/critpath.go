@@ -194,11 +194,6 @@ type Recorder struct {
 	stride uint64
 	seq    uint64
 
-	// drained is the most recent non-empty Drain result, kept so the live
-	// dashboard can keep serving the last completed recording window after
-	// an experiment captures (and thereby resets) the recorder.
-	drained Snapshot
-
 	// OnViolation, if set, observes every path invariant violation (the
 	// path ticks of a completed IO not summing exactly to its end-to-end
 	// latency). May allocate; violations are exceptional by contract.
@@ -448,24 +443,6 @@ func (r *Recorder) DropPath() {
 	r.haveLast = false
 }
 
-// IOs reports how many paths completed since the last Drain.
-func (r *Recorder) IOs() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.ios
-}
-
-// Violations reports how many records broke the path contract since the
-// last Drain (path ticks not summing to end-to-end, begin over an open
-// record). Always 0 in a correct build.
-func (r *Recorder) Violations() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.violations
-}
-
 // Snapshot is a copyable capture of a recorder's aggregates and sampled
 // paths. The what-if engine replays Paths; the report tables read Ops.
 type Snapshot struct {
@@ -497,17 +474,13 @@ func (r *Recorder) Snapshot() Snapshot {
 }
 
 // Drain returns a snapshot of everything recorded since the previous Drain
-// and resets the recorder, so one recorder shared across experiments (the
-// live-dashboard configuration) yields per-experiment sections the way
-// AttrSnapshot deltas do.
+// and resets the recorder, so one recorder shared across an experiment's
+// stacks yields per-stack sections the way AttrSnapshot deltas do.
 func (r *Recorder) Drain() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	s := r.Snapshot()
-	if s.IOs > 0 {
-		r.drained = s
-	}
 	r.ios = 0
 	r.violations = 0
 	r.ops = [telemetry.NumOps]OpAgg{}
@@ -516,16 +489,6 @@ func (r *Recorder) Drain() Snapshot {
 	r.stride = 1
 	r.seq = 0
 	return s
-}
-
-// LastDrained returns the most recent non-empty snapshot taken by Drain —
-// the last completed recording window — or the zero Snapshot if nothing
-// has been drained yet.
-func (r *Recorder) LastDrained() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	return r.drained
 }
 
 // DrainFromSink drains the recorder attached to sink (no-op empty snapshot

@@ -33,11 +33,11 @@ func TestRecorderThroughSink(t *testing.T) {
 	sink.ChargeBlamed(telemetry.PhaseGCStall, 400*us, 1)
 	sink.End(1208 * us)
 
-	if v := rec.Violations(); v != 0 {
+	if v := rec.violations; v != 0 {
 		t.Fatalf("violations = %d, want 0", v)
 	}
-	if rec.IOs() != 1 {
-		t.Fatalf("ios = %d, want 1", rec.IOs())
+	if rec.ios != 1 {
+		t.Fatalf("ios = %d, want 1", rec.ios)
 	}
 	snap := rec.Snapshot()
 	a := snap.Ops[telemetry.OpWrite]
@@ -81,7 +81,7 @@ func TestRecorderThroughSink(t *testing.T) {
 func TestRecorderDeepSuspension(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	rec := Attach(sink, Options{})
-	sink.Begin(telemetry.OpWrite, 0)
+	sink.BeginTenant(telemetry.OpWrite, 0, 0)
 	sink.Suspend() // depth 1: host reclaim
 	sink.Charge(telemetry.PhaseNANDRead, 60*us)
 	sink.Suspend() // depth 2: nested stripe reset
@@ -104,8 +104,8 @@ func TestRecorderDeepSuspension(t *testing.T) {
 	if got := pr.Comp[CompGCStall][telemetry.PhaseZoneReset]; got != 4200*us {
 		t.Fatalf("gc_stall composition zone_reset = %v, want %v", got, 4200*us)
 	}
-	if rec.Violations() != 0 {
-		t.Fatalf("violations = %d", rec.Violations())
+	if rec.violations != 0 {
+		t.Fatalf("violations = %d", rec.violations)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestRecorderDeepSuspension(t *testing.T) {
 func TestReassignMovesBinds(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	rec := Attach(sink, Options{})
-	sink.Begin(telemetry.OpWrite, 0)
+	sink.BeginTenant(telemetry.OpWrite, 0, 0)
 	sink.ChargeWaitBlamed(telemetry.PhaseLUNWait, 100*us, telemetry.SelfTenant, telemetry.PhaseNANDProgram)
 	sink.Charge(telemetry.PhaseNANDProgram, 700*us)
 	sink.Reclassify(telemetry.PhaseLUNWait, telemetry.PhaseWPSerial, 80*us)
@@ -131,8 +131,8 @@ func TestReassignMovesBinds(t *testing.T) {
 	if got := a.WaitBy[WaitLUN][BindProgram]; got != 20*us {
 		t.Fatalf("lun_wait program-bound = %v, want %v", got, 20*us)
 	}
-	if rec.Violations() != 0 {
-		t.Fatalf("violations = %d", rec.Violations())
+	if rec.violations != 0 {
+		t.Fatalf("violations = %d", rec.violations)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestRefundKeepsInvariant(t *testing.T) {
 	if sink.Violations() != 0 {
 		t.Fatalf("sink violations = %d", sink.Violations())
 	}
-	if rec.Violations() != 0 {
-		t.Fatalf("recorder violations = %d", rec.Violations())
+	if rec.violations != 0 {
+		t.Fatalf("recorder violations = %d", rec.violations)
 	}
 	snap := rec.Snapshot()
 	a := snap.Ops[telemetry.OpWrite]
@@ -174,11 +174,11 @@ func TestViolationCounted(t *testing.T) {
 	rec := Attach(sink, Options{})
 	fired := 0
 	rec.OnViolation = func(sim.Time) { fired++ }
-	sink.Begin(telemetry.OpRead, 0)
+	sink.BeginTenant(telemetry.OpRead, 0, 0)
 	sink.Charge(telemetry.PhaseNANDRead, 60*us)
 	sink.End(100 * us) // 40us unaccounted
-	if rec.Violations() != 1 || fired != 1 {
-		t.Fatalf("violations=%d fired=%d, want 1/1", rec.Violations(), fired)
+	if rec.violations != 1 || fired != 1 {
+		t.Fatalf("violations=%d fired=%d, want 1/1", rec.violations, fired)
 	}
 	if rec.Snapshot().Ops[telemetry.OpRead].Count != 1 {
 		t.Fatal("violating record was not aggregated")
@@ -194,7 +194,7 @@ func TestDecimationDeterministic(t *testing.T) {
 		rec := Attach(sink, Options{SampleCap: 16})
 		for i := 0; i < 1000; i++ {
 			at := sim.Time(i) * 1000 * us
-			sink.Begin(telemetry.OpRead, at)
+			sink.BeginTenant(telemetry.OpRead, 0, at)
 			sink.Charge(telemetry.PhaseNANDRead, sim.Time(i+1)*us)
 			sink.End(at + sim.Time(i+1)*us)
 		}
@@ -227,7 +227,7 @@ func TestDecimationDeterministic(t *testing.T) {
 func TestDrainResets(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	rec := Attach(sink, Options{SampleCap: 8})
-	sink.Begin(telemetry.OpRead, 0)
+	sink.BeginTenant(telemetry.OpRead, 0, 0)
 	sink.Charge(telemetry.PhaseNANDRead, 60*us)
 	sink.End(60 * us)
 	snap := DrainFromSink(sink)
@@ -252,10 +252,7 @@ func TestNilSafe(t *testing.T) {
 	r.Refund(telemetry.PhaseWPSerial, us)
 	r.EndPath(us)
 	r.DropPath()
-	if r.IOs() != 0 || r.Violations() != 0 {
-		t.Fatal("nil recorder reported state")
-	}
-	if s := r.Snapshot(); s.IOs != 0 {
+	if s := r.Snapshot(); s.IOs != 0 || s.Violations != 0 {
 		t.Fatal("nil snapshot not empty")
 	}
 	if s := r.Drain(); s.IOs != 0 {
@@ -272,24 +269,22 @@ func TestNilSafe(t *testing.T) {
 	}
 }
 
-// TestDumpShape sanity-checks the JSON export fields on a small recording.
+// TestDumpShape sanity-checks the per-op decomposition and the bench
+// summary on a small recording.
 func TestDumpShape(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	rec := Attach(sink, Options{SampleCap: 8})
-	sink.Begin(telemetry.OpRead, 0)
+	sink.BeginTenant(telemetry.OpRead, 0, 0)
 	sink.ChargeWaitBlamed(telemetry.PhaseLUNWait, 40*us, telemetry.SelfTenant, telemetry.PhaseNANDProgram)
 	sink.Charge(telemetry.PhaseNANDRead, 60*us)
 	sink.End(100 * us)
 	snap := rec.Snapshot()
-	d := snap.Dump(PredictOpts{})
-	if d.Schema != DumpSchema || d.IOs != 1 || d.Violations != 0 {
-		t.Fatalf("dump header: %+v", d)
-	}
-	if len(d.Ops) != 1 || d.Ops[0].Op != "read" {
-		t.Fatalf("dump ops: %+v", d.Ops)
+	ops := snap.Dump()
+	if len(ops) != 1 || ops[0].Op != "read" || ops[0].Count != 1 {
+		t.Fatalf("dump ops: %+v", ops)
 	}
 	var sawWait bool
-	for _, p := range d.Ops[0].Phases {
+	for _, p := range ops[0].Phases {
 		if p.Name == "lun_wait" {
 			sawWait = true
 			if len(p.Binds) != 1 || p.Binds[0].Name != "nand_program" {
@@ -299,9 +294,6 @@ func TestDumpShape(t *testing.T) {
 	}
 	if !sawWait {
 		t.Fatal("dump omitted lun_wait")
-	}
-	if len(d.WhatIf) != len(Canonical()) {
-		t.Fatalf("whatif entries: %d, want %d", len(d.WhatIf), len(Canonical()))
 	}
 	b := snap.Bench(PredictOpts{})
 	if b.IOs != 1 || b.TopPhase != "nand_read" {

@@ -5,28 +5,12 @@ import (
 	"blockhead/internal/telemetry"
 )
 
-// DumpSchema identifies the /critpath.json wire format.
-const DumpSchema = "blockhead/critpath/v1"
-
-// Dump is the JSON shape of a critical-path export: per-op path/total
-// decompositions plus the canonical what-if predictions. All collections
-// are ordered slices (never maps), so the bytes are deterministic.
-type Dump struct {
-	Schema     string       `json:"schema"`
-	IOs        uint64       `json:"ios"`
-	Violations uint64       `json:"violations"`
-	Sampled    int          `json:"sampled"`
-	Stride     uint64       `json:"stride"`
-	Ops        []OpDump     `json:"ops"`
-	WhatIf     []Prediction `json:"whatif"`
-}
-
 // OpDump is one op kind's critical-path decomposition.
 type OpDump struct {
-	Op     string          `json:"op"`
-	Count  uint64          `json:"count"`
-	MeanUs float64         `json:"mean_us"`
-	Phases []PhasePathDump `json:"phases"`
+	Op     string
+	Count  uint64
+	MeanUs float64
+	Phases []PhasePathDump
 }
 
 // PhasePathDump is one phase of an op's decomposition. PathUs is the mean
@@ -36,32 +20,24 @@ type OpDump struct {
 // share of the op's end-to-end latency. Binds splits a wait phase's
 // on-path ticks by the service phase waited behind.
 type PhasePathDump struct {
-	Name     string     `json:"name"`
-	PathUs   float64    `json:"path_us"`
-	TotalUs  float64    `json:"total_us"`
-	PathFrac float64    `json:"path_frac"`
-	Binds    []BindDump `json:"binds,omitempty"`
+	Name     string
+	PathUs   float64
+	TotalUs  float64
+	PathFrac float64
+	Binds    []BindDump
 }
 
 // BindDump is one bound slice of a wait phase.
 type BindDump struct {
-	Name string  `json:"name"`
-	Us   float64 `json:"us"`
+	Name string
+	Us   float64
 }
 
-// Dump converts the snapshot to its JSON shape. opts selects the replay
-// model for the canonical what-if predictions; ops with no completed IOs
+// Dump decomposes each op kind's latency by phase, on and off the critical
+// path, for the report's critical-path sections. Ops with no completed IOs
 // are omitted.
-func (s *Snapshot) Dump(opts PredictOpts) Dump {
-	d := Dump{
-		Schema:     DumpSchema,
-		IOs:        s.IOs,
-		Violations: s.Violations,
-		Sampled:    len(s.Paths),
-		Stride:     s.Stride,
-		Ops:        []OpDump{},
-		WhatIf:     []Prediction{},
-	}
+func (s *Snapshot) Dump() []OpDump {
+	var out []OpDump
 	for k := 0; k < telemetry.NumOps; k++ {
 		a := s.Ops[k]
 		if a.Count == 0 {
@@ -100,17 +76,14 @@ func (s *Snapshot) Dump(opts PredictOpts) Dump {
 			}
 			od.Phases = append(od.Phases, pd)
 		}
-		d.Ops = append(d.Ops, od)
+		out = append(out, od)
 	}
-	for _, sc := range Canonical() {
-		d.WhatIf = append(d.WhatIf, s.Predict(sc, opts)...)
-	}
-	return d
+	return out
 }
 
 // BenchSummary is the critpath block of a core.BenchEntry: the headline
 // invariant counters, the top critical-path phase, and the canonical
-// what-if ratios — enough for benchdiff to pin prediction drift at 0.1%.
+// what-if ratios, so the committed bench JSON pins prediction drift.
 type BenchSummary struct {
 	IOs         uint64        `json:"ios"`
 	Violations  uint64        `json:"violations"`
@@ -175,15 +148,4 @@ func (s *Snapshot) Bench(opts PredictOpts) BenchSummary {
 		b.WhatIf = append(b.WhatIf, wb)
 	}
 	return b
-}
-
-// WhatIfRatio reports one scenario's ratio column from a BenchSummary
-// (1 when absent) — the lookup benchdiff's metric getters use.
-func (b BenchSummary) WhatIfRatio(scenario string, col func(WhatIfBench) float64) float64 {
-	for _, w := range b.WhatIf {
-		if w.Scenario == scenario {
-			return col(w)
-		}
-	}
-	return 1
 }

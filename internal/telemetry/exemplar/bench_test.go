@@ -27,12 +27,10 @@ func BenchmarkProbeDisabledExemplar(b *testing.B) {
 		r.EndExemplar(at+sim.Microsecond, &phases, &blame, 0)
 		r.DropExemplar()
 		r.SetSnap(nil)
-		_ = r.IOs()
 		n.BeginExemplar(uint64(i), telemetry.OpRead, 1, at)
 		n.EndExemplar(at+sim.Microsecond, &phases, &blame, 0)
 		n.DropExemplar()
 		n.Arm("stack", critpath.PredictOpts{}, nil, nil)
-		_ = n.Done()
 		// The sink-side flag bit shares the contract: nil sink, no-op.
 		a.FlagIO(telemetry.FlagFaultRetry)
 	}
@@ -79,12 +77,10 @@ func TestDisabledExemplarZeroAllocs(t *testing.T) {
 		r.EndExemplar(sim.Millisecond, &phases, &blame, 0)
 		r.DropExemplar()
 		r.SetSnap(nil)
-		_ = r.IOs()
 		n.BeginExemplar(1, telemetry.OpWrite, 0, 0)
 		n.EndExemplar(sim.Millisecond, &phases, &blame, 0)
 		n.DropExemplar()
 		n.Arm("stack", critpath.PredictOpts{}, nil, nil)
-		_ = n.Done()
 		a.FlagIO(telemetry.FlagAuditViolation)
 	})
 	if allocs != 0 {

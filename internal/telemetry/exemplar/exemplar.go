@@ -129,20 +129,6 @@ func (e Exemplar) FlagNames() []string {
 	return out
 }
 
-// TopPhase reports the phase holding the largest share of the exemplar's
-// latency (ties: earliest phase in display order).
-func (e Exemplar) TopPhase() telemetry.Phase {
-	best := telemetry.Phase(0)
-	var bestV sim.Time
-	for p := 0; p < telemetry.NumPhases; p++ {
-		if e.Phases[p] > bestV {
-			bestV = e.Phases[p]
-			best = telemetry.Phase(p)
-		}
-	}
-	return best
-}
-
 // worse is the admission order: a is kept over b when a's latency is
 // higher, ties broken toward the earlier sequence number (first
 // occurrence). Deterministic total order, so the retained set is a pure
@@ -196,10 +182,6 @@ type Reservoir struct {
 	// device-state snapshot. Both optional; SetSnap re-arms snap per stack.
 	path *critpath.Recorder
 	snap SnapFunc
-
-	// drained is the most recent non-empty Drain result, kept so the live
-	// dashboard can keep serving the last completed recording window.
-	drained Snapshot
 }
 
 // New returns an empty reservoir with preallocated storage.
@@ -361,14 +343,6 @@ func (r *Reservoir) DropExemplar() {
 	r.active = false
 }
 
-// IOs reports how many measured IOs completed since the last Drain.
-func (r *Reservoir) IOs() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.ios
-}
-
 // Snapshot is a copyable capture of a reservoir's retained exemplars.
 // Tenants[t] is tenant t's worst-K sorted worst-first; Flagged is the
 // always-keep ring in sequence order; FlagSeen counts every flagged IO
@@ -436,9 +410,6 @@ func (r *Reservoir) Drain() Snapshot {
 		return Snapshot{}
 	}
 	s := r.Snapshot()
-	if s.IOs > 0 {
-		r.drained = s
-	}
 	r.ios = 0
 	r.flagSeen = 0
 	r.flagNext = 0
@@ -447,15 +418,6 @@ func (r *Reservoir) Drain() Snapshot {
 		r.heaps[t] = r.heaps[t][:0]
 	}
 	return s
-}
-
-// LastDrained returns the most recent non-empty snapshot taken by Drain —
-// the last completed recording window — or the zero Snapshot.
-func (r *Reservoir) LastDrained() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	return r.drained
 }
 
 // sortWorstFirst orders exemplars by descending latency, ascending seq.
@@ -489,135 +451,8 @@ func (s Snapshot) Captured() int {
 	return n
 }
 
-// DumpSchema identifies the /exemplars.json wire format.
-const DumpSchema = "blockhead/exemplars/v1"
-
-// Dump is the JSON shape of an exemplar export (/exemplars.json).
-type Dump struct {
-	Schema   string         `json:"schema"`
-	IOs      uint64         `json:"ios"`
-	K        int            `json:"k"`
-	Worst    []ExemplarDump `json:"worst"`
-	Flagged  []ExemplarDump `json:"flagged,omitempty"`
-	FlagSeen uint64         `json:"flag_seen,omitempty"`
-}
-
-// ExemplarDump is one exemplar's JSON shape. Phases lists the nonzero
-// phases in display order; their microseconds sum to TotalUs exactly (the
-// attribution invariant, carried through to the wire).
-type ExemplarDump struct {
-	Seq      uint64       `json:"seq"`
-	Op       string       `json:"op"`
-	Tenant   string       `json:"tenant"`
-	StartMs  float64      `json:"start_ms"`
-	TotalUs  float64      `json:"total_us"`
-	TopPhase string       `json:"top_phase"`
-	Flags    []string     `json:"flags,omitempty"`
-	Phases   []PhaseUs    `json:"phases"`
-	Blame    []BlameUs    `json:"blame,omitempty"`
-	Device   string       `json:"device,omitempty"`
-	WaitedOn []WaitedDump `json:"waited_on,omitempty"`
-}
-
-// PhaseUs is one nonzero phase of an exemplar's timeline.
-type PhaseUs struct {
-	Name string  `json:"name"`
-	Us   float64 `json:"us"`
-}
-
-// BlameUs is one culprit's share of the exemplar's blamed stall time.
-type BlameUs struct {
-	Tenant string  `json:"tenant"`
-	Us     float64 `json:"us"`
-}
-
-// WaitedDump is one wait phase's queued-behind split from the critical
-// path: how long the IO waited in the phase behind each occupant service.
-type WaitedDump struct {
-	Phase  string  `json:"phase"`
-	Behind string  `json:"behind"`
-	Us     float64 `json:"us"`
-}
-
-// waitPhases maps critpath wait slots back to attribution phases, in the
-// critpath wait order.
-var waitPhases = [critpath.NumWaits]telemetry.Phase{
-	telemetry.PhaseWPSerial, telemetry.PhaseChanWait, telemetry.PhaseLUNWait,
-}
-
-// bindNames maps critpath bind slots to service-phase names, in the
-// critpath bind order.
-var bindNames = [critpath.NumBinds]string{
-	telemetry.PhaseXfer.String(), telemetry.PhaseNANDRead.String(),
-	telemetry.PhaseNANDProgram.String(), telemetry.PhaseNANDErase.String(),
-}
-
-// DumpOne converts one exemplar to its JSON shape. name labels tenants
-// (nil uses "t<i>"/"sys" defaults).
-func DumpOne(e Exemplar, name func(telemetry.TenantID) string) ExemplarDump {
-	d := ExemplarDump{
-		Seq:      e.Seq,
-		Op:       e.Op.String(),
-		Tenant:   tenantLabel(e.Tenant, name),
-		StartMs:  e.Start.Millis(),
-		TotalUs:  e.Total.Micros(),
-		TopPhase: e.TopPhase().String(),
-		Flags:    e.FlagNames(),
-		Phases:   []PhaseUs{},
-	}
-	for p := 0; p < telemetry.NumPhases; p++ {
-		if e.Phases[p] != 0 {
-			d.Phases = append(d.Phases, PhaseUs{Name: telemetry.Phase(p).String(), Us: e.Phases[p].Micros()})
-		}
-	}
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		if e.Blame[t] != 0 {
-			d.Blame = append(d.Blame, BlameUs{Tenant: tenantLabel(telemetry.TenantID(t), name), Us: e.Blame[t].Micros()})
-		}
-	}
-	if e.PathOK {
-		for w := 0; w < critpath.NumWaits; w++ {
-			for b := 0; b < critpath.NumBinds; b++ {
-				if v := e.Path.WaitBy[w][b]; v != 0 {
-					d.WaitedOn = append(d.WaitedOn, WaitedDump{
-						Phase: waitPhases[w].String(), Behind: bindNames[b], Us: v.Micros(),
-					})
-				}
-			}
-		}
-	}
-	if e.Snap.Captured {
-		d.Device = e.Snap.String()
-	}
-	return d
-}
-
-func tenantLabel(t telemetry.TenantID, name func(telemetry.TenantID) string) string {
-	if name != nil {
-		return name(t)
-	}
-	if t == 0 {
-		return "sys"
-	}
-	return fmt.Sprintf("t%d", t)
-}
-
-// Dump converts the snapshot to its JSON shape: the overall worst
-// exemplars (merged across tenants) plus the flagged ring.
-func (s Snapshot) Dump(name func(telemetry.TenantID) string) Dump {
-	d := Dump{Schema: DumpSchema, IOs: s.IOs, K: s.K, Worst: []ExemplarDump{}, FlagSeen: s.FlagSeen}
-	for _, e := range s.TopK(0) {
-		d.Worst = append(d.Worst, DumpOne(e, name))
-	}
-	for _, e := range s.Flagged {
-		d.Flagged = append(d.Flagged, DumpOne(e, name))
-	}
-	return d
-}
-
-// BenchSummary is the -bench-json exemplar block: enough numeric columns
-// for benchdiff to pin the exemplar layer (worst latencies and capture
-// counts) against the committed BENCH_exemplars.json baseline.
+// BenchSummary is the -bench-json exemplar block: the worst latencies and
+// capture counts the committed BENCH_exemplars.json pins.
 type BenchSummary struct {
 	IOs          uint64  `json:"ios"`
 	Captured     int     `json:"captured"`

@@ -98,8 +98,7 @@ func TestFlaggedRingAlwaysKeeps(t *testing.T) {
 }
 
 // TestDrainResetsWindow pins the per-stack windowing contract: Drain
-// returns everything since the previous Drain, resets the reservoir, and
-// LastDrained keeps serving the last completed window.
+// returns everything since the previous Drain and resets the reservoir.
 func TestDrainResetsWindow(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	res := Attach(sink, Options{K: 2})
@@ -111,9 +110,6 @@ func TestDrainResetsWindow(t *testing.T) {
 	if s := res.Snapshot(); s.IOs != 0 || s.Captured() != 0 || len(s.Flagged) != 0 {
 		t.Fatalf("reservoir not reset by Drain: %+v", s)
 	}
-	if ld := res.LastDrained(); ld.IOs != 1 || ld.Captured() != 1 {
-		t.Fatalf("LastDrained = %+v, want the first window", ld)
-	}
 	record(sink, 0, 7, 0)
 	second := res.Drain()
 	if second.IOs != 1 || second.TopK(0)[0].Total != 7*sim.Microsecond {
@@ -121,8 +117,8 @@ func TestDrainResetsWindow(t *testing.T) {
 	}
 }
 
-// TestDumpPhaseSumsExact pins the wire-format invariant: every dumped
-// exemplar's phase microseconds sum exactly to its total.
+// TestDumpPhaseSumsExact pins the invariant every exemplar carries into the
+// reports and the bench JSON: its phase timeline sums exactly to its total.
 func TestDumpPhaseSumsExact(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	res := Attach(sink, Options{K: 4})
@@ -131,15 +127,15 @@ func TestDumpPhaseSumsExact(t *testing.T) {
 	sink.Charge(telemetry.PhaseXfer, 7*sim.Microsecond)
 	sink.Charge(telemetry.PhaseNANDProgram, 690*sim.Microsecond)
 	sink.End(700 * sim.Microsecond)
-	d := res.Snapshot().Dump(nil)
-	if d.Schema != DumpSchema || len(d.Worst) != 1 {
-		t.Fatalf("dump = %+v", d)
+	top := res.Snapshot().TopK(0)
+	if len(top) != 1 {
+		t.Fatalf("captured %d exemplars, want 1", len(top))
 	}
-	var sum float64
-	for _, p := range d.Worst[0].Phases {
-		sum += p.Us
+	var sum sim.Time
+	for _, d := range top[0].Phases {
+		sum += d
 	}
-	if sum != d.Worst[0].TotalUs {
-		t.Fatalf("dumped phases sum to %.3fus, total is %.3fus", sum, d.Worst[0].TotalUs)
+	if sum != top[0].Total {
+		t.Fatalf("phases sum to %v, total is %v", sum, top[0].Total)
 	}
 }

@@ -4,8 +4,8 @@
 // annotated tick-by-tick narrative — what the IO waited on, who held the
 // resource, which counterfactual from the what-if engine would have helped
 // most. Because the simulator is deterministic, re-running the seeded
-// experiment reproduces the narrative byte-for-byte (`make explain-campaign`
-// pins this).
+// experiment reproduces the narrative byte-for-byte (core's
+// TestReportsByteIdentical pins this).
 
 package exemplar
 
@@ -103,9 +103,6 @@ func (n *Narrator) Arm(stack string, opts critpath.PredictOpts, snap SnapFunc, n
 	n.snapFn = snap
 	n.name = name
 }
-
-// Done reports whether the target IO completed (or was dropped).
-func (n *Narrator) Done() bool { return n != nil && n.done }
 
 // BeginExemplar arms recording when seq is the target (telemetry.ExemplarSink).
 func (n *Narrator) BeginExemplar(seq uint64, op telemetry.OpKind, tenant telemetry.TenantID, start sim.Time) {
@@ -235,8 +232,15 @@ func (n *Narrator) DropPath() {
 	n.rec.DropPath()
 }
 
+// label names a tenant by the sink's names when set, else "sys"/"t<i>".
 func (n *Narrator) label(t telemetry.TenantID) string {
-	return tenantLabel(t, n.name)
+	if n.name != nil {
+		return n.name(t)
+	}
+	if t == 0 {
+		return "sys"
+	}
+	return fmt.Sprintf("t%d", t)
 }
 
 // Transcript renders the annotated tick-by-tick narrative. Deterministic:

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 
@@ -87,57 +86,13 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(trace)
 }
 
-// WriteText dumps the retained events as one line per event, oldest first —
-// the quick-look format for grepping a run without a trace viewer.
-func (t *Tracer) WriteText(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	for _, e := range t.Events() {
-		proc := t.procs[e.PID]
-		if proc == "" {
-			proc = fmt.Sprintf("pid%d", e.PID)
-		}
-		track := t.tracks[trackKey(e.PID, e.TID)]
-		if track == "" {
-			track = fmt.Sprintf("%d", e.TID)
-		}
-		var err error
-		if e.Instant() {
-			_, err = fmt.Fprintf(w, "%12.3fus %s/%s %s", e.Start.Micros(), proc, track, e.Name)
-		} else {
-			_, err = fmt.Fprintf(w, "%12.3fus %s/%s %s dur=%.3fus",
-				e.Start.Micros(), proc, track, e.Name, e.Dur.Micros())
-		}
-		if err != nil {
-			return err
-		}
-		if e.ArgName != "" {
-			if _, err := fmt.Fprintf(w, " %s=%d", e.ArgName, e.Arg); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	if d := t.Dropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, "... %d older events dropped (ring capacity %d)\n",
-			d, cap(t.ring)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MetricsDump is the JSON shape of a metrics export: final aggregates for
-// every counter, gauge, and histogram, plus the sampled time series.
+// every counter, gauge, and histogram.
 type MetricsDump struct {
 	AtMillis   float64             `json:"at_ms"` // virtual time of the dump
 	Counters   map[string]uint64   `json:"counters"`
 	Gauges     map[string]float64  `json:"gauges"`
 	Histograms map[string]HistDump `json:"histograms"`
-	Series     []SeriesDump        `json:"series"`
 }
 
 // HistDump summarizes one histogram.
@@ -150,21 +105,9 @@ type HistDump struct {
 	MaxUs  float64 `json:"max_us"`
 }
 
-// SeriesDump is one sampled time series.
-type SeriesDump struct {
-	Name    string      `json:"name"`
-	Samples []PointDump `json:"samples"`
-}
-
-// PointDump is one sample of a series.
-type PointDump struct {
-	TMillis float64 `json:"t_ms"`
-	V       float64 `json:"v"`
-}
-
 // Dump assembles the exportable snapshot of the registry at virtual time
-// at: every counter and histogram aggregate, every gauge polled one final
-// time, and the sampled series. Returns an empty dump on a nil registry.
+// at: every counter and histogram aggregate and every gauge polled at at.
+// Returns an empty dump on a nil registry.
 func (r *Registry) Dump(at sim.Time) MetricsDump {
 	if r == nil {
 		return emptyMetricsDump(at)
@@ -187,13 +130,6 @@ func (r *Registry) Dump(at sim.Time) MetricsDump {
 			MaxUs:  h.Max().Micros(),
 		}
 	}
-	for _, s := range r.SeriesSnapshot() {
-		sd := SeriesDump{Name: s.Name, Samples: make([]PointDump, 0, len(s.Points))}
-		for _, p := range s.Points {
-			sd.Samples = append(sd.Samples, PointDump{TMillis: p.At.Millis(), V: p.V})
-		}
-		d.Series = append(d.Series, sd)
-	}
 	return d
 }
 
@@ -205,7 +141,6 @@ func emptyMetricsDump(at sim.Time) MetricsDump {
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistDump{},
-		Series:     []SeriesDump{},
 	}
 }
 

@@ -214,7 +214,8 @@ func (f *Flight) WriteText(w io.Writer) error {
 	return nil
 }
 
-// FlightDump is the JSON shape of a flight-recorder export (/flight.json).
+// FlightDump is the JSON shape of a flight-recorder export (zonectl inspect
+// -json).
 type FlightDump struct {
 	Total      uint64            `json:"total"`
 	Dropped    uint64            `json:"dropped"`

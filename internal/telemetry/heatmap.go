@@ -52,22 +52,20 @@ func (h *HeatSet) Dump(at sim.Time) HeatmapDump {
 	return d
 }
 
-// HeatmapDump is the JSON shape of a spatial snapshot (/heatmap.json).
+// HeatmapDump is the JSON shape of a spatial snapshot (zonectl inspect -json).
 type HeatmapDump struct {
 	AtMillis float64      `json:"at_ms"`
 	Devices  []DeviceHeat `json:"devices"`
 }
 
 // DeviceHeat is one device's spatial snapshot. Every section is optional:
-// flash fills Wear/Channels/LUNs, zns and hostftl fill Zones, ftl fills
-// Blocks (valid-page fractions).
+// flash fills Wear/Channels/LUNs, zns fills Zones.
 type DeviceHeat struct {
 	Name     string     `json:"name"`
 	Wear     *WearHeat  `json:"wear,omitempty"`
 	Channels []UnitOcc  `json:"channels,omitempty"`
 	LUNs     []UnitOcc  `json:"luns,omitempty"`
 	Zones    []ZoneHeat `json:"zones,omitempty"`
-	Blocks   *GridHeat  `json:"blocks,omitempty"`
 }
 
 // WearHeat summarizes per-block erase wear: aggregate statistics, a bucketed
@@ -100,22 +98,14 @@ type UnitOcc struct {
 	BusyFrac float64 `json:"busy_frac"`
 }
 
-// ZoneHeat is one zone's snapshot. Valid is the valid-page fraction of the
-// written region when the registering layer tracks liveness (hostftl), and
-// -1 when it does not (raw zns).
+// ZoneHeat is one zone's snapshot. Valid is -1: the raw zns device does not
+// track which written pages are still live.
 type ZoneHeat struct {
 	Zone  int     `json:"zone"`
 	State string  `json:"state"`
 	WP    int64   `json:"wp"`
 	Cap   int64   `json:"cap"`
 	Valid float64 `json:"valid"`
-}
-
-// GridHeat is a downsampled per-block scalar grid (e.g. valid-page
-// fraction), mean within each cell of CellBlocks adjacent blocks.
-type GridHeat struct {
-	Cells      []float64 `json:"cells"`
-	CellBlocks int       `json:"cell_blocks"`
 }
 
 // HeatCellsU32 downsamples one value per block to at most maxHeatCells
@@ -135,26 +125,6 @@ func HeatCellsU32(vals []uint32) ([]uint32, int) {
 			}
 		}
 		cells = append(cells, max)
-	}
-	return cells, stride
-}
-
-// HeatCellsFrac downsamples one fraction per block to at most maxHeatCells
-// cells, averaging within each cell. Returns the cells and how many blocks
-// each cell covers.
-func HeatCellsFrac(vals []float64) ([]float64, int) {
-	stride := (len(vals) + maxHeatCells - 1) / maxHeatCells
-	if stride < 1 {
-		stride = 1
-	}
-	cells := make([]float64, 0, (len(vals)+stride-1)/stride)
-	for i := 0; i < len(vals); i += stride {
-		end := min(i+stride, len(vals))
-		sum := 0.0
-		for _, v := range vals[i:end] {
-			sum += v
-		}
-		cells = append(cells, sum/float64(end-i))
 	}
 	return cells, stride
 }

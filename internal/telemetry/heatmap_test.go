@@ -59,24 +59,3 @@ func TestHeatCellsU32(t *testing.T) {
 		t.Fatalf("empty input: cells=%v stride=%d", cells, stride)
 	}
 }
-
-func TestHeatCellsFrac(t *testing.T) {
-	cells, stride := HeatCellsFrac([]float64{1, 0, 0.5})
-	if stride != 1 || len(cells) != 3 || cells[0] != 1 {
-		t.Fatalf("cells=%v stride=%d", cells, stride)
-	}
-	// 2048 values -> stride 2, cells are per-pair means.
-	vals := make([]float64, 2048)
-	for i := range vals {
-		vals[i] = float64(i % 2) // alternating 0,1 -> every cell mean 0.5
-	}
-	cells, stride = HeatCellsFrac(vals)
-	if stride != 2 || len(cells) != 1024 {
-		t.Fatalf("len=%d stride=%d", len(cells), stride)
-	}
-	for _, c := range cells {
-		if c != 0.5 {
-			t.Fatalf("cell mean = %v, want 0.5", c)
-		}
-	}
-}

@@ -15,25 +15,10 @@ type Probe struct {
 	// device models; FlightRec is the shared flight recorder they append to.
 	HeatSrc   *HeatSet
 	FlightRec *Flight
-
-	// Pub, if set, is poked from Tick so a live exporter (the HTTP
-	// monitoring server) can publish fresh snapshots while the simulation
-	// runs. Implementations throttle internally.
-	Pub Publisher
-}
-
-// Publisher is a live snapshot consumer driven from the simulation thread.
-// MaybePublish is called on every probe tick; implementations must be cheap
-// when no publish is due.
-type Publisher interface {
-	MaybePublish(at sim.Time)
 }
 
 // Options parameterizes NewProbe.
 type Options struct {
-	// SampleEvery arms the time-series sampler at this virtual-time
-	// interval; 0 leaves sampling off (aggregates only).
-	SampleEvery sim.Time
 	// TraceEvents is the trace ring capacity; 0 selects DefaultTraceEvents.
 	TraceEvents int
 }
@@ -42,10 +27,8 @@ type Options struct {
 // pre-wired to the flight recorder, so any attribution-invariant violation
 // dumps the recent device history automatically.
 func NewProbe(opts Options) *Probe {
-	reg := NewRegistry()
-	reg.SampleEvery(opts.SampleEvery)
 	p := &Probe{
-		Metrics:   reg,
+		Metrics:   NewRegistry(),
 		Trace:     NewTracer(opts.TraceEvents),
 		Attr:      NewAttrSink(),
 		HeatSrc:   NewHeatSet(),
@@ -103,17 +86,4 @@ func (p *Probe) Flight() *Flight {
 // (empty dump).
 func (p *Probe) HeatDump(at sim.Time) HeatmapDump {
 	return p.Heat().Dump(at)
-}
-
-// Tick advances the sampler and pokes the live publisher; nil-safe, so it
-// can be handed to sim.Loop.OnEvent or called from device op paths
-// unconditionally.
-func (p *Probe) Tick(at sim.Time) {
-	if p == nil {
-		return
-	}
-	p.Metrics.Tick(at)
-	if p.Pub != nil {
-		p.Pub.MaybePublish(at)
-	}
 }

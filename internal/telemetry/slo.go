@@ -66,14 +66,6 @@ func (e *SLOEngine) Add(o SLO) {
 	e.objectives = append(e.objectives, o)
 }
 
-// Objectives reports how many objectives are registered.
-func (e *SLOEngine) Objectives() int {
-	if e == nil {
-		return 0
-	}
-	return len(e.objectives)
-}
-
 // Evaluate renders a window-by-window verdict for every objective, in
 // registration order. Only windows the tenant actually touched exist in
 // the ring; a throughput objective therefore judges the tenant's active
@@ -132,36 +124,4 @@ func (e *SLOEngine) Evaluate() []SLOResult {
 		out = append(out, r)
 	}
 	return out
-}
-
-// SLODump is the JSON shape of one SLO verdict.
-type SLODump struct {
-	Tenant       int     `json:"tenant"`
-	Op           string  `json:"op"`
-	Pct          float64 `json:"pct"`
-	LatencyMaxUs float64 `json:"latency_max_us,omitempty"`
-	MinRate      float64 `json:"min_rate,omitempty"`
-	Windows      int     `json:"windows"`
-	Violated     int     `json:"violated"`
-	BurnRate     float64 `json:"burn_rate"`
-	WorstPctUs   float64 `json:"worst_pct_us"`
-	WorstRate    float64 `json:"worst_rate"`
-	OK           bool    `json:"ok"`
-}
-
-// Dump converts the verdict to its JSON shape.
-func (r SLOResult) Dump() SLODump {
-	return SLODump{
-		Tenant:       int(r.SLO.Tenant),
-		Op:           r.SLO.Op.String(),
-		Pct:          r.SLO.Pct,
-		LatencyMaxUs: r.SLO.LatencyMax.Micros(),
-		MinRate:      r.SLO.MinRate,
-		Windows:      r.Windows,
-		Violated:     r.Violated,
-		BurnRate:     r.BurnRate,
-		WorstPctUs:   r.WorstUs,
-		WorstRate:    r.WorstRate,
-		OK:           r.OK,
-	}
 }

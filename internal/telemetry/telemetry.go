@@ -1,8 +1,7 @@
 // Package telemetry is the cross-layer observability substrate for the
 // device models: a metrics registry of hierarchically named counters,
-// gauges, and log-bucketed histograms; a virtual-time time-series sampler
-// that turns end-of-run aggregates into plottable curves; and a span/event
-// tracer that exports Chrome trace-event JSON (chrome://tracing, Perfetto).
+// gauges, and log-bucketed histograms, and a span/event tracer that exports
+// Chrome trace-event JSON (chrome://tracing, Perfetto).
 //
 // The paper's quantitative claims — §2.2 write amplification, §2.4 tail
 // latency — are all derived numbers; this package exposes where inside the
@@ -35,8 +34,7 @@ import (
 // Counter is a monotonically increasing named metric. The nil Counter is a
 // valid no-op, so device hot paths call Add/Inc unconditionally.
 type Counter struct {
-	name string
-	v    uint64
+	v uint64
 }
 
 // Add increments the counter by n. No-op on a nil receiver.
@@ -58,19 +56,10 @@ func (c *Counter) Value() uint64 {
 	return c.v
 }
 
-// Name reports the registered name; "" on a nil receiver.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Hist is a named log2-bucketed histogram of virtual-time durations,
 // backed by stats.Histogram. The nil Hist is a valid no-op.
 type Hist struct {
-	name string
-	h    stats.Histogram
+	h stats.Histogram
 }
 
 // Observe records one duration sample. No-op on a nil receiver.
@@ -90,15 +79,13 @@ func (h *Hist) Snapshot() stats.Histogram {
 	return h.h
 }
 
-// GaugeFunc computes an instantaneous value at virtual time at — the
-// sampler polls it to build a time series, and the exporter polls it once
-// more for the final value.
+// GaugeFunc computes an instantaneous value at virtual time at; the
+// exporter polls it for the value at the end of the run.
 type GaugeFunc func(at sim.Time) float64
 
 type gauge struct {
-	name   string
-	fn     GaugeFunc
-	series []Point // samples collected by the sampler
+	name string
+	fn   GaugeFunc
 }
 
 // Registry holds named metrics. The nil Registry is a valid no-op: every
@@ -109,20 +96,14 @@ type Registry struct {
 	hists    map[string]*Hist
 	gauges   []*gauge
 	gaugeIdx map[string]int
-
-	sampleEvery sim.Time
-	nextSample  sim.Time
-	lastSample  sim.Time
-	maxPoints   int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		hists:     make(map[string]*Hist),
-		gaugeIdx:  make(map[string]int),
-		maxPoints: defaultMaxPoints,
+		counters: make(map[string]*Counter),
+		hists:    make(map[string]*Hist),
+		gaugeIdx: make(map[string]int),
 	}
 }
 
@@ -135,7 +116,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
@@ -149,13 +130,13 @@ func (r *Registry) Histogram(name string) *Hist {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Hist{name: name}
+	h := &Hist{}
 	r.hists[name] = h
 	return h
 }
 
 // Gauge registers (or replaces) a polled gauge under name. No-op on a nil
-// registry. The sampler snapshots every registered gauge.
+// registry.
 func (r *Registry) Gauge(name string, fn GaugeFunc) {
 	if r == nil || fn == nil {
 		return
@@ -166,19 +147,6 @@ func (r *Registry) Gauge(name string, fn GaugeFunc) {
 	}
 	r.gaugeIdx[name] = len(r.gauges)
 	r.gauges = append(r.gauges, &gauge{name: name, fn: fn})
-}
-
-// GaugeValue polls the gauge registered under name at virtual time at.
-// Returns 0, false if the registry is nil or the gauge is unknown.
-func (r *Registry) GaugeValue(name string, at sim.Time) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	i, ok := r.gaugeIdx[name]
-	if !ok {
-		return 0, false
-	}
-	return r.gauges[i].fn(at), true
 }
 
 // counterNames returns the registered counter names, sorted for

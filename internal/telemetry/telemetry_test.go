@@ -13,7 +13,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Add(5)
 	c.Inc()
-	if c.Value() != 0 || c.Name() != "" {
+	if c.Value() != 0 {
 		t.Error("nil counter not zero")
 	}
 
@@ -28,23 +28,17 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		t.Error("nil registry returned live handles")
 	}
 	r.Gauge("g", func(sim.Time) float64 { return 1 })
-	if _, ok := r.GaugeValue("g", 0); ok {
+	if d := r.Dump(0); len(d.Gauges) != 0 {
 		t.Error("nil registry has a gauge")
-	}
-	r.SampleEvery(sim.Millisecond)
-	r.Tick(sim.Second)
-	if r.SeriesSnapshot() != nil {
-		t.Error("nil registry has series")
 	}
 
 	var tr *Tracer
 	tr.Span(1, 0, "c", "s", 0, 10)
 	tr.SpanArg(1, 0, "c", "s", 0, 10, "a", 1)
 	tr.Instant(1, 0, "c", "i", 5)
-	tr.InstantArg(1, 0, "c", "i", 5, "a", 1)
 	tr.NameProcess(1, "p")
 	tr.NameTrack(1, 0, "t")
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Error("nil tracer recorded")
 	}
 	var buf bytes.Buffer
@@ -59,7 +53,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if p.Registry() != nil || p.Tracer() != nil {
 		t.Error("nil probe returned live components")
 	}
-	p.Tick(0)
 }
 
 func TestRegistryHandlesAreStable(t *testing.T) {
@@ -68,9 +61,6 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	c1.Add(3)
 	if c2 := r.Counter("a/b"); c2 != c1 || c2.Value() != 3 {
 		t.Error("counter handle not stable across lookups")
-	}
-	if c1.Name() != "a/b" {
-		t.Errorf("Name = %q", c1.Name())
 	}
 	h1 := r.Histogram("h")
 	h1.Observe(2 * sim.Microsecond)
@@ -83,100 +73,14 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 func TestGaugeRegisterAndReplace(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("g", func(sim.Time) float64 { return 1 })
-	if v, ok := r.GaugeValue("g", 0); !ok || v != 1 {
+	if v, ok := r.Dump(0).Gauges["g"]; !ok || v != 1 {
 		t.Fatalf("gauge = %v, %v", v, ok)
 	}
 	// Re-registering under the same name replaces the function (devices are
 	// rebuilt between experiments but share one probe).
 	r.Gauge("g", func(at sim.Time) float64 { return float64(at) })
-	if v, _ := r.GaugeValue("g", 7); v != 7 {
-		t.Errorf("replaced gauge = %v", v)
-	}
-	if _, ok := r.GaugeValue("missing", 0); ok {
-		t.Error("unknown gauge reported ok")
-	}
-}
-
-func TestSamplerCollectsOnGrid(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("v", func(at sim.Time) float64 { return at.Millis() })
-	r.SampleEvery(sim.Millisecond)
-	for at := sim.Time(0); at <= 10*sim.Millisecond; at += 100 * sim.Microsecond {
-		r.Tick(at)
-	}
-	ss := r.SeriesSnapshot()
-	if len(ss) != 1 {
-		t.Fatalf("series = %d", len(ss))
-	}
-	pts := ss[0].Points
-	if len(pts) != 11 { // t=0ms..10ms inclusive
-		t.Fatalf("points = %d, want 11", len(pts))
-	}
-	for i, p := range pts {
-		if p.At != sim.Time(i)*sim.Millisecond || p.V != float64(i) {
-			t.Fatalf("point %d = %+v", i, p)
-		}
-	}
-}
-
-func TestSamplerSkipsIdleGaps(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("v", func(sim.Time) float64 { return 1 })
-	r.SampleEvery(sim.Millisecond)
-	r.Tick(0)
-	// A long idle gap must produce one sample at the far end, not a burst of
-	// back-dated points.
-	r.Tick(1 * sim.Second)
-	r.Tick(1*sim.Second + sim.Millisecond)
-	pts := r.SeriesSnapshot()[0].Points
-	if len(pts) != 3 {
-		t.Fatalf("points = %d, want 3 (0, 1s, 1.001s): %+v", len(pts), pts)
-	}
-}
-
-func TestSamplerSurvivesTimeRegression(t *testing.T) {
-	// Experiments restart virtual time at 0; a probe shared across two runs
-	// must keep sampling on the second timeline.
-	r := NewRegistry()
-	r.Gauge("v", func(sim.Time) float64 { return 1 })
-	r.SampleEvery(sim.Millisecond)
-	for at := sim.Time(0); at <= 5*sim.Millisecond; at += sim.Millisecond {
-		r.Tick(at)
-	}
-	before := len(r.SeriesSnapshot()[0].Points)
-	// Second experiment: clock restarts.
-	for at := sim.Time(0); at <= 5*sim.Millisecond; at += sim.Millisecond {
-		r.Tick(at)
-	}
-	after := len(r.SeriesSnapshot()[0].Points)
-	if after <= before {
-		t.Fatalf("no samples after time regression: %d -> %d", before, after)
-	}
-}
-
-func TestSamplerDecimates(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("v", func(at sim.Time) float64 { return float64(at) })
-	r.SampleEvery(sim.Microsecond)
-	n := defaultMaxPoints * 4
-	for i := 0; i <= n; i++ {
-		r.Tick(sim.Time(i) * sim.Microsecond)
-	}
-	pts := r.SeriesSnapshot()[0].Points
-	if len(pts) > defaultMaxPoints {
-		t.Fatalf("series grew past the cap: %d > %d", len(pts), defaultMaxPoints)
-	}
-	if r.SampleInterval() <= sim.Microsecond {
-		t.Error("interval did not grow with decimation")
-	}
-	// Still covers the whole run, in order.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At <= pts[i-1].At {
-			t.Fatalf("series not monotone at %d", i)
-		}
-	}
-	if last := pts[len(pts)-1].At; last < sim.Time(n/2)*sim.Microsecond {
-		t.Errorf("decimated series lost the tail: last point at %v", last)
+	if d := r.Dump(7); d.Gauges["g"] != 7 || len(d.Gauges) != 1 {
+		t.Errorf("replaced gauge = %v", d.Gauges)
 	}
 }
 
@@ -185,8 +89,8 @@ func TestTracerRingWraparound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Span(1, 0, "c", "s", sim.Time(i), sim.Time(i+1))
 	}
-	if tr.Len() != 4 || tr.Total() != 10 || tr.Dropped() != 6 {
-		t.Fatalf("len=%d total=%d dropped=%d", tr.Len(), tr.Total(), tr.Dropped())
+	if tr.Len() != 4 || tr.total != 10 || tr.Dropped() != 6 {
+		t.Fatalf("len=%d total=%d dropped=%d", tr.Len(), tr.total, tr.Dropped())
 	}
 	ev := tr.Events()
 	// Oldest-first: the surviving window is spans 6..9.
@@ -223,7 +127,8 @@ func TestChromeTraceExport(t *testing.T) {
 	tr.NameProcess(ProcFlashLUN, "flash LUNs (dies)")
 	tr.NameTrack(ProcFlashLUN, 2, "lun 2")
 	tr.Span(ProcFlashLUN, 2, "flash", "read", sim.Microsecond, 3*sim.Microsecond)
-	tr.InstantArg(ProcZone, 7, "zone", "->full", 5*sim.Microsecond, "zone", 7)
+	tr.record(Event{Name: "->full", Cat: "zone", Start: 5 * sim.Microsecond, Dur: -1,
+		PID: ProcZone, TID: 7, ArgName: "zone", Arg: 7})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -267,33 +172,11 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	tr := NewTracer(2)
-	tr.NameProcess(1, "flash")
-	tr.NameTrack(1, 0, "chan 0")
-	for i := 0; i < 3; i++ { // one more than capacity -> a dropped note
-		tr.SpanArg(1, 0, "c", "xfer", sim.Time(i), sim.Time(i+1), "page", int64(i))
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"flash/chan 0", "xfer", "page=2", "1 older events dropped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestMetricsDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("layer/ops").Add(42)
 	r.Histogram("layer/lat").Observe(8 * sim.Microsecond)
 	r.Gauge("layer/level", func(at sim.Time) float64 { return 2.5 })
-	r.SampleEvery(sim.Millisecond)
-	r.Tick(0)
-	r.Tick(sim.Millisecond)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf, sim.Millisecond); err != nil {
@@ -311,8 +194,5 @@ func TestMetricsDump(t *testing.T) {
 	}
 	if h := d.Histograms["layer/lat"]; h.Count != 1 || h.MaxUs != 8 {
 		t.Errorf("hist = %+v", h)
-	}
-	if len(d.Series) != 1 || len(d.Series[0].Samples) != 2 {
-		t.Fatalf("series = %+v", d.Series)
 	}
 }

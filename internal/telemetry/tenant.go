@@ -40,12 +40,6 @@ var blamePhases = [NumPhases]bool{
 	PhaseLUNWait:   true,
 }
 
-// BlamePhase reports whether p is a stall phase that carries blame
-// (wp_serial, gc_stall, zone_reset, chan_wait, lun_wait).
-func BlamePhase(p Phase) bool {
-	return p >= 0 && int(p) < NumPhases && blamePhases[p]
-}
-
 // clampTenant maps out-of-range IDs (including SelfTenant) to the sys
 // tenant.
 func clampTenant(t TenantID) TenantID {
@@ -105,7 +99,9 @@ func (a TenantAttr) Delta(prev TenantAttr) TenantAttr {
 }
 
 // BeginTenant opens the attribution record for one measured IO issued at
-// start by tenant t. Begin is BeginTenant with the sys tenant.
+// start by tenant t (0: the sys tenant). No-op on a nil sink. A BeginTenant
+// while a record is open abandons the old record (counted as a violation:
+// the driver failed to End or Drop it).
 func (s *AttrSink) BeginTenant(op OpKind, t TenantID, start sim.Time) {
 	if s == nil {
 		return
@@ -186,14 +182,6 @@ func (s *AttrSink) ChargeWaitBlamed(p Phase, d sim.Time, culprit TenantID, bind 
 	if s.Path != nil {
 		s.Path.WaitSegment(p, d, culprit, bind)
 	}
-}
-
-// Tenant reports the active record's tenant (0 if nil or no record open).
-func (s *AttrSink) Tenant() TenantID {
-	if s == nil || !s.active {
-		return 0
-	}
-	return s.tenant
 }
 
 // workerDepth bounds the culprit stack; pushes beyond it saturate (the
@@ -374,117 +362,4 @@ func (s *AttrSink) TenantSnapshot() TenantSnapshot {
 		return TenantSnapshot{}
 	}
 	return TenantSnapshot{Tenants: s.tenants, Blame: s.blame, Names: s.tenantNames}
-}
-
-// SLOResults evaluates the attached SLO engine (nil if none is attached).
-func (s *AttrSink) SLOResults() []SLOResult {
-	if s == nil {
-		return nil
-	}
-	return s.SLO.Evaluate()
-}
-
-// TenantsDumpSchema identifies the /tenants.json wire format.
-const TenantsDumpSchema = "blockhead/tenants/v1"
-
-// TenantsDump is the JSON shape of the per-tenant export (/tenants.json).
-type TenantsDump struct {
-	Schema  string       `json:"schema"`
-	Tenants []TenantDump `json:"tenants"`
-	Blame   []BlameRow   `json:"blame"`
-	SLO     []SLODump    `json:"slo,omitempty"`
-}
-
-// TenantDump is one tenant's aggregate: per-op latency summary, per-phase
-// stall totals, and the victim/culprit roll-ups.
-type TenantDump struct {
-	ID   int                     `json:"id"`
-	Name string                  `json:"name"`
-	Ops  map[string]TenantOpDump `json:"ops"`
-	// StallUs breaks the tenant's blame-phase stall time down by phase.
-	StallUs map[string]float64 `json:"stall_us"`
-	// SufferedUs is the blame-matrix row total (what this tenant lost);
-	// BlamedUs is the column total (what it cost everyone).
-	SufferedUs float64 `json:"suffered_us"`
-	BlamedUs   float64 `json:"blamed_us"`
-}
-
-// TenantOpDump is one tenant-op latency summary.
-type TenantOpDump struct {
-	Count  uint64  `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-// BlameRow is one victim's row of the blame matrix. CulpritUs is indexed
-// by culprit TenantID (full MaxTenants width, zeros included) so row and
-// column sums reconcile without knowing which tenants were active.
-type BlameRow struct {
-	Victim    int       `json:"victim"`
-	CulpritUs []float64 `json:"culprit_us"`
-}
-
-// Dump converts the snapshot to its JSON shape, including only tenants
-// with activity. slo, if non-nil, carries the SLO engine's verdicts.
-func (s TenantSnapshot) Dump(slo []SLOResult) TenantsDump {
-	d := TenantsDump{Schema: TenantsDumpSchema, Tenants: []TenantDump{}, Blame: []BlameRow{}}
-	for t := TenantID(0); t < MaxTenants; t++ {
-		if !s.Active(t) {
-			continue
-		}
-		td := TenantDump{
-			ID:         int(t),
-			Name:       s.Name(t),
-			Ops:        map[string]TenantOpDump{},
-			StallUs:    map[string]float64{},
-			SufferedUs: s.SufferedNs(t).Micros(),
-			BlamedUs:   s.BlamedNs(t).Micros(),
-		}
-		for k := 0; k < NumOps; k++ {
-			a := s.Tenants[t].Ops[k]
-			if a.Count == 0 {
-				continue
-			}
-			td.Ops[opNames[k]] = TenantOpDump{
-				Count:  a.Count,
-				MeanUs: (a.TotalSum / sim.Time(a.Count)).Micros(),
-				P50Us:  a.Total.Percentile(50).Micros(),
-				P99Us:  a.Total.Percentile(99).Micros(),
-				MaxUs:  a.Total.Max().Micros(),
-			}
-		}
-		for p := 0; p < NumPhases; p++ {
-			if !blamePhases[p] {
-				continue
-			}
-			var sum sim.Time
-			for k := 0; k < NumOps; k++ {
-				sum += s.Tenants[t].Ops[k].PhaseSum[p]
-			}
-			if sum != 0 {
-				td.StallUs[Phase(p).String()] = sum.Micros()
-			}
-		}
-		row := BlameRow{Victim: int(t), CulpritUs: make([]float64, MaxTenants)}
-		for c := 0; c < MaxTenants; c++ {
-			row.CulpritUs[c] = s.Blame[t][c].Micros()
-		}
-		d.Tenants = append(d.Tenants, td)
-		d.Blame = append(d.Blame, row)
-	}
-	for _, r := range slo {
-		d.SLO = append(d.SLO, r.Dump())
-	}
-	return d
-}
-
-// TenantsDump converts the sink's current per-tenant aggregates and SLO
-// verdicts to their JSON shape. Safe on a nil sink (empty dump).
-func (s *AttrSink) TenantsDump() TenantsDump {
-	if s == nil {
-		return TenantSnapshot{}.Dump(nil)
-	}
-	return s.TenantSnapshot().Dump(s.SLOResults())
 }

@@ -37,12 +37,11 @@ const DefaultTraceEvents = 1 << 16
 // a trace always holds the most recent window of a run. The nil Tracer is
 // a valid no-op and every record method is allocation-free.
 type Tracer struct {
-	ring    []Event
-	next    int
-	total   uint64
-	procs   map[int32]string
-	tracks  map[int64]string // pid<<32|tid -> name
-	touched map[int64]bool   // tracks that actually carry events
+	ring   []Event
+	next   int
+	total  uint64
+	procs  map[int32]string
+	tracks map[int64]string // pid<<32|tid -> name
 }
 
 // NewTracer returns a tracer holding at most capacity events (rounded up to
@@ -52,10 +51,9 @@ func NewTracer(capacity int) *Tracer {
 		capacity = DefaultTraceEvents
 	}
 	return &Tracer{
-		ring:    make([]Event, 0, capacity),
-		procs:   make(map[int32]string),
-		tracks:  make(map[int64]string),
-		touched: make(map[int64]bool),
+		ring:   make([]Event, 0, capacity),
+		procs:  make(map[int32]string),
+		tracks: make(map[int64]string),
 	}
 }
 
@@ -106,15 +104,6 @@ func (t *Tracer) Instant(pid, tid int32, cat, name string, at sim.Time) {
 	t.record(Event{Name: name, Cat: cat, Start: at, Dur: -1, PID: pid, TID: tid})
 }
 
-// InstantArg records a marker event with one named numeric argument.
-func (t *Tracer) InstantArg(pid, tid int32, cat, name string, at sim.Time, argName string, arg int64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Name: name, Cat: cat, Start: at, Dur: -1,
-		PID: pid, TID: tid, ArgName: argName, Arg: arg})
-}
-
 // NameProcess labels a process (layer) for the exporter. Safe to call at
 // probe-attach time; no-op on a nil receiver.
 func (t *Tracer) NameProcess(pid int32, name string) {
@@ -138,14 +127,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return len(t.ring)
-}
-
-// Total reports how many events were ever recorded.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
 }
 
 // Dropped reports how many events were overwritten by ring wraparound.

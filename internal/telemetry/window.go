@@ -28,14 +28,6 @@ type WindowOp struct {
 	Hist  stats.Histogram
 }
 
-// MeanNs reports the window-op's exact mean latency.
-func (o WindowOp) MeanNs() sim.Time {
-	if o.Count == 0 {
-		return 0
-	}
-	return o.Sum / sim.Time(o.Count)
-}
-
 // Window is one fixed virtual-time window of per-op latency histograms.
 // Seq is the window's index (Start = Seq * width); Seq < 0 marks an
 // unused ring slot.
@@ -85,18 +77,10 @@ func (w *WindowSet) Width() sim.Time {
 	return w.width
 }
 
-// Keep reports the ring depth (0 on a nil set).
-func (w *WindowSet) Keep() int {
-	if w == nil {
-		return 0
-	}
-	return w.keep
-}
-
 // Observe lands one completed IO — tenant t's op finishing at done with
 // end-to-end latency total — in its window. An observation older than the
 // ring's horizon (done before the evicting window's start) is counted in
-// Late and dropped rather than corrupting a newer window.
+// late and dropped rather than corrupting a newer window.
 func (w *WindowSet) Observe(t TenantID, op OpKind, done, total sim.Time) {
 	if w == nil {
 		return
@@ -122,15 +106,6 @@ func (w *WindowSet) Observe(t TenantID, op OpKind, done, total sim.Time) {
 	o.Hist.Add(total)
 }
 
-// Late reports how many observations arrived behind the ring's horizon
-// and were dropped.
-func (w *WindowSet) Late() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.late
-}
-
 // Snapshot returns tenant t's retained windows in ascending Seq order
 // (copy; allocates — a dump-time call, not a hot-path one). Nil on a nil
 // set or out-of-range tenant.
@@ -149,20 +124,4 @@ func (w *WindowSet) Snapshot(t TenantID) []Window {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// Reset clears every ring to empty, keeping the configuration. Used when
-// one sink outlives an experiment phase and the next phase restarts
-// virtual time (stale Seq values would otherwise shadow the new run's
-// windows).
-func (w *WindowSet) Reset() {
-	if w == nil {
-		return
-	}
-	for t := range w.rings {
-		for i := range w.rings[t] {
-			w.rings[t][i] = Window{Seq: -1}
-		}
-	}
-	w.late = 0
 }

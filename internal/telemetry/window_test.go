@@ -8,8 +8,8 @@ import (
 
 func TestWindowSetObserve(t *testing.T) {
 	w := NewWindowSet(WindowCfg{Width: sim.Millisecond, Keep: 4})
-	if w.Width() != sim.Millisecond || w.Keep() != 4 {
-		t.Fatalf("cfg not applied: width=%v keep=%d", w.Width(), w.Keep())
+	if w.Width() != sim.Millisecond || w.keep != 4 {
+		t.Fatalf("cfg not applied: width=%v keep=%d", w.Width(), w.keep)
 	}
 
 	// Two ops in window 0, one in window 2; tenant 2 untouched.
@@ -28,8 +28,8 @@ func TestWindowSetObserve(t *testing.T) {
 		t.Fatalf("window 2 start = %v", wins[1].Start)
 	}
 	rd := wins[0].Ops[OpRead]
-	if rd.Count != 2 || rd.Sum != 200*sim.Microsecond || rd.MeanNs() != 100*sim.Microsecond {
-		t.Fatalf("window 0 read: count=%d sum=%v mean=%v", rd.Count, rd.Sum, rd.MeanNs())
+	if rd.Count != 2 || rd.Sum != 200*sim.Microsecond {
+		t.Fatalf("window 0 read: count=%d sum=%v", rd.Count, rd.Sum)
 	}
 	if wins[1].Ops[OpWrite].Count != 1 {
 		t.Fatalf("window 2 write count = %d", wins[1].Ops[OpWrite].Count)
@@ -53,28 +53,18 @@ func TestWindowSetEvictionAndLate(t *testing.T) {
 	// An observation landing in an evicted window must be dropped as
 	// late, not smeared into a newer window's histogram.
 	w.Observe(1, OpRead, 1500*sim.Microsecond, 25*sim.Microsecond)
-	if w.Late() != 1 {
-		t.Fatalf("late = %d, want 1", w.Late())
+	if w.late != 1 {
+		t.Fatalf("late = %d, want 1", w.late)
 	}
 	if got := w.Snapshot(1); len(got) != 4 || got[0].Ops[OpRead].Count != 1 {
 		t.Fatalf("late observation mutated the ring: %+v", got)
-	}
-
-	w.Reset()
-	if w.Late() != 0 || len(w.Snapshot(1)) != 0 {
-		t.Fatal("Reset did not clear the ring")
-	}
-	// After a virtual-time restart, window 0 must be usable again.
-	w.Observe(1, OpRead, 10*sim.Microsecond, 25*sim.Microsecond)
-	if got := w.Snapshot(1); len(got) != 1 || got[0].Seq != 0 {
-		t.Fatalf("post-Reset observe: %+v", got)
 	}
 }
 
 func TestWindowSetDefaultsAndClamp(t *testing.T) {
 	w := NewWindowSet(WindowCfg{})
-	if w.Width() != DefaultWindowWidth || w.Keep() != DefaultWindowKeep {
-		t.Fatalf("defaults: width=%v keep=%d", w.Width(), w.Keep())
+	if w.Width() != DefaultWindowWidth || w.keep != DefaultWindowKeep {
+		t.Fatalf("defaults: width=%v keep=%d", w.Width(), w.keep)
 	}
 	// Out-of-range tenants clamp to 0; out-of-range ops are dropped.
 	w.Observe(-3, OpRead, 0, sim.Microsecond)
@@ -95,8 +85,7 @@ func TestWindowSetDefaultsAndClamp(t *testing.T) {
 func TestWindowSetNil(t *testing.T) {
 	var w *WindowSet
 	w.Observe(1, OpRead, 0, sim.Microsecond) // must not panic
-	w.Reset()
-	if w.Width() != 0 || w.Keep() != 0 || w.Late() != 0 || w.Snapshot(1) != nil {
+	if w.Width() != 0 || w.Snapshot(1) != nil {
 		t.Fatal("nil WindowSet must be a zero no-op")
 	}
 }

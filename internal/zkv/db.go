@@ -114,9 +114,6 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// Backend returns the storage backend.
-func (db *DB) Backend() Backend { return db.backend }
-
 // LastStall reports the flush/compaction stall charged to the latest Put.
 func (db *DB) LastStall() sim.Time { return db.lastStall }
 

@@ -305,9 +305,6 @@ func (d *Device) PageSize() int { return d.cfg.Geom.PageSize }
 // MaxActive reports the active-zone limit (0 = unlimited).
 func (d *Device) MaxActive() int { return d.cfg.MaxActive }
 
-// MaxOpen reports the open-zone limit (0 = unlimited).
-func (d *Device) MaxOpen() int { return d.cfg.MaxOpen }
-
 // ActiveZones reports the current number of open+closed zones.
 func (d *Device) ActiveZones() int { return d.active }
 
@@ -600,7 +597,6 @@ func (d *Device) write(at sim.Time, z int, data []byte) (lba int64, done sim.Tim
 	if err := d.activate(at, z); err != nil {
 		return 0, at, err
 	}
-	d.reg.Tick(at)
 	offset := zn.wp
 	block, page := d.addr(z, offset)
 	lunWait0 := d.attr.Value(telemetry.PhaseLUNWait)
@@ -730,7 +726,6 @@ func (d *Device) Read(at sim.Time, lba int64) (done sim.Time, data []byte, err e
 	if offset >= zn.wp {
 		return at, nil, ErrUnwritten
 	}
-	d.reg.Tick(at)
 	block, page := d.addr(z, offset)
 	done, err = d.chip.ReadPage(at, block, page)
 	if err != nil {
@@ -757,7 +752,6 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 	if zn.cap-zn.wp < int64(len(srcLBAs)) {
 		return 0, at, ErrZoneFull
 	}
-	d.reg.Tick(at)
 	// Copies are issued concurrently (they serialize only through the flash
 	// resources): suspend per-page attribution and charge wall-clock once.
 	d.attr.Suspend()
