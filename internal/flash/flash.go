@@ -480,7 +480,12 @@ func (d *Device) ReadPage(at sim.Time, block, page int) (sim.Time, error) {
 	if int32(page) >= b.nextPage {
 		return at, ErrUnwritten
 	}
-	retries, uncorrectable := d.inj.ReadFaults(d.wearFrac(b))
+	// Perfect media (a nil injector) draws nothing; skip wearFrac's division.
+	var retries int
+	var uncorrectable bool
+	if d.inj != nil {
+		retries, uncorrectable = d.inj.ReadFaults(d.wearFrac(b))
+	}
 	if retries > 0 {
 		// Mark the active record so the exemplar reservoir always keeps
 		// IOs that needed a media retry, however fast they completed.
@@ -546,7 +551,7 @@ func (d *Device) ProgramPage(at sim.Time, block, page int) (sim.Time, error) {
 	d.luns[lun].busy += d.Lat.ProgramPage
 	d.counts.Programs++
 	d.mProgs.Inc()
-	if d.inj.ProgramFails(d.wearFrac(b)) {
+	if d.inj != nil && d.inj.ProgramFails(d.wearFrac(b)) {
 		// The program consumed bus and cell time, then reported failure.
 		// The block is retired with its already-programmed pages intact
 		// and readable; the failed page's cells are untrusted, so nextPage
@@ -595,7 +600,7 @@ func (d *Device) EraseBlock(at sim.Time, block int) (sim.Time, error) {
 	d.luns[lun].busy += d.Lat.EraseBlock
 	d.counts.Erases++
 	d.mErase.Inc()
-	if d.inj.EraseFails(d.wearFrac(b)) {
+	if d.inj != nil && d.inj.EraseFails(d.wearFrac(b)) {
 		// The erase ran and failed: the cells are indeterminate, so the
 		// block is retired with nothing readable. Callers only erase
 		// blocks holding no valid data, so no mapping is lost.

@@ -35,12 +35,17 @@ func BenchmarkWritePageSequential(b *testing.B) {
 	}
 }
 
-// steadyStateGC fills a default device on geom and ages it with one capacity
-// of uniform random overwrites, returning it with the key stream and clock
-// to carry on from: every further write pays its amortized share of GC.
-func steadyStateGC(tb testing.TB, geom flash.Geometry) (*Device, *workload.Uniform, sim.Time) {
+// steadyStateGC fills a default device on geom, GC scheduled per mode, and
+// ages it with one capacity of uniform random overwrites, returning it with
+// the key stream and clock to carry on from: every further write pays its
+// amortized share of GC.
+func steadyStateGC(tb testing.TB, geom flash.Geometry, mode GCMode) (*Device, *workload.Uniform, sim.Time) {
 	tb.Helper()
-	d := benchDev(tb, geom)
+	d, err := New(Config{Geom: geom, Lat: flash.LatenciesFor(flash.TLC), OPFraction: 0.1,
+		GCMode: mode, HotColdSeparation: true, TrimSupported: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var at sim.Time
 	for lpn := int64(0); lpn < d.CapacityPages(); lpn++ {
 		at, _ = d.WritePage(at, lpn, nil)
@@ -68,7 +73,7 @@ var steadyStateGeoms = []struct {
 func BenchmarkFTLGCWrite(b *testing.B) {
 	for _, bc := range steadyStateGeoms {
 		b.Run(bc.name, func(b *testing.B) {
-			d, keys, at := steadyStateGC(b, bc.geom)
+			d, keys, at := steadyStateGC(b, bc.geom, GCForeground)
 			copies := d.Counters().GCCopyPages
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -91,28 +96,31 @@ var pickSink int
 func BenchmarkPickVictim(b *testing.B) {
 	for _, bc := range steadyStateGeoms {
 		b.Run(bc.name, func(b *testing.B) {
-			d, _, at := steadyStateGC(b, bc.geom)
+			d, _, at := steadyStateGC(b, bc.geom, GCForeground)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pickSink = d.pickVictim(at)
+				pickSink = d.gc.Pick(at)
 			}
 		})
 	}
 }
 
 // TestSteadyStateGCWritesDoNotAllocate pins the GC path — victim index
-// updates, picks, relocation, erase — at zero allocations per host write.
+// updates, picks, relocation, erase — at zero allocations per host write, in
+// both scheduling modes.
 func TestSteadyStateGCWritesDoNotAllocate(t *testing.T) {
-	d, keys, at := steadyStateGC(t, benchGeom)
-	runs := d.GCRuns()
-	allocs := testing.AllocsPerRun(20000, func() {
-		at, _ = d.WritePage(at, keys.Next(), nil)
-	})
-	if d.GCRuns() == runs {
-		t.Fatal("no GC ran during the measured writes")
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state GC write allocates %.2f times per op, want 0", allocs)
+	for _, mode := range []GCMode{GCForeground, GCDeviceIncremental} {
+		d, keys, at := steadyStateGC(t, benchGeom, mode)
+		runs := d.GCRuns()
+		allocs := testing.AllocsPerRun(20000, func() {
+			at, _ = d.WritePage(at, keys.Next(), nil)
+		})
+		if d.GCRuns() == runs {
+			t.Fatalf("%v: no GC ran during the measured writes", mode)
+		}
+		if allocs != 0 {
+			t.Errorf("%v: steady-state GC write allocates %.2f times per op, want 0", mode, allocs)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 
 	"blockhead/internal/fault"
 	"blockhead/internal/flash"
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
 	"blockhead/internal/telemetry"
@@ -148,7 +149,7 @@ var (
 	ErrBadStream  = errors.New("ftl: stream ID out of range")
 )
 
-const unmapped = int32(-1)
+const unmapped = reclaim.Unmapped
 
 // Device is a conventional SSD.
 type Device struct {
@@ -160,16 +161,10 @@ type Device struct {
 
 	logicalPages int64
 
-	// The mapping tables hold 4-byte page numbers, the paper's own estimate
-	// (§2.2); flash.Geometry.Validate keeps every device under 2^31 pages.
-	l2p []int32 // logical page -> physical page, or unmapped
-	p2l []int32 // physical page -> logical page, or unmapped
-	// pending is relocation's deferred l2p stores (relocateAndErase,
-	// retireBlock): empty whenever anything else can read the table.
+	// pending is relocation's deferred l2p stores (relocate, retireBlock):
+	// empty whenever anything else can read the table.
 	pending []l2pStore
 
-	valid      []int64 // per-block count of valid pages
-	lastInval  []sim.Time
 	freePerLUN [][]int // free block IDs per LUN
 	freeBit    []bool  // per-block free flag, mirrors freePerLUN
 	freeCount  int
@@ -187,28 +182,17 @@ type Device struct {
 	// kept as a counter by moveFrontier and consumeSlot.
 	hostResidual int64
 
-	// GC victim index (victim.go): the reclaimable blocks as doubly-linked
-	// lists bucketed by valid count. vicHead[v] is the first block holding v
-	// valid pages (-1 if none); vicPrev[b] is notIndexed for non-members.
-	vicHead, vicNext, vicPrev []int32
-	// pickHook observes every pickVictim result; the differential oracle
-	// test sets it, production leaves it nil.
-	pickHook func(at sim.Time, victim int)
-	// relocHook and retireHook stand in for relocateAndErase and retireBlock;
-	// the differential test sets them to the per-page versions those
-	// replaced, production leaves them nil.
-	relocHook  func(at sim.Time, victim int) (sim.Time, bool)
+	// gc is the reclamation engine over blocks: the page map
+	// (flash.Geometry.Validate keeps every device under 2^31 pages), the
+	// victim index (victim.go), the incremental cursor, and the tenant blame
+	// state.
+	gc reclaim.Engine
+	// retireHook stands in for retireBlock; the differential test sets it
+	// (and gc.Copy) to the per-page versions those replaced, production
+	// leaves it nil.
 	retireHook func(at sim.Time, block int) sim.Time
 
 	data [][]byte // payload by logical page; nil unless StoreData
-
-	// Incremental GC cursor (GCDeviceIncremental only).
-	gcVictim int
-	gcCursor int64
-	// gcRelocDone is the completion high-water mark of incremental
-	// relocation copies — the crash-consistency barrier for the victim's
-	// erase when Recovery is armed.
-	gcRelocDone sim.Time
 
 	// nextSeq is the monotone write sequence stamped into each programmed
 	// page's OOB area when Config.Recovery is armed; the recovery scan's
@@ -220,21 +204,6 @@ type Device struct {
 	// lastGCStall records the duration of the most recent foreground GC
 	// stall; exported via Stats for the scheduling experiments.
 	lastGCStall sim.Time
-
-	// Tenant blame bookkeeping (allocated by SetProbe when attribution is
-	// armed, nil otherwise): pageOwner stamps each physical page with the
-	// tenant that wrote it; deadBy counts, per block, how many of its dead
-	// pages each tenant killed by overwrite/trim — the evidence GC uses to
-	// name a victim block's dominant polluter. lastGCCulprit is the tenant
-	// blamed for the most recent GC stall (SelfTenant when GC did not run
-	// or no polluter stood out).
-	pageOwner     []telemetry.TenantID
-	deadBy        [][telemetry.MaxTenants]int32
-	lastGCCulprit telemetry.TenantID
-	// gcTopAdv is the largest single-victim time advance within the
-	// current write's reclamation (maybeGC + any forceGC retry); the
-	// culprit of that victim is the one the write's gc_stall blames.
-	gcTopAdv sim.Time
 
 	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
 	tr         *telemetry.Tracer
@@ -284,10 +253,7 @@ func New(cfg Config) (*Device, error) {
 	// remain in closed blocks for pickVictim to find an eligible victim
 	// whenever free slots run low.
 	minReserveBlocks := (cfg.Streams+1)*cfg.Geom.LUNs() + cfg.GCLowWaterBlocks + 4
-	reserveBlocks := int64(cfg.ReserveFraction * float64(blocks))
-	if reserveBlocks < int64(minReserveBlocks) {
-		reserveBlocks = int64(minReserveBlocks)
-	}
+	reserveBlocks := max(int64(cfg.ReserveFraction*float64(blocks)), int64(minReserveBlocks))
 	reserve := reserveBlocks * int64(cfg.Geom.PagesPerBlock)
 	logical := int64(float64(raw)/(1+cfg.OPFraction)) - reserve
 	if logical <= int64(cfg.Geom.PagesPerBlock) {
@@ -305,26 +271,19 @@ func New(cfg Config) (*Device, error) {
 		pages:        cfg.Geom.PagesPerBlock,
 		blocks:       blocks,
 		logicalPages: logical,
-		l2p:          make([]int32, logical),
-		p2l:          make([]int32, raw),
 		pending:      make([]l2pStore, 0, cfg.Geom.PagesPerBlock),
-		valid:        make([]int64, blocks),
-		lastInval:    make([]sim.Time, blocks),
 		freePerLUN:   make([][]int, cfg.Geom.LUNs()),
 		freeBit:      make([]bool, blocks),
 		hostFront:    make([][]frontier, cfg.Streams),
 		gcFront:      make([]frontier, cfg.Geom.LUNs()),
 		rr:           make([]int, cfg.Streams),
-		vicHead:      make([]int32, cfg.Geom.PagesPerBlock+1),
-		vicNext:      make([]int32, blocks),
-		vicPrev:      make([]int32, blocks),
+		gc:           reclaim.New(blocks, cfg.Geom.PagesPerBlock, logical),
 	}
-	d.resetVictimIndex()
-	for i := range d.l2p {
-		d.l2p[i] = unmapped
-	}
-	for i := range d.p2l {
-		d.p2l[i] = unmapped
+	d.gc.Copy, d.gc.Erase, d.gc.LastKill = d.relocate, d.erase, make([]sim.Time, blocks)
+	d.gc.Less, d.gc.Barrier = d.lessWorn, cfg.Recovery
+	d.gc.Proc, d.gc.Cat, d.gc.Kind = telemetry.ProcFTL, "ftl", telemetry.FlightGCVictim
+	if cfg.GCPolicy == CostBenefit {
+		d.gc.Score = d.costBenefit
 	}
 	for b := 0; b < blocks; b++ {
 		d.addFree(b)
@@ -338,7 +297,6 @@ func New(cfg Config) (*Device, error) {
 	for i := range d.gcFront {
 		d.gcFront[i].block = -1
 	}
-	d.gcVictim = -1
 	d.freeSlots = raw
 	d.thresholdSlots = int64(cfg.GCLowWaterBlocks) * int64(cfg.Geom.PagesPerBlock)
 	if cfg.StoreData {
@@ -372,11 +330,6 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	reg := p.Registry()
 	d.tr = p.Tracer()
 	d.attr = p.Attribution()
-	if d.attr != nil && d.pageOwner == nil {
-		d.pageOwner = make([]telemetry.TenantID, d.geom.TotalPages())
-		d.deadBy = make([][telemetry.MaxTenants]int32, d.blocks)
-		d.lastGCCulprit = telemetry.SelfTenant
-	}
 	d.mGCVictims = reg.Counter("ftl/gc/victims")
 	d.mGCCopies = reg.Counter("ftl/gc/copy_pages")
 	d.mGCForced = reg.Counter("ftl/gc/forced_runs")
@@ -388,6 +341,7 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	reg.Gauge("ftl/free_slots", func(sim.Time) float64 { return float64(d.freeSlots) })
 	reg.Gauge("ftl/utilization", func(sim.Time) float64 { return d.Utilization() })
 	d.fl = p.Flight()
+	d.gc.Attach(d.attr, d.tr, d.fl)
 }
 
 // CapacityPages reports the logical (host-visible) capacity in pages.
@@ -465,9 +419,7 @@ func (d *Device) moveFrontier(f *frontier, host bool, to int) {
 		if host {
 			d.hostResidual -= int64(d.pages - d.chip.WrittenPages(old))
 		}
-		if d.reclaimable(old) {
-			d.indexInsert(old)
-		}
+		d.enter(old)
 	}
 	f.block = to
 	if host && to >= 0 {
@@ -525,46 +477,6 @@ func (d *Device) takeFreeBlock(lun int, gc bool) (int, bool) {
 	return b, true
 }
 
-func (d *Device) invalidate(at sim.Time, ppn int32) {
-	if ppn == unmapped {
-		return
-	}
-	b := d.blockOf(ppn)
-	d.p2l[ppn] = unmapped
-	d.decValid(b)
-	d.lastInval[b] = at
-	if d.deadBy != nil {
-		// The page died by host overwrite or trim; the worker doing that is
-		// the polluter GC will later blame for cleaning this block.
-		d.deadBy[b][clampOwner(d.attr.Worker())]++
-	}
-}
-
-// clampOwner maps a worker tenant into the deadBy index space.
-func clampOwner(t telemetry.TenantID) telemetry.TenantID {
-	if t < 0 || t >= telemetry.MaxTenants {
-		return 0
-	}
-	return t
-}
-
-// dominantPolluter names the tenant that killed the most pages in victim —
-// the culprit a reclamation of that block blames. SelfTenant when nothing
-// died there (erasing an untouched or wholly-valid block) or blame
-// tracking is off. Ties break toward the lower tenant ID (deterministic).
-func (d *Device) dominantPolluter(victim int) telemetry.TenantID {
-	if d.deadBy == nil {
-		return telemetry.SelfTenant
-	}
-	best, bestN := telemetry.SelfTenant, int32(0)
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		if n := d.deadBy[victim][t]; n > bestN {
-			best, bestN = telemetry.TenantID(t), n
-		}
-	}
-	return best
-}
-
 // WritePage writes one logical page on stream 0. data may be nil for
 // timing-only use. The returned time is when the write completes, including
 // any foreground GC stall it triggered.
@@ -597,7 +509,7 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 			return at, err
 		}
 	}
-	d.attr.ChargeBlamed(telemetry.PhaseGCStall, at-gcFrom, d.lastGCCulprit)
+	d.attr.ChargeBlamed(telemetry.PhaseGCStall, at-gcFrom, d.gc.Culprit)
 	var done sim.Time
 	for attempt := 0; ; attempt++ {
 		block, page := d.blockOf(ppn), d.pageOf(ppn)
@@ -628,13 +540,7 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 		d.attr.Charge(telemetry.PhaseGCStall, at-retryFrom)
 	}
 	d.consumeSlot(false)
-	d.invalidate(at, d.l2p[lpn])
-	d.l2p[lpn] = ppn
-	d.p2l[ppn] = int32(lpn)
-	d.valid[d.blockOf(ppn)]++
-	if d.pageOwner != nil {
-		d.pageOwner[ppn] = clampOwner(d.attr.Worker())
-	}
+	d.gc.Bind(at, lpn, ppn)
 
 	if d.data != nil && data != nil {
 		d.data[lpn] = data
@@ -651,7 +557,7 @@ func (d *Device) ReadPage(at sim.Time, lpn int64) (sim.Time, []byte, error) {
 	if lpn < 0 || lpn >= d.logicalPages {
 		return at, nil, ErrOutOfRange
 	}
-	ppn := d.l2p[lpn]
+	ppn := d.gc.L2P[lpn]
 	if ppn == unmapped {
 		return at, nil, ErrUnmapped
 	}
@@ -675,17 +581,11 @@ func (d *Device) ReadPage(at sim.Time, lpn int64) (sim.Time, []byte, error) {
 // number the oracle considers acceptable. Requires Config.Recovery (the OOB
 // area only exists then).
 func (d *Device) ReadMeta(at sim.Time, lpn int64) (done sim.Time, gotLPN int64, seq uint64, err error) {
-	if lpn < 0 || lpn >= d.logicalPages {
-		return at, -1, 0, ErrOutOfRange
-	}
-	ppn := d.l2p[lpn]
-	if ppn == unmapped {
-		return at, -1, 0, ErrUnmapped
-	}
 	done, _, err = d.ReadPage(at, lpn)
 	if err != nil {
 		return done, -1, 0, err
 	}
+	ppn := d.gc.L2P[lpn]
 	gotLPN, seq = d.chip.OOB(d.blockOf(ppn), d.pageOf(ppn))
 	return done, gotLPN, seq, nil
 }
@@ -701,12 +601,7 @@ func (d *Device) Trim(at sim.Time, lpn, n int64) error {
 	if !d.cfg.TrimSupported {
 		return nil
 	}
-	for i := lpn; i < lpn+n; i++ {
-		if d.l2p[i] != unmapped {
-			d.invalidate(at, d.l2p[i])
-			d.l2p[i] = unmapped
-		}
-	}
+	d.gc.Trim(at, lpn, n)
 	if d.data != nil && n > 0 {
 		clear(d.data[lpn : lpn+n])
 	}
@@ -715,13 +610,7 @@ func (d *Device) Trim(at sim.Time, lpn, n int64) error {
 
 // Utilization reports the fraction of logical pages currently mapped.
 func (d *Device) Utilization() float64 {
-	var mapped int64
-	for _, p := range d.l2p {
-		if p != unmapped {
-			mapped++
-		}
-	}
-	return float64(mapped) / float64(d.logicalPages)
+	return float64(d.gc.Mapped()) / float64(d.logicalPages)
 }
 
 // FreeBlocks reports the current free-block count.

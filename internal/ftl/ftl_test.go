@@ -128,7 +128,7 @@ func TestOverwriteInvalidates(t *testing.T) {
 		t.Errorf("FlashProgramPages = %d", c.FlashProgramPages)
 	}
 	var live int64
-	for _, v := range d.valid {
+	for _, v := range d.gc.Valid {
 		live += v
 	}
 	if live != 1 {
@@ -394,24 +394,24 @@ func TestMappingInvariants(t *testing.T) {
 		}
 	}
 	// L2P -> P2L consistency.
-	for lpn, ppn := range d.l2p {
+	for lpn, ppn := range d.gc.L2P {
 		if ppn == unmapped {
 			continue
 		}
-		if d.p2l[ppn] != int32(lpn) {
-			t.Fatalf("l2p[%d]=%d but p2l[%d]=%d", lpn, ppn, ppn, d.p2l[ppn])
+		if d.gc.P2L[ppn] != int32(lpn) {
+			t.Fatalf("l2p[%d]=%d but p2l[%d]=%d", lpn, ppn, ppn, d.gc.P2L[ppn])
 		}
 	}
 	// Valid counts match P2L.
 	perBlock := make([]int64, testGeom().TotalBlocks())
-	for ppn, lpn := range d.p2l {
+	for ppn, lpn := range d.gc.P2L {
 		if lpn != unmapped {
 			perBlock[ppn/testGeom().PagesPerBlock]++
 		}
 	}
 	for b, v := range perBlock {
-		if d.valid[b] != v {
-			t.Fatalf("valid[%d]=%d but p2l says %d", b, d.valid[b], v)
+		if d.gc.Valid[b] != v {
+			t.Fatalf("valid[%d]=%d but p2l says %d", b, d.gc.Valid[b], v)
 		}
 	}
 }
@@ -450,8 +450,8 @@ func TestMultiStreamSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The two streams' pages must land in different erasure blocks.
-	b0 := d.blockOf(d.l2p[0])
-	b1 := d.blockOf(d.l2p[1])
+	b0 := d.blockOf(d.gc.L2P[0])
+	b1 := d.blockOf(d.gc.L2P[1])
 	if b0 == b1 {
 		t.Errorf("streams shared block %d", b0)
 	}

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"blockhead/internal/flash"
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 )
@@ -15,202 +16,51 @@ import (
 // occupies LUNs that host I/O also needs.
 //
 // GCDeviceIncremental is the kindest plausible on-board controller: it
-// starts earlier and relocates a small chunk per host write, so stalls
-// shrink — but the device still cannot know data lifetimes, so its write
-// amplification (and the DRAM/OP hardware costs) are unchanged. Ablation
-// A5 quantifies exactly how much of the paper's tail argument survives
-// this generosity.
+// starts earlier, at twice the low-water mark, and relocates a small chunk
+// per host write, so stalls shrink — but the device still cannot know data
+// lifetimes, so its write amplification (and the DRAM/OP hardware costs) are
+// unchanged. If the pool still drains to half the mark, it falls back to one
+// blocking emergency pass. Ablation A5 quantifies exactly how much of the
+// paper's tail argument survives this generosity.
 func (d *Device) maybeGC(at sim.Time) sim.Time {
 	// Relocations fan out across LUNs concurrently; per-copy attribution
 	// would double-count overlapped time, so the sink is suspended and the
 	// caller charges the host-visible stall (how far `at` advanced) instead.
 	d.attr.Suspend()
 	defer d.attr.Resume()
-	// Blame bookkeeping for the triggering write's gc_stall charge: the
-	// culprit is the dominant polluter of the victim whose reclamation
-	// advanced time the most in this round (forceGC extends the same round).
-	d.lastGCCulprit = telemetry.SelfTenant
-	d.gcTopAdv = 0
-	if d.cfg.GCMode == GCDeviceIncremental {
-		return d.incrementalGC(at)
-	}
-	if d.hostSlots() > d.thresholdSlots {
-		d.lastGCStall = 0
+	// Blame for the triggering write's gc_stall charge is gathered per round
+	// (forceGC extends the same round).
+	d.gc.NewRound()
+	d.lastGCStall = 0
+	slots, start, span := d.hostSlots(), at, "gc_foreground_stall"
+	switch {
+	case d.cfg.GCMode == GCForeground:
+		if slots > d.thresholdSlots {
+			return at
+		}
+		at = d.gc.Foreground(at, d.slotsLow)
+	case slots > 2*d.thresholdSlots:
 		return at
-	}
-	start := at
-	for d.hostSlots() <= d.thresholdSlots {
-		victim := d.pickVictim(at)
-		if victim < 0 {
-			break
-		}
-		done, ok := d.reclaimVictim(at, victim)
-		if !ok {
-			break
-		}
-		at = sim.Max(at, done)
+	case slots <= d.thresholdSlots/2:
+		at, span = d.gc.Emergency(at, d.slotsLow), "gc_emergency_stall"
+	default:
+		d.gc.Chunk(at, d.cfg.GCChunkPages)
+		return at
 	}
 	d.lastGCStall = at - start
 	if d.lastGCStall > 0 {
 		d.hGCStall.Observe(d.lastGCStall)
-		d.tr.Span(telemetry.ProcFTL, 0, "ftl", "gc_foreground_stall", start, at)
+		d.tr.Span(telemetry.ProcFTL, 0, "ftl", span, start, at)
 	}
 	return at
 }
 
-// incrementalGC relocates at most GCChunkPages valid pages (and at most one
-// erase) per call, starting when free slots fall below twice the low-water
-// mark. If the pool still drains to the mark itself, it falls back to one
-// blocking foreground pass.
-func (d *Device) incrementalGC(at sim.Time) sim.Time {
-	d.lastGCStall = 0
-	slots := d.hostSlots()
-	if slots > 2*d.thresholdSlots {
-		return at
-	}
-	if slots <= d.thresholdSlots/2 {
-		// Fell behind: one emergency foreground pass (stall visible).
-		// Finish the in-flight incremental victim first; it is excluded
-		// from victim selection, so its dead space is otherwise stranded.
-		start := at
-		if d.gcVictim >= 0 {
-			v := d.gcVictim
-			d.gcVictim = -1
-			if done, ok := d.reclaimVictim(at, v); ok {
-				at = sim.Max(at, done)
-			}
-		}
-		for d.hostSlots() <= d.thresholdSlots {
-			victim := d.pickVictim(at)
-			if victim < 0 {
-				break
-			}
-			done, ok := d.reclaimVictim(at, victim)
-			if !ok {
-				break
-			}
-			at = sim.Max(at, done)
-		}
-		d.lastGCStall = at - start
-		if d.lastGCStall > 0 {
-			d.hGCStall.Observe(d.lastGCStall)
-			d.tr.Span(telemetry.ProcFTL, 0, "ftl", "gc_emergency_stall", start, at)
-		}
-		return at
-	}
-	budget := d.cfg.GCChunkPages
-	erased := false
-	for budget > 0 && !erased {
-		if d.gcVictim < 0 {
-			v := d.pickVictim(at)
-			if v < 0 {
-				return at
-			}
-			d.gcVictim, d.gcCursor = v, 0
-			d.fl.Record(at, telemetry.FlightGCVictim, int32(v), "incremental", d.valid[v])
-		}
-		// The chunk's relocation (and eventual erase) occupies LUNs on the
-		// victim's dominant polluter's behalf.
-		d.attr.PushWorker(d.dominantPolluter(d.gcVictim))
-		moved, done := d.relocateChunk(at, d.gcVictim, budget)
-		// Chunk work proceeds concurrently; the write is not gated. The
-		// high-water mark of relocation completions is kept only for the
-		// crash-consistency barrier below.
-		d.gcRelocDone = sim.Max(d.gcRelocDone, done)
-		budget -= moved
-		if int(d.gcCursor) >= d.pages {
-			victim := d.gcVictim
-			d.gcVictim = -1
-			d.mGCVictims.Inc()
-			eraseAt := at
-			if d.cfg.Recovery {
-				// Crash-consistency barrier: with power loss in the model,
-				// the erase must not be issued before the relocated copies
-				// are durable, or a crash in between destroys the only
-				// surviving version.
-				eraseAt = sim.Max(eraseAt, d.gcRelocDone)
-			}
-			d.indexRemove(victim) // erased or retired: out of circulation either way
-			d.valid[victim] = 0
-			if _, err := d.chip.EraseBlock(eraseAt, victim); err == nil {
-				d.counters.BlockErases++
-				d.freeSlots += int64(d.pages)
-				d.addFree(victim)
-				d.gcRuns++
-			}
-			d.clearDeadBy(victim)
-			erased = true
-		}
-		d.attr.PopWorker()
-		if moved == 0 && !erased {
-			return at // no progress possible right now
-		}
-	}
-	return at
-}
+// slotsLow is GC's trigger: host-reachable slots at or below the low-water
+// mark.
+func (d *Device) slotsLow() bool { return d.hostSlots() <= d.thresholdSlots }
 
-// clearDeadBy resets a block's per-tenant death counts once the block
-// leaves circulation (erased back to the free pool, or retired).
-func (d *Device) clearDeadBy(block int) {
-	if d.deadBy != nil {
-		d.deadBy[block] = [telemetry.MaxTenants]int32{}
-	}
-}
-
-// relocateChunk copies up to budget valid pages of victim starting at the
-// incremental cursor, returning how many were copied.
-func (d *Device) relocateChunk(at sim.Time, victim, budget int) (moved int, done sim.Time) {
-	done = at
-	for moved < budget && int(d.gcCursor) < d.pages {
-		p := int(d.gcCursor)
-		d.gcCursor++
-		ppn := d.ppn(victim, p)
-		lpn := d.p2l[ppn]
-		if lpn == unmapped {
-			continue
-		}
-		dst, err := d.allocPage(0, true)
-		if err != nil {
-			d.gcCursor--
-			return moved, done
-		}
-		cDone, err := d.chip.CopyPage(at, victim, p, d.blockOf(dst), d.pageOf(dst))
-		if err == flash.ErrProgramFailed {
-			// Destination retired mid-chunk: clean it up and retry the page
-			// on the next call (the cursor is rewound).
-			at = d.retireBlock(cDone, d.blockOf(dst))
-			d.gcCursor--
-			continue
-		}
-		if err == flash.ErrUncorrectable {
-			// Detected loss of the victim page; drop the mapping.
-			d.p2l[ppn] = unmapped
-			d.l2p[lpn] = unmapped
-			d.decValid(victim)
-			continue
-		}
-		if err != nil {
-			d.gcCursor--
-			return moved, done
-		}
-		done = sim.Max(done, cDone)
-		d.consumeSlot(true)
-		d.p2l[ppn] = unmapped
-		d.l2p[lpn] = dst
-		d.p2l[dst] = lpn
-		d.valid[d.blockOf(dst)]++
-		d.decValid(victim)
-		if d.pageOwner != nil {
-			d.pageOwner[dst] = d.pageOwner[ppn]
-		}
-		d.counters.FlashReadPages++
-		d.counters.FlashProgramPages++
-		d.counters.GCCopyPages++
-		d.mGCCopies.Inc()
-		moved++
-	}
-	return moved, done
-}
+// poolLow is forceGC's: too few free blocks for a host allocation.
+func (d *Device) poolLow() bool { return d.freeCount <= gcReserveBlocks+1 }
 
 // forceGC reclaims until the free pool can serve a host block allocation
 // (or no victim remains). It backs the allocation-retry path: with many
@@ -220,36 +70,7 @@ func (d *Device) forceGC(at sim.Time) sim.Time {
 	d.attr.Suspend()
 	defer d.attr.Resume()
 	d.mGCForced.Inc()
-	for d.freeCount <= gcReserveBlocks+1 {
-		victim := d.pickVictim(at)
-		if victim < 0 {
-			break
-		}
-		done, ok := d.reclaimVictim(at, victim)
-		if !ok {
-			break
-		}
-		at = sim.Max(at, done)
-	}
-	return at
-}
-
-// reclaimVictim relocates and erases one victim under its dominant
-// polluter's worker identity — the relocation traffic's LUN and channel
-// occupancy is owned by the culprit, so later arrivals' waits blame it —
-// and records the culprit of the round's largest time advance for the
-// triggering write's gc_stall blame charge.
-func (d *Device) reclaimVictim(at sim.Time, victim int) (sim.Time, bool) {
-	c := d.dominantPolluter(victim)
-	d.attr.PushWorker(c)
-	done, ok := d.relocateAndErase(at, victim)
-	d.attr.PopWorker()
-	if ok {
-		if adv := done - at; adv > d.gcTopAdv {
-			d.gcTopAdv, d.lastGCCulprit = adv, c
-		}
-	}
-	return done, ok
+	return d.gc.Foreground(at, d.poolLow)
 }
 
 // hostSlots reports the page slots reachable by host allocation: free
@@ -258,11 +79,7 @@ func (d *Device) reclaimVictim(at sim.Time, victim int) (sim.Time, bool) {
 // host writes, so counting it would let the device run dry (§2.4's opaque
 // foreground GC is bad enough without deadlocking).
 func (d *Device) hostSlots() int64 {
-	free := int64(d.freeCount - gcReserveBlocks)
-	if free < 0 {
-		free = 0
-	}
-	return free*int64(d.pages) + d.hostResidual
+	return int64(max(d.freeCount-gcReserveBlocks, 0))*int64(d.pages) + d.hostResidual
 }
 
 // gcSlots reports the page slots reachable by GC allocation: free blocks
@@ -318,10 +135,10 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 		work = work[1:]
 		d.dropFrontier(b)
 		d.freeSlots -= int64(d.pages - d.chip.WrittenPages(b))
-		d.fl.Record(at, telemetry.FlightFault, int32(b), "ftl_retire", d.valid[b])
+		d.fl.Record(at, telemetry.FlightFault, int32(b), "ftl_retire", d.gc.Valid[b])
 		for p := 0; p < d.chip.WrittenPages(b); p++ {
 			ppn := d.ppn(b, p)
-			lpn := d.p2l[ppn]
+			lpn := d.gc.P2L[ppn]
 			if lpn == unmapped {
 				continue
 			}
@@ -340,24 +157,11 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 				if cErr != nil {
 					// Uncorrectable source read: a detected loss; drop the
 					// mapping.
-					d.p2l[ppn] = unmapped
-					d.l2p[lpn] = unmapped
-					d.decValid(b)
+					d.gc.Drop(lpn, ppn)
 					break
 				}
 				at = sim.Max(at, done)
-				d.consumeSlot(true)
-				d.p2l[ppn] = unmapped
-				d.pending = append(d.pending, l2pStore{lpn, dst})
-				d.p2l[dst] = lpn
-				d.valid[d.blockOf(dst)]++
-				d.decValid(b)
-				if d.pageOwner != nil {
-					d.pageOwner[dst] = d.pageOwner[ppn]
-				}
-				d.counters.FlashReadPages++
-				d.counters.FlashProgramPages++
-				d.counters.GCCopyPages++
+				d.copied(ppn, lpn, dst)
 				break
 			}
 		}
@@ -377,107 +181,90 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 // the loops read them. See DESIGN.md, "Relocation and the mapping tables".
 func (d *Device) flushL2P() {
 	for _, s := range d.pending {
-		d.l2p[s.lpn] = s.ppn
+		d.gc.L2P[s.lpn] = s.ppn
 	}
 	d.pending = d.pending[:0]
 }
 
-// relocateAndErase copies the victim's valid pages forward, erases it, and
-// returns it to the free pool. Copies are issued concurrently at time at and
-// serialize per-LUN through the flash resource model; the erase queues
-// behind the victim-LUN reads. Returns the erase completion time.
-func (d *Device) relocateAndErase(at sim.Time, victim int) (sim.Time, bool) {
-	if d.relocHook != nil {
-		return d.relocHook(at, victim)
-	}
-	// Refuse up front if the victim's survivors cannot fit in GC-reachable
-	// space: a partial relocation would consume slots without freeing the
-	// block, leaking space until reclamation deadlocks.
-	if d.valid[victim] > d.gcSlots() {
-		return at, false
+// copied re-points lpn from ppn to dst once a relocation copy has succeeded;
+// the l2p store waits for flushL2P.
+func (d *Device) copied(ppn, lpn, dst int32) {
+	d.consumeSlot(true)
+	d.gc.Move(lpn, ppn, dst)
+	d.pending = append(d.pending, l2pStore{lpn, dst})
+	d.counters.FlashReadPages++
+	d.counters.FlashProgramPages++
+	d.counters.GCCopyPages++
+}
+
+// relocate is the conventional stack's copy loop (reclaim.Engine.Copy): it
+// copies victim's valid pages from page from on — at most budget of them, or
+// all when budget < 0 — into the GC frontiers. Copies are issued
+// concurrently and serialize per LUN through the flash resource model.
+func (d *Device) relocate(at sim.Time, victim int, from int64, budget int) reclaim.Progress {
+	p := reclaim.Progress{Next: from, Issue: at, Done: at}
+	// Refuse a whole victim up front if its survivors cannot fit in
+	// GC-reachable space: a partial relocation would consume slots without
+	// freeing the block, leaking space until reclamation deadlocks.
+	if budget < 0 && d.gc.Valid[victim] > d.gcSlots() {
+		return p
 	}
 	// Every return below leaves l2p complete, the early ones included.
 	defer d.flushL2P()
-	copied := d.counters.GCCopyPages
-	var lastDone = at
-	for p := 0; p < d.pages; p++ {
-		ppn := d.ppn(victim, p)
-		lpn := d.p2l[ppn]
+	for ; p.Next < int64(d.pages) && p.Moved != budget; p.Next++ {
+		page := int(p.Next)
+		ppn := d.ppn(victim, page)
+		lpn := d.gc.P2L[ppn]
 		if lpn == unmapped {
 			continue
 		}
-		for {
-			dst, err := d.allocPage(0, true)
-			if err != nil {
-				return at, false // out of space mid-GC; caller surfaces ErrOutOfSpace
-			}
-			done, err := d.chip.CopyPage(at, victim, p, d.blockOf(dst), d.pageOf(dst))
-			if err == flash.ErrProgramFailed {
-				// The destination went bad mid-GC: retire it (migrating
-				// anything already copied into it, so their l2p entries
-				// must be in place first) and retry this page.
-				d.flushL2P()
-				at = d.retireBlock(done, d.blockOf(dst))
-				continue
-			}
-			if err == flash.ErrUncorrectable {
-				// The victim page itself is unreadable after the retry
-				// ladder: a detected loss. Drop the mapping rather than
-				// strand reclamation on it. (No deferred store names this
-				// lpn: one is queued only once a page's copy has succeeded.)
-				d.p2l[ppn] = unmapped
-				d.l2p[lpn] = unmapped
-				d.decValid(victim)
-				break
-			}
-			if err != nil {
-				return at, false
-			}
-			if done > lastDone {
-				lastDone = done
-			}
-			d.consumeSlot(true)
-			// Re-point the mapping; the l2p store waits for flushL2P.
-			d.p2l[ppn] = unmapped
-			d.pending = append(d.pending, l2pStore{lpn, dst})
-			d.p2l[dst] = lpn
-			d.valid[d.blockOf(dst)]++
-			d.decValid(victim)
-			if d.pageOwner != nil {
-				d.pageOwner[dst] = d.pageOwner[ppn]
-			}
-			d.counters.FlashReadPages++
-			d.counters.FlashProgramPages++
-			d.counters.GCCopyPages++
-			break
+		dst, err := d.allocPage(0, true)
+		if err != nil {
+			return p // out of space mid-GC; the caller surfaces ErrOutOfSpace
 		}
+		done, err := d.chip.CopyPage(p.Issue, victim, page, d.blockOf(dst), d.pageOf(dst))
+		switch err {
+		case nil:
+		case flash.ErrProgramFailed:
+			// The destination went bad mid-GC: retire it (migrating anything
+			// already copied into it, so their l2p entries must be in place
+			// first) and retry this page.
+			d.flushL2P()
+			p.Issue = d.retireBlock(done, d.blockOf(dst))
+			p.Next--
+			continue
+		case flash.ErrUncorrectable:
+			// The victim page itself is unreadable after the retry ladder: a
+			// detected loss. Drop the mapping rather than strand reclamation
+			// on it. (No deferred store names this lpn: one is queued only
+			// once a page's copy has succeeded.)
+			d.gc.Drop(lpn, ppn)
+			continue
+		default:
+			return p
+		}
+		p.Done = sim.Max(p.Done, done)
+		d.copied(ppn, lpn, dst)
+		d.mGCCopies.Inc()
+		p.Moved++
 	}
+	p.Empty, p.OK = p.Next >= int64(d.pages), true
+	return p
+}
 
+// erase is the conventional stack's erase (reclaim.Engine.Erase): the block
+// returns to the free pool, or, if the erase fails (ErrWornOut, or a failed
+// erase), it is retired and its capacity is permanently lost — out of the
+// free pool and out of freeSlots.
+func (d *Device) erase(at sim.Time, victim int) sim.Time {
 	d.gcRuns++
 	d.mGCVictims.Inc()
-	d.fl.Record(at, telemetry.FlightGCVictim, int32(victim), "", int64(d.counters.GCCopyPages-copied))
-	d.mGCCopies.Add(d.counters.GCCopyPages - copied)
-	d.tr.SpanArg(telemetry.ProcFTL, 0, "ftl", "gc_relocate", at, lastDone,
-		"victim", int64(victim))
-	eraseAt := at
-	if d.cfg.Recovery {
-		// Crash-consistency barrier: never issue the erase before the
-		// relocated copies are durable (a crash in between would destroy
-		// the only surviving version of the victim's live pages).
-		eraseAt = sim.Max(eraseAt, lastDone)
-	}
-	d.clearDeadBy(victim) // the block leaves circulation either way below
-	d.indexRemove(victim)
-	d.valid[victim] = 0
-	eraseDone, err := d.chip.EraseBlock(eraseAt, victim)
+	done, err := d.chip.EraseBlock(at, victim)
 	if err != nil {
-		// ErrWornOut: the block is retired and its capacity is permanently
-		// lost (it stays out of the free pool and out of freeSlots). Any
-		// other error is a bug; either way the block is not reusable.
-		return lastDone, true
+		return 0
 	}
 	d.counters.BlockErases++
 	d.freeSlots += int64(d.pages)
 	d.addFree(victim)
-	return sim.Max(lastDone, eraseDone), true
+	return done
 }

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"slices"
 
 	"blockhead/internal/fault"
 	"blockhead/internal/sim"
@@ -39,21 +40,11 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	// Wipe volatile state. Payloads kept by StoreData are DRAM-resident in
 	// this model and do not survive; integrity under crashes is checked via
 	// ReadMeta and the OOB sequence stamps instead.
-	for i := range d.l2p {
-		d.l2p[i] = unmapped
-	}
-	for i := range d.p2l {
-		d.p2l[i] = unmapped
-	}
-	for i := range d.valid {
-		d.valid[i] = 0
-	}
+	d.gc.Forget()
 	for i := range d.freePerLUN {
 		d.freePerLUN[i] = d.freePerLUN[i][:0]
 	}
-	for i := range d.freeBit {
-		d.freeBit[i] = false
-	}
+	clear(d.freeBit)
 	d.freeCount = 0
 	for st := range d.hostFront {
 		for i := range d.hostFront[st] {
@@ -64,8 +55,6 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 		d.gcFront[i].block = -1
 	}
 	d.hostResidual = 0
-	d.gcVictim, d.gcCursor = -1, 0
-	d.resetVictimIndex()
 	clear(d.data)
 
 	// Recovery reads are maintenance traffic, not attributable host IO.
@@ -74,10 +63,6 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 
 	at := cs.At
 	var maxSeq uint64
-	torn := make(map[int]bool, len(cs.Torn))
-	for _, b := range cs.Torn {
-		torn[b] = true
-	}
 	for b := 0; b < d.blocks; b++ {
 		w := d.chip.WrittenPages(b)
 		if w > 0 {
@@ -97,27 +82,19 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 			if lpn < 0 {
 				continue
 			}
-			if seq > maxSeq {
-				maxSeq = seq
-			}
-			ppn := d.ppn(b, p)
-			if old := d.l2p[lpn]; old != unmapped {
-				_, oldSeq := d.chip.OOB(d.blockOf(old), d.pageOf(old))
-				if seq <= oldSeq {
+			maxSeq = max(maxSeq, seq)
+			if old := d.gc.L2P[lpn]; old != unmapped {
+				if _, oldSeq := d.chip.OOB(d.blockOf(old), d.pageOf(old)); seq <= oldSeq {
 					continue
 				}
-				d.p2l[old] = unmapped
-				d.valid[d.blockOf(old)]--
 			}
-			d.l2p[lpn] = ppn
-			d.p2l[ppn] = int32(lpn)
-			d.valid[b]++
+			d.gc.Rebuild(lpn, d.ppn(b, p))
 		}
 		switch {
 		case d.chip.IsBad(b):
 			// Retired: out of the free pool forever, but its valid pages
 			// (rebuilt above) stay readable.
-		case w == 0 && torn[b]:
+		case w == 0 && slices.Contains(cs.Torn, b):
 			// Truncated to zero written pages: the cells are indeterminate,
 			// so erase before trusting the block again.
 			if done, err := d.chip.EraseBlock(at, b); err == nil {
@@ -139,17 +116,11 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	// earlier block's page), and no frontier is open: every closed block is
 	// a GC candidate.
 	for b := 0; b < d.blocks; b++ {
-		if d.reclaimable(b) {
-			d.indexInsert(b)
-		}
+		d.enter(b)
 	}
 	d.nextSeq = maxSeq + 1
 	d.freeSlots = int64(d.freeCount) * int64(d.pages)
-	for _, p := range d.l2p {
-		if p != unmapped {
-			rep.RecoveredMappings++
-		}
-	}
+	rep.RecoveredMappings = d.gc.Mapped()
 	rep.RecoveredAt = at
 	d.fl.Record(at, telemetry.FlightRecover, -1, "ftl", rep.RecoveredMappings)
 	return rep, nil

@@ -8,21 +8,24 @@ import (
 
 	"blockhead/internal/fault"
 	"blockhead/internal/flash"
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/workload"
 )
 
-// This file is the safety net for the deferred l2p stores in relocateAndErase
-// and retireBlock (gc.go): the loops they replaced, which re-point the mapping
-// page by page, live on here unchanged as the reference, and twin devices —
-// one running each — are compared after every host write. The contract is
-// that deferral is invisible: same completion times, same tables, same free
-// pool, same victim index, at every point a host call can observe.
+// This file is the safety net for the deferred l2p stores in relocate (the
+// copy loop both GC modes share) and retireBlock (gc.go): the loops they
+// replaced, which re-point the mapping page by page, live on here as the
+// reference, and twin devices — one running each — are compared after every
+// host write. The contract is that deferral is invisible: same completion
+// times, same tables, same free pool, same victim index, at every point a
+// host call can observe.
 //
-// The two functions below are copied from the parent commit; only their names
-// changed. Their calls to d.retireBlock reach retireBlockPerPage through the
-// twin's retireHook.
+// The functions below are copied from the commits before the deferral (and,
+// for the chunk loop, before it merged into relocate); only their names and
+// what the engine now does for them changed. Their calls to d.retireBlock
+// reach retireBlockPerPage through the twin's retireHook.
 
 // retireBlockPerPage is the parent's retireBlock, verbatim.
 //
@@ -44,10 +47,10 @@ func (d *Device) retireBlockPerPage(at sim.Time, block int) sim.Time {
 		work = work[1:]
 		d.dropFrontier(b)
 		d.freeSlots -= int64(d.pages - d.chip.WrittenPages(b))
-		d.fl.Record(at, telemetry.FlightFault, int32(b), "ftl_retire", d.valid[b])
+		d.fl.Record(at, telemetry.FlightFault, int32(b), "ftl_retire", d.gc.Valid[b])
 		for p := 0; p < d.chip.WrittenPages(b); p++ {
 			ppn := d.ppn(b, p)
-			lpn := d.p2l[ppn]
+			lpn := d.gc.P2L[ppn]
 			if lpn == unmapped {
 				continue
 			}
@@ -66,20 +69,20 @@ func (d *Device) retireBlockPerPage(at sim.Time, block int) sim.Time {
 				if cErr != nil {
 					// Uncorrectable source read: a detected loss; drop the
 					// mapping.
-					d.p2l[ppn] = unmapped
-					d.l2p[lpn] = unmapped
+					d.gc.P2L[ppn] = unmapped
+					d.gc.L2P[lpn] = unmapped
 					d.decValid(b)
 					break
 				}
 				at = sim.Max(at, done)
 				d.consumeSlot(true)
-				d.p2l[ppn] = unmapped
-				d.l2p[lpn] = dst
-				d.p2l[dst] = lpn
-				d.valid[d.blockOf(dst)]++
+				d.gc.P2L[ppn] = unmapped
+				d.gc.L2P[lpn] = dst
+				d.gc.P2L[dst] = lpn
+				d.gc.Valid[d.blockOf(dst)]++
 				d.decValid(b)
-				if d.pageOwner != nil {
-					d.pageOwner[dst] = d.pageOwner[ppn]
+				if d.gc.Owner != nil {
+					d.gc.Owner[dst] = d.gc.Owner[ppn]
 				}
 				d.counters.FlashReadPages++
 				d.counters.FlashProgramPages++
@@ -91,31 +94,44 @@ func (d *Device) retireBlockPerPage(at sim.Time, block int) sim.Time {
 	return at
 }
 
-// relocateAndErasePerPage is the parent's relocateAndErase, verbatim.
+// relocatePerPage stands in for relocate, the copy loop both GC modes share,
+// on the reference twin: whole victims run the parent's relocateAndErase up
+// to its erase (which the engine now issues), chunks the parent's
+// relocateChunk.
+func (d *Device) relocatePerPage(at sim.Time, victim int, from int64, budget int) reclaim.Progress {
+	if budget < 0 {
+		return d.relocateAndErasePerPage(at, victim)
+	}
+	return d.relocateChunkPerPage(at, victim, from, budget)
+}
+
+// relocateAndErasePerPage is relocateAndErase as it was before the l2p
+// stores were deferred, verbatim up to the erase; it returns what the erase
+// needs.
 //
 // relocateAndErase copies the victim's valid pages forward, erases it, and
 // returns it to the free pool. Copies are issued concurrently at time at and
 // serialize per-LUN through the flash resource model; the erase queues
 // behind the victim-LUN reads. Returns the erase completion time.
-func (d *Device) relocateAndErasePerPage(at sim.Time, victim int) (sim.Time, bool) {
+func (d *Device) relocateAndErasePerPage(at sim.Time, victim int) reclaim.Progress {
 	// Refuse up front if the victim's survivors cannot fit in GC-reachable
 	// space: a partial relocation would consume slots without freeing the
 	// block, leaking space until reclamation deadlocks.
-	if d.valid[victim] > d.gcSlots() {
-		return at, false
+	if d.gc.Valid[victim] > d.gcSlots() {
+		return reclaim.Progress{Issue: at, Done: at}
 	}
 	copied := d.counters.GCCopyPages
 	var lastDone = at
 	for p := 0; p < d.pages; p++ {
 		ppn := d.ppn(victim, p)
-		lpn := d.p2l[ppn]
+		lpn := d.gc.P2L[ppn]
 		if lpn == unmapped {
 			continue
 		}
 		for {
 			dst, err := d.allocPage(0, true)
 			if err != nil {
-				return at, false // out of space mid-GC; caller surfaces ErrOutOfSpace
+				return reclaim.Progress{Issue: at, Done: at} // out of space mid-GC; caller surfaces ErrOutOfSpace
 			}
 			done, err := d.chip.CopyPage(at, victim, p, d.blockOf(dst), d.pageOf(dst))
 			if err == flash.ErrProgramFailed {
@@ -128,26 +144,26 @@ func (d *Device) relocateAndErasePerPage(at sim.Time, victim int) (sim.Time, boo
 				// The victim page itself is unreadable after the retry
 				// ladder: a detected loss. Drop the mapping rather than
 				// strand reclamation on it.
-				d.p2l[ppn] = unmapped
-				d.l2p[lpn] = unmapped
+				d.gc.P2L[ppn] = unmapped
+				d.gc.L2P[lpn] = unmapped
 				d.decValid(victim)
 				break
 			}
 			if err != nil {
-				return at, false
+				return reclaim.Progress{Issue: at, Done: at}
 			}
 			if done > lastDone {
 				lastDone = done
 			}
 			d.consumeSlot(true)
 			// Re-point the mapping.
-			d.p2l[ppn] = unmapped
-			d.l2p[lpn] = dst
-			d.p2l[dst] = lpn
-			d.valid[d.blockOf(dst)]++
+			d.gc.P2L[ppn] = unmapped
+			d.gc.L2P[lpn] = dst
+			d.gc.P2L[dst] = lpn
+			d.gc.Valid[d.blockOf(dst)]++
 			d.decValid(victim)
-			if d.pageOwner != nil {
-				d.pageOwner[dst] = d.pageOwner[ppn]
+			if d.gc.Owner != nil {
+				d.gc.Owner[dst] = d.gc.Owner[ppn]
 			}
 			d.counters.FlashReadPages++
 			d.counters.FlashProgramPages++
@@ -155,34 +171,80 @@ func (d *Device) relocateAndErasePerPage(at sim.Time, victim int) (sim.Time, boo
 			break
 		}
 	}
+	moved := d.counters.GCCopyPages - copied
+	d.mGCCopies.Add(moved)
+	return reclaim.Progress{Next: int64(d.pages), Moved: int(moved), Issue: at, Done: lastDone, Empty: true, OK: true}
+}
 
-	d.gcRuns++
-	d.mGCVictims.Inc()
-	d.fl.Record(at, telemetry.FlightGCVictim, int32(victim), "", int64(d.counters.GCCopyPages-copied))
-	d.mGCCopies.Add(d.counters.GCCopyPages - copied)
-	d.tr.SpanArg(telemetry.ProcFTL, 0, "ftl", "gc_relocate", at, lastDone,
-		"victim", int64(victim))
-	eraseAt := at
-	if d.cfg.Recovery {
-		// Crash-consistency barrier: never issue the erase before the
-		// relocated copies are durable (a crash in between would destroy
-		// the only surviving version of the victim's live pages).
-		eraseAt = sim.Max(eraseAt, lastDone)
+// relocateChunkPerPage is the incremental relocateChunk as it was before it
+// shared relocate's deferred stores, verbatim but for the cursor, which the
+// engine now holds, and a failed flag: the engine stops on it where the
+// parent's loop stopped after a second call made no progress.
+//
+// relocateChunk copies up to budget valid pages of victim starting at the
+// incremental cursor, returning how many were copied.
+func (d *Device) relocateChunkPerPage(at sim.Time, victim int, cursor int64, budget int) reclaim.Progress {
+	moved, done := 0, at
+	failed := false
+	for moved < budget && int(cursor) < d.pages {
+		p := int(cursor)
+		cursor++
+		ppn := d.ppn(victim, p)
+		lpn := d.gc.P2L[ppn]
+		if lpn == unmapped {
+			continue
+		}
+		dst, err := d.allocPage(0, true)
+		if err != nil {
+			cursor--
+			failed = true
+			break
+		}
+		cDone, err := d.chip.CopyPage(at, victim, p, d.blockOf(dst), d.pageOf(dst))
+		if err == flash.ErrProgramFailed {
+			// Destination retired mid-chunk: clean it up and retry the page
+			// on the next call (the cursor is rewound).
+			at = d.retireBlock(cDone, d.blockOf(dst))
+			cursor--
+			continue
+		}
+		if err == flash.ErrUncorrectable {
+			// Detected loss of the victim page; drop the mapping.
+			d.gc.P2L[ppn] = unmapped
+			d.gc.L2P[lpn] = unmapped
+			d.decValid(victim)
+			continue
+		}
+		if err != nil {
+			cursor--
+			failed = true
+			break
+		}
+		done = sim.Max(done, cDone)
+		d.consumeSlot(true)
+		d.gc.P2L[ppn] = unmapped
+		d.gc.L2P[lpn] = dst
+		d.gc.P2L[dst] = lpn
+		d.gc.Valid[d.blockOf(dst)]++
+		d.decValid(victim)
+		if d.gc.Owner != nil {
+			d.gc.Owner[dst] = d.gc.Owner[ppn]
+		}
+		d.counters.FlashReadPages++
+		d.counters.FlashProgramPages++
+		d.counters.GCCopyPages++
+		d.mGCCopies.Inc()
+		moved++
 	}
-	d.clearDeadBy(victim) // the block leaves circulation either way below
-	d.indexRemove(victim)
-	d.valid[victim] = 0
-	eraseDone, err := d.chip.EraseBlock(eraseAt, victim)
-	if err != nil {
-		// ErrWornOut: the block is retired and its capacity is permanently
-		// lost (it stays out of the free pool and out of freeSlots). Any
-		// other error is a bug; either way the block is not reusable.
-		return lastDone, true
-	}
-	d.counters.BlockErases++
-	d.freeSlots += int64(d.pages)
-	d.addFree(victim)
-	return sim.Max(lastDone, eraseDone), true
+	return reclaim.Progress{Next: cursor, Moved: moved, Issue: at, Done: done,
+		Empty: int(cursor) >= d.pages, OK: !failed}
+}
+
+// decValid drops block's valid count by one, moving an indexed block down a
+// bucket, as the reference loops did.
+func (d *Device) decValid(block int) {
+	d.gc.Valid[block]--
+	d.gc.Add(block, -1)
 }
 
 // lossy is a fault profile for this test alone. With no retry ladder one read
@@ -193,7 +255,8 @@ var lossy = fault.Profile{Name: "lossy", ReadTransientProb: 0.08, ProgramFailBas
 // relocTally sums what a set of runs exercised, so the test can insist the
 // flush points were actually driven.
 type relocTally struct {
-	victims        int // relocateAndErase calls
+	victims        int // relocate calls
+	erases         int // ...that emptied their victim
 	retires        int // retireBlock calls
 	retiresInReloc int // ...of which from inside a victim's copy loop (flush before retireBlock)
 	recoveries     int
@@ -210,18 +273,18 @@ func requireSameState(t *testing.T, a, b *Device, when string) {
 		name string
 		same bool
 	}{
-		{"l2p", slices.Equal(a.l2p, b.l2p)},
-		{"p2l", slices.Equal(a.p2l, b.p2l)},
-		{"valid", slices.Equal(a.valid, b.valid)},
-		{"lastInval", slices.Equal(a.lastInval, b.lastInval)},
+		{"l2p", slices.Equal(a.gc.L2P, b.gc.L2P)},
+		{"p2l", slices.Equal(a.gc.P2L, b.gc.P2L)},
+		{"valid", slices.Equal(a.gc.Valid, b.gc.Valid)},
+		{"lastInval", slices.Equal(a.gc.LastKill, b.gc.LastKill)},
 		{"freeBit", slices.Equal(a.freeBit, b.freeBit)},
 		{"free pool order", slices.EqualFunc(a.freePerLUN, b.freePerLUN, slices.Equal[[]int])},
 		{"host frontiers", slices.EqualFunc(a.hostFront, b.hostFront, slices.Equal[[]frontier])},
 		{"gc frontiers", slices.Equal(a.gcFront, b.gcFront)},
 		{"frontier cursors", slices.Equal(a.rr, b.rr) && a.gcRR == b.gcRR},
-		{"victim index", slices.Equal(a.vicHead, b.vicHead) && slices.Equal(a.vicNext, b.vicNext) && slices.Equal(a.vicPrev, b.vicPrev)},
+		{"victim index", sameIndex(a, b)},
 		{"free counts", a.freeCount == b.freeCount && a.freeSlots == b.freeSlots && a.hostResidual == b.hostResidual},
-		{"incremental cursor", a.gcVictim == b.gcVictim && a.gcCursor == b.gcCursor && a.gcRelocDone == b.gcRelocDone},
+		{"incremental cursor", a.gc.Victim == b.gc.Victim && a.gc.Cursor == b.gc.Cursor && a.gc.RelocDone == b.gc.RelocDone},
 		{"device counters", a.counters == b.counters && a.gcRuns == b.gcRuns && a.lastGCStall == b.lastGCStall && a.nextSeq == b.nextSeq},
 		{"flash op counts", a.chip.Counts() == b.chip.Counts()},
 		{"fault draws", a.chip.Injector().Counts() == b.chip.Injector().Counts()},
@@ -235,6 +298,19 @@ func requireSameState(t *testing.T, a, b *Device, when string) {
 			t.Fatalf("%s: LUN %d timing differs", when, l)
 		}
 	}
+}
+
+// sameIndex reports whether two devices' victim indexes hold the same blocks
+// under the same keys.
+func sameIndex(a, b *Device) bool {
+	for blk := 0; blk < a.blocks; blk++ {
+		ka, ma := a.gc.Key(blk)
+		kb, mb := b.gc.Key(blk)
+		if ma != mb || (ma && ka != kb) {
+			return false
+		}
+	}
+	return true
 }
 
 // runRelocTwins drives twin devices through prefill, skewed random overwrites
@@ -253,6 +329,7 @@ func runRelocTwins(t *testing.T, r oracleRun, tally *relocTally) {
 	cfg := Config{
 		Geom: r.geom, Lat: flash.LatenciesFor(flash.TLC),
 		OPFraction: 0.07, GCPolicy: r.policy, GCMode: r.mode,
+		GCChunkPages:      2, // completes victims in chunks and still falls behind into emergencies
 		HotColdSeparation: r.separate, Streams: r.streams,
 		TrimSupported: true, Recovery: r.recovery,
 	}
@@ -270,7 +347,7 @@ func runRelocTwins(t *testing.T, r oracleRun, tally *relocTally) {
 	}
 	a, b := twins[0], twins[1]
 	picks := 0
-	a.pickHook = func(at sim.Time, got int) {
+	a.gc.OnPick = func(at sim.Time, got int) {
 		picks++
 		if want := a.pickVictimScan(at); got != want {
 			t.Fatalf("%v: pick %d at t=%d: index chose block %d, scan chose %d", r, picks, at, got, want)
@@ -279,11 +356,15 @@ func runRelocTwins(t *testing.T, r oracleRun, tally *relocTally) {
 	// The reference twin runs the per-page loops, and counts: the twins agree
 	// call for call.
 	inReloc := false
-	b.relocHook = func(at sim.Time, victim int) (sim.Time, bool) {
+	b.gc.Copy = func(at sim.Time, victim int, from int64, budget int) reclaim.Progress {
 		tally.victims++
 		inReloc = true
 		defer func() { inReloc = false }()
-		return b.relocateAndErasePerPage(at, victim)
+		p := b.relocatePerPage(at, victim, from, budget)
+		if p.Empty {
+			tally.erases++
+		}
+		return p
 	}
 	b.retireHook = func(at sim.Time, block int) sim.Time {
 		tally.retires++
@@ -357,9 +438,10 @@ func runRelocTwins(t *testing.T, r oracleRun, tally *relocTally) {
 	checkVictimIndex(t, a, r.String()+" at end")
 }
 
-// TestRelocationMatchesPerPage runs {greedy, hot/cold separation, streams} x
-// {recovery off, on} x {perfect media, the aggressive fault profile, a lossy
-// one} x seeds 42/7/13 on the toy device (the lossy runs on the 1-LUN one).
+// TestRelocationMatchesPerPage runs {greedy, hot/cold separation, streams,
+// device-incremental} x {recovery off, on} x {perfect media, the aggressive
+// fault profile, a lossy one} x seeds 42/7/13 on the toy device (the lossy
+// runs on the 1-LUN one).
 func TestRelocationMatchesPerPage(t *testing.T) {
 	seeds := []int64{42, 7, 13}
 	if testing.Short() {
@@ -367,9 +449,11 @@ func TestRelocationMatchesPerPage(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name     string
+		mode     GCMode
 		streams  int
 		separate bool
-	}{{"greedy", 1, false}, {"hot-cold", 1, true}, {"streams", 4, true}} {
+	}{{"greedy", GCForeground, 1, false}, {"hot-cold", GCForeground, 1, true}, {"streams", GCForeground, 4, true},
+		{"incremental", GCDeviceIncremental, 1, true}, {"incremental-streams", GCDeviceIncremental, 4, false}} {
 		var tally relocTally
 		for _, recovery := range []bool{false, true} {
 			for _, profile := range []string{"none", "aggressive", lossy.Name} {
@@ -381,14 +465,14 @@ func TestRelocationMatchesPerPage(t *testing.T) {
 						// are still pending, and retiring it loses some.
 						geom = oracleDegenerate
 					}
-					runRelocTwins(t, oracleRun{geom: geom, policy: Greedy, mode: GCForeground,
+					runRelocTwins(t, oracleRun{geom: geom, policy: Greedy, mode: c.mode,
 						streams: c.streams, separate: c.separate, profile: profile,
 						recovery: recovery, seed: seed, fill: 1, churn: 2}, &tally)
 				}
 			}
 		}
 		t.Logf("%s: %+v", c.name, tally)
-		if tally.victims == 0 || tally.recoveries == 0 || tally.retiresInReloc == 0 {
+		if tally.erases == 0 || tally.recoveries == 0 || tally.retiresInReloc == 0 {
 			t.Errorf("%s: relocation, recovery or a retirement inside a victim's copy loop never ran: %+v", c.name, tally)
 		}
 	}

@@ -11,7 +11,8 @@ import (
 	"blockhead/internal/workload"
 )
 
-// This file is the safety net for the GC victim index (victim.go): the linear
+// This file is the safety net for the GC victim index (reclaim.Index, keyed by
+// valid count, see victim.go): the linear
 // scan the index replaced lives on here, unchanged, as the reference, and a
 // pick hook compares the two at every single pick across the configuration
 // matrix. The contract is bit-identical victims — the tie-break (fewest valid,
@@ -43,20 +44,20 @@ func (d *Device) pickVictimScan(at sim.Time) int {
 	var bestValid int64
 	var bestScore float64
 	for b := 0; b < d.geom.TotalBlocks(); b++ {
-		if d.chip.IsBad(b) || d.freeBit[b] || d.isFrontier(b) || b == d.gcVictim {
+		if d.chip.IsBad(b) || d.freeBit[b] || d.isFrontier(b) || b == d.gc.Victim {
 			continue
 		}
 		if d.chip.WrittenPages(b) < d.pages && !d.chip.IsSealed(b) {
 			continue
 		}
-		v := d.valid[b]
+		v := d.gc.Valid[b]
 		if v >= int64(d.pages) {
 			continue // nothing to gain
 		}
 		switch d.cfg.GCPolicy {
 		case CostBenefit:
 			u := float64(v) / float64(d.pages)
-			age := float64(at-d.lastInval[b]) + 1
+			age := float64(at-d.gc.LastKill[b]) + 1
 			var score float64
 			if u == 0 {
 				score = age * 1e12 // free lunch: a fully dead block
@@ -94,42 +95,26 @@ func (d *Device) hostSlotsSum() int64 {
 	return slots
 }
 
-// checkVictimIndex asserts the index invariant over all blocks: membership is
-// exactly the scan's eligibility predicate (minus its two pick-time filters,
-// the in-flight victim and "nothing to gain"), every member sits in the
-// bucket of its valid count, and the lists are well formed.
+// checkVictimIndex asserts the index invariant over all blocks: the lists are
+// well formed (Index.Check walks them), membership is exactly the scan's
+// eligibility predicate (minus its pick-time filter, "nothing to gain"), and
+// every member sits in the bucket of its valid count.
 func checkVictimIndex(t *testing.T, d *Device, when string) {
 	t.Helper()
-	inBucket := make([]int, d.blocks)
-	for b := range inBucket {
-		inBucket[b] = -1
-	}
-	for v, head := range d.vicHead {
-		prev := int32(-1)
-		for m := head; m >= 0; m = d.vicNext[m] {
-			if inBucket[m] >= 0 {
-				t.Fatalf("%s: block %d linked twice (buckets %d and %d)", when, m, inBucket[m], v)
-			}
-			if d.vicPrev[m] != prev {
-				t.Fatalf("%s: block %d in bucket %d has prev %d, want %d", when, m, v, d.vicPrev[m], prev)
-			}
-			inBucket[m], prev = v, m
-		}
+	if err := d.gc.Check(); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 	for b := 0; b < d.blocks; b++ {
-		eligible := !d.chip.IsBad(b) && !d.freeBit[b] && !d.isFrontier(b) &&
+		eligible := !d.chip.IsBad(b) && !d.freeBit[b] && !d.isFrontier(b) && b != d.gc.Victim &&
 			(d.chip.WrittenPages(b) >= d.pages || d.chip.IsSealed(b))
-		member := d.vicPrev[b] != notIndexed
+		key, member := d.gc.Key(b)
 		if member != eligible {
 			t.Fatalf("%s: block %d indexed=%v but scan-eligible=%v (bad %v free %v frontier %v written %d sealed %v)",
 				when, b, member, eligible, d.chip.IsBad(b), d.freeBit[b], d.isFrontier(b),
 				d.chip.WrittenPages(b), d.chip.IsSealed(b))
 		}
-		if member != (inBucket[b] >= 0) {
-			t.Fatalf("%s: block %d membership mark %v disagrees with the lists", when, b, member)
-		}
-		if member && int64(inBucket[b]) != d.valid[b] {
-			t.Fatalf("%s: block %d sits in bucket %d with %d valid pages", when, b, inBucket[b], d.valid[b])
+		if member && int64(key) != d.gc.Valid[b] {
+			t.Fatalf("%s: block %d sits in bucket %d with %d valid pages", when, b, key, d.gc.Valid[b])
 		}
 	}
 	if got, want := d.hostSlots(), d.hostSlotsSum(); got != want {
@@ -193,7 +178,7 @@ func runOracle(t *testing.T, r oracleRun, tally *oracleTally) {
 		t.Fatalf("%v: %v", r, err)
 	}
 	d.SetInjector(fault.New(prof, r.seed)) // "none" draws and injects nothing
-	d.pickHook = func(at sim.Time, got int) {
+	d.gc.OnPick = func(at sim.Time, got int) {
 		tally.picks++
 		if got < 0 {
 			tally.emptyPicks++
@@ -219,10 +204,10 @@ func runOracle(t *testing.T, r oracleRun, tally *oracleTally) {
 
 	var at sim.Time
 	write := func(lpn int64) bool {
-		victim := d.gcVictim
+		victim := d.gc.Victim
 		done, err := d.WritePageStream(at, lpn, int(lpn%int64(r.streams)), nil)
 		if d.cfg.GCMode == GCDeviceIncremental {
-			if victim >= 0 && d.gcVictim != victim && (d.freeBit[victim] || d.chip.IsBad(victim)) {
+			if victim >= 0 && d.gc.Victim != victim && (d.freeBit[victim] || d.chip.IsBad(victim)) {
 				tally.incrementalErases++
 			}
 			if d.lastGCStall > 0 {

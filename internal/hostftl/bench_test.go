@@ -63,22 +63,28 @@ func BenchmarkHostFTLReclaimWrite(b *testing.B) {
 
 // TestReclaimDoesNotAllocate pins a reclaiming host write — victim pick,
 // relocation through the reusable scratch, reset, the free-zone ring — at
-// zero allocations in every relocation mode.
+// zero allocations in every relocation mode, and with a MaintenanceStep
+// pacing reclamation after each write.
 func TestReclaimDoesNotAllocate(t *testing.T) {
 	geom := flash.Geometry{Channels: 4, DiesPerChan: 1, PlanesPerDie: 1,
 		BlocksPerLUN: 32, PagesPerBlock: 16, PageSize: 4096}
 	for _, c := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		paced bool
 	}{
-		{"inline", Config{}},
-		{"incremental", Config{GCMode: GCIncremental}},
-		{"simple-copy", Config{UseSimpleCopy: true}},
+		{"inline", Config{}, false},
+		{"incremental", Config{GCMode: GCIncremental}, false},
+		{"simple-copy", Config{UseSimpleCopy: true}, false},
+		{"maintenance-step", Config{GCMode: GCIncremental, UseSimpleCopy: true}, true},
 	} {
 		f, keys, at := agedStack(t, geom, c.cfg) // the warm-up
 		resets, copies := f.gcResets, f.remaps
 		allocs := testing.AllocsPerRun(20000, func() {
 			at, _ = f.Write(at, keys.Next(), nil)
+			if c.paced {
+				f.MaintenanceStep(at, 2, 12)
+			}
 		})
 		if f.gcResets == resets || f.remaps == copies {
 			t.Fatalf("%s: no zone was reclaimed during the measured writes", c.name)

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
 	"blockhead/internal/telemetry"
@@ -58,7 +59,7 @@ var (
 	ErrBadStream  = errors.New("hostftl: stream out of range")
 )
 
-const unmapped = int32(-1)
+const unmapped = reclaim.Unmapped
 
 // Config parameterizes the layer.
 type Config struct {
@@ -95,13 +96,6 @@ type FTL struct {
 	logicalPages int64
 	zonePages    int64
 
-	// The mapping tables hold 4-byte page numbers; New refuses a device of
-	// 2^31 pages or more. (DRAMFootprintBytes reports the modelled 8 bytes.)
-	l2p []int32 // logical page -> device LBA
-	p2l []int32 // device LBA -> logical page
-	// valid counts live pages per zone.
-	valid []int64
-
 	freeZones  zoneRing
 	streamZone [][]int // open data zones per stream (ZonesPerStream wide)
 	streamRR   []int   // per-stream round-robin cursor
@@ -117,15 +111,14 @@ type FTL struct {
 
 	// relocHook stands in for relocateRange; the differential test sets it
 	// to the per-page version that replaced, production leaves it nil.
-	relocHook func(at sim.Time, victim int, from, to int64) (sim.Time, bool)
+	relocHook func(at sim.Time, victim int, from, to int64) (sim.Time, int, bool)
 
-	// Incremental GC cursor.
-	gcVictim int
-	gcCursor int64
-	// gcRelocDone is the completion high-water mark of incremental
-	// relocation copies — the crash-consistency barrier for the victim's
-	// reset when recovery is armed.
-	gcRelocDone sim.Time
+	// gc is the reclamation engine over zones: the page map (New refuses a
+	// device of 2^31 pages or more; DRAMFootprintBytes reports the modelled
+	// 8 bytes an entry), the victim index (keyed by zone pages minus dead
+	// pages, so the most dead zone comes first, ties to the lowest zone
+	// number), the incremental cursor, and the tenant blame state.
+	gc reclaim.Engine
 
 	// recovery mirrors the device's crash-recovery arming (zns.Config
 	// .Recovery): when set, every host append is stamped with (lpn, seq)
@@ -143,18 +136,6 @@ type FTL struct {
 	// lastStall is the host-visible stall of the most recent write due to
 	// reclamation work.
 	lastStall sim.Time
-
-	// Tenant blame bookkeeping (allocated by SetProbe when attribution is
-	// armed, nil otherwise): slotOwner stamps each device LBA with the
-	// tenant that wrote it; deadBy counts, per zone, how many of its dead
-	// pages each tenant killed by overwrite/trim — the evidence reclamation
-	// uses to name a victim zone's dominant polluter. lastCulprit is the
-	// tenant blamed for the most recent write's reclamation stall;
-	// gcTopAdv tracks the largest single-victim advance inside it.
-	slotOwner   []telemetry.TenantID
-	deadBy      [][telemetry.MaxTenants]int32
-	lastCulprit telemetry.TenantID
-	gcTopAdv    sim.Time
 
 	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
 	tr           *telemetry.Tracer
@@ -187,10 +168,7 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 			dev.MaxActive(), need)
 	}
 	nz := dev.NumZones()
-	reserve := int(cfg.OPFraction * float64(nz))
-	if reserve < need+2 {
-		reserve = need + 2
-	}
+	reserve := max(int(cfg.OPFraction*float64(nz)), need+2)
 	if nz-reserve < 1 {
 		return nil, fmt.Errorf("hostftl: %d zones too few for reserve %d", nz, reserve)
 	}
@@ -204,25 +182,18 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 		cfg:          cfg,
 		logicalPages: int64(nz-reserve) * zp,
 		zonePages:    zp,
-		l2p:          make([]int32, int64(nz-reserve)*zp),
-		p2l:          make([]int32, int64(nz)*zp),
-		valid:        make([]int64, nz),
 		freeZones:    zoneRing{buf: make([]int, nz)},
 		streamZone:   make([][]int, cfg.Streams),
 		streamRR:     make([]int, cfg.Streams),
 		gcZone:       -1,
-		gcVictim:     -1,
+		gc:           reclaim.New(nz, int(zp), int64(nz-reserve)*zp),
 	}
 	if dev.Flash().RecoveryEnabled() {
 		f.recovery = true
 		f.nextSeq = 1
 	}
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
-	}
+	f.gc.Copy, f.gc.Erase, f.gc.Barrier = f.relocate, f.reset, f.recovery
+	f.gc.Proc, f.gc.Cat, f.gc.Kind = telemetry.ProcHostFTL, "hostftl", telemetry.FlightReclaim
 	if cfg.UseSimpleCopy {
 		f.reloc.batch = make([]int64, 0, zp)
 	} else {
@@ -249,11 +220,6 @@ func (f *FTL) SetProbe(p *telemetry.Probe) {
 	reg := p.Registry()
 	f.tr = p.Tracer()
 	f.attr = p.Attribution()
-	if f.attr != nil && f.slotOwner == nil {
-		f.slotOwner = make([]telemetry.TenantID, len(f.p2l))
-		f.deadBy = make([][telemetry.MaxTenants]int32, f.dev.NumZones())
-		f.lastCulprit = telemetry.SelfTenant
-	}
 	f.mRelocPages = reg.Counter("hostftl/reclaim/copy_pages")
 	f.mGCResets = reg.Counter("hostftl/reclaim/zone_resets")
 	f.mEmergencies = reg.Counter("hostftl/reclaim/emergencies")
@@ -263,6 +229,7 @@ func (f *FTL) SetProbe(p *telemetry.Probe) {
 	reg.Gauge("hostftl/write_amp", func(sim.Time) float64 { return f.WriteAmp() })
 	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(f.freeZones.n) })
 	f.fl = p.Flight()
+	f.gc.Attach(f.attr, f.tr, f.fl)
 }
 
 // CapacityPages reports the logical capacity in pages.
@@ -312,7 +279,7 @@ func (f *FTL) Counters() *stats.Counters { return f.dev.Counters() }
 // page (host DIMMs are cheap and byte-granular; §2.3 footnote 2 is about
 // exactly this trade).
 func (f *FTL) DRAMFootprintBytes() int64 {
-	return 8*f.logicalPages + 8*int64(len(f.p2l))
+	return 8*f.logicalPages + 8*int64(len(f.gc.P2L))
 }
 
 // zoneRing is the free-zone pool: a FIFO over one slot per zone, so taking
@@ -366,7 +333,10 @@ func (f *FTL) appendTo(at sim.Time, zoneSlot *int, data []byte) (int64, sim.Time
 			return lba, done, nil
 		}
 		if errors.Is(err, zns.ErrZoneFull) {
-			*zoneSlot = -1
+			// A relocation's remaps into the full zone land before it
+			// becomes a victim candidate, keyed by its live pages.
+			f.flushRemaps()
+			f.release(zoneSlot)
 			continue
 		}
 		if errors.Is(err, zns.ErrZoneReadOnly) {
@@ -397,60 +367,13 @@ func (f *FTL) evacuateZone(at sim.Time, z int) sim.Time {
 	f.attr.Suspend()
 	defer f.attr.Resume()
 	f.evacuations++
-	f.fl.Record(at, telemetry.FlightFault, int32(z), "hostftl_evacuate", f.valid[z])
-	done, _ := f.relocateRange(at, z, 0, f.dev.WP(z))
+	f.fl.Record(at, telemetry.FlightFault, int32(z), "hostftl_evacuate", f.gc.Valid[z])
+	done, _, _ := f.relocateRange(at, z, 0, f.dev.WP(z))
 	return sim.Max(at, done)
 }
 
 // Evacuations reports how many read-only zone evacuations have run.
 func (f *FTL) Evacuations() uint64 { return f.evacuations }
-
-func (f *FTL) invalidate(devLBA int32) {
-	if devLBA == unmapped {
-		return
-	}
-	z, _ := f.dev.ZoneOf(int64(devLBA))
-	f.p2l[devLBA] = unmapped
-	f.valid[z]--
-	if f.deadBy != nil {
-		// The page died by host overwrite or trim; the worker doing that is
-		// the polluter reclamation will later blame for recycling this zone.
-		f.deadBy[z][clampOwner(f.attr.Worker())]++
-	}
-}
-
-// clampOwner maps a worker tenant into the deadBy index space.
-func clampOwner(t telemetry.TenantID) telemetry.TenantID {
-	if t < 0 || t >= telemetry.MaxTenants {
-		return 0
-	}
-	return t
-}
-
-// dominantPolluter names the tenant that killed the most pages in zone z —
-// the culprit a reclamation of that zone blames. SelfTenant when nothing
-// died there or blame tracking is off. Ties break toward the lower tenant
-// ID (deterministic).
-func (f *FTL) dominantPolluter(z int) telemetry.TenantID {
-	if f.deadBy == nil {
-		return telemetry.SelfTenant
-	}
-	best, bestN := telemetry.SelfTenant, int32(0)
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		if n := f.deadBy[z][t]; n > bestN {
-			best, bestN = telemetry.TenantID(t), n
-		}
-	}
-	return best
-}
-
-// clearDeadBy resets a zone's per-tenant death counts once the zone is
-// recycled.
-func (f *FTL) clearDeadBy(z int) {
-	if f.deadBy != nil {
-		f.deadBy[z] = [telemetry.MaxTenants]int32{}
-	}
-}
 
 // Write writes one logical page on stream 0.
 func (f *FTL) Write(at sim.Time, lpn int64, data []byte) (sim.Time, error) {
@@ -480,14 +403,7 @@ func (f *FTL) WriteStream(at sim.Time, lpn int64, stream int, data []byte) (sim.
 		f.dev.StampOOB(lba, lpn, f.nextSeq)
 		f.nextSeq++
 	}
-	f.invalidate(f.l2p[lpn])
-	f.l2p[lpn] = int32(lba)
-	f.p2l[lba] = int32(lpn)
-	z, _ := f.dev.ZoneOf(lba)
-	f.valid[z]++
-	if f.slotOwner != nil {
-		f.slotOwner[lba] = clampOwner(f.attr.Worker())
-	}
+	f.gc.Bind(at, lpn, int32(lba))
 	f.hostWrites++
 	f.lastStall = at - start
 	if f.lastStall > 0 {
@@ -497,7 +413,7 @@ func (f *FTL) WriteStream(at sim.Time, lpn int64, stream int, data []byte) (sim.
 	// host-visible stall it caused, keeping phases summing to done-start.
 	// The stall blames the dominant polluter of the victim that dominated
 	// the reclamation round.
-	f.attr.ChargeBlamed(telemetry.PhaseGCStall, f.lastStall, f.lastCulprit)
+	f.attr.ChargeBlamed(telemetry.PhaseGCStall, f.lastStall, f.gc.Culprit)
 	return done, nil
 }
 
@@ -506,7 +422,7 @@ func (f *FTL) Read(at sim.Time, lpn int64) (sim.Time, []byte, error) {
 	if lpn < 0 || lpn >= f.logicalPages {
 		return at, nil, ErrOutOfRange
 	}
-	lba := f.l2p[lpn]
+	lba := f.gc.L2P[lpn]
 	if lba == unmapped {
 		return at, nil, ErrUnmapped
 	}
@@ -524,12 +440,7 @@ func (f *FTL) Trim(lpn, n int64) error {
 	if lpn < 0 || lpn+n > f.logicalPages {
 		return ErrOutOfRange
 	}
-	for i := lpn; i < lpn+n; i++ {
-		if f.l2p[i] != unmapped {
-			f.invalidate(f.l2p[i])
-			f.l2p[i] = unmapped
-		}
-	}
+	f.gc.Trim(0, lpn, n)
 	return nil
 }
 

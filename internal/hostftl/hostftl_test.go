@@ -219,8 +219,8 @@ func TestStreamsSeparateZones(t *testing.T) {
 	if _, err = f.WriteStream(at, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	z0, _ := dev.ZoneOf(int64(f.l2p[0]))
-	z1, _ := dev.ZoneOf(int64(f.l2p[1]))
+	z0, _ := dev.ZoneOf(int64(f.gc.L2P[0]))
+	z1, _ := dev.ZoneOf(int64(f.gc.L2P[1]))
 	if z0 == z1 {
 		t.Error("different streams must write to different zones")
 	}
@@ -282,24 +282,24 @@ func TestMappingInvariants(t *testing.T) {
 				f.Trim(rng.Int63n(f.CapacityPages()), 1)
 			}
 		}
-		for lpn, lba := range f.l2p {
+		for lpn, lba := range f.gc.L2P {
 			if lba == unmapped {
 				continue
 			}
-			if f.p2l[lba] != int32(lpn) {
-				t.Fatalf("simpleCopy=%v: l2p[%d]=%d but p2l=%d", sc, lpn, lba, f.p2l[lba])
+			if f.gc.P2L[lba] != int32(lpn) {
+				t.Fatalf("simpleCopy=%v: l2p[%d]=%d but p2l=%d", sc, lpn, lba, f.gc.P2L[lba])
 			}
 		}
 		perZone := make([]int64, dev.NumZones())
-		for lba, lpn := range f.p2l {
+		for lba, lpn := range f.gc.P2L {
 			if lpn != unmapped {
 				z, _ := dev.ZoneOf(int64(lba))
 				perZone[z]++
 			}
 		}
 		for z, v := range perZone {
-			if f.valid[z] != v {
-				t.Fatalf("simpleCopy=%v: valid[%d]=%d but p2l says %d", sc, z, f.valid[z], v)
+			if f.gc.Valid[z] != v {
+				t.Fatalf("simpleCopy=%v: valid[%d]=%d but p2l says %d", sc, z, f.gc.Valid[z], v)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package hostftl
 import (
 	"errors"
 
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/zns"
@@ -32,10 +33,9 @@ func (f *FTL) MaintenanceStep(at sim.Time, budget, targetFree int) bool {
 	if f.freeZones.n > targetFree {
 		return false
 	}
-	before := f.gcResets
-	beforeFree := f.freeZones.n
-	f.reclaimChunk(at, budget, targetFree)
-	return f.gcResets != before || f.freeZones.n != beforeFree || f.gcVictim >= 0
+	before, beforeFree := f.gcResets, f.freeZones.n
+	f.gc.Chunk(at, budget)
+	return f.gcResets != before || f.freeZones.n != beforeFree || f.gc.Victim >= 0
 }
 
 // reclaim makes free space per the configured policy and returns the time
@@ -48,142 +48,79 @@ func (f *FTL) reclaim(at sim.Time) sim.Time {
 	// host-visible stall (how far `at` advanced) as one phase instead.
 	f.attr.Suspend()
 	defer f.attr.Resume()
-	// Blame bookkeeping for the triggering write's gc_stall charge: the
-	// culprit is the dominant polluter of the victim whose reclamation
-	// advanced time the most in this round.
-	f.lastCulprit = telemetry.SelfTenant
-	f.gcTopAdv = 0
-	switch f.cfg.GCMode {
-	case GCIncremental:
-		if f.freeZones.n <= 1 {
-			// Emergency: the pool is dry; fall back to a blocking pass.
-			f.emergencies++
-			f.mEmergencies.Inc()
-			f.tr.Instant(telemetry.ProcHostFTL, 0, "hostftl", "emergency", at)
-			return f.reclaimInline(at)
-		}
-		if f.freeZones.n <= incrementalStartWater {
-			f.reclaimChunk(at, f.cfg.GCChunkPages, incrementalStartWater)
-		}
-		return at
-	default:
+	f.gc.NewRound()
+	switch {
+	case f.cfg.GCMode != GCIncremental:
 		if f.freeZones.n > inlineLowWater {
 			return at
 		}
-		return f.reclaimInline(at)
+	case f.freeZones.n <= 1:
+		// Emergency: the pool is dry; fall back to a blocking pass.
+		f.emergencies++
+		f.mEmergencies.Inc()
+		f.tr.Instant(telemetry.ProcHostFTL, 0, "hostftl", "emergency", at)
+	default:
+		if f.freeZones.n <= incrementalStartWater {
+			f.gc.Chunk(at, f.cfg.GCChunkPages)
+		}
+		return at
+	}
+	// Inline passes relocate whole victims until the pool recovers, after
+	// finishing any victim a MaintenanceStep left in flight.
+	return f.gc.Emergency(at, f.poolLow)
+}
+
+// poolLow is the inline trigger: the free pool at its low-water mark.
+func (f *FTL) poolLow() bool { return f.freeZones.n <= inlineLowWater }
+
+// release empties an open-zone slot; the zone it held becomes a victim
+// candidate.
+func (f *FTL) release(slot *int) {
+	f.enter(*slot)
+	*slot = -1
+}
+
+// enter adds zone z to the victim index, keyed by its live pages plus its
+// unwritten tail, if it can be reset: ReadOnly zones cannot, so relocating
+// one would make no space progress.
+func (f *FTL) enter(z int) {
+	if st := f.dev.State(z); st != zns.Offline && st != zns.Empty && st != zns.ReadOnly {
+		f.gc.Insert(z, int(f.zonePages-f.dev.WP(z)+f.gc.Valid[z]))
 	}
 }
 
-// reclaimInline relocates whole victims until the pool recovers, returning
-// the completion time of the last reset — the conventional-style stall.
-func (f *FTL) reclaimInline(at sim.Time) sim.Time {
-	// Finish any in-flight incremental victim first: it is excluded from
-	// victim selection, so its dead space is otherwise unreachable here.
-	if f.gcVictim >= 0 {
-		victim, from := f.gcVictim, f.gcCursor
-		f.gcVictim = -1
-		done, ok := f.reclaimVictim(at, victim, from)
-		if ok {
-			at = sim.Max(at, done)
-		}
+// relocate is the host stack's copy loop (reclaim.Engine.Copy). A chunk
+// covers budget victim offsets (the whole zone when budget < 0) and counts
+// only their valid pages against the budget. A whole zone resets once its
+// relocation completes.
+func (f *FTL) relocate(at sim.Time, victim int, from int64, budget int) reclaim.Progress {
+	end := f.dev.WP(victim)
+	if budget >= 0 && from+int64(budget) < end {
+		end = from + int64(budget)
 	}
-	for f.freeZones.n <= inlineLowWater {
-		victim := f.pickVictim()
-		if victim < 0 {
-			break
-		}
-		done, ok := f.reclaimVictim(at, victim, 0)
-		if !ok {
-			break
-		}
-		at = sim.Max(at, done)
+	p := reclaim.Progress{Next: from}
+	p.Done, p.Moved, p.OK = f.relocateRange(at, victim, from, end)
+	p.Issue = p.Done
+	if p.OK {
+		p.Next, p.Empty = end, end >= f.dev.WP(victim)
 	}
-	return at
+	return p
 }
 
-// reclaimVictim relocates and resets one victim under its dominant
-// polluter's worker identity — the relocation and reset traffic's LUN and
-// channel occupancy is owned by the culprit, so later arrivals' waits
-// blame it — and records the culprit of the round's largest time advance
-// for the triggering write's gc_stall blame charge.
-func (f *FTL) reclaimVictim(at sim.Time, victim int, from int64) (sim.Time, bool) {
-	c := f.dominantPolluter(victim)
-	f.attr.PushWorker(c)
-	done, ok := f.finishVictim(at, victim, from)
-	f.attr.PopWorker()
-	if ok {
-		if adv := done - at; adv > f.gcTopAdv {
-			f.gcTopAdv, f.lastCulprit = adv, c
-		}
-	}
-	return done, ok
-}
-
-// pickVictim selects the non-open zone with the most dead (reclaimable)
-// pages, or -1 if no zone has any. Requiring dead > 0 guarantees every
-// relocation cycle makes net space progress, so reclamation terminates.
-func (f *FTL) pickVictim() int {
-	best := -1
-	var bestDead int64
-	for z := 0; z < f.dev.NumZones(); z++ {
-		if f.isOpenForWriting(z) {
-			continue
-		}
-		st := f.dev.State(z)
-		if st == zns.Offline || st == zns.Empty || st == zns.ReadOnly {
-			// ReadOnly zones cannot be reset; their capacity is stranded
-			// until the zone is taken offline, so relocation would make no
-			// space progress.
-			continue
-		}
-		dead := f.dev.WP(z) - f.valid[z]
-		if dead <= 0 {
-			continue
-		}
-		if best < 0 || dead > bestDead {
-			best, bestDead = z, dead
-		}
-	}
-	return best
-}
-
-func (f *FTL) isOpenForWriting(z int) bool {
-	if z == f.gcZone || z == f.gcVictim {
-		return true
-	}
-	for _, zones := range f.streamZone {
-		for _, sz := range zones {
-			if sz == z {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// finishVictim relocates the valid pages in [from, WP) of victim and resets
-// it, returning the reset completion time.
-func (f *FTL) finishVictim(at sim.Time, victim int, from int64) (sim.Time, bool) {
-	wp := f.dev.WP(victim)
-	done, ok := f.relocateRange(at, victim, from, wp)
-	if !ok {
-		return at, false
-	}
-	resetDone, err := f.dev.Reset(done, victim)
+// reset is the host stack's erase (reclaim.Engine.Erase): the zone resets
+// and rejoins the free pool unless wear took it offline. (A victim is never
+// ReadOnly or Offline, the states a reset refuses.)
+func (f *FTL) reset(at sim.Time, victim int) sim.Time {
+	done, err := f.dev.Reset(at, victim)
 	if err != nil {
-		return done, false
+		return done
 	}
-	f.valid[victim] = 0
-	f.clearDeadBy(victim)
 	if f.dev.State(victim) == zns.Empty {
 		f.freeZones.push(victim)
 	}
 	f.gcResets++
 	f.mGCResets.Inc()
-	f.fl.Record(at, telemetry.FlightReclaim, int32(victim), "", wp)
-	f.tr.SpanArg(telemetry.ProcHostFTL, 0, "hostftl", "reclaim_victim", at, resetDone,
-		"zone", int64(victim))
-	return resetDone, true
+	return done
 }
 
 // move is one deferred remap: the page at src now also lives at dst.
@@ -191,36 +128,34 @@ type move struct{ src, dst int64 }
 
 // relocateRange moves the valid pages in [from, to) of victim into the GC
 // zone, via simple copy or host read+write. It returns the completion time
-// of the last relocation op.
-func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, bool) {
+// of the last relocation op and how many pages it moved.
+func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (done sim.Time, moved int, ok bool) {
 	if f.relocHook != nil {
 		return f.relocHook(at, victim, from, to)
 	}
-	done := at
+	done = at
 	if f.cfg.UseSimpleCopy {
 		// Batch the valid LBAs and let the controller move them; no PCIe.
 		batch := f.reloc.batch[:0]
 		for o := from; o < to; o++ {
 			src := f.dev.LBA(victim, o)
-			if f.p2l[src] != unmapped {
+			if f.gc.P2L[src] != unmapped {
 				batch = append(batch, src)
 			}
 		}
+		moved = len(batch)
 		for len(batch) > 0 {
 			if f.gcZone < 0 {
 				z, ok := f.takeFreeZone()
 				if !ok {
-					return at, false
+					return at, 0, false
 				}
 				f.gcZone = z
 			}
 			room := f.dev.WritableCap(f.gcZone) - f.dev.WP(f.gcZone)
-			n := int64(len(batch))
-			if n > room {
-				n = room
-			}
+			n := min(int64(len(batch)), room)
 			if n == 0 {
-				f.gcZone = -1
+				f.release(&f.gcZone)
 				continue
 			}
 			first, cDone, err := f.dev.SimpleCopy(at, batch[:n], f.gcZone)
@@ -232,7 +167,7 @@ func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, 
 				continue
 			}
 			if err != nil {
-				return at, false
+				return at, 0, false
 			}
 			for i := int64(0); i < n; i++ {
 				f.remap(batch[i], first+i)
@@ -240,7 +175,7 @@ func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, 
 			batch = batch[n:]
 			done = sim.Max(done, cDone)
 		}
-		return done, true
+		return done, moved, true
 	}
 
 	// Host path: read each valid page over PCIe and append it back. The
@@ -251,16 +186,16 @@ func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, 
 	defer f.flushRemaps()
 	for o := from; o < to; o++ {
 		src := f.dev.LBA(victim, o)
-		if f.p2l[src] == unmapped {
+		if f.gc.P2L[src] == unmapped {
 			continue
 		}
 		rDone, data, err := f.dev.Read(at, src)
 		if err != nil {
-			return at, false
+			return at, 0, false
 		}
 		dst, wDone, err := f.appendTo(rDone, &f.gcZone, data)
 		if err != nil {
-			return at, false
+			return at, 0, false
 		}
 		if f.recovery {
 			// Relocation must carry the original stamp: the copy is the
@@ -271,8 +206,9 @@ func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (sim.Time, 
 		}
 		f.reloc.moves = append(f.reloc.moves, move{src, dst})
 		done = sim.Max(done, wDone)
+		moved++
 	}
-	return done, true
+	return done, moved, true
 }
 
 // flushRemaps applies the host relocation path's deferred remaps, in copy
@@ -286,87 +222,12 @@ func (f *FTL) flushRemaps() {
 
 // remap moves a live mapping from src to dst.
 func (f *FTL) remap(src, dst int64) {
-	lpn := f.p2l[src]
+	lpn := f.gc.P2L[src]
 	if lpn == unmapped {
 		return
 	}
-	if f.slotOwner != nil {
-		// A relocated page keeps its writer: moving data does not launder
-		// who polluted the zone it lands in next.
-		f.slotOwner[dst] = f.slotOwner[src]
-	}
 	f.mRelocPages.Inc()
-	sz, _ := f.dev.ZoneOf(src)
-	dz, _ := f.dev.ZoneOf(dst)
-	f.p2l[src] = unmapped
-	f.valid[sz]--
-	f.l2p[lpn] = int32(dst)
-	f.p2l[dst] = lpn
-	f.valid[dz]++
+	f.gc.Move(lpn, int32(src), int32(dst))
+	f.gc.L2P[lpn] = int32(dst)
 	f.remaps++
-}
-
-// reclaimChunk advances incremental reclamation by at most budget copied
-// pages and at most one zone reset: it works through the current victim a
-// chunk at a time and resets it when done. The work is issued at time at
-// but never blocks the caller. The single-reset cap matters as much as the
-// copy budget: a backlog of fully-dead zones costs no copies, and erasing
-// them all in one call would park tens of milliseconds of erase work on
-// the LUNs — exactly the tail spike this mode exists to avoid.
-func (f *FTL) reclaimChunk(at sim.Time, budget, water int) {
-	resets := 0
-	for budget > 0 && resets == 0 && f.freeZones.n <= water {
-		if f.gcVictim < 0 {
-			v := f.pickVictim()
-			if v < 0 {
-				return
-			}
-			f.gcVictim, f.gcCursor = v, 0
-			f.fl.Record(at, telemetry.FlightReclaim, int32(v), "incremental", f.valid[v])
-		}
-		wp := f.dev.WP(f.gcVictim)
-		end := f.gcCursor + int64(budget)
-		if end > wp {
-			end = wp
-		}
-		// Count only valid pages against the budget.
-		var validInRange int
-		for o := f.gcCursor; o < end; o++ {
-			if f.p2l[f.dev.LBA(f.gcVictim, o)] != unmapped {
-				validInRange++
-			}
-		}
-		// The chunk's relocation (and eventual reset) occupies LUNs on the
-		// victim's dominant polluter's behalf.
-		f.attr.PushWorker(f.dominantPolluter(f.gcVictim))
-		rDone, ok := f.relocateRange(at, f.gcVictim, f.gcCursor, end)
-		if !ok {
-			f.attr.PopWorker()
-			return
-		}
-		f.gcRelocDone = sim.Max(f.gcRelocDone, rDone)
-		f.gcCursor = end
-		budget -= validInRange
-		if f.gcCursor >= wp {
-			victim := f.gcVictim
-			f.gcVictim = -1
-			resetAt := at
-			if f.recovery {
-				// Crash-consistency barrier: the reset's erases must not be
-				// issued before the relocated copies are durable, or a crash
-				// in between destroys the only surviving version.
-				resetAt = sim.Max(resetAt, f.gcRelocDone)
-			}
-			if _, err := f.dev.Reset(resetAt, victim); err == nil {
-				f.valid[victim] = 0
-				f.clearDeadBy(victim)
-				if f.dev.State(victim) == zns.Empty {
-					f.freeZones.push(victim)
-				}
-				f.gcResets++
-				resets++
-			}
-		}
-		f.attr.PopWorker()
-	}
 }

@@ -138,8 +138,8 @@ func TestEmergencyCounterAndRecovery(t *testing.T) {
 		t.Skip("churn never hit the emergency path on this configuration")
 	}
 	// Mappings still consistent after emergencies.
-	for lpn, lba := range f.l2p {
-		if lba != unmapped && f.p2l[lba] != int32(lpn) {
+	for lpn, lba := range f.gc.L2P {
+		if lba != unmapped && f.gc.P2L[lba] != int32(lpn) {
 			t.Fatalf("mapping broken after emergency: l2p[%d]=%d", lpn, lba)
 		}
 	}

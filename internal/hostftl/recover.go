@@ -33,22 +33,14 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 
 	// Wipe volatile host state: the mapping, valid counts, open-zone slots,
 	// reclamation cursors, and the free pool are all host DRAM.
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
-	}
-	for i := range f.valid {
-		f.valid[i] = 0
-	}
+	f.gc.Forget()
 	f.freeZones.head, f.freeZones.n = 0, 0
 	for s := range f.streamZone {
 		for j := range f.streamZone[s] {
 			f.streamZone[s][j] = -1
 		}
 	}
-	f.gcZone, f.gcVictim, f.gcCursor = -1, -1, 0
+	f.gcZone = -1
 
 	// Recovery reads are maintenance traffic, not attributable host IO.
 	f.attr.Suspend()
@@ -82,46 +74,32 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 			if lpn < 0 || lpn >= f.logicalPages {
 				continue // never stamped: relocation orphan or pre-recovery garbage
 			}
-			if seq > maxSeq {
-				maxSeq = seq
-			}
-			if old := f.l2p[lpn]; old != unmapped {
-				_, oldSeq := f.dev.OOB(int64(old))
-				if seq <= oldSeq {
+			maxSeq = max(maxSeq, seq)
+			if old := f.gc.L2P[lpn]; old != unmapped {
+				if _, oldSeq := f.dev.OOB(int64(old)); seq <= oldSeq {
 					continue // equal seqs are identical copies; first wins
 				}
-				oz, _ := f.dev.ZoneOf(int64(old))
-				f.p2l[old] = unmapped
-				f.valid[oz]--
 			}
-			f.l2p[lpn] = int32(lba)
-			f.p2l[lba] = int32(lpn)
-			f.valid[z]++
+			f.gc.Rebuild(lpn, int32(lba))
 		}
 	}
 	f.nextSeq = maxSeq + 1
 
 	// Zones the scan proved fully dead (every surviving page superseded or
-	// orphaned) go straight back to the pool.
+	// orphaned) go straight back to the pool. No slot is open: every other
+	// zone that can be reset is a victim candidate.
 	for z := 0; z < f.dev.NumZones(); z++ {
-		if f.dev.State(z) != zns.Full || f.valid[z] != 0 {
-			continue
+		if f.dev.State(z) == zns.Full && f.gc.Valid[z] == 0 {
+			if done, err := f.dev.Reset(at, z); err == nil {
+				at = done
+				if f.dev.State(z) == zns.Empty {
+					f.freeZones.push(z)
+				}
+			}
 		}
-		done, err := f.dev.Reset(at, z)
-		if err != nil {
-			continue
-		}
-		at = done
-		if f.dev.State(z) == zns.Empty {
-			f.freeZones.push(z)
-		}
+		f.enter(z)
 	}
-
-	for _, lba := range f.l2p {
-		if lba != unmapped {
-			rep.RecoveredMappings++
-		}
-	}
+	rep.RecoveredMappings = f.gc.Mapped()
 	rep.RecoveredAt = at
 	f.fl.Record(at, telemetry.FlightRecover, -1, "hostftl", rep.RecoveredMappings)
 	return rep, nil
@@ -134,7 +112,7 @@ func (f *FTL) ReadMeta(at sim.Time, lpn int64) (done sim.Time, gotLPN int64, seq
 	if lpn < 0 || lpn >= f.logicalPages {
 		return at, -1, 0, ErrOutOfRange
 	}
-	lba := f.l2p[lpn]
+	lba := f.gc.L2P[lpn]
 	if lba == unmapped {
 		return at, -1, 0, ErrUnmapped
 	}

@@ -21,7 +21,8 @@ import (
 // invisible: same completion times, same tables, same free pool order, same
 // device state, at every point a host call can observe.
 //
-// The function below is copied from the parent commit; only its name changed.
+// The function below is copied from the commit that introduced the deferral;
+// only its name and the release of a full GC zone changed.
 
 // relocateRangePerPage is the parent's relocateRange, verbatim.
 //
@@ -48,7 +49,7 @@ func (f *FTL) relocateRangePerPage(at sim.Time, victim int, from, to int64) (sim
 					n = room
 				}
 				if n == 0 {
-					f.gcZone = -1
+					f.release(&f.gcZone) // was f.gcZone = -1: a released slot now joins the victim index
 					continue
 				}
 				first, cDone, err := f.dev.SimpleCopy(at, batch[:n], f.gcZone)
@@ -72,7 +73,7 @@ func (f *FTL) relocateRangePerPage(at sim.Time, victim int, from, to int64) (sim
 		}
 		for o := from; o < to; o++ {
 			src := f.dev.LBA(victim, o)
-			if f.p2l[src] != unmapped {
+			if f.gc.P2L[src] != unmapped {
 				batch = append(batch, src)
 			}
 		}
@@ -85,7 +86,7 @@ func (f *FTL) relocateRangePerPage(at sim.Time, victim int, from, to int64) (sim
 	// Host path: read each valid page over PCIe and append it back.
 	for o := from; o < to; o++ {
 		src := f.dev.LBA(victim, o)
-		if f.p2l[src] == unmapped {
+		if f.gc.P2L[src] == unmapped {
 			continue
 		}
 		rDone, data, err := f.dev.Read(at, src)
@@ -160,13 +161,13 @@ func requireSameState(t *testing.T, a, b *FTL, when string) {
 		name string
 		same bool
 	}{
-		{"l2p", slices.Equal(a.l2p, b.l2p)},
-		{"p2l", slices.Equal(a.p2l, b.p2l)},
-		{"valid", slices.Equal(a.valid, b.valid)},
+		{"l2p", slices.Equal(a.gc.L2P, b.gc.L2P)},
+		{"p2l", slices.Equal(a.gc.P2L, b.gc.P2L)},
+		{"valid", slices.Equal(a.gc.Valid, b.gc.Valid)},
 		{"free pool order", slices.Equal(a.pool(), b.pool())},
 		{"open zones", slices.EqualFunc(a.streamZone, b.streamZone, slices.Equal[[]int]) &&
 			slices.Equal(a.streamRR, b.streamRR) && a.gcZone == b.gcZone},
-		{"incremental cursor", a.gcVictim == b.gcVictim && a.gcCursor == b.gcCursor && a.gcRelocDone == b.gcRelocDone},
+		{"incremental cursor", a.gc.Victim == b.gc.Victim && a.gc.Cursor == b.gc.Cursor && a.gc.RelocDone == b.gc.RelocDone},
 		{"host counters", a.hostWrites == b.hostWrites && a.gcResets == b.gcResets && a.emergencies == b.emergencies &&
 			a.remaps == b.remaps && a.evacuations == b.evacuations && a.lastStall == b.lastStall && a.nextSeq == b.nextSeq},
 		{"device counters", *a.dev.Counters() == *b.dev.Counters() &&
@@ -222,18 +223,24 @@ func runRelocTwins(t *testing.T, r relocTwin, tally *relocTally) {
 	// call for call. A relocateRange entered while another is running is an
 	// evacuation of the zone the outer one was appending to.
 	depth := 0
-	b.relocHook = func(at sim.Time, victim int, from, to int64) (sim.Time, bool) {
+	b.relocHook = func(at sim.Time, victim int, from, to int64) (sim.Time, int, bool) {
 		tally.relocations++
 		if depth > 0 {
 			tally.evacInReloc++
 		}
 		depth++
 		defer func() { depth-- }()
+		moved := 0 // counted up front: the per-page loop does not count
+		for o := from; o < to; o++ {
+			if b.gc.P2L[b.dev.LBA(victim, o)] != unmapped {
+				moved++
+			}
+		}
 		done, ok := b.relocateRangePerPage(at, victim, from, to)
 		if !ok {
 			tally.aborted++
 		}
-		return done, ok
+		return done, moved, ok
 	}
 
 	n := a.CapacityPages()
@@ -292,8 +299,10 @@ func runRelocTwins(t *testing.T, r relocTwin, tally *relocTally) {
 			tally.recoveries++
 			at = repA.RecoveredAt
 			requireSameState(t, a, b, fmt.Sprintf("%v after recovery at op %d", r, i))
+			checkZoneIndex(t, a, fmt.Sprintf("%v after recovery at op %d", r, i))
 		}
 	}
+	checkZoneIndex(t, a, r.String()+" at end")
 	tally.evacuations += int(b.evacuations)
 	tally.resets += b.gcResets
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sort"
 
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/workload"
 	"blockhead/internal/zns"
@@ -163,6 +164,9 @@ type Store struct {
 	segs    [][]seg // per zone
 	live    []int64 // live pages per zone
 	exp     expHeap
+	// victims holds the sealed zones, keyed by zone pages minus dead pages:
+	// the most dead first, ties to the lowest zone number.
+	victims reclaim.Index
 
 	hostPages uint64
 	gcResets  uint64
@@ -188,6 +192,7 @@ func NewStore(dev *zns.Device, policy Policy) (*Store, error) {
 		objects:    make(map[int64]*objState),
 		segs:       make([][]seg, dev.NumZones()),
 		live:       make([]int64, dev.NumZones()),
+		victims:    reclaim.NewIndex(dev.NumZones(), int(dev.ZonePages())),
 	}
 	for i := range s.streamZone {
 		s.streamZone[i] = -1
@@ -250,6 +255,9 @@ func (s *Store) openWithRoom(at sim.Time, slot *int, pages int) (int, error) {
 			return -1, err
 		}
 		*slot = -1
+		if st := s.dev.State(z); st != zns.Empty && st != zns.Offline {
+			s.victims.Insert(z, int(s.dev.ZonePages()-s.dev.WP(z)+s.live[z]))
+		}
 	}
 	return -1, ErrOutOfSpace
 }
@@ -304,6 +312,7 @@ func (s *Store) kill(st *objState) {
 	}
 	st.alive = false
 	s.live[st.zone] -= int64(st.obj.Pages)
+	s.victims.Add(st.zone, -st.obj.Pages)
 	delete(s.objects, st.obj.ID)
 }
 
@@ -327,7 +336,7 @@ func (s *Store) ExpireUpTo(now sim.Time) int {
 func (s *Store) reclaim(at sim.Time) {
 	const maxVictims = 4
 	for v := 0; v < maxVictims && len(s.freeZones) <= 2; v++ {
-		victim := s.pickVictim()
+		victim := s.victims.Pick(at)
 		if victim < 0 {
 			return
 		}
@@ -335,39 +344,6 @@ func (s *Store) reclaim(at sim.Time) {
 			return
 		}
 	}
-}
-
-func (s *Store) pickVictim() int {
-	best := -1
-	var bestDead int64
-	for z := 0; z < s.dev.NumZones(); z++ {
-		if s.isOpen(z) || s.dev.State(z) == zns.Offline || s.dev.State(z) == zns.Empty {
-			continue
-		}
-		if s.dev.WP(z) == 0 {
-			continue
-		}
-		dead := s.dev.WP(z) - s.live[z]
-		if dead <= 0 {
-			continue
-		}
-		if best < 0 || dead > bestDead {
-			best, bestDead = z, dead
-		}
-	}
-	return best
-}
-
-func (s *Store) isOpen(z int) bool {
-	if z == s.relocZone {
-		return true
-	}
-	for _, sz := range s.streamZone {
-		if sz == z {
-			return true
-		}
-	}
-	return false
 }
 
 // relocate copies each live object out of victim whole (objects never
@@ -391,6 +367,7 @@ func (s *Store) relocate(at sim.Time, victim int) bool {
 			return false
 		}
 		s.live[victim] -= int64(sg.pages)
+		s.victims.Add(victim, -sg.pages)
 		s.live[dz] += int64(sg.pages)
 		st.zone, st.off = dz, newOff
 		s.segs[dz] = append(s.segs[dz], seg{id: sg.id, off: newOff, pages: sg.pages})
@@ -400,6 +377,7 @@ func (s *Store) relocate(at sim.Time, victim int) bool {
 	if _, err := s.dev.Reset(at, victim); err != nil {
 		return false
 	}
+	s.victims.Remove(victim)
 	s.live[victim] = 0
 	if s.dev.State(victim) == zns.Empty {
 		s.freeZones = append(s.freeZones, victim)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
 	"blockhead/internal/zns"
@@ -28,6 +29,9 @@ type ZNSBackend struct {
 	zoneTables map[int][]TableHandle
 	livePages  []int64
 	next       TableHandle
+	// victims holds the sealed zones, keyed by zone pages minus dead pages:
+	// the most dead first, ties to the lowest zone number.
+	victims reclaim.Index
 
 	walOff int64 // bytes appended to the WAL zone since reset
 
@@ -66,6 +70,7 @@ func NewZNSBackend(dev *zns.Device, streams int) (*ZNSBackend, error) {
 		tables:     make(map[TableHandle]*znsTable),
 		zoneTables: make(map[int][]TableHandle),
 		livePages:  make([]int64, dev.NumZones()),
+		victims:    reclaim.NewIndex(dev.NumZones(), int(dev.ZonePages())),
 	}
 	for i := range b.levelZone {
 		b.levelZone[i] = -1
@@ -124,6 +129,9 @@ func (b *ZNSBackend) openWithRoom(at sim.Time, slot *int, pages int64) (int, err
 		}
 		sealed := z
 		*slot = -1
+		if st := b.dev.State(sealed); st != zns.Empty && st != zns.Offline {
+			b.victims.Insert(sealed, int(b.dev.ZonePages()-b.dev.WP(sealed)+b.livePages[sealed]))
+		}
 		// A sealed zone whose tables are all dead can be reset right away.
 		b.maybeRecycle(at, sealed)
 	}
@@ -153,6 +161,7 @@ func (b *ZNSBackend) maybeRecycle(at sim.Time, z int) {
 	if _, err := b.dev.Reset(at, z); err != nil {
 		return
 	}
+	b.victims.Remove(z)
 	delete(b.zoneTables, z)
 	b.freeZones = append(b.freeZones, z)
 }
@@ -220,6 +229,7 @@ func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 	}
 	t.dead = true
 	b.livePages[t.zone] -= t.pages
+	b.victims.Add(t.zone, -int(t.pages))
 	delete(b.tables, h)
 	b.maybeRecycle(at, t.zone)
 	return nil
@@ -233,24 +243,7 @@ func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 func (b *ZNSBackend) reclaim(at sim.Time) {
 	const maxVictims = 4
 	for v := 0; v < maxVictims && len(b.freeZones) <= 2; v++ {
-		victim := -1
-		var bestDead int64
-		for z := 0; z < b.dev.NumZones(); z++ {
-			if b.isOpenSlot(z) {
-				continue
-			}
-			st := b.dev.State(z)
-			if st == zns.Empty || st == zns.Offline || b.dev.WP(z) == 0 {
-				continue
-			}
-			dead := b.dev.WP(z) - b.livePages[z]
-			if dead <= 0 {
-				continue
-			}
-			if victim < 0 || dead > bestDead {
-				victim, bestDead = z, dead
-			}
-		}
+		victim := b.victims.Pick(at)
 		if victim < 0 {
 			return
 		}
@@ -279,6 +272,7 @@ func (b *ZNSBackend) relocateZone(at sim.Time, victim int) bool {
 			return false
 		}
 		b.livePages[victim] -= t.pages
+		b.victims.Add(victim, -int(t.pages))
 		b.livePages[dz] += t.pages
 		t.zone, t.off = dz, newOff
 		b.zoneTables[dz] = append(b.zoneTables[dz], h)
@@ -288,6 +282,7 @@ func (b *ZNSBackend) relocateZone(at sim.Time, victim int) bool {
 	if _, err := b.dev.Reset(at, victim); err != nil {
 		return false
 	}
+	b.victims.Remove(victim)
 	b.livePages[victim] = 0
 	b.freeZones = append(b.freeZones, victim)
 	return true
