@@ -39,7 +39,9 @@ bench-selftest:
 # The telemetry layer's contract: with no probe attached, every instrument
 # (including the latency-attribution sink, the zone state-machine auditor,
 # and the flight recorder) is a nil no-op — 0 allocs/op. A regression here
-# slows every simulation.
+# slows every simulation. Armed, one measured IO through every fold an
+# experiment attaches allocates nothing either (TestArmedIOZeroAllocs), and
+# BenchmarkArmedIO prints what it costs.
 #
 # The same holds for what every event-driven run pays per event and per
 # latency sample: sim.Loop's schedule+dispatch allocates nothing once the
@@ -55,7 +57,7 @@ bench-selftest:
 # nothing, and the two benchmarks print its cost and copies/op at femu256,
 # where the mapping tables outgrow the caches.
 bench-telemetry:
-	$(GO) test -run='^$$' -bench=ProbeDisabled -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
+	$(GO) test -run='^$$' -bench='ProbeDisabled|ProbeEnabled|ArmedIO' -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
 	$(GO) test -run='DoesNotAllocate|DoNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/
 
 # The full per-table benchmark suite (slow; custom metrics carry results).

@@ -10,6 +10,11 @@ import (
 	"blockhead/internal/workload"
 )
 
+// foldFunc adapts a function to a telemetry.Fold.
+type foldFunc func(r *telemetry.Record)
+
+func (f foldFunc) Fold(r *telemetry.Record) { f(r) }
+
 // checkedProbe returns a Config whose probe's attribution sink verifies, for
 // every completed IO, the tentpole invariant: the charged phases sum exactly
 // (zero-tick slack) to the end-to-end latency.
@@ -17,7 +22,8 @@ func checkedProbe(t *testing.T, seed int64) (Config, *telemetry.AttrSink, *int) 
 	t.Helper()
 	sink := telemetry.NewAttrSink()
 	checked := new(int)
-	sink.OnComplete = func(op telemetry.OpKind, total sim.Time, phases [telemetry.NumPhases]sim.Time) {
+	sink.Folds = []telemetry.Fold{foldFunc(func(r *telemetry.Record) {
+		op, total, phases := r.Op, r.Total, r.Phases
 		*checked++
 		var sum sim.Time
 		for _, d := range phases {
@@ -30,7 +36,7 @@ func checkedProbe(t *testing.T, seed int64) (Config, *telemetry.AttrSink, *int) 
 		if total < 0 {
 			t.Errorf("%s IO #%d: negative total %d", op, *checked, total)
 		}
-	}
+	})}
 	cfg := Config{Quick: true, Seed: seed, Probe: &telemetry.Probe{Attr: sink}}
 	return cfg, sink, checked
 }
@@ -110,7 +116,8 @@ func TestAttributionInvariantFTLChurn(t *testing.T) {
 	}
 	sink := telemetry.NewAttrSink()
 	var checked, gcStalled int
-	sink.OnComplete = func(op telemetry.OpKind, total sim.Time, phases [telemetry.NumPhases]sim.Time) {
+	sink.Folds = []telemetry.Fold{foldFunc(func(r *telemetry.Record) {
+		total, phases := r.Total, r.Phases
 		checked++
 		var sum sim.Time
 		for _, d := range phases {
@@ -122,7 +129,7 @@ func TestAttributionInvariantFTLChurn(t *testing.T) {
 		if phases[telemetry.PhaseGCStall] > 0 {
 			gcStalled++
 		}
-	}
+	})}
 	dev.SetProbe(&telemetry.Probe{Attr: sink})
 	var at sim.Time
 	src := workload.NewSource(3)

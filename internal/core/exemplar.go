@@ -271,16 +271,16 @@ func formatExemplarRow(b *strings.Builder, es ExemplarSection, rank int, e exemp
 // exemplarBehind renders the exemplar's queued-behind split from its
 // critical-path record: wait phase -> occupant service phase.
 func exemplarBehind(e exemplar.Exemplar) string {
-	waitPhases := [critpath.NumWaits]telemetry.Phase{
+	waitPhases := [telemetry.NumWaits]telemetry.Phase{
 		telemetry.PhaseWPSerial, telemetry.PhaseChanWait, telemetry.PhaseLUNWait,
 	}
-	bindPhases := [critpath.NumBinds]telemetry.Phase{
+	bindPhases := [telemetry.NumBinds]telemetry.Phase{
 		telemetry.PhaseXfer, telemetry.PhaseNANDRead,
 		telemetry.PhaseNANDProgram, telemetry.PhaseNANDErase,
 	}
 	var parts []string
-	for w := 0; w < critpath.NumWaits; w++ {
-		for bi := 0; bi < critpath.NumBinds; bi++ {
+	for w := 0; w < telemetry.NumWaits; w++ {
+		for bi := 0; bi < telemetry.NumBinds; bi++ {
 			if v := e.Path.WaitBy[w][bi]; v != 0 {
 				parts = append(parts, fmt.Sprintf("%s<-%s %.1fus",
 					waitPhases[w], bindPhases[bi], v.Micros()))

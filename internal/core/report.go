@@ -103,27 +103,25 @@ func attrProbe(cfg Config) *telemetry.Probe {
 			fl.Violation(at, telemetry.FlightAttrViolation, -1, "attribution_invariant", 0)
 		}
 	}
-	// Arm the per-IO layers once per sink. Explain mode installs a
-	// narrator as both the path and exemplar sink (the critpath recorder
-	// and reservoir step aside; their report sections skip empty
-	// snapshots gracefully). Otherwise: the critical-path recorder —
-	// every experiment that attributes latency also records per-IO
-	// critical paths (same charge feed, same exact-sum contract) — plus
-	// the exemplar reservoir reading completed paths out of it.
-	// Experiments drain both around their measured windows.
+	// Arm the per-IO folds once per sink. Explain mode installs a narrator
+	// as the sink's tap and fold (the critpath recorder and reservoir step
+	// aside; their report sections skip empty snapshots gracefully).
+	// Otherwise: the critical-path recorder — every experiment that
+	// attributes latency also records per-IO critical paths (same record,
+	// same exact-sum contract) — plus the exemplar reservoir carrying
+	// completed paths. Experiments drain both around their measured windows.
 	if cfg.ExplainSeq != 0 && cfg.session != nil {
 		if cfg.session.narrator == nil {
 			cfg.session.narrator = exemplar.NewNarrator(cfg.ExplainSeq)
 		}
-		if sink.Path == nil {
-			sink.Path = cfg.session.narrator
-			sink.Exem = cfg.session.narrator
+		if sink.Tap == nil {
+			cfg.session.narrator.Attach(sink)
 		}
 	} else {
-		if sink.Path == nil {
+		if critpath.FromSink(sink) == nil {
 			critpath.Attach(sink, critpath.Options{})
 		}
-		if sink.Exem == nil {
+		if exemplar.FromSink(sink) == nil {
 			exemplar.Attach(sink, exemplar.Options{})
 		}
 	}

@@ -262,6 +262,10 @@ type Device struct {
 	// op queued behind.
 	owners bool
 
+	// probed is set when any per-page instrument (attribution, tracer,
+	// counters) is armed, so a page op tests one flag for all of them.
+	probed bool
+
 	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
 	tr                     *telemetry.Tracer
 	attr                   *telemetry.AttrSink
@@ -306,6 +310,7 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.mReads = reg.Counter("flash/read_pages")
 	d.mProgs = reg.Counter("flash/program_pages")
 	d.mErase = reg.Counter("flash/block_erases")
+	d.probed = d.attr != nil || d.tr != nil || d.mReads != nil
 	reg.Gauge("flash/wear/max_erase", func(sim.Time) float64 {
 		return float64(d.Wear().MaxErase)
 	})
@@ -497,10 +502,10 @@ func (d *Device) ReadPage(at sim.Time, block, page int) (sim.Time, error) {
 	senseStart, senseEnd := d.luns[lun].res.Acquire(at, sense)
 	d.luns[lun].busy += sense
 	d.counts.Reads++
-	d.mReads.Inc()
 	if uncorrectable {
 		// Error paths charge no attribution; the caller abandons or
 		// re-places the op and accounts for the gap itself.
+		d.mReads.Inc()
 		d.fl.Record(at, telemetry.FlightFault, int32(block), "read_uncorrectable", int64(page))
 		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "read", senseStart, senseEnd, "block", int64(block))
 		return senseEnd, ErrUncorrectable
@@ -508,16 +513,18 @@ func (d *Device) ReadPage(at sim.Time, block, page int) (sim.Time, error) {
 	prevCh := d.claimChan(ch)
 	xferStart, done := d.chans[ch].res.Acquire(senseEnd, d.Lat.XferPage)
 	d.chans[ch].busy += d.Lat.XferPage
-	// Attribution: [at..senseStart) LUN queue, sense (incl. retries),
-	// [senseEnd..xferStart) bus queue, transfer — contiguous intervals
-	// covering at..done exactly. Waits blame the resource's previous
-	// occupant.
-	d.attr.ChargeWaitBlamed(telemetry.PhaseLUNWait, senseStart-at, prevLUN, lunBind)
-	d.attr.Charge(telemetry.PhaseNANDRead, sense)
-	d.attr.ChargeWaitBlamed(telemetry.PhaseChanWait, xferStart-senseEnd, prevCh, telemetry.PhaseXfer)
-	d.attr.Charge(telemetry.PhaseXfer, d.Lat.XferPage)
-	d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "read", senseStart, senseEnd, "block", int64(block))
-	d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_out", xferStart, done)
+	if d.probed {
+		// Attribution: [at..senseStart) LUN queue, sense (incl. retries),
+		// [senseEnd..xferStart) bus queue, transfer — contiguous intervals
+		// covering at..done exactly. Waits blame the resource's previous
+		// occupant.
+		d.mReads.Inc()
+		d.attr.ChargeSteps(
+			telemetry.Step{Wait: telemetry.PhaseLUNWait, Queued: senseStart - at, Culprit: prevLUN, Bind: lunBind, Svc: telemetry.PhaseNANDRead, Busy: sense},
+			telemetry.Step{Wait: telemetry.PhaseChanWait, Queued: xferStart - senseEnd, Culprit: prevCh, Bind: telemetry.PhaseXfer, Svc: telemetry.PhaseXfer, Busy: d.Lat.XferPage})
+		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "read", senseStart, senseEnd, "block", int64(block))
+		d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_out", xferStart, done)
+	}
 	return done, nil
 }
 
@@ -550,13 +557,13 @@ func (d *Device) ProgramPage(at sim.Time, block, page int) (sim.Time, error) {
 	d.chans[ch].busy += d.Lat.XferPage
 	d.luns[lun].busy += d.Lat.ProgramPage
 	d.counts.Programs++
-	d.mProgs.Inc()
 	if d.inj != nil && d.inj.ProgramFails(d.wearFrac(b)) {
 		// The program consumed bus and cell time, then reported failure.
 		// The block is retired with its already-programmed pages intact
 		// and readable; the failed page's cells are untrusted, so nextPage
 		// does not advance and the block refuses further programs.
 		b.bad = true
+		d.mProgs.Inc()
 		d.fl.Record(at, telemetry.FlightFault, int32(block), "program_failed", int64(page))
 		d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_in", xferStart, xferEnd)
 		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "program", progStart, done, "block", int64(block))
@@ -566,12 +573,14 @@ func (d *Device) ProgramPage(at sim.Time, block, page int) (sim.Time, error) {
 	if d.recovery {
 		d.progDone[d.pageIndex(block, page)] = done
 	}
-	d.attr.ChargeWaitBlamed(telemetry.PhaseChanWait, xferStart-at, prevCh, telemetry.PhaseXfer)
-	d.attr.Charge(telemetry.PhaseXfer, d.Lat.XferPage)
-	d.attr.ChargeWaitBlamed(telemetry.PhaseLUNWait, progStart-xferEnd, prevLUN, lunBind)
-	d.attr.Charge(telemetry.PhaseNANDProgram, d.Lat.ProgramPage)
-	d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_in", xferStart, xferEnd)
-	d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "program", progStart, done, "block", int64(block))
+	if d.probed {
+		d.mProgs.Inc()
+		d.attr.ChargeSteps(
+			telemetry.Step{Wait: telemetry.PhaseChanWait, Queued: xferStart - at, Culprit: prevCh, Bind: telemetry.PhaseXfer, Svc: telemetry.PhaseXfer, Busy: d.Lat.XferPage},
+			telemetry.Step{Wait: telemetry.PhaseLUNWait, Queued: progStart - xferEnd, Culprit: prevLUN, Bind: lunBind, Svc: telemetry.PhaseNANDProgram, Busy: d.Lat.ProgramPage})
+		d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_in", xferStart, xferEnd)
+		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "program", progStart, done, "block", int64(block))
+	}
 	return done, nil
 }
 

@@ -44,7 +44,7 @@ func attrSinkOp(p *Package, call *ast.CallExpr) opKind {
 		return opPush
 	case "PopWorker":
 		return opPop
-	case "Charge", "ChargeBlamed", "ChargeWaitBlamed", "Reclassify", "Refund":
+	case "Charge", "ChargeBlamed", "ChargeWaitBlamed", "ChargeSteps", "Reclassify", "Refund":
 		return opCharge
 	}
 	return opNone

@@ -229,6 +229,13 @@ func (h *Histogram) Add(v sim.Time) {
 	h.buckets[bucketOf(v)]++
 }
 
+// AddZeros records n zero samples at once: exactly what n calls of Add(0)
+// record.
+func (h *Histogram) AddZeros(n uint64) {
+	h.count += n
+	h.buckets[0] += n
+}
+
 func bucketOf(v sim.Time) int {
 	if v <= 0 {
 		return 0

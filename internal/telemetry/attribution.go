@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math/bits"
+
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
 )
@@ -97,9 +99,9 @@ func (k OpKind) String() string {
 
 // OpAttr aggregates attribution for one op kind. Phase means are exact
 // (PhaseSum is an exact virtual-time total); the per-phase histograms give
-// log-bucketed tail percentiles. Every completed IO observes into *every*
-// phase histogram (zero for phases it never entered), so a phase p99 reads
-// as "99% of these ops spent at most this long in this phase".
+// log-bucketed tail percentiles. In a snapshot every completed IO counts in
+// *every* phase histogram (zero for phases it never entered), so a phase
+// p99 reads as "99% of these ops spent at most this long in this phase".
 type OpAttr struct {
 	Count    uint64
 	TotalSum sim.Time
@@ -152,6 +154,11 @@ func (s AttrSnapshot) Delta(prev AttrSnapshot) AttrSnapshot {
 // driver brackets each measured op with BeginTenant/End and the layers in between
 // call Charge for the sub-intervals they own.
 //
+// Every charge lands in the sink's one Record (record.go). End checks the
+// record's invariants once, folds it into the per-op and per-tenant
+// aggregates, and hands it to each attached Fold (the critical-path
+// recorder, the exemplar reservoir, the -explain narrator).
+//
 // The nil *AttrSink is a valid no-op on every method, and no method
 // allocates: the hot path stays 0 allocs/op with telemetry disabled
 // (pinned by bench_test.go) and allocation-free when enabled. A sink is not
@@ -160,28 +167,24 @@ func (s AttrSnapshot) Delta(prev AttrSnapshot) AttrSnapshot {
 type AttrSink struct {
 	active    bool
 	suspended int
-	op        OpKind
-	start     sim.Time
-	cur       [NumPhases]sim.Time
 
-	// seq numbers measured IOs (1-based, incremented by BeginTenant);
-	// flags carries the active record's exceptional-condition marks
-	// (FlagFaultRetry, FlagAuditViolation). Together with the run's seed
-	// and experiment ID, seq is the stable identity the forensic layer
+	// rec is the open (or last completed) IO. Its Seq numbers measured IOs
+	// (1-based, incremented by BeginTenant); together with the run's seed
+	// and experiment ID it is the stable identity the forensic layer
 	// replays to (`znsbench -explain <exp>:<seq>`).
-	seq   uint64
-	flags uint8
+	rec Record
 
-	// Tenant state (tenant.go): the active record's victim tenant, its
-	// per-culprit blame charges, and the pushed-culprit ("worker") stack
-	// device layers consult for resource ownership.
-	tenant   TenantID
-	curBlame [MaxTenants]sim.Time
+	// The pushed-culprit ("worker") stack device layers consult for
+	// resource ownership (tenant.go).
 	workers  [workerDepth]TenantID
 	nworkers int
 
 	ops        [NumOps]OpAttr
 	violations uint64
+	// pathViolations counts the subset of violations that break the
+	// critical-path contract: a phase sum that misses the end-to-end
+	// latency, or a BeginTenant over an open record.
+	pathViolations uint64
 
 	tenants     [MaxTenants]TenantAttr
 	blame       [MaxTenants][MaxTenants]sim.Time
@@ -194,23 +197,13 @@ type AttrSink struct {
 	Windows *WindowSet
 	SLO     *SLOEngine
 
-	// Path, if set, receives the structured per-charge feed a critical-path
-	// recorder consumes (see PathSink). Implementations must not allocate;
-	// the sink forwards only while a record is open.
-	Path PathSink
+	// Folds each receive every completed record once, at End.
+	Folds []Fold
 
-	// Exem, if set, receives per-IO completion records (sequence number,
-	// phase timeline, blame vector, flags) so an exemplar reservoir can
-	// capture worst-K latency exemplars (see ExemplarSink). EndExemplar
-	// fires after Path.EndPath so the implementation can read the completed
-	// critical path. Implementations must not allocate.
-	Exem ExemplarSink
-
-	// OnComplete, if set, observes every completed IO: op kind, exact
-	// end-to-end latency, and the per-phase charges. Test hook for the
-	// sum(phases) == total invariant; may allocate, so leave nil outside
-	// tests.
-	OnComplete func(op OpKind, total sim.Time, phases [NumPhases]sim.Time)
+	// Tap, if set, sees every charge of the open record as it lands, in
+	// order, and the record's Drop. It is the one per-charge hook; only the
+	// -explain narrator sets it.
+	Tap func(r *Record, ev ChargeEvent)
 
 	// OnViolation, if set, observes every invariant violation as it is
 	// counted. NewProbe wires it to the flight recorder so a violation dumps
@@ -224,64 +217,75 @@ func NewAttrSink() *AttrSink { return &AttrSink{} }
 
 // Charge attributes d of the active IO's latency to phase p. No-op when the
 // sink is nil, no record is open (unmeasured work: prefill, warmup,
-// background maintenance), the sink is suspended (parallel fan-out — the
-// enclosing layer charges wall-clock instead), or d <= 0. A blame-phase
-// charge with no explicit culprit (see ChargeBlamed) blames the record's
-// own tenant, so blame conservation holds by construction.
-func (s *AttrSink) Charge(p Phase, d sim.Time) {
-	if s == nil || !s.active || d <= 0 {
-		return
+// background maintenance), or d <= 0. While the sink is suspended (parallel
+// fan-out — the enclosing layer charges wall-clock instead) the charge is
+// off-path: depth-1 charges are kept as the composition of the next
+// composite charge, deeper ones are already represented by the enclosing
+// composite one level up. A blame-phase charge with no explicit culprit
+// (see ChargeBlamed) blames the record's own tenant, so blame conservation
+// holds by construction.
+func (s *AttrSink) Charge(p Phase, d sim.Time) { s.ChargeBlamed(p, d, SelfTenant) }
+
+// onPath adds an on-path charge to the record and reports whether it did;
+// a suspended charge goes off-path instead.
+func (s *AttrSink) onPath(p Phase, d sim.Time, culprit TenantID) bool {
+	if !s.active || d <= 0 {
+		return false
 	}
+	r := &s.rec
 	if s.suspended > 0 {
-		s.overlap(p, d)
-		return
+		if s.suspended == 1 {
+			r.overlap(p, d)
+			s.tap(ChargeEvent{Kind: EvOverlap, P: p, D: d})
+		}
+		return false
 	}
-	s.cur[p] += d
+	r.Phases[p] += d
+	r.PhaseMask |= bit(p)
 	if blamePhases[p] {
-		s.curBlame[s.tenant] += d
+		if culprit < 0 || culprit >= MaxTenants {
+			culprit = r.Tenant
+		}
+		r.Blame[culprit] += d
+		r.BlameMask |= 1 << uint(culprit)
 	}
-	if s.Path != nil {
-		s.Path.Segment(p, d)
-	}
+	return true
 }
 
-// overlap forwards a charge that arrived while suspended to the path sink.
-// Only depth-1 charges are forwarded: work at deeper suspension levels is
-// already represented by the enclosing composite charge one level up, so
-// forwarding it too would double-count the same wall-clock interval.
-func (s *AttrSink) overlap(p Phase, d sim.Time) {
-	if s.suspended == 1 && s.Path != nil {
-		s.Path.Overlap(p, d)
+// tap forwards one event to the Tap, if armed.
+func (s *AttrSink) tap(ev ChargeEvent) {
+	if s.Tap != nil {
+		s.Tap(&s.rec, ev)
 	}
 }
 
 // Reclassify moves up to d of the active record's charge from one phase to
 // another, preserving the sum invariant. The zns layer uses it to relabel
 // LUN-wait as write-pointer serialization when the wait was behind the same
-// zone's previous program.
+// zone's previous program; bound wait ticks move with the charge.
 func (s *AttrSink) Reclassify(from, to Phase, d sim.Time) {
 	if s == nil || !s.active || d <= 0 {
 		return
 	}
-	if d > s.cur[from] {
-		d = s.cur[from]
-	}
-	s.cur[from] -= d
-	s.cur[to] += d
+	r := &s.rec
+	d = sim.Min(d, r.Phases[from])
+	r.Phases[from] -= d
+	r.Phases[to] += d
+	r.PhaseMask |= bit(to)
 	// Keep blame conserved when the move crosses the blame-phase boundary.
 	// The adjustment lands on the record's own tenant (the only culprit a
 	// relabel can speak for); in-repo reclassifies stay inside the blamed
 	// set (LUNWait -> WPSerial), so this is a no-op there.
 	if blamePhases[from] != blamePhases[to] {
 		if blamePhases[to] {
-			s.curBlame[s.tenant] += d
+			r.Blame[r.Tenant] += d
 		} else {
-			s.curBlame[s.tenant] -= d
+			r.Blame[r.Tenant] -= d
 		}
+		r.BlameMask |= 1 << uint(r.Tenant)
 	}
-	if s.Path != nil {
-		s.Path.Reassign(from, to, d)
-	}
+	r.moveWaits(from, to, d)
+	s.tap(ChargeEvent{Kind: EvReassign, P: from, To: to, D: d})
 }
 
 // Refund removes up to d ticks of already-charged time from phase p of the
@@ -297,29 +301,27 @@ func (s *AttrSink) Refund(p Phase, d sim.Time) sim.Time {
 	if s == nil || !s.active || s.suspended > 0 || d <= 0 {
 		return 0
 	}
-	if d > s.cur[p] {
-		d = s.cur[p]
-	}
-	if d <= 0 {
+	r := &s.rec
+	if d = sim.Min(d, r.Phases[p]); d <= 0 {
 		return 0
 	}
-	s.cur[p] -= d
+	r.Phases[p] -= d
 	if blamePhases[p] {
 		rem := d
-		if take := sim.Min(rem, s.curBlame[s.tenant]); take > 0 {
-			s.curBlame[s.tenant] -= take
+		if take := sim.Min(rem, r.Blame[r.Tenant]); take > 0 {
+			r.Blame[r.Tenant] -= take
 			rem -= take
 		}
-		for c := 0; c < MaxTenants && rem > 0; c++ {
-			if take := sim.Min(rem, s.curBlame[c]); take > 0 {
-				s.curBlame[c] -= take
+		for m := r.BlameMask; m != 0 && rem > 0; m &= m - 1 {
+			c := bits.TrailingZeros(uint(m))
+			if take := sim.Min(rem, r.Blame[c]); take > 0 {
+				r.Blame[c] -= take
 				rem -= take
 			}
 		}
 	}
-	if s.Path != nil {
-		s.Path.Refund(p, d)
-	}
+	r.moveWaits(p, -1, d)
+	s.tap(ChargeEvent{Kind: EvRefund, P: p, D: d})
 	return d
 }
 
@@ -330,7 +332,7 @@ func (s *AttrSink) Value(p Phase) sim.Time {
 	if s == nil || !s.active {
 		return 0
 	}
-	return s.cur[p]
+	return s.rec.Phases[p]
 }
 
 // Suspend stops Charge from accumulating until the matching Resume. Layers
@@ -355,63 +357,65 @@ func (s *AttrSink) Resume() {
 	}
 }
 
-// End closes the active record for an IO that completed at done, checks the
-// sum invariant and the blame-conservation invariant, and folds the record
-// into the per-op and per-tenant aggregates. A record whose phases do not
-// sum exactly to done-start, or whose blame does not sum exactly to its
-// blame-phase stalls, increments Violations (it is still aggregated, so
-// the discrepancy is visible, not hidden).
+// End closes the active record for an IO that completed at done, checks —
+// once — the sum invariant and the blame-conservation invariant, folds the
+// record into the per-op and per-tenant aggregates, and hands it to every
+// attached Fold. A record whose phases do not sum exactly to done-start, or
+// whose blame does not sum exactly to its blame-phase stalls, increments
+// Violations (it is still aggregated, so the discrepancy is visible, not
+// hidden). Phase histograms record only the phases the IO entered; the
+// snapshot derives each histogram's zeros from Count.
 func (s *AttrSink) End(done sim.Time) {
 	if s == nil || !s.active {
 		return
 	}
 	s.active = false
-	total := done - s.start
+	r := &s.rec
+	r.Total = done - r.Start
+	a, ta := &s.ops[r.Op], &s.tenants[r.Tenant].Ops[r.Op]
 	var sum, stallSum, blameSum sim.Time
-	for p := 0; p < NumPhases; p++ {
-		sum += s.cur[p]
+	for m := r.PhaseMask; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros(uint(m))
+		v := r.Phases[p]
+		sum += v
 		if blamePhases[p] {
-			stallSum += s.cur[p]
+			stallSum += v
+		}
+		a.PhaseSum[p] += v
+		ta.PhaseSum[p] += v
+		if v != 0 {
+			a.Phase[p].Add(v)
 		}
 	}
-	for c := 0; c < MaxTenants; c++ {
-		blameSum += s.curBlame[c]
+	row := &s.blame[r.Tenant]
+	for m := r.BlameMask; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros(uint(m))
+		blameSum += r.Blame[c]
+		row[c] += r.Blame[c]
 	}
-	if sum != total || s.suspended != 0 || blameSum != stallSum {
-		s.violations++
-		if s.OnViolation != nil {
-			s.OnViolation(done)
-		}
+	if sum != r.Total {
+		s.pathViolations++
 	}
-	a := &s.ops[s.op]
+	if sum != r.Total || s.suspended != 0 || blameSum != stallSum {
+		s.violated(done)
+	}
 	a.Count++
-	a.TotalSum += total
-	a.Total.Add(total)
-	for p := 0; p < NumPhases; p++ {
-		a.PhaseSum[p] += s.cur[p]
-		a.Phase[p].Add(s.cur[p])
-	}
-	ta := &s.tenants[s.tenant].Ops[s.op]
+	a.TotalSum += r.Total
+	a.Total.Add(r.Total)
 	ta.Count++
-	ta.TotalSum += total
-	ta.Total.Add(total)
-	for p := 0; p < NumPhases; p++ {
-		ta.PhaseSum[p] += s.cur[p]
+	ta.TotalSum += r.Total
+	ta.Total.Add(r.Total)
+	s.Windows.Observe(r.Tenant, r.Op, done, r.Total)
+	for _, f := range s.Folds {
+		f.Fold(r)
 	}
-	for c := 0; c < MaxTenants; c++ {
-		s.blame[s.tenant][c] += s.curBlame[c]
-	}
-	s.Windows.Observe(s.tenant, s.op, done, total)
-	if s.Path != nil {
-		s.Path.EndPath(done)
-	}
-	// Exem fires after Path.EndPath by contract: the exemplar layer reads
-	// the completed critical path out of the attached recorder.
-	if s.Exem != nil {
-		s.Exem.EndExemplar(done, &s.cur, &s.curBlame, s.flags)
-	}
-	if s.OnComplete != nil {
-		s.OnComplete(s.op, total, s.cur)
+}
+
+// violated counts one violation and reports it to OnViolation.
+func (s *AttrSink) violated(at sim.Time) {
+	s.violations++
+	if s.OnViolation != nil {
+		s.OnViolation(at)
 	}
 }
 
@@ -421,11 +425,8 @@ func (s *AttrSink) Drop() {
 	if s == nil {
 		return
 	}
-	if s.active && s.Path != nil {
-		s.Path.DropPath()
-	}
-	if s.active && s.Exem != nil {
-		s.Exem.DropExemplar()
+	if s.active {
+		s.tap(ChargeEvent{Kind: EvDrop})
 	}
 	s.active = false
 	s.suspended = 0
@@ -440,7 +441,7 @@ func (s *AttrSink) FlagIO(f uint8) {
 	if s == nil || !s.active {
 		return
 	}
-	s.flags |= f
+	s.rec.Flags |= f
 }
 
 // Seq reports the sequence number of the most recently begun measured IO
@@ -450,12 +451,13 @@ func (s *AttrSink) Seq() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.seq
+	return s.rec.Seq
 }
 
 // Violations reports how many records broke the attribution contract
-// (phases not summing to total, unbalanced suspends, BeginTenant over an open
-// record). Always 0 in a correct build; the invariant test asserts it.
+// (phases not summing to total, unbalanced suspends, unconserved blame,
+// BeginTenant over an open record). Always 0 in a correct build; the
+// invariant test asserts it.
 func (s *AttrSink) Violations() uint64 {
 	if s == nil {
 		return 0
@@ -463,14 +465,33 @@ func (s *AttrSink) Violations() uint64 {
 	return s.violations
 }
 
+// PathViolations reports the violations that break the critical-path
+// contract — a phase sum that misses the end-to-end latency, or a
+// BeginTenant over an open record — the count critpath reports as its own.
+func (s *AttrSink) PathViolations() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.pathViolations
+}
+
 // Snapshot returns a copy of all aggregates. Snapshots of a shared sink
 // taken before and after an experiment Delta into that experiment's own
-// breakdown.
+// breakdown. Each phase histogram gets its zeros here — one per IO that
+// never entered the phase — so it reads as if every IO had observed into
+// every phase.
 func (s *AttrSink) Snapshot() AttrSnapshot {
 	if s == nil {
 		return AttrSnapshot{}
 	}
-	return AttrSnapshot{Ops: s.ops, Violations: s.violations}
+	snap := AttrSnapshot{Ops: s.ops, Violations: s.violations}
+	for k := range snap.Ops {
+		a := &snap.Ops[k]
+		for p := range a.Phase {
+			a.Phase[p].AddZeros(a.Count - a.Phase[p].Count())
+		}
+	}
+	return snap
 }
 
 // AttrDump is the JSON shape of an attribution export.

@@ -27,25 +27,30 @@ func TestAttrSinkNilSafe(t *testing.T) {
 	}
 }
 
+// foldFunc adapts a function to a Fold.
+type foldFunc func(r *Record)
+
+func (f foldFunc) Fold(r *Record) { f(r) }
+
 func TestAttrSumInvariant(t *testing.T) {
 	s := NewAttrSink()
 	var seen int
-	s.OnComplete = func(op OpKind, total sim.Time, phases [NumPhases]sim.Time) {
+	s.Folds = []Fold{foldFunc(func(r *Record) {
 		seen++
 		var sum sim.Time
-		for _, d := range phases {
+		for _, d := range r.Phases {
 			sum += d
 		}
-		if sum != total {
-			t.Fatalf("phases sum %v != total %v", sum, total)
+		if sum != r.Total {
+			t.Fatalf("phases sum %v != total %v", sum, r.Total)
 		}
-	}
+	})}
 	s.BeginTenant(OpWrite, 0, 100)
 	s.Charge(PhaseGCStall, 40)
 	s.Charge(PhaseNANDProgram, 60)
 	s.End(200)
 	if seen != 1 {
-		t.Fatalf("OnComplete saw %d records, want 1", seen)
+		t.Fatalf("the fold saw %d records, want 1", seen)
 	}
 	if v := s.Violations(); v != 0 {
 		t.Fatalf("violations = %d, want 0", v)
@@ -56,7 +61,7 @@ func TestAttrSumInvariant(t *testing.T) {
 	}
 
 	// A record that does not cover the total must count as a violation.
-	s.OnComplete = nil
+	s.Folds = nil
 	s.BeginTenant(OpRead, 0, 0)
 	s.Charge(PhaseNANDRead, 10)
 	s.End(50) // 40 ticks unattributed

@@ -33,11 +33,11 @@ func TestRecorderThroughSink(t *testing.T) {
 	sink.ChargeBlamed(telemetry.PhaseGCStall, 400*us, 1)
 	sink.End(1208 * us)
 
-	if v := rec.violations; v != 0 {
+	if v := rec.Snapshot().Violations; v != 0 {
 		t.Fatalf("violations = %d, want 0", v)
 	}
-	if rec.ios != 1 {
-		t.Fatalf("ios = %d, want 1", rec.ios)
+	if rec.Snapshot().IOs != 1 {
+		t.Fatalf("ios = %d, want 1", rec.Snapshot().IOs)
 	}
 	snap := rec.Snapshot()
 	a := snap.Ops[telemetry.OpWrite]
@@ -51,7 +51,7 @@ func TestRecorderThroughSink(t *testing.T) {
 	if pathSum != 1208*us {
 		t.Fatalf("path sum %v != total %v", pathSum, 1208*us)
 	}
-	if got := a.WaitBy[WaitLUN][BindProgram]; got != 100*us {
+	if got := a.WaitBy[telemetry.WaitLUN][telemetry.BindProgram]; got != 100*us {
 		t.Fatalf("lun_wait program-bound = %v, want %v", got, 100*us)
 	}
 	if got := a.Off[telemetry.PhaseNANDRead]; got != 60*us {
@@ -67,10 +67,10 @@ func TestRecorderThroughSink(t *testing.T) {
 	if pr.Op != telemetry.OpWrite || pr.Tenant != 2 || pr.Total != 1208*us {
 		t.Fatalf("sampled path = %+v", pr)
 	}
-	if got := pr.Comp[CompGCStall][telemetry.PhaseNANDProgram]; got != 700*us {
+	if got := pr.Comp[telemetry.CompGCStall][telemetry.PhaseNANDProgram]; got != 700*us {
 		t.Fatalf("gc_stall composition program = %v, want %v", got, 700*us)
 	}
-	if got := pr.Comp[CompGCStall][telemetry.PhaseNANDRead]; got != 60*us {
+	if got := pr.Comp[telemetry.CompGCStall][telemetry.PhaseNANDRead]; got != 60*us {
 		t.Fatalf("gc_stall composition read = %v, want %v", got, 60*us)
 	}
 }
@@ -101,11 +101,11 @@ func TestRecorderDeepSuspension(t *testing.T) {
 		t.Fatalf("nested reset wall = %v, want %v", got, 4200*us)
 	}
 	pr := snap.Paths[0]
-	if got := pr.Comp[CompGCStall][telemetry.PhaseZoneReset]; got != 4200*us {
+	if got := pr.Comp[telemetry.CompGCStall][telemetry.PhaseZoneReset]; got != 4200*us {
 		t.Fatalf("gc_stall composition zone_reset = %v, want %v", got, 4200*us)
 	}
-	if rec.violations != 0 {
-		t.Fatalf("violations = %d", rec.violations)
+	if rec.Snapshot().Violations != 0 {
+		t.Fatalf("violations = %d", rec.Snapshot().Violations)
 	}
 }
 
@@ -125,14 +125,14 @@ func TestReassignMovesBinds(t *testing.T) {
 	if got := a.Path[telemetry.PhaseWPSerial]; got != 80*us {
 		t.Fatalf("wp_serial path = %v, want %v", got, 80*us)
 	}
-	if got := a.WaitBy[WaitWPSerial][BindProgram]; got != 80*us {
+	if got := a.WaitBy[telemetry.WaitWPSerial][telemetry.BindProgram]; got != 80*us {
 		t.Fatalf("wp_serial program-bound = %v, want %v", got, 80*us)
 	}
-	if got := a.WaitBy[WaitLUN][BindProgram]; got != 20*us {
+	if got := a.WaitBy[telemetry.WaitLUN][telemetry.BindProgram]; got != 20*us {
 		t.Fatalf("lun_wait program-bound = %v, want %v", got, 20*us)
 	}
-	if rec.violations != 0 {
-		t.Fatalf("violations = %d", rec.violations)
+	if rec.Snapshot().Violations != 0 {
+		t.Fatalf("violations = %d", rec.Snapshot().Violations)
 	}
 }
 
@@ -154,34 +154,44 @@ func TestRefundKeepsInvariant(t *testing.T) {
 	if sink.Violations() != 0 {
 		t.Fatalf("sink violations = %d", sink.Violations())
 	}
-	if rec.violations != 0 {
-		t.Fatalf("recorder violations = %d", rec.violations)
+	if rec.Snapshot().Violations != 0 {
+		t.Fatalf("recorder violations = %d", rec.Snapshot().Violations)
 	}
 	snap := rec.Snapshot()
 	a := snap.Ops[telemetry.OpWrite]
 	if got := a.Path[telemetry.PhaseWPSerial]; got != 0 {
 		t.Fatalf("wp_serial after refund = %v, want 0", got)
 	}
-	if got := a.WaitBy[WaitWPSerial][BindProgram]; got != 0 {
+	if got := a.WaitBy[telemetry.WaitWPSerial][telemetry.BindProgram]; got != 0 {
 		t.Fatalf("wp_serial bind after refund = %v, want 0", got)
 	}
 }
 
-// TestViolationCounted: a path that does not sum to end-to-end increments
-// the counter and fires the hook, but is still aggregated.
+// TestViolationCounted: a path that does not sum to end-to-end, and a
+// begin over an open record, count as the sink checks them, but the
+// completed record is still aggregated. Drain starts the count afresh.
 func TestViolationCounted(t *testing.T) {
 	sink := telemetry.NewAttrSink()
 	rec := Attach(sink, Options{})
 	fired := 0
-	rec.OnViolation = func(sim.Time) { fired++ }
+	sink.OnViolation = func(sim.Time) { fired++ }
 	sink.BeginTenant(telemetry.OpRead, 0, 0)
 	sink.Charge(telemetry.PhaseNANDRead, 60*us)
 	sink.End(100 * us) // 40us unaccounted
-	if rec.violations != 1 || fired != 1 {
-		t.Fatalf("violations=%d fired=%d, want 1/1", rec.violations, fired)
+	if rec.Snapshot().Violations != 1 || fired != 1 {
+		t.Fatalf("violations=%d fired=%d, want 1/1", rec.Snapshot().Violations, fired)
 	}
 	if rec.Snapshot().Ops[telemetry.OpRead].Count != 1 {
 		t.Fatal("violating record was not aggregated")
+	}
+	sink.BeginTenant(telemetry.OpRead, 0, 0)
+	sink.BeginTenant(telemetry.OpRead, 0, 0) // abandons the first
+	sink.Drop()
+	if got := rec.Drain().Violations; got != 2 {
+		t.Fatalf("violations = %d, want 2", got)
+	}
+	if got := rec.Snapshot().Violations; got != 0 {
+		t.Fatalf("violations after Drain = %d, want 0", got)
 	}
 }
 
@@ -244,14 +254,7 @@ func TestDrainResets(t *testing.T) {
 // no-op.
 func TestNilSafe(t *testing.T) {
 	var r *Recorder
-	r.BeginPath(telemetry.OpRead, 0, 0)
-	r.Segment(telemetry.PhaseNANDRead, us)
-	r.WaitSegment(telemetry.PhaseLUNWait, us, telemetry.SelfTenant, telemetry.PhaseNANDProgram)
-	r.Overlap(telemetry.PhaseNANDRead, us)
-	r.Reassign(telemetry.PhaseLUNWait, telemetry.PhaseWPSerial, us)
-	r.Refund(telemetry.PhaseWPSerial, us)
-	r.EndPath(us)
-	r.DropPath()
+	r.Fold(&telemetry.Record{})
 	if s := r.Snapshot(); s.IOs != 0 || s.Violations != 0 {
 		t.Fatal("nil snapshot not empty")
 	}

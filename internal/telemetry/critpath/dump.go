@@ -62,14 +62,14 @@ func (s *Snapshot) Dump() []OpDump {
 			if a.TotalSum > 0 {
 				pd.PathFrac = float64(a.Path[p]) / float64(a.TotalSum)
 			}
-			if wi := waitIdx(telemetry.Phase(p)); wi >= 0 {
-				for b := 0; b < NumBinds; b++ {
+			if wi := telemetry.WaitIdx(telemetry.Phase(p)); wi >= 0 {
+				for b := 0; b < telemetry.NumBinds; b++ {
 					w := a.WaitBy[wi][b]
 					if w == 0 {
 						continue
 					}
 					pd.Binds = append(pd.Binds, BindDump{
-						Name: bindPhase(b).String(),
+						Name: telemetry.BindPhase(b).String(),
 						Us:   (w / n).Micros(),
 					})
 				}

@@ -146,10 +146,10 @@ func Replay(rec *PathRec, sc Scenario, opts PredictOpts) float64 {
 		}
 		f := sc.Factor(telemetry.Phase(p))
 		switch {
-		case waitIdx(telemetry.Phase(p)) >= 0:
-			wi := waitIdx(telemetry.Phase(p))
+		case telemetry.WaitIdx(telemetry.Phase(p)) >= 0:
+			wi := telemetry.WaitIdx(telemetry.Phase(p))
 			rem := t
-			for b := 0; b < NumBinds; b++ {
+			for b := 0; b < telemetry.NumBinds; b++ {
 				w := rec.WaitBy[wi][b]
 				if w == 0 {
 					continue
@@ -158,8 +158,8 @@ func Replay(rec *PathRec, sc Scenario, opts PredictOpts) float64 {
 				total += float64(w) * f * bindFactor(sc, b, opts)
 			}
 			total += float64(rem) * f
-		case compIdx(telemetry.Phase(p)) >= 0:
-			total += float64(t) * f * blend(&rec.Comp[compIdx(telemetry.Phase(p))], sc, opts)
+		case telemetry.CompIdx(telemetry.Phase(p)) >= 0:
+			total += float64(t) * f * blend(&rec.Comp[telemetry.CompIdx(telemetry.Phase(p))], sc, opts)
 		default:
 			total += float64(t) * f
 		}
@@ -169,7 +169,7 @@ func Replay(rec *PathRec, sc Scenario, opts PredictOpts) float64 {
 
 // bindFactor is the scenario's multiplier for service-bind slot b.
 func bindFactor(sc Scenario, b int, opts PredictOpts) float64 {
-	p := bindPhase(b)
+	p := telemetry.BindPhase(b)
 	f := sc.Factor(p)
 	if opts.ErasesAreResets && p == telemetry.PhaseNANDErase {
 		f *= sc.Factor(telemetry.PhaseZoneReset)
@@ -188,8 +188,8 @@ func bindFactor(sc Scenario, b int, opts PredictOpts) float64 {
 // not individually — a documented source of prediction error.
 func blend(comp *[telemetry.NumPhases]sim.Time, sc Scenario, opts PredictOpts) float64 {
 	var snum, sden float64
-	for b := 0; b < NumBinds; b++ {
-		c := comp[bindPhase(b)]
+	for b := 0; b < telemetry.NumBinds; b++ {
+		c := comp[telemetry.BindPhase(b)]
 		if c == 0 {
 			continue
 		}
@@ -209,16 +209,16 @@ func blend(comp *[telemetry.NumPhases]sim.Time, sc Scenario, opts PredictOpts) f
 		p := telemetry.Phase(q)
 		fq := sc.Factor(p)
 		switch {
-		case bindIdx(p) >= 0:
-			fq = bindFactor(sc, bindIdx(p), opts)
-		case waitIdx(p) >= 0:
+		case telemetry.BindIdx(p) >= 0:
+			fq = bindFactor(sc, telemetry.BindIdx(p), opts)
+		case telemetry.WaitIdx(p) >= 0:
 			fq *= sblend
 		case p == telemetry.PhaseZoneReset:
 			// A nested reset's cost is its erases. bindFactor already
 			// folds the zone_reset factor into erases when
 			// ErasesAreResets, so using it directly avoids applying
 			// f(zone_reset) twice; otherwise both factors apply.
-			fq = bindFactor(sc, BindErase, opts)
+			fq = bindFactor(sc, telemetry.BindErase, opts)
 			if !opts.ErasesAreResets {
 				fq = sc.Factor(p) * sc.Factor(telemetry.PhaseNANDErase)
 			}

@@ -44,7 +44,7 @@ func TestReplayDirect(t *testing.T) {
 func TestReplayWaitBind(t *testing.T) {
 	var rec PathRec
 	rec.Path[telemetry.PhaseLUNWait] = 100 * us
-	rec.WaitBy[WaitLUN][BindProgram] = 80 * us // 20us unbound
+	rec.WaitBy[telemetry.WaitLUN][telemetry.BindProgram] = 80 * us // 20us unbound
 	rec.Path[telemetry.PhaseNANDProgram] = 700 * us
 	rec.Total = 800 * us
 	got := Replay(&rec, MustScenario("nand_program:0.5"), PredictOpts{})
@@ -60,8 +60,8 @@ func TestReplayWaitBind(t *testing.T) {
 func TestReplayComposite(t *testing.T) {
 	var rec PathRec
 	rec.Path[telemetry.PhaseGCStall] = 1000 * us
-	rec.Comp[CompGCStall][telemetry.PhaseNANDProgram] = 600 * us
-	rec.Comp[CompGCStall][telemetry.PhaseNANDRead] = 200 * us
+	rec.Comp[telemetry.CompGCStall][telemetry.PhaseNANDProgram] = 600 * us
+	rec.Comp[telemetry.CompGCStall][telemetry.PhaseNANDRead] = 200 * us
 	rec.Total = 1000 * us
 	got := Replay(&rec, MustScenario("nand_program:0.5"), PredictOpts{})
 	// blend = (600*0.5 + 200*1)/800 = 0.625
@@ -79,8 +79,8 @@ func TestReplayComposite(t *testing.T) {
 func TestReplayCompositeWait(t *testing.T) {
 	var rec PathRec
 	rec.Path[telemetry.PhaseGCStall] = 1000 * us
-	rec.Comp[CompGCStall][telemetry.PhaseNANDProgram] = 500 * us
-	rec.Comp[CompGCStall][telemetry.PhaseLUNWait] = 500 * us
+	rec.Comp[telemetry.CompGCStall][telemetry.PhaseNANDProgram] = 500 * us
+	rec.Comp[telemetry.CompGCStall][telemetry.PhaseLUNWait] = 500 * us
 	rec.Total = 1000 * us
 	got := Replay(&rec, MustScenario("nand_program:0.5"), PredictOpts{})
 	// sblend = 0.5; comp blend = (500*0.5 + 500*(1*0.5))/1000 = 0.5
@@ -92,9 +92,9 @@ func TestReplayCompositeWait(t *testing.T) {
 func TestReplayErasesAreResets(t *testing.T) {
 	var rec PathRec
 	rec.Path[telemetry.PhaseLUNWait] = 100 * us
-	rec.WaitBy[WaitLUN][BindErase] = 100 * us
+	rec.WaitBy[telemetry.WaitLUN][telemetry.BindErase] = 100 * us
 	rec.Path[telemetry.PhaseZoneReset] = 4200 * us
-	rec.Comp[CompZoneReset][telemetry.PhaseNANDErase] = 4200 * us
+	rec.Comp[telemetry.CompZoneReset][telemetry.PhaseNANDErase] = 4200 * us
 	rec.Total = 4300 * us
 	sc := MustScenario("zone_reset:0")
 	got := Replay(&rec, sc, PredictOpts{ErasesAreResets: true})

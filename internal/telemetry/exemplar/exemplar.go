@@ -1,11 +1,10 @@
 // Package exemplar captures worst-K tail exemplars: for each measured IO
 // that lands in the latency tail (or trips an auditor violation or fault
-// retry), it records the full per-phase timeline from the AttrSink charge
-// stream, the critical-path split and queued-behind identities from the
-// attached critpath recorder, the culprit-tenant blame vector, and a
-// compact device-state snapshot at completion. The aggregate layers say
-// how much tail there is; this layer says which IOs sat in it and what
-// exactly they queued behind.
+// retry), it copies the full per-phase timeline, the critical-path split
+// with queued-behind identities, and the culprit-tenant blame vector out of
+// the AttrSink's completed record, and takes a compact device-state
+// snapshot at completion. The aggregate layers say how much tail there is;
+// this layer says which IOs sat in it and what exactly they queued behind.
 //
 // The package inherits the telemetry contract wholesale:
 //
@@ -156,11 +155,11 @@ const DefaultK = 8
 // DefaultFlagCap is the flagged-ring capacity when Options.FlagCap is 0.
 const DefaultFlagCap = 16
 
-// Reservoir implements telemetry.ExemplarSink: a fixed-capacity min-heap
-// of worst-K exemplars per tenant, keyed by end-to-end latency, plus an
-// always-keep ring for flagged IOs (auditor violations, fault retries).
-// The nil *Reservoir is a valid no-op on every method and no hot-path
-// method allocates (see the package comment).
+// Reservoir is a telemetry.Fold: a fixed-capacity min-heap of worst-K
+// exemplars per tenant, keyed by end-to-end latency, plus an always-keep
+// ring for flagged IOs (auditor violations, fault retries). The nil
+// *Reservoir is a valid no-op on every method and no hot-path method
+// allocates (see the package comment).
 //
 //simlint:nilsafe
 type Reservoir struct {
@@ -171,17 +170,13 @@ type Reservoir struct {
 	flagSeen uint64
 	ios      uint64
 
-	// pending header of the open record (BeginExemplar..EndExemplar).
-	active bool
-	seq    uint64
-	op     telemetry.OpKind
-	tenant telemetry.TenantID
-	start  sim.Time
-
-	// path is the critical-path source read at completion; snap fills the
-	// device-state snapshot. Both optional; SetSnap re-arms snap per stack.
-	path *critpath.Recorder
-	snap SnapFunc
+	// path says a critical-path recorder shares the sink, so exemplars
+	// carry their path split; snap fills the device-state snapshot
+	// (optional; SetSnap re-arms it per stack) into snapBuf, which the
+	// reservoir owns so that no admitted exemplar escapes to the heap.
+	path    bool
+	snap    SnapFunc
+	snapBuf DevSnap
 }
 
 // New returns an empty reservoir with preallocated storage.
@@ -201,16 +196,16 @@ func New(opts Options) *Reservoir {
 	return r
 }
 
-// Attach creates a reservoir and installs it as sink's exemplar sink,
-// reading critical paths from the recorder already attached to the sink
-// (if any). Returns nil (a valid no-op) when sink is nil.
+// Attach creates a reservoir and adds it to sink's folds. Its exemplars
+// carry critical paths when a recorder is already attached to the sink.
+// Returns nil (a valid no-op) when sink is nil.
 func Attach(sink *telemetry.AttrSink, opts Options) *Reservoir {
 	if sink == nil {
 		return nil
 	}
 	r := New(opts)
-	r.path = critpath.FromSink(sink)
-	sink.Exem = r
+	r.path = critpath.FromSink(sink) != nil
+	sink.Folds = append(sink.Folds, r)
 	return r
 }
 
@@ -220,8 +215,12 @@ func FromSink(sink *telemetry.AttrSink) *Reservoir {
 	if sink == nil {
 		return nil
 	}
-	r, _ := sink.Exem.(*Reservoir)
-	return r
+	for _, f := range sink.Folds {
+		if r, ok := f.(*Reservoir); ok {
+			return r
+		}
+	}
+	return nil
 }
 
 // SetSnap arms (or replaces) the device-state snapshot source. Experiments
@@ -233,52 +232,39 @@ func (r *Reservoir) SetSnap(fn SnapFunc) {
 	r.snap = fn
 }
 
-// BeginExemplar opens the record for one measured IO (telemetry.ExemplarSink).
-func (r *Reservoir) BeginExemplar(seq uint64, op telemetry.OpKind, tenant telemetry.TenantID, start sim.Time) {
+// Fold offers one completed IO to the reservoir (telemetry.Fold): the
+// admission test runs first, so the common IO pays one comparison and no
+// capture work. Admitted IOs copy the phase timeline, blame vector and
+// critical path out of the record, and take a device snapshot.
+func (r *Reservoir) Fold(rec *telemetry.Record) {
 	if r == nil {
 		return
 	}
-	r.active = true
-	r.seq = seq
-	r.op = op
-	r.tenant = tenant
-	r.start = start
-}
-
-// EndExemplar completes the record (telemetry.ExemplarSink): the admission
-// test runs first, so the common IO pays one comparison and no capture
-// work. Admitted IOs copy the phase timeline and blame vector, read the
-// completed critical path out of the attached recorder, and take a device
-// snapshot.
-func (r *Reservoir) EndExemplar(done sim.Time, phases *[telemetry.NumPhases]sim.Time, blame *[telemetry.MaxTenants]sim.Time, flags uint8) {
-	if r == nil || !r.active {
-		return
-	}
-	r.active = false
 	r.ios++
-	total := done - r.start
-	heap := r.heaps[r.tenant]
-	admitHeap := len(heap) < cap(heap) || worse(total, r.seq, heap[0].Total, heap[0].Seq)
-	admitFlag := flags != 0
+	heap := r.heaps[rec.Tenant]
+	admitHeap := len(heap) < cap(heap) || worse(rec.Total, rec.Seq, heap[0].Total, heap[0].Seq)
+	admitFlag := rec.Flags != 0
 	if !admitHeap && !admitFlag {
 		return
 	}
 	ex := Exemplar{
-		Seq:    r.seq,
-		Op:     r.op,
-		Tenant: r.tenant,
-		Start:  r.start,
-		Total:  total,
-		Flags:  flags,
-		Phases: *phases,
-		Blame:  *blame,
+		Seq:    rec.Seq,
+		Op:     rec.Op,
+		Tenant: rec.Tenant,
+		Start:  rec.Start,
+		Total:  rec.Total,
+		Flags:  rec.Flags,
+		Phases: rec.Phases,
+		Blame:  rec.Blame,
 	}
-	if rec, ok := r.path.Last(); ok {
-		ex.Path = rec
+	if r.path {
+		ex.Path = critpath.PathOf(rec)
 		ex.PathOK = true
 	}
 	if r.snap != nil {
-		r.snap(done, &ex.Snap)
+		r.snapBuf = DevSnap{}
+		r.snap(rec.Start+rec.Total, &r.snapBuf)
+		ex.Snap = r.snapBuf
 		ex.Snap.Captured = true
 	}
 	if admitHeap {
@@ -333,14 +319,6 @@ func (r *Reservoir) admit(ex Exemplar) {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-}
-
-// DropExemplar abandons the open record (telemetry.ExemplarSink).
-func (r *Reservoir) DropExemplar() {
-	if r == nil {
-		return
-	}
-	r.active = false
 }
 
 // Snapshot is a copyable capture of a reservoir's retained exemplars.

@@ -1,11 +1,11 @@
 // Deterministic replay-to-IO forensics: a Narrator armed on one measured-IO
-// sequence number rides the same AttrSink hooks as the reservoir, records
-// the target IO's full charge stream event by event, and renders an
-// annotated tick-by-tick narrative — what the IO waited on, who held the
-// resource, which counterfactual from the what-if engine would have helped
-// most. Because the simulator is deterministic, re-running the seeded
-// experiment reproduces the narrative byte-for-byte (core's
-// TestReportsByteIdentical pins this).
+// sequence number taps the AttrSink's charge stream, records the target
+// IO's charges event by event, folds its completed record like the
+// reservoir does, and renders an annotated tick-by-tick narrative — what
+// the IO waited on, who held the resource, which counterfactual from the
+// what-if engine would have helped most. Because the simulator is
+// deterministic, re-running the seeded experiment reproduces the narrative
+// byte-for-byte (core's TestReportsByteIdentical pins this).
 
 package exemplar
 
@@ -18,47 +18,26 @@ import (
 	"blockhead/internal/telemetry/critpath"
 )
 
-// event kinds recorded by the narrator, in PathSink vocabulary.
-const (
-	evSegment uint8 = iota
-	evWait
-	evOverlap
-	evReassign
-	evRefund
-)
-
-// event is one recorded charge of the target IO's lifetime.
-type event struct {
-	kind    uint8
-	p       telemetry.Phase
-	to      telemetry.Phase // reassign target; wait bind
-	culprit telemetry.TenantID
-	d       sim.Time
-}
-
 // narratorEventCap bounds the per-IO event buffer. A single IO sees a few
 // dozen events at most (a stripe-wide reset fans out one overlap per page
 // program); overflow is counted and disclosed, never silently dropped.
 const narratorEventCap = 4096
 
-// Narrator implements telemetry.PathSink and telemetry.ExemplarSink at
-// once: the ExemplarSink hooks tell it which record is the target, the
-// PathSink hooks feed it the target's charge stream. It forwards the
-// target's stream to a private critpath recorder so the final narrative
-// can replay the recorded path under the canonical what-if scenarios. The
-// nil *Narrator is a valid no-op on every method, and no hot-path method
-// allocates (the event buffer is preallocated).
+// Narrator is the sink's Tap and one of its folds at once: the tap records
+// the target's charge stream, the fold captures the target's completed
+// record, whose critical path the final narrative replays under the
+// canonical what-if scenarios. The nil *Narrator is a valid no-op on every
+// method, and no hot-path method allocates (the event buffer is
+// preallocated).
 //
 //simlint:nilsafe
 type Narrator struct {
 	target uint64
-	rec    *critpath.Recorder
 
-	recording bool
-	done      bool
-	dropped   bool
+	done    bool
+	dropped bool
 
-	events []event
+	events []telemetry.ChargeEvent
 	lost   int
 
 	// completion capture
@@ -69,7 +48,6 @@ type Narrator struct {
 	blame      [telemetry.MaxTenants]sim.Time
 	flags      uint8
 	path       critpath.PathRec
-	pathOK     bool
 	snap       DevSnap
 
 	// stack context, re-armed per stack (Arm): the display name, the
@@ -85,9 +63,18 @@ type Narrator struct {
 func NewNarrator(target uint64) *Narrator {
 	return &Narrator{
 		target: target,
-		rec:    critpath.New(critpath.Options{SampleCap: 1}),
-		events: make([]event, 0, narratorEventCap),
+		events: make([]telemetry.ChargeEvent, 0, narratorEventCap),
 	}
+}
+
+// Attach installs the narrator as sink's tap and one of its folds.
+// Nil-safe on both sides.
+func (n *Narrator) Attach(sink *telemetry.AttrSink) {
+	if n == nil || sink == nil {
+		return
+	}
+	sink.Tap = n.tap
+	sink.Folds = append(sink.Folds, n)
 }
 
 // Arm sets the stack context the narrative renders under: the stack's
@@ -104,54 +91,17 @@ func (n *Narrator) Arm(stack string, opts critpath.PredictOpts, snap SnapFunc, n
 	n.name = name
 }
 
-// BeginExemplar arms recording when seq is the target (telemetry.ExemplarSink).
-func (n *Narrator) BeginExemplar(seq uint64, op telemetry.OpKind, tenant telemetry.TenantID, start sim.Time) {
-	if n == nil || n.done {
+// tap records one charge of the target's stream, or notes the target's
+// drop (the sink's Tap).
+func (n *Narrator) tap(r *telemetry.Record, ev telemetry.ChargeEvent) {
+	if n.done || r.Seq != n.target {
 		return
 	}
-	if seq != n.target {
-		n.recording = false
+	if ev.Kind == telemetry.EvDrop {
+		n.done, n.dropped = true, true
+		n.op, n.tenant, n.start = r.Op, r.Tenant, r.Start
 		return
 	}
-	n.recording = true
-	n.op = op
-	n.tenant = tenant
-	n.start = start
-}
-
-// EndExemplar captures the target's completion state (telemetry.ExemplarSink).
-func (n *Narrator) EndExemplar(done sim.Time, phases *[telemetry.NumPhases]sim.Time, blame *[telemetry.MaxTenants]sim.Time, flags uint8) {
-	if n == nil || !n.recording {
-		return
-	}
-	n.recording = false
-	n.done = true
-	n.end = done
-	n.phases = *phases
-	n.blame = *blame
-	n.flags = flags
-	if rec, ok := n.rec.Last(); ok {
-		n.path = rec
-		n.pathOK = true
-	}
-	if n.snapFn != nil {
-		n.snapFn(done, &n.snap)
-		n.snap.Captured = true
-	}
-}
-
-// DropExemplar marks a dropped (failed) target (telemetry.ExemplarSink).
-func (n *Narrator) DropExemplar() {
-	if n == nil || !n.recording {
-		return
-	}
-	n.recording = false
-	n.done = true
-	n.dropped = true
-}
-
-// record appends one event of the target's stream.
-func (n *Narrator) record(ev event) {
 	if len(n.events) < cap(n.events) {
 		n.events = append(n.events, ev)
 	} else {
@@ -159,77 +109,19 @@ func (n *Narrator) record(ev event) {
 	}
 }
 
-// BeginPath forwards the target's open to the private recorder
-// (telemetry.PathSink).
-func (n *Narrator) BeginPath(op telemetry.OpKind, tenant telemetry.TenantID, start sim.Time) {
-	if n == nil || !n.recording {
+// Fold captures the target's completed record (telemetry.Fold).
+func (n *Narrator) Fold(r *telemetry.Record) {
+	if n == nil || n.done || r.Seq != n.target {
 		return
 	}
-	n.rec.BeginPath(op, tenant, start)
-}
-
-// Segment records an on-path charge (telemetry.PathSink).
-func (n *Narrator) Segment(p telemetry.Phase, d sim.Time) {
-	if n == nil || !n.recording {
-		return
+	n.done = true
+	n.op, n.tenant, n.start, n.end = r.Op, r.Tenant, r.Start, r.Start+r.Total
+	n.phases, n.blame, n.flags = r.Phases, r.Blame, r.Flags
+	n.path = critpath.PathOf(r)
+	if n.snapFn != nil {
+		n.snapFn(n.end, &n.snap)
+		n.snap.Captured = true
 	}
-	n.record(event{kind: evSegment, p: p, d: d})
-	n.rec.Segment(p, d)
-}
-
-// WaitSegment records an on-path wait with its culprit and bind
-// (telemetry.PathSink).
-func (n *Narrator) WaitSegment(p telemetry.Phase, d sim.Time, culprit telemetry.TenantID, bind telemetry.Phase) {
-	if n == nil || !n.recording {
-		return
-	}
-	n.record(event{kind: evWait, p: p, to: bind, culprit: culprit, d: d})
-	n.rec.WaitSegment(p, d, culprit, bind)
-}
-
-// Overlap records an off-path (concurrent) charge (telemetry.PathSink).
-func (n *Narrator) Overlap(p telemetry.Phase, d sim.Time) {
-	if n == nil || !n.recording {
-		return
-	}
-	n.record(event{kind: evOverlap, p: p, d: d})
-	n.rec.Overlap(p, d)
-}
-
-// Reassign records a phase relabel (telemetry.PathSink).
-func (n *Narrator) Reassign(from, to telemetry.Phase, d sim.Time) {
-	if n == nil || !n.recording {
-		return
-	}
-	n.record(event{kind: evReassign, p: from, to: to, d: d})
-	n.rec.Reassign(from, to, d)
-}
-
-// Refund records an early-ack refund (telemetry.PathSink).
-func (n *Narrator) Refund(p telemetry.Phase, d sim.Time) {
-	if n == nil || !n.recording {
-		return
-	}
-	n.record(event{kind: evRefund, p: p, d: d})
-	n.rec.Refund(p, d)
-}
-
-// EndPath forwards the target's completion to the private recorder
-// (telemetry.PathSink). The completion capture itself happens in
-// EndExemplar, which the AttrSink fires right after.
-func (n *Narrator) EndPath(done sim.Time) {
-	if n == nil || !n.recording {
-		return
-	}
-	n.rec.EndPath(done)
-}
-
-// DropPath abandons the private recorder's open record (telemetry.PathSink).
-func (n *Narrator) DropPath() {
-	if n == nil || !n.recording {
-		return
-	}
-	n.rec.DropPath()
 }
 
 // label names a tenant by the sink's names when set, else "sys"/"t<i>".
@@ -289,37 +181,37 @@ func (n *Narrator) timeline(b *strings.Builder) {
 	var cursor sim.Time
 	pendingOverlap := false
 	for _, ev := range n.events {
-		switch ev.kind {
-		case evSegment:
-			fmt.Fprintf(b, "  +%-11s %-12s %10.1fus\n", usOffset(cursor), ev.p.String(), ev.d.Micros())
-			cursor += ev.d
+		switch ev.Kind {
+		case telemetry.EvSegment:
+			fmt.Fprintf(b, "  +%-11s %-12s %10.1fus\n", usOffset(cursor), ev.P.String(), ev.D.Micros())
+			cursor += ev.D
 			pendingOverlap = false
-		case evWait:
+		case telemetry.EvWait:
 			who := "unknown occupant"
-			if ev.to >= 0 {
-				if ev.culprit >= 0 {
-					who = fmt.Sprintf("queued behind %s's %s", n.label(ev.culprit), ev.to.String())
+			if ev.To >= 0 {
+				if ev.Culprit >= 0 {
+					who = fmt.Sprintf("queued behind %s's %s", n.label(ev.Culprit), ev.To.String())
 				} else {
-					who = fmt.Sprintf("queued behind own %s", ev.to.String())
+					who = fmt.Sprintf("queued behind own %s", ev.To.String())
 				}
-			} else if ev.culprit >= 0 {
-				who = fmt.Sprintf("queued behind %s (pre-history)", n.label(ev.culprit))
+			} else if ev.Culprit >= 0 {
+				who = fmt.Sprintf("queued behind %s (pre-history)", n.label(ev.Culprit))
 			}
-			fmt.Fprintf(b, "  +%-11s %-12s %10.1fus  %s\n", usOffset(cursor), ev.p.String(), ev.d.Micros(), who)
-			cursor += ev.d
+			fmt.Fprintf(b, "  +%-11s %-12s %10.1fus  %s\n", usOffset(cursor), ev.P.String(), ev.D.Micros(), who)
+			cursor += ev.D
 			pendingOverlap = false
-		case evOverlap:
+		case telemetry.EvOverlap:
 			if !pendingOverlap {
 				fmt.Fprintf(b, "    (concurrent device work hidden under the next composite stall:)\n")
 				pendingOverlap = true
 			}
-			fmt.Fprintf(b, "      ~ %-12s %10.1fus (off-path)\n", ev.p.String(), ev.d.Micros())
-		case evReassign:
-			fmt.Fprintf(b, "    note: reclassified %.1fus %s -> %s\n", ev.d.Micros(), ev.p.String(), ev.to.String())
-		case evRefund:
+			fmt.Fprintf(b, "      ~ %-12s %10.1fus (off-path)\n", ev.P.String(), ev.D.Micros())
+		case telemetry.EvReassign:
+			fmt.Fprintf(b, "    note: reclassified %.1fus %s -> %s\n", ev.D.Micros(), ev.P.String(), ev.To.String())
+		case telemetry.EvRefund:
 			fmt.Fprintf(b, "    note: refunded %.1fus of %s (early ack: host saw completion before the device finished)\n",
-				ev.d.Micros(), ev.p.String())
-			cursor -= ev.d
+				ev.D.Micros(), ev.P.String())
+			cursor -= ev.D
 		}
 	}
 	if n.lost > 0 {
@@ -362,7 +254,7 @@ func (n *Narrator) blameLines(b *strings.Builder) {
 // whatIf replays the recorded critical path under the canonical scenarios
 // and names the one that would have helped this IO most.
 func (n *Narrator) whatIf(b *strings.Builder, total sim.Time) {
-	if !n.pathOK || total <= 0 {
+	if total <= 0 {
 		return
 	}
 	fmt.Fprintf(b, "what-if (counterfactual replay of this IO's critical path):\n")

@@ -107,81 +107,68 @@ func (s *AttrSink) BeginTenant(op OpKind, t TenantID, start sim.Time) {
 		return
 	}
 	if s.active {
-		s.violations++
-		if s.OnViolation != nil {
-			s.OnViolation(start)
-		}
+		s.pathViolations++
+		s.violated(start)
 	}
 	s.active = true
 	s.suspended = 0
-	s.op = op
-	s.start = start
-	s.cur = [NumPhases]sim.Time{}
-	s.tenant = clampTenant(t)
-	s.curBlame = [MaxTenants]sim.Time{}
-	s.seq++
-	s.flags = 0
-	// Exem learns the record identity before Path opens its record, so a
-	// narrator armed on one sequence number sees its own BeginPath.
-	if s.Exem != nil {
-		s.Exem.BeginExemplar(s.seq, op, s.tenant, start)
-	}
-	if s.Path != nil {
-		s.Path.BeginPath(op, s.tenant, start)
-	}
+	s.rec.reset(op, clampTenant(t), start)
 }
 
 // ChargeBlamed is Charge with an explicit culprit: d of the active IO's
 // latency goes to phase p, and — when p is a blame phase — the same d is
 // blamed on culprit. SelfTenant (or any out-of-range ID) blames the
-// record's own tenant. Same no-op conditions as Charge.
+// record's own tenant. Same no-op conditions as Charge. A charge to a
+// composite phase adopts the pending off-path ticks as its composition.
 func (s *AttrSink) ChargeBlamed(p Phase, d sim.Time, culprit TenantID) {
-	if s == nil || !s.active || d <= 0 {
+	if s == nil || !s.onPath(p, d, culprit) {
 		return
 	}
-	if s.suspended > 0 {
-		s.overlap(p, d)
-		return
+	if c := CompIdx(p); c >= 0 && s.rec.pendMask != 0 {
+		s.rec.adopt(c)
 	}
-	s.cur[p] += d
-	if blamePhases[p] {
-		if culprit < 0 || culprit >= MaxTenants {
-			culprit = s.tenant
-		}
-		s.curBlame[culprit] += d
-	}
-	if s.Path != nil {
-		s.Path.Segment(p, d)
-	}
+	s.tap(ChargeEvent{Kind: EvSegment, P: p, Culprit: culprit, D: d})
 }
 
 // ChargeWaitBlamed is ChargeBlamed for resource-wait phases (chan_wait,
-// lun_wait), additionally telling the attached path sink which service
-// phase the blocking occupant was running (bind; < 0 when unknown, e.g. a
-// wait behind pre-instrumentation history). Attribution and blame
-// aggregates are identical to ChargeBlamed — only the critical-path feed
-// sees the culprit and bind, which a what-if engine needs to scale waits
-// with the cost they queue behind and a forensic narrator needs to say who
-// held the resource.
+// lun_wait), additionally recording which service phase the blocking
+// occupant was running (bind; < 0 when unknown, e.g. a wait behind
+// pre-instrumentation history) in the record's WaitBy. A what-if engine
+// needs it to scale waits with the cost they queue behind, and a forensic
+// narrator to say who held the resource.
 func (s *AttrSink) ChargeWaitBlamed(p Phase, d sim.Time, culprit TenantID, bind Phase) {
-	if s == nil || !s.active || d <= 0 {
+	if s == nil || !s.onPath(p, d, culprit) {
 		return
 	}
-	if s.suspended > 0 {
-		s.overlap(p, d)
+	if w, b := WaitIdx(p), BindIdx(bind); w >= 0 && b >= 0 {
+		s.rec.WaitBy[w][b] += d
+	}
+	s.tap(ChargeEvent{Kind: EvWait, P: p, To: bind, Culprit: culprit, D: d})
+}
+
+// Step is one queue-then-service interval of a flash operation: Queued
+// ticks waiting for a resource whose occupant (Culprit) was running Bind,
+// then Busy ticks of service phase Svc.
+type Step struct {
+	Wait    Phase
+	Queued  sim.Time
+	Culprit TenantID
+	Bind    Phase
+	Svc     Phase
+	Busy    sim.Time
+}
+
+// ChargeSteps charges a page operation's two steps in order — for each,
+// ChargeWaitBlamed(Wait, Queued, Culprit, Bind) then Charge(Svc, Busy) —
+// so the record and the tap see exactly what those four calls produce.
+func (s *AttrSink) ChargeSteps(a, b Step) {
+	if s == nil || !s.active {
 		return
 	}
-	s.cur[p] += d
-	resolved := culprit
-	if blamePhases[p] {
-		if resolved < 0 || resolved >= MaxTenants {
-			resolved = s.tenant
-		}
-		s.curBlame[resolved] += d
-	}
-	if s.Path != nil {
-		s.Path.WaitSegment(p, d, culprit, bind)
-	}
+	s.ChargeWaitBlamed(a.Wait, a.Queued, a.Culprit, a.Bind)
+	s.Charge(a.Svc, a.Busy)
+	s.ChargeWaitBlamed(b.Wait, b.Queued, b.Culprit, b.Bind)
+	s.Charge(b.Svc, b.Busy)
 }
 
 // workerDepth bounds the culprit stack; pushes beyond it saturate (the
@@ -235,7 +222,7 @@ func (s *AttrSink) workerTop() TenantID {
 		return s.workers[n-1]
 	}
 	if s.active {
-		return s.tenant
+		return s.rec.Tenant
 	}
 	return 0
 }
