@@ -7,6 +7,7 @@ import (
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
 	"blockhead/internal/workload"
+	"blockhead/internal/zalloc"
 	"blockhead/internal/zns"
 )
 
@@ -96,14 +97,16 @@ func E8Run(policy ZonePolicy, cfg Config) (E8Result, error) {
 	}
 
 	// Free-zone pool shared by all tenants.
-	var freeZones []int
+	freeZones := zalloc.NewRing(dev.NumZones())
 	for z := 0; z < dev.NumZones(); z++ {
-		freeZones = append(freeZones, z)
+		freeZones.Push(z)
 	}
 	takeZone := func(at sim.Time) (int, bool) {
-		for len(freeZones) > 0 {
-			z := freeZones[0]
-			freeZones = freeZones[1:]
+		for {
+			z, ok := freeZones.Take(dev)
+			if !ok {
+				return -1, false
+			}
 			if dev.State(z) != zns.Empty {
 				if _, err := dev.Reset(at, z); err != nil {
 					continue
@@ -111,7 +114,6 @@ func E8Run(policy ZonePolicy, cfg Config) (E8Result, error) {
 			}
 			return z, true
 		}
-		return -1, false
 	}
 
 	grant := func() int {
@@ -149,7 +151,7 @@ func E8Run(policy ZonePolicy, cfg Config) (E8Result, error) {
 				if err := dev.Open(now, z); err != nil {
 					// Lost a race for the last active slot: put it back and
 					// go with what we have.
-					freeZones = append(freeZones, z)
+					freeZones.Push(z)
 					break
 				}
 				zones = append(zones, z)
@@ -180,7 +182,7 @@ func E8Run(policy ZonePolicy, cfg Config) (E8Result, error) {
 						}
 						// Return the zone to the shared pool; it is reset
 						// lazily on its next draw.
-						freeZones = append(freeZones, z)
+						freeZones.Push(z)
 						finished++
 						if finished == len(zones) {
 							bursts++

@@ -28,6 +28,7 @@ import (
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
 	"blockhead/internal/telemetry"
+	"blockhead/internal/zalloc"
 	"blockhead/internal/zns"
 )
 
@@ -96,7 +97,7 @@ type FTL struct {
 	logicalPages int64
 	zonePages    int64
 
-	freeZones  zoneRing
+	freeZones  zalloc.Ring
 	streamZone [][]int // open data zones per stream (ZonesPerStream wide)
 	streamRR   []int   // per-stream round-robin cursor
 	gcZone     int     // open relocation destination, -1 if none
@@ -182,7 +183,7 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 		cfg:          cfg,
 		logicalPages: int64(nz-reserve) * zp,
 		zonePages:    zp,
-		freeZones:    zoneRing{buf: make([]int, nz)},
+		freeZones:    zalloc.NewRing(nz),
 		streamZone:   make([][]int, cfg.Streams),
 		streamRR:     make([]int, cfg.Streams),
 		gcZone:       -1,
@@ -200,7 +201,7 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 		f.reloc.moves = make([]move, 0, zp)
 	}
 	for z := 0; z < nz; z++ {
-		f.freeZones.push(z)
+		f.freeZones.Push(z)
 	}
 	for i := range f.streamZone {
 		f.streamZone[i] = make([]int, cfg.ZonesPerStream)
@@ -227,7 +228,7 @@ func (f *FTL) SetProbe(p *telemetry.Probe) {
 	f.tr.NameProcess(telemetry.ProcHostFTL, "host FTL")
 	f.tr.NameTrack(telemetry.ProcHostFTL, 0, "reclaim")
 	reg.Gauge("hostftl/write_amp", func(sim.Time) float64 { return f.WriteAmp() })
-	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(f.freeZones.n) })
+	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(f.freeZones.Len()) })
 	f.fl = p.Flight()
 	f.gc.Attach(f.attr, f.tr, f.fl)
 }
@@ -282,37 +283,6 @@ func (f *FTL) DRAMFootprintBytes() int64 {
 	return 8*f.logicalPages + 8*int64(len(f.gc.P2L))
 }
 
-// zoneRing is the free-zone pool: a FIFO over one slot per zone, so taking
-// from the head and returning to the tail never reallocates. A zone is in
-// the pool at most once, which is what bounds it.
-type zoneRing struct {
-	buf     []int
-	head, n int
-}
-
-func (r *zoneRing) push(z int) {
-	r.buf[(r.head+r.n)%len(r.buf)] = z
-	r.n++
-}
-
-func (r *zoneRing) pop() int {
-	z := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return z
-}
-
-func (f *FTL) takeFreeZone() (int, bool) {
-	for f.freeZones.n > 0 {
-		z := f.freeZones.pop()
-		if f.dev.State(z) == zns.Offline || f.dev.WritableCap(z) == 0 {
-			continue // lost to wear
-		}
-		return z, true
-	}
-	return -1, false
-}
-
 // appendTo appends one page into the given open zone, rolling to a fresh
 // zone when full. Returns the device LBA. zoneSlot points at the stream's
 // (or GC's) current-zone variable. A zone that goes ReadOnly under the
@@ -322,7 +292,7 @@ func (f *FTL) takeFreeZone() (int, bool) {
 func (f *FTL) appendTo(at sim.Time, zoneSlot *int, data []byte) (int64, sim.Time, error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		if *zoneSlot < 0 {
-			z, ok := f.takeFreeZone()
+			z, ok := f.freeZones.Take(f.dev)
 			if !ok {
 				return 0, at, ErrOutOfSpace
 			}
@@ -445,7 +415,7 @@ func (f *FTL) Trim(lpn, n int64) error {
 }
 
 // FreeZones reports the number of zones in the free pool.
-func (f *FTL) FreeZones() int { return f.freeZones.n }
+func (f *FTL) FreeZones() int { return f.freeZones.Len() }
 
 // NextSeq reports the sequence number the next stamped write will carry —
 // the integrity oracle resyncs to it after recovery.

@@ -30,12 +30,12 @@ func (f *FTL) MaintenanceStep(at sim.Time, budget, targetFree int) bool {
 	// whatever host IO record happens to be open.
 	f.attr.Suspend()
 	defer f.attr.Resume()
-	if f.freeZones.n > targetFree {
+	if f.freeZones.Len() > targetFree {
 		return false
 	}
-	before, beforeFree := f.gcResets, f.freeZones.n
+	before, beforeFree := f.gcResets, f.freeZones.Len()
 	f.gc.Chunk(at, budget)
-	return f.gcResets != before || f.freeZones.n != beforeFree || f.gc.Victim >= 0
+	return f.gcResets != before || f.freeZones.Len() != beforeFree || f.gc.Victim >= 0
 }
 
 // reclaim makes free space per the configured policy and returns the time
@@ -51,16 +51,16 @@ func (f *FTL) reclaim(at sim.Time) sim.Time {
 	f.gc.NewRound()
 	switch {
 	case f.cfg.GCMode != GCIncremental:
-		if f.freeZones.n > inlineLowWater {
+		if f.freeZones.Len() > inlineLowWater {
 			return at
 		}
-	case f.freeZones.n <= 1:
+	case f.freeZones.Len() <= 1:
 		// Emergency: the pool is dry; fall back to a blocking pass.
 		f.emergencies++
 		f.mEmergencies.Inc()
 		f.tr.Instant(telemetry.ProcHostFTL, 0, "hostftl", "emergency", at)
 	default:
-		if f.freeZones.n <= incrementalStartWater {
+		if f.freeZones.Len() <= incrementalStartWater {
 			f.gc.Chunk(at, f.cfg.GCChunkPages)
 		}
 		return at
@@ -71,7 +71,7 @@ func (f *FTL) reclaim(at sim.Time) sim.Time {
 }
 
 // poolLow is the inline trigger: the free pool at its low-water mark.
-func (f *FTL) poolLow() bool { return f.freeZones.n <= inlineLowWater }
+func (f *FTL) poolLow() bool { return f.freeZones.Len() <= inlineLowWater }
 
 // release empties an open-zone slot; the zone it held becomes a victim
 // candidate.
@@ -116,7 +116,7 @@ func (f *FTL) reset(at sim.Time, victim int) sim.Time {
 		return done
 	}
 	if f.dev.State(victim) == zns.Empty {
-		f.freeZones.push(victim)
+		f.freeZones.Push(victim)
 	}
 	f.gcResets++
 	f.mGCResets.Inc()
@@ -146,7 +146,7 @@ func (f *FTL) relocateRange(at sim.Time, victim int, from, to int64) (done sim.T
 		moved = len(batch)
 		for len(batch) > 0 {
 			if f.gcZone < 0 {
-				z, ok := f.takeFreeZone()
+				z, ok := f.freeZones.Take(f.dev)
 				if !ok {
 					return at, 0, false
 				}

@@ -78,16 +78,16 @@ func TestMaintenanceStepPacing(t *testing.T) {
 	}
 	// Now drive maintenance with a generous target: it must reclaim, one
 	// bounded nibble per call, and eventually raise the pool.
-	before := f.freeZones.n
+	before := f.freeZones.Len()
 	resetsBefore := f.GCResets()
-	for i := 0; i < 500 && f.freeZones.n <= before+3; i++ {
+	for i := 0; i < 500 && f.freeZones.Len() <= before+3; i++ {
 		f.MaintenanceStep(at, 4, before+4)
 	}
 	if f.GCResets() == resetsBefore {
 		t.Error("maintenance never reclaimed a zone")
 	}
-	if f.freeZones.n <= before {
-		t.Errorf("pool did not grow: %d -> %d", before, f.freeZones.n)
+	if f.freeZones.Len() <= before {
+		t.Errorf("pool did not grow: %d -> %d", before, f.freeZones.Len())
 	}
 }
 

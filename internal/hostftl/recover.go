@@ -7,6 +7,7 @@ import (
 	"blockhead/internal/flash"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
+	"blockhead/internal/zalloc"
 	"blockhead/internal/zns"
 )
 
@@ -34,7 +35,7 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 	// Wipe volatile host state: the mapping, valid counts, open-zone slots,
 	// reclamation cursors, and the free pool are all host DRAM.
 	f.gc.Forget()
-	f.freeZones.head, f.freeZones.n = 0, 0
+	f.freeZones = zalloc.NewRing(f.dev.NumZones())
 	for s := range f.streamZone {
 		for j := range f.streamZone[s] {
 			f.streamZone[s][j] = -1
@@ -53,7 +54,7 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 		case zns.Offline:
 			continue
 		case zns.Empty:
-			f.freeZones.push(z)
+			f.freeZones.Push(z)
 			continue
 		case zns.Open, zns.Closed, zns.Full, zns.ReadOnly:
 			// Holds data: rediscover its write pointer below.
@@ -93,7 +94,7 @@ func (f *FTL) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 			if done, err := f.dev.Reset(at, z); err == nil {
 				at = done
 				if f.dev.State(z) == zns.Empty {
-					f.freeZones.push(z)
+					f.freeZones.Push(z)
 				}
 			}
 		}

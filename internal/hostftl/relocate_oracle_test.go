@@ -37,7 +37,7 @@ func (f *FTL) relocateRangePerPage(at sim.Time, victim int, from, to int64) (sim
 		flush := func() bool {
 			for len(batch) > 0 {
 				if f.gcZone < 0 {
-					z, ok := f.takeFreeZone()
+					z, ok := f.freeZones.Take(f.dev)
 					if !ok {
 						return false
 					}
@@ -140,12 +140,14 @@ type relocTally struct {
 	recoveries  int
 }
 
-// pool lists the free zones in take order.
+// pool lists the free zones in take order. It cycles the ring once, which
+// leaves the order as it was (the pool holds only Empty zones, which Take
+// never drops).
 func (f *FTL) pool() []int {
-	r := f.freeZones
-	out := make([]int, r.n)
+	out := make([]int, f.freeZones.Len())
 	for i := range out {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
+		out[i], _ = f.freeZones.Take(f.dev)
+		f.freeZones.Push(out[i])
 	}
 	return out
 }

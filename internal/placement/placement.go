@@ -27,9 +27,9 @@ import (
 	"fmt"
 	"sort"
 
-	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/workload"
+	"blockhead/internal/zalloc"
 	"blockhead/internal/zns"
 )
 
@@ -125,15 +125,8 @@ var (
 
 type objState struct {
 	obj   workload.Object
-	zone  int
-	off   int64 // first page offset within the zone
+	ext   zalloc.Extent
 	alive bool
-}
-
-type seg struct {
-	id    int64
-	off   int64
-	pages int
 }
 
 // expiry heap, ordered by death time.
@@ -155,22 +148,12 @@ func (h *expHeap) Pop() interface{} {
 type Store struct {
 	dev    *zns.Device
 	policy Policy
-
-	streamZone []int // open zone per stream, -1 = none
-	relocZone  int   // destination for GC survivors
-	freeZones  []int
+	za     *zalloc.Alloc // one slot per stream
 
 	objects map[int64]*objState
-	segs    [][]seg // per zone
-	live    []int64 // live pages per zone
 	exp     expHeap
-	// victims holds the sealed zones, keyed by zone pages minus dead pages:
-	// the most dead first, ties to the lowest zone number.
-	victims reclaim.Index
 
 	hostPages uint64
-	gcResets  uint64
-	gcCopies  uint64
 }
 
 // NewStore builds a store. The device must allow at least
@@ -184,30 +167,19 @@ func NewStore(dev *zns.Device, policy Policy) (*Store, error) {
 	if dev.NumZones() < need+2 {
 		return nil, fmt.Errorf("placement: %d zones too few for %d streams", dev.NumZones(), policy.Streams())
 	}
-	s := &Store{
-		dev:        dev,
-		policy:     policy,
-		streamZone: make([]int, policy.Streams()),
-		relocZone:  -1,
-		objects:    make(map[int64]*objState),
-		segs:       make([][]seg, dev.NumZones()),
-		live:       make([]int64, dev.NumZones()),
-		victims:    reclaim.NewIndex(dev.NumZones(), int(dev.ZonePages())),
-	}
-	for i := range s.streamZone {
-		s.streamZone[i] = -1
-	}
-	for z := 0; z < dev.NumZones(); z++ {
-		s.freeZones = append(s.freeZones, z)
-	}
-	return s, nil
+	return &Store{
+		dev:     dev,
+		policy:  policy,
+		za:      zalloc.New(dev, policy.Streams()),
+		objects: make(map[int64]*objState),
+	}, nil
 }
 
 // HostPages reports pages of object data written by callers.
 func (s *Store) HostPages() uint64 { return s.hostPages }
 
 // GCResets reports zones recycled by reclamation.
-func (s *Store) GCResets() uint64 { return s.gcResets }
+func (s *Store) GCResets() uint64 { return s.za.Resets }
 
 // Live reports whether an object is currently stored.
 func (s *Store) Live(id int64) bool {
@@ -223,58 +195,22 @@ func (s *Store) WriteAmp() float64 {
 	return float64(s.dev.Counters().FlashProgramPages) / float64(s.hostPages)
 }
 
-func (s *Store) takeFreeZone() (int, bool) {
-	for len(s.freeZones) > 0 {
-		z := s.freeZones[0]
-		s.freeZones = s.freeZones[1:]
-		if s.dev.State(z) == zns.Offline || s.dev.WritableCap(z) == 0 {
-			continue
-		}
-		return z, true
-	}
-	return -1, false
-}
-
-// openWithRoom returns a zone bound to *slot with at least pages of room,
-// finishing the current one if it cannot fit the object.
-func (s *Store) openWithRoom(at sim.Time, slot *int, pages int) (int, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		if *slot < 0 {
-			z, ok := s.takeFreeZone()
-			if !ok {
-				return -1, ErrOutOfSpace
-			}
-			*slot = z
-		}
-		z := *slot
-		if s.dev.WritableCap(z)-s.dev.WP(z) >= int64(pages) {
-			return z, nil
-		}
-		// Objects never span zones: finish this one and roll.
-		if err := s.dev.Finish(at, z); err != nil && !errors.Is(err, zns.ErrBadState) {
-			return -1, err
-		}
-		*slot = -1
-		if st := s.dev.State(z); st != zns.Empty && st != zns.Offline {
-			s.victims.Insert(z, int(s.dev.ZonePages()-s.dev.WP(z)+s.live[z]))
-		}
-	}
-	return -1, ErrOutOfSpace
-}
-
 // Put appends an object to the zone of its policy-assigned stream and
 // registers its expiry. Expired objects must be collected via ExpireUpTo.
 func (s *Store) Put(at sim.Time, obj workload.Object) (sim.Time, error) {
 	if int64(obj.Pages) > s.dev.ZonePages() {
 		return at, ErrTooLarge
 	}
-	s.reclaim(at)
+	s.za.Reclaim(at)
 	stream := s.policy.StreamOf(at, obj)
-	if stream < 0 || stream >= len(s.streamZone) {
+	if stream < 0 || stream >= s.policy.Streams() {
 		return at, fmt.Errorf("placement: policy %s returned stream %d of %d",
-			s.policy.Name(), stream, len(s.streamZone))
+			s.policy.Name(), stream, s.policy.Streams())
 	}
-	z, err := s.openWithRoom(at, &s.streamZone[stream], obj.Pages)
+	z, err := s.za.Room(at, stream, int64(obj.Pages))
+	if errors.Is(err, zalloc.ErrNoSpace) {
+		return at, ErrOutOfSpace
+	}
 	if err != nil {
 		return at, err
 	}
@@ -287,10 +223,9 @@ func (s *Store) Put(at sim.Time, obj workload.Object) (sim.Time, error) {
 		}
 		done = sim.Max(done, d)
 	}
-	st := &objState{obj: obj, zone: z, off: off, alive: true}
+	st := &objState{obj: obj, ext: zalloc.Extent{Pages: int64(obj.Pages)}, alive: true}
+	s.za.Place(&st.ext, z, off)
 	s.objects[obj.ID] = st
-	s.segs[z] = append(s.segs[z], seg{id: obj.ID, off: off, pages: obj.Pages})
-	s.live[z] += int64(obj.Pages)
 	s.hostPages += uint64(obj.Pages)
 	heap.Push(&s.exp, st)
 	return done, nil
@@ -311,8 +246,7 @@ func (s *Store) kill(st *objState) {
 		return
 	}
 	st.alive = false
-	s.live[st.zone] -= int64(st.obj.Pages)
-	s.victims.Add(st.zone, -st.obj.Pages)
+	s.za.Kill(&st.ext)
 	delete(s.objects, st.obj.ID)
 }
 
@@ -330,66 +264,10 @@ func (s *Store) ExpireUpTo(now sim.Time) int {
 	return n
 }
 
-// reclaim recycles the deadest zones while the free pool is low, copying
-// surviving objects (via simple copy) to the relocation zone. Work per call
-// is bounded so one Put never absorbs a whole-device compaction.
-func (s *Store) reclaim(at sim.Time) {
-	const maxVictims = 4
-	for v := 0; v < maxVictims && len(s.freeZones) <= 2; v++ {
-		victim := s.victims.Pick(at)
-		if victim < 0 {
-			return
-		}
-		if !s.relocate(at, victim) {
-			return
-		}
-	}
-}
-
-// relocate copies each live object out of victim whole (objects never
-// fragment) and resets the zone.
-func (s *Store) relocate(at sim.Time, victim int) bool {
-	for _, sg := range s.segs[victim] {
-		st, ok := s.objects[sg.id]
-		if !ok || !st.alive || st.zone != victim {
-			continue
-		}
-		dz, err := s.openWithRoom(at, &s.relocZone, sg.pages)
-		if err != nil {
-			return false
-		}
-		srcs := make([]int64, sg.pages)
-		for p := range srcs {
-			srcs[p] = s.dev.LBA(victim, sg.off+int64(p))
-		}
-		newOff := s.dev.WP(dz)
-		if _, _, err := s.dev.SimpleCopy(at, srcs, dz); err != nil {
-			return false
-		}
-		s.live[victim] -= int64(sg.pages)
-		s.victims.Add(victim, -sg.pages)
-		s.live[dz] += int64(sg.pages)
-		st.zone, st.off = dz, newOff
-		s.segs[dz] = append(s.segs[dz], seg{id: sg.id, off: newOff, pages: sg.pages})
-		s.gcCopies += uint64(sg.pages)
-	}
-	s.segs[victim] = nil
-	if _, err := s.dev.Reset(at, victim); err != nil {
-		return false
-	}
-	s.victims.Remove(victim)
-	s.live[victim] = 0
-	if s.dev.State(victim) == zns.Empty {
-		s.freeZones = append(s.freeZones, victim)
-	}
-	s.gcResets++
-	return true
-}
-
 // ZoneOccupancy returns live-page counts per zone, sorted descending —
 // a diagnostic for how well a policy clusters deaths.
 func (s *Store) ZoneOccupancy() []int64 {
-	out := append([]int64(nil), s.live...)
+	out := append([]int64(nil), s.za.Live...)
 	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
 	return out
 }

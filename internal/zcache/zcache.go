@@ -25,6 +25,7 @@ import (
 	"blockhead/internal/ftl"
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
+	"blockhead/internal/zalloc"
 	"blockhead/internal/zns"
 )
 
@@ -319,8 +320,8 @@ func (c *ConvBuffered) Get(at sim.Time, key int64) (sim.Time, bool, error) {
 // lives on the device.
 type ZNSCache struct {
 	dev     *zns.Device
-	order   []int // zones in fill order (FIFO)
-	cur     int   // index into order of the zone being filled, -1 if none
+	za      *zalloc.Alloc // one slot, the zone being filled
+	order   zalloc.Ring   // zones in fill order (FIFO)
 	index   map[int64]loc
 	perZone [][]int64
 	stats   Stats
@@ -330,7 +331,8 @@ type ZNSCache struct {
 func NewZNSCache(dev *zns.Device) *ZNSCache {
 	return &ZNSCache{
 		dev:     dev,
-		cur:     -1,
+		za:      zalloc.New(dev, 1),
+		order:   zalloc.NewRing(dev.NumZones()),
 		index:   make(map[int64]loc),
 		perZone: make([][]int64, dev.NumZones()),
 	}
@@ -376,26 +378,20 @@ func (c *ZNSCache) Insert(at sim.Time, key int64, pages int) (sim.Time, error) {
 }
 
 // zoneWithRoom returns a zone that can fit the object, evicting the oldest
-// zone when the device is full.
+// zone once the pool is empty.
 func (c *ZNSCache) zoneWithRoom(at sim.Time, pages int) (int, error) {
-	if c.cur >= 0 {
-		z := c.order[c.cur]
-		if c.dev.WritableCap(z)-c.dev.WP(z) >= int64(pages) {
-			return z, nil
+	prev := c.za.Open[0]
+	z, err := c.za.Room(at, 0, int64(pages))
+	if !errors.Is(err, zalloc.ErrNoSpace) {
+		if err == nil && z != prev {
+			c.order.Push(z)
 		}
-		c.dev.Finish(at, z)
+		return z, err
 	}
-	// Find an empty zone, or evict the FIFO-oldest.
-	for z := 0; z < c.dev.NumZones(); z++ {
-		if c.dev.State(z) == zns.Empty && c.dev.WritableCap(z) > 0 {
-			c.order = append(c.order, z)
-			c.cur = len(c.order) - 1
-			return z, nil
-		}
+	victim, ok := c.order.Take(c.dev)
+	if !ok {
+		return -1, err
 	}
-	victim := c.order[0]
-	c.order = append(c.order[1:], victim)
-	c.cur = len(c.order) - 1
 	for _, k := range c.perZone[victim] {
 		if l, ok := c.index[k]; ok && l.region == int64(victim) {
 			delete(c.index, k)
@@ -403,10 +399,11 @@ func (c *ZNSCache) zoneWithRoom(at sim.Time, pages int) (int, error) {
 		}
 	}
 	c.perZone[victim] = c.perZone[victim][:0]
-	if _, err := c.dev.Reset(at, victim); err != nil {
+	if err := c.za.Reset(at, victim); err != nil {
 		return -1, err
 	}
-	return victim, nil
+	c.order.Push(victim) // refilled next: the newest zone again
+	return c.za.Room(at, 0, int64(pages))
 }
 
 // Get implements Cache.

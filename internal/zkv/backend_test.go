@@ -167,6 +167,9 @@ func TestConvExtentReuse(t *testing.T) {
 	}
 }
 
+// zoneOf reports the zone holding table h.
+func (b *ZNSBackend) zoneOf(h TableHandle) int { return b.tables[h].Zone }
+
 func TestZNSLevelSeparation(t *testing.T) {
 	b := znsBackend(t)
 	blob := make([]byte, 2*512)
@@ -178,7 +181,7 @@ func TestZNSLevelSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.tables[h0].zone == b.tables[h2].zone {
+	if b.zoneOf(h0) == b.zoneOf(h2) {
 		t.Error("different levels share a zone")
 	}
 	// Levels beyond the stream count share the last stream's zone.
@@ -186,7 +189,7 @@ func TestZNSLevelSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.tables[h5].zone != b.tables[h2].zone {
+	if b.zoneOf(h5) != b.zoneOf(h2) {
 		t.Error("deep level did not fold into the last stream")
 	}
 }
@@ -335,16 +338,30 @@ func TestReadAtEverySpan(t *testing.T) {
 		}
 	}
 
-	// Zoned: a dead neighbour makes the zone a victim; relocation moves the
-	// live table, short last page and all, into the relocation zone.
+	// Zoned, on a fresh device: a dead neighbour makes the zone the only
+	// victim once a table that does not fit seals it; with the pool drained to
+	// its low water, reclamation moves the live table, short last page and
+	// all, into the relocation zone.
+	znsDev, err = zns.New(zns.Config{Geom: geom, Lat: lat, ZoneBlocks: 2, StoreData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zoned, err = NewZNSBackend(znsDev, 1); err != nil {
+		t.Fatal(err)
+	}
 	dead := write(zoned, patterned(70, 2))
 	blob := patterned(150, 3)
 	live := write(zoned, blob)
 	if err := zoned.Delete(0, dead); err != nil {
 		t.Fatal(err)
 	}
-	from := zoned.tables[live].zone
-	if !zoned.relocateZone(0, from) || zoned.tables[live].zone == from || zoned.RelocatedPages() == 0 {
+	from := zoned.zoneOf(live)
+	write(zoned, patterned(int(znsDev.ZonePages())*32, 6))
+	for zoned.za.Free.Len() > 2 {
+		zoned.za.Free.Take(znsDev)
+	}
+	zoned.za.Reclaim(0)
+	if zoned.zoneOf(live) == from || zoned.RelocatedPages() == 0 {
 		t.Fatal("table was not relocated")
 	}
 	checkEverySpan(t, "zns/relocated", zoned, live, blob)

@@ -322,7 +322,7 @@ func TestDisableWAL(t *testing.T) {
 	}
 	at, _ = db.Flush(at)
 	// All device writes must be table writes; no WAL pages.
-	if b.walZone != -1 {
+	if b.za.Open[b.streams] != -1 {
 		t.Error("WAL zone allocated despite DisableWAL")
 	}
 	_, _, found, _ := db.Get(at, key(100))

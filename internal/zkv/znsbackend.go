@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
 	"blockhead/internal/stats"
+	"blockhead/internal/zalloc"
 	"blockhead/internal/zns"
 )
 
@@ -17,34 +17,19 @@ import (
 // paper's §2.4 claim that RocksDB's write amplification drops to ~1.2x on
 // ZNS, and a concrete instance of §4.1's lifetime-aware placement.
 type ZNSBackend struct {
-	dev *zns.Device
-
-	streams   int
-	levelZone []int // open zone per stream
-	relocZone int
-	walZone   int
-	freeZones []int
-
-	tables     map[TableHandle]*znsTable
-	zoneTables map[int][]TableHandle
-	livePages  []int64
-	next       TableHandle
-	// victims holds the sealed zones, keyed by zone pages minus dead pages:
-	// the most dead first, ties to the lowest zone number.
-	victims reclaim.Index
-
+	dev     *zns.Device
+	streams int
+	// za places tables: slot s < streams is level stream s's, slot streams
+	// the WAL's.
+	za     *zalloc.Alloc
+	tables map[TableHandle]*znsTable
+	next   TableHandle
 	walOff int64 // bytes appended to the WAL zone since reset
-
-	relocatedPages uint64
 }
 
 type znsTable struct {
-	zone  int
-	off   int64
-	pages int64
-	size  int
-	level int
-	dead  bool
+	zalloc.Extent
+	size int
 }
 
 // NewZNSBackend wraps a ZNS device with the given number of level streams
@@ -62,22 +47,12 @@ func NewZNSBackend(dev *zns.Device, streams int) (*ZNSBackend, error) {
 		return nil, fmt.Errorf("zkv: %d zones too few for %d streams", dev.NumZones(), streams)
 	}
 	b := &ZNSBackend{
-		dev:        dev,
-		streams:    streams,
-		levelZone:  make([]int, streams),
-		relocZone:  -1,
-		walZone:    -1,
-		tables:     make(map[TableHandle]*znsTable),
-		zoneTables: make(map[int][]TableHandle),
-		livePages:  make([]int64, dev.NumZones()),
-		victims:    reclaim.NewIndex(dev.NumZones(), int(dev.ZonePages())),
+		dev:     dev,
+		streams: streams,
+		za:      zalloc.New(dev, streams+1),
+		tables:  make(map[TableHandle]*znsTable),
 	}
-	for i := range b.levelZone {
-		b.levelZone[i] = -1
-	}
-	for z := 0; z < dev.NumZones(); z++ {
-		b.freeZones = append(b.freeZones, z)
-	}
+	b.za.Sealed = b.recycle
 	return b, nil
 }
 
@@ -95,75 +70,15 @@ func (b *ZNSBackend) Device() *zns.Device { return b.dev }
 
 // RelocatedPages reports pages moved by zone reclamation — the (small)
 // host-side WA source on this backend.
-func (b *ZNSBackend) RelocatedPages() uint64 { return b.relocatedPages }
+func (b *ZNSBackend) RelocatedPages() uint64 { return b.za.Moved }
 
-func (b *ZNSBackend) takeFreeZone() (int, bool) {
-	for len(b.freeZones) > 0 {
-		z := b.freeZones[0]
-		b.freeZones = b.freeZones[1:]
-		if b.dev.State(z) == zns.Offline || b.dev.WritableCap(z) == 0 {
-			continue
-		}
-		return z, true
+// recycle resets a sealed zone whose tables are all dead, at once: the
+// no-copy reclamation that keeps this backend's WA near 1. It runs after a
+// Delete and after every roll.
+func (b *ZNSBackend) recycle(at sim.Time, z int) {
+	if _, sealed := b.za.Index.Key(z); sealed && b.za.Live[z] == 0 {
+		_ = b.za.Reset(at, z) // a zone that refuses the reset stays sealed
 	}
-	return -1, false
-}
-
-// openWithRoom binds *slot to a zone with room for pages, sealing the
-// current zone if it cannot fit.
-func (b *ZNSBackend) openWithRoom(at sim.Time, slot *int, pages int64) (int, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		if *slot < 0 {
-			z, ok := b.takeFreeZone()
-			if !ok {
-				return -1, ErrNoSpace
-			}
-			*slot = z
-		}
-		z := *slot
-		if b.dev.WritableCap(z)-b.dev.WP(z) >= pages {
-			return z, nil
-		}
-		if err := b.dev.Finish(at, z); err != nil && !errors.Is(err, zns.ErrBadState) {
-			return -1, err
-		}
-		sealed := z
-		*slot = -1
-		if st := b.dev.State(sealed); st != zns.Empty && st != zns.Offline {
-			b.victims.Insert(sealed, int(b.dev.ZonePages()-b.dev.WP(sealed)+b.livePages[sealed]))
-		}
-		// A sealed zone whose tables are all dead can be reset right away.
-		b.maybeRecycle(at, sealed)
-	}
-	return -1, ErrNoSpace
-}
-
-func (b *ZNSBackend) isOpenSlot(z int) bool {
-	if z == b.relocZone || z == b.walZone {
-		return true
-	}
-	for _, lz := range b.levelZone {
-		if lz == z {
-			return true
-		}
-	}
-	return false
-}
-
-// maybeRecycle resets a sealed, fully-dead zone.
-func (b *ZNSBackend) maybeRecycle(at sim.Time, z int) {
-	if b.isOpenSlot(z) || b.livePages[z] != 0 || b.dev.WP(z) == 0 {
-		return
-	}
-	if b.dev.State(z) == zns.Empty || b.dev.State(z) == zns.Offline {
-		return
-	}
-	if _, err := b.dev.Reset(at, z); err != nil {
-		return
-	}
-	b.victims.Remove(z)
-	delete(b.zoneTables, z)
-	b.freeZones = append(b.freeZones, z)
 }
 
 // WriteTable implements Backend: the blob is appended to the zone of the
@@ -174,12 +89,11 @@ func (b *ZNSBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandl
 	if pages > b.dev.ZonePages() {
 		return 0, at, fmt.Errorf("zkv: table of %d pages exceeds zone size %d", pages, b.dev.ZonePages())
 	}
-	b.reclaim(at)
-	stream := level
-	if stream >= b.streams {
-		stream = b.streams - 1
+	b.za.Reclaim(at)
+	z, err := b.za.Room(at, min(level, b.streams-1), pages)
+	if errors.Is(err, zalloc.ErrNoSpace) {
+		err = ErrNoSpace
 	}
-	z, err := b.openWithRoom(at, &b.levelZone[stream], pages)
 	if err != nil {
 		return 0, at, err
 	}
@@ -197,11 +111,11 @@ func (b *ZNSBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandl
 		}
 		done = sim.Max(done, d)
 	}
+	t := &znsTable{Extent: zalloc.Extent{Pages: pages}, size: len(blob)}
+	b.za.Place(&t.Extent, z, off)
 	h := b.next
 	b.next++
-	b.tables[h] = &znsTable{zone: z, off: off, pages: pages, size: len(blob), level: level}
-	b.zoneTables[z] = append(b.zoneTables[z], h)
-	b.livePages[z] += pages
+	b.tables[h] = t
 	return h, done, nil
 }
 
@@ -215,77 +129,22 @@ func (b *ZNSBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, [
 		return at, nil, ErrBadReadSpan
 	}
 	return readSpan(at, b.PageSize(), off, n, func(page int64) (sim.Time, []byte, error) {
-		return b.dev.Read(at, b.dev.LBA(t.zone, t.off+page))
+		return b.dev.Read(at, b.dev.LBA(t.Zone, t.Off+page))
 	})
 }
 
 // Delete implements Backend: mark the table dead; a sealed zone whose
-// tables are all dead is reset immediately — the no-copy reclamation that
-// keeps this backend's WA near 1.
+// tables are all dead is reset immediately.
 func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 	t, ok := b.tables[h]
 	if !ok {
 		return ErrBadHandle
 	}
-	t.dead = true
-	b.livePages[t.zone] -= t.pages
-	b.victims.Add(t.zone, -int(t.pages))
+	z := t.Zone
+	b.za.Kill(&t.Extent)
 	delete(b.tables, h)
-	b.maybeRecycle(at, t.zone)
+	b.recycle(at, z)
 	return nil
-}
-
-// reclaim frees zones when the pool runs low by relocating the live tables
-// of the deadest sealed zone (via simple copy) and resetting it. Work per
-// call is bounded: at most a few victims, so one WriteTable never absorbs
-// an unbounded compaction of the whole device — remaining pressure is
-// spread across subsequent writes.
-func (b *ZNSBackend) reclaim(at sim.Time) {
-	const maxVictims = 4
-	for v := 0; v < maxVictims && len(b.freeZones) <= 2; v++ {
-		victim := b.victims.Pick(at)
-		if victim < 0 {
-			return
-		}
-		if !b.relocateZone(at, victim) {
-			return
-		}
-	}
-}
-
-func (b *ZNSBackend) relocateZone(at sim.Time, victim int) bool {
-	for _, h := range b.zoneTables[victim] {
-		t, ok := b.tables[h]
-		if !ok || t.dead || t.zone != victim {
-			continue
-		}
-		dz, err := b.openWithRoom(at, &b.relocZone, t.pages)
-		if err != nil {
-			return false
-		}
-		srcs := make([]int64, t.pages)
-		for p := range srcs {
-			srcs[p] = b.dev.LBA(victim, t.off+int64(p))
-		}
-		newOff := b.dev.WP(dz)
-		if _, _, err := b.dev.SimpleCopy(at, srcs, dz); err != nil {
-			return false
-		}
-		b.livePages[victim] -= t.pages
-		b.victims.Add(victim, -int(t.pages))
-		b.livePages[dz] += t.pages
-		t.zone, t.off = dz, newOff
-		b.zoneTables[dz] = append(b.zoneTables[dz], h)
-		b.relocatedPages += uint64(t.pages)
-	}
-	delete(b.zoneTables, victim)
-	if _, err := b.dev.Reset(at, victim); err != nil {
-		return false
-	}
-	b.victims.Remove(victim)
-	b.livePages[victim] = 0
-	b.freeZones = append(b.freeZones, victim)
-	return true
 }
 
 // AppendWAL implements Backend: commits append to a dedicated WAL zone (no
@@ -301,7 +160,10 @@ func (b *ZNSBackend) AppendWAL(at sim.Time, n int) (sim.Time, error) {
 	pages := last - first + 1
 	done := at
 	for p := int64(0); p < pages; p++ {
-		z, err := b.openWithRoom(at, &b.walZone, 1)
+		z, err := b.za.Room(at, b.streams, 1)
+		if errors.Is(err, zalloc.ErrNoSpace) {
+			err = ErrNoSpace
+		}
 		if err != nil {
 			return at, err
 		}
@@ -318,14 +180,10 @@ func (b *ZNSBackend) AppendWAL(at sim.Time, n int) (sim.Time, error) {
 // ResetWAL implements Backend: the WAL zone is reset wholesale.
 func (b *ZNSBackend) ResetWAL(at sim.Time) error {
 	b.walOff = 0
-	if b.walZone < 0 {
+	z := b.za.Open[b.streams]
+	if z < 0 {
 		return nil
 	}
-	z := b.walZone
-	b.walZone = -1
-	if _, err := b.dev.Reset(at, z); err != nil {
-		return err
-	}
-	b.freeZones = append(b.freeZones, z)
-	return nil
+	b.za.Open[b.streams] = -1
+	return b.za.Reset(at, z)
 }
