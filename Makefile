@@ -58,7 +58,7 @@ bench-selftest:
 # where the mapping tables outgrow the caches.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench='ProbeDisabled|ProbeEnabled|ArmedIO' -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
-	$(GO) test -run='DoesNotAllocate|DoNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/ ./internal/zalloc/
+	$(GO) test -run='DoesNotAllocate|DoNotAllocate|DoesNotRegrow|HasNoSlack' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|TableRead|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/ ./internal/zalloc/
 
 # The full per-table benchmark suite (slow; custom metrics carry results).
 bench:

@@ -25,7 +25,8 @@ type Backend interface {
 	// be placed differently.
 	WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error)
 	// ReadAt reads bytes [off, off+n) of a table, page-granular underneath.
-	// The returned slice is freshly allocated and belongs to the caller.
+	// The returned slice may alias the stored payload: callers must not
+	// modify it, and copy what they hand on.
 	ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error)
 	// Delete drops a table, releasing its space.
 	Delete(at sim.Time, h TableHandle) error
@@ -220,12 +221,20 @@ func (b *ConvBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, 
 }
 
 // readSpan assembles bytes [off, off+n) of a table from its pages, all read
-// at time at. readPage returns the payload stored for one page of the
-// table, which may be shorter than a page (a table's last page) or nil (the
-// device kept none, or lost it to a crash); bytes past it read as zero.
-// Payload bytes are copied once, straight into the result.
+// at time at, each page once and in order. readPage returns the payload
+// stored for one page of the table, which may be shorter than a page (a
+// table's last page) or nil (the device kept none, or lost it to a crash);
+// bytes past it read as zero.
+//
+// The devices keep sub-slices of the blob WriteTable stored as page
+// payloads, so a span whose every page continues the first page's backing
+// array is already in memory, in order: readSpan returns that window of the
+// blob without copying it. At the first page that does not continue it (a
+// nil, short, stale or foreign payload) the window so far is copied once and
+// the rest is appended after it, zero-filled past each payload's end.
 func readSpan(at sim.Time, pageSize, off, n int, readPage func(page int64) (sim.Time, []byte, error)) (sim.Time, []byte, error) {
-	out := make([]byte, 0, n)
+	var window []byte // [off, off+n) of the first page's array, while every page continues it
+	var out []byte    // the copy, once a page does not
 	done := at
 	for pos, end := off, off+n; pos < end; {
 		d, data, err := readPage(int64(pos / pageSize))
@@ -235,11 +244,24 @@ func readSpan(at sim.Time, pageSize, off, n int, readPage func(page int64) (sim.
 		done = sim.Max(done, d)
 		from := pos % pageSize
 		take := min(pageSize-from, end-pos)
+		if pos == off && from+n <= cap(data) {
+			window = data[from : from+n : from+n]
+		}
+		if out == nil {
+			if from+take <= len(data) && window != nil && &data[from] == &window[pos-off] {
+				pos += take
+				continue
+			}
+			out = append(make([]byte, 0, n), window[:pos-off]...)
+		}
 		if have := min(from+take, len(data)); from < have {
 			out = append(out, data[from:have]...)
 		}
 		pos += take
 		out = append(out, make([]byte, pos-off-len(out))...) // zero fill
+	}
+	if out == nil {
+		return done, window, nil
 	}
 	return done, out, nil
 }

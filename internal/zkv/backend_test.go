@@ -296,25 +296,25 @@ func patterned(n int, salt byte) []byte {
 	return blob
 }
 
-// ReadAt returns exactly the bytes written, for every span, when the
-// table's last page is short (its stored payload is shorter than a page),
-// when it is not, after zone reclamation moved the table by simple copy,
-// and when its extent was used before by a longer table whose stale
-// payloads the trim-less device still holds.
-func TestReadAtEverySpan(t *testing.T) {
-	geom := flash.Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
-		BlocksPerLUN: 64, PagesPerBlock: 8, PageSize: 32}
-	lat := flash.LatenciesFor(flash.TLC)
-	write := func(b Backend, blob []byte) TableHandle {
-		t.Helper()
-		h, _, err := b.WriteTable(0, blob, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
+// spanGeom is the small geometry the span tests store tables on: 32-byte
+// pages, so a table of a few hundred bytes spans pages and ends short.
+var spanGeom = flash.Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
+	BlocksPerLUN: 64, PagesPerBlock: 8, PageSize: 32}
 
-	convDev, err := ftl.New(ftl.Config{Geom: geom, Lat: lat, OPFraction: 0.25, StoreData: true})
+func writeTable(t testing.TB, b Backend, blob []byte) TableHandle {
+	t.Helper()
+	h, _, err := b.WriteTable(0, blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// spanBackends are a conventional and a zoned backend on spanGeom.
+func spanBackends(t testing.TB) (*ConvBackend, *ZNSBackend) {
+	t.Helper()
+	lat := flash.LatenciesFor(flash.TLC)
+	convDev, err := ftl.New(ftl.Config{Geom: spanGeom, Lat: lat, OPFraction: 0.25, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestReadAtEverySpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	znsDev, err := zns.New(zns.Config{Geom: geom, Lat: lat, ZoneBlocks: 2, StoreData: true})
+	znsDev, err := zns.New(zns.Config{Geom: spanGeom, Lat: lat, ZoneBlocks: 2, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,52 +330,90 @@ func TestReadAtEverySpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return conv, zoned
+}
 
-	for _, size := range []int{1, 31, 32, 33, 150, 160} {
-		for name, b := range map[string]Backend{"conv": conv, "zns": zoned} {
-			blob := patterned(size, 1)
-			checkEverySpan(t, fmt.Sprintf("%s/%dB", name, size), b, write(b, blob), blob)
-		}
-	}
-
-	// Zoned, on a fresh device: a dead neighbour makes the zone the only
-	// victim once a table that does not fit seals it; with the pool drained to
-	// its low water, reclamation moves the live table, short last page and
-	// all, into the relocation zone.
-	znsDev, err = zns.New(zns.Config{Geom: geom, Lat: lat, ZoneBlocks: 2, StoreData: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zoned, err = NewZNSBackend(znsDev, 1); err != nil {
-		t.Fatal(err)
-	}
-	dead := write(zoned, patterned(70, 2))
-	blob := patterned(150, 3)
-	live := write(zoned, blob)
+// relocatedTable stores blob as a table on a fresh zoned backend and has
+// zone reclamation move it by simple copy, short last page and all: a dead
+// neighbour makes its zone the only victim once a table that does not fit
+// seals it, and with the pool drained to its low water, reclamation moves
+// the live table into the relocation zone.
+func relocatedTable(t testing.TB, blob []byte) (*ZNSBackend, TableHandle) {
+	t.Helper()
+	_, zoned := spanBackends(t)
+	dead := writeTable(t, zoned, patterned(70, 2))
+	live := writeTable(t, zoned, blob)
 	if err := zoned.Delete(0, dead); err != nil {
 		t.Fatal(err)
 	}
 	from := zoned.zoneOf(live)
-	write(zoned, patterned(int(znsDev.ZonePages())*32, 6))
+	writeTable(t, zoned, patterned(int(zoned.dev.ZonePages())*32, 6))
 	for zoned.za.Free.Len() > 2 {
-		zoned.za.Free.Take(znsDev)
+		zoned.za.Free.Take(zoned.dev)
 	}
 	zoned.za.Reclaim(0)
 	if zoned.zoneOf(live) == from || zoned.RelocatedPages() == 0 {
 		t.Fatal("table was not relocated")
 	}
-	checkEverySpan(t, "zns/relocated", zoned, live, blob)
+	return zoned, live
+}
+
+// ReadAt returns exactly the bytes written, for every span, when the
+// table's last page is short (its stored payload is shorter than a page),
+// when it is not, after zone reclamation moved the table by simple copy,
+// and when its extent was used before by a longer table whose stale
+// payloads the trim-less device still holds.
+func TestReadAtEverySpan(t *testing.T) {
+	conv, zoned := spanBackends(t)
+	for _, size := range []int{1, 31, 32, 33, 150, 160} {
+		for name, b := range map[string]Backend{"conv": conv, "zns": zoned} {
+			blob := patterned(size, 1)
+			checkEverySpan(t, fmt.Sprintf("%s/%dB", name, size), b, writeTable(t, b, blob), blob)
+		}
+	}
+
+	blob := patterned(150, 3)
+	relocated, live := relocatedTable(t, blob)
+	checkEverySpan(t, "zns/relocated", relocated, live, blob)
 
 	// Conventional: first-fit hands a freed extent to the next table.
-	old := write(conv, patterned(200, 4))
+	old := writeTable(t, conv, patterned(200, 4))
 	start := conv.tables[old].ext.start
 	if err := conv.Delete(0, old); err != nil {
 		t.Fatal(err)
 	}
 	blob = patterned(150, 5)
-	reused := write(conv, blob)
+	reused := writeTable(t, conv, blob)
 	if conv.tables[reused].ext.start != start {
 		t.Fatal("extent was not reused")
 	}
 	checkEverySpan(t, "conv/reused extent", conv, reused, blob)
+}
+
+// The pages of a stored table hold sub-slices of its blob, so ReadAt hands
+// back a window of it: a whole-table and a mid-table read allocate nothing
+// on either backend, nor after zone reclamation moved the table.
+func TestReadAtDoesNotAllocate(t *testing.T) {
+	blob := patterned(150, 1)
+	conv, zoned := spanBackends(t)
+	relocated, live := relocatedTable(t, blob)
+	for _, c := range []struct {
+		name string
+		b    Backend
+		h    TableHandle
+	}{
+		{"conv", conv, writeTable(t, conv, blob)},
+		{"zns", zoned, writeTable(t, zoned, blob)},
+		{"zns/relocated", relocated, live},
+	} {
+		for _, span := range [][2]int{{0, len(blob)}, {45, 70}} {
+			var got []byte
+			allocs := testing.AllocsPerRun(20, func() {
+				_, got, _ = c.b.ReadAt(0, c.h, span[0], span[1])
+			})
+			if ok := bytes.Equal(got, blob[span[0]:span[0]+span[1]]); allocs != 0 || !ok {
+				t.Errorf("%s: ReadAt(%d, %d) made %.1f allocations; bytes right: %v", c.name, span[0], span[1], allocs, ok)
+			}
+		}
+	}
 }

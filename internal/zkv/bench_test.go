@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blockhead/internal/flash"
+	"blockhead/internal/ftl"
 	"blockhead/internal/sim"
 	"blockhead/internal/workload"
 	"blockhead/internal/zns"
@@ -73,6 +74,37 @@ func benchZNSDB(b *testing.B) *DB {
 	}
 	return Open(backend, Options{MemtableBytes: 64 << 10, BaseLevelBytes: 256 << 10,
 		TableTargetBytes: 32 << 10, Seed: 1})
+}
+
+// BenchmarkTableRead reads one whole table back per op through each
+// backend, as a compaction does with every input: 32 KiB and a short last
+// page on 4 KiB pages.
+func BenchmarkTableRead(b *testing.B) {
+	geom := flash.Geometry{Channels: 4, DiesPerChan: 2, PlanesPerDie: 1,
+		BlocksPerLUN: 24, PagesPerBlock: 64, PageSize: 4096}
+	lat := flash.LatenciesFor(flash.TLC)
+	convDev, err := ftl.New(ftl.Config{Geom: geom, Lat: lat, OPFraction: 0.1, StoreData: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	conv, err := NewConvBackend(convDev, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob := patterned(32<<10+100, 1)
+	for _, backend := range []Backend{conv, benchZNSDB(b).backend} {
+		b.Run(backend.Name(), func(b *testing.B) {
+			h := writeTable(b, backend, blob)
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, got, err := backend.ReadAt(0, h, 0, len(blob)); err != nil || len(got) != len(blob) {
+					b.Fatalf("read %d bytes: %v", len(got), err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkDBPut measures the full LSM write path (WAL + memtable +

@@ -72,10 +72,6 @@ func (b *bloom) mayContain(h uint64) bool {
 	return true
 }
 
-// marshaledLen is the size appendTo adds: k is below 128 (newBloom caps it
-// at 30, unmarshalBloom at 64), so one uvarint byte, then the bits.
-func (b *bloom) marshaledLen() int { return 1 + len(b.bits) }
-
 // appendTo serializes the filter as k (uvarint) followed by the bit array.
 func (b *bloom) appendTo(dst []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(b.k)), b.bits...)

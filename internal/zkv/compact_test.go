@@ -190,8 +190,10 @@ func TestLevelHelpersMatchOracle(t *testing.T) {
 	}
 }
 
-// corruptBackend, once armed, overwrites the second half of everything
-// ReadAt returns: a table damaged mid-region.
+// corruptBackend, once armed, returns a copy of what ReadAt read with its
+// second half overwritten: a table damaged mid-region on the way to the
+// reader. The stored table is untouched — ReadAt may return a window of it,
+// which nobody may write to.
 type corruptBackend struct {
 	Backend
 	armed bool
@@ -200,6 +202,7 @@ type corruptBackend struct {
 func (c *corruptBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error) {
 	done, p, err := c.Backend.ReadAt(at, h, off, n)
 	if c.armed {
+		p = append([]byte(nil), p...)
 		for i := len(p) / 2; i < len(p); i++ {
 			p[i] = 0xff
 		}
@@ -236,5 +239,28 @@ func TestCorruptTableIsReported(t *testing.T) {
 	}
 	if _, err := db.compactL0(at); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("compaction of a corrupt table: err = %v, want ErrCorrupt", err)
+	}
+
+	// The damage was the reads', not the tables': disarmed, every reader
+	// sees the bytes written.
+	c.armed = false
+	written := make([]byte, 64)
+	seen = 0
+	if _, err := db.Scan(at, key(0), nil, func(k, v []byte) bool {
+		seen++
+		return bytes.Equal(v, written)
+	}); err != nil || seen != n {
+		t.Fatalf("scan after disarming: %d keys, err %v", seen, err)
+	}
+	if _, v, found, err := db.Get(at, key(n-1)); err != nil || !found || !bytes.Equal(v, written) {
+		t.Fatalf("Get after disarming: %x found=%v err %v", v, found, err)
+	}
+	if at, err = db.compactL0(at); err != nil || len(db.levels[0]) != 0 || len(db.levels[1]) == 0 {
+		t.Fatalf("compaction after disarming: %v, levels %d/%d", err, len(db.levels[0]), len(db.levels[1]))
+	}
+	for i := 0; i < n; i++ {
+		if _, v, found, err := db.Get(at, key(i)); err != nil || !found || !bytes.Equal(v, written) {
+			t.Fatalf("Get of %s after the compaction: %x found=%v err %v", key(i), v, found, err)
+		}
 	}
 }

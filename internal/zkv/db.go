@@ -198,7 +198,7 @@ func (db *DB) Get(at sim.Time, key []byte) (done sim.Time, value []byte, found b
 	if err != nil || !found {
 		return at, nil, false, err // miss or tombstone
 	}
-	return at, value, true, nil
+	return at, cloneOrNil(value), true, nil // the caller's own: value aliases the stored table
 }
 
 // searchTable probes one table for key, whose bloomHash is hash. Outcomes:
@@ -206,7 +206,8 @@ func (db *DB) Get(at sim.Time, key []byte) (done sim.Time, value []byte, found b
 //   - tombstone:  (tombstoneMark, found=false) — definitive miss
 //   - absent:     (nil, found=false) — keep descending
 //
-// A live value aliases the chunk ReadAt returned, which is the caller's.
+// A live value aliases the chunk ReadAt returned, which may be the stored
+// table itself: Get copies it before handing it out.
 func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (sim.Time, []byte, bool, error) {
 	if !t.filter.mayContain(hash) {
 		return at, nil, false, nil // Bloom-negative: no I/O at all

@@ -113,6 +113,59 @@ func TestGetFromTables(t *testing.T) {
 	}
 }
 
+// Get and Scan hand out values the caller owns: table reads alias the
+// stored blobs, so writing into a value from a memtable hit, a table hit or
+// a scan must leave what the next read returns unchanged.
+func TestGetValueIsCallerOwned(t *testing.T) {
+	for name, b := range dbBackends(t) {
+		db := Open(b, testOpts())
+		var at sim.Time
+		var err error
+		want := func(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
+		for i := 0; i < 10; i++ {
+			if at, err = db.Put(at, key(i), want(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if at, err = db.Flush(at); err != nil || len(db.levels[0]) == 0 {
+			t.Fatalf("%s: flush: %v", name, err)
+		}
+		if at, err = db.Put(at, key(10), want(10)); err != nil { // stays in the memtable
+			t.Fatal(err)
+		}
+		scribble := func(v []byte) {
+			for i := range v {
+				v[i] = 'X'
+			}
+		}
+		check := func(what string) {
+			t.Helper()
+			for _, i := range []int{3, 10} {
+				if _, v, found, err := db.Get(at, key(i)); err != nil || !found || string(v) != string(want(i)) {
+					t.Fatalf("%s: after %s, Get(%s) = %q found=%v err %v; want %q", name, what, key(i), v, found, err, want(i))
+				}
+			}
+			n := 0
+			if _, err := db.Scan(at, key(0), nil, func(k, v []byte) bool {
+				if string(v) != string(want(n)) {
+					t.Fatalf("%s: after %s, Scan read %q at %s; want %q", name, what, v, k, want(n))
+				}
+				n++
+				return true
+			}); err != nil || n != 11 {
+				t.Fatalf("%s: after %s, Scan read %d keys, err %v", name, what, n, err)
+			}
+		}
+		for _, i := range []int{10, 3} { // a memtable hit, then a table hit
+			_, v, _, _ := db.Get(at, key(i))
+			scribble(v)
+			check(fmt.Sprintf("writing into Get(%s)", key(i)))
+		}
+		db.Scan(at, key(0), nil, func(k, v []byte) bool { scribble(v); return true })
+		check("writing into every value Scan read")
+	}
+}
+
 func TestOverwriteAndTombstone(t *testing.T) {
 	for name, b := range dbBackends(t) {
 		db := Open(b, testOpts())

@@ -51,11 +51,12 @@ type tableMeta struct {
 // One builder serves every table a DB writes: its scratch survives finish,
 // so after the first table add neither allocates nor regrows. The blob
 // itself is the exception — the devices keep sub-slices of it as page
-// payloads, so finish allocates each one fresh, at exactly its final size,
-// and the builder never touches it again.
+// payloads and readers alias them, so finish allocates each one fresh, at
+// exactly its final size, and nothing writes to it again.
 type tableBuilder struct {
 	ents    []byte   // entry region
 	idx     []byte   // index region, serialized as checkpoints are taken
+	tail    []byte   // filter and footer, serialized by finish
 	hashes  []uint64 // bloomHash of every key, for the filter
 	last    []byte   // the latest key, aliasing ents
 	count   int
@@ -64,7 +65,7 @@ type tableBuilder struct {
 
 // reset empties the builder for the next table, keeping its scratch.
 func (b *tableBuilder) reset() {
-	*b = tableBuilder{ents: b.ents[:0], idx: b.idx[:0], hashes: b.hashes[:0]}
+	*b = tableBuilder{ents: b.ents[:0], idx: b.idx[:0], tail: b.tail[:0], hashes: b.hashes[:0]}
 }
 
 // add appends an entry; keys must arrive in strictly increasing order.
@@ -99,9 +100,10 @@ func (b *tableBuilder) sizeEstimate() int { return len(b.ents) }
 
 // finish serializes the blob, returns it with the table's metadata (handle
 // and level are filled in by the caller after the backend write) and resets
-// the builder. Every region's size is known by now, so the blob is
-// allocated once with no slack; the metadata owns copies of the keys it
-// holds, never the builder's scratch.
+// the builder. The filter and footer go into the builder's scratch, and the
+// three regions are joined into one allocation of exactly the blob's size,
+// which the runtime does not zero first: every byte of it is copied in. The
+// metadata owns copies of the keys it holds, never the builder's scratch.
 func (b *tableBuilder) finish() ([]byte, *tableMeta) {
 	filter := newBloom(b.count)
 	for _, h := range b.hashes {
@@ -109,14 +111,12 @@ func (b *tableBuilder) finish() ([]byte, *tableMeta) {
 	}
 	indexOff := len(b.ents)
 	filterOff := indexOff + len(b.idx)
-	blob := make([]byte, 0, filterOff+filter.marshaledLen()+footerSize)
-	blob = append(blob, b.ents...)
-	blob = append(blob, b.idx...)
-	blob = filter.appendTo(blob)
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(indexOff))
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(filterOff))
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(b.count))
-	blob = binary.LittleEndian.AppendUint32(blob, tableMagic)
+	b.tail = filter.appendTo(b.tail[:0])
+	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(indexOff))
+	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(filterOff))
+	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(b.count))
+	b.tail = binary.LittleEndian.AppendUint32(b.tail, tableMagic)
+	blob := bytes.Join([][]byte{b.ents, b.idx, b.tail}, nil)
 	index, err := parseIndex(b.idx, indexOff)
 	if err != nil {
 		panic("zkv: tableBuilder wrote an index it cannot parse")
