@@ -97,7 +97,7 @@ coverage-product:
 	run $$b/znsbench -quick -run E2,E8 -trace-out $$o/trace.json -metrics-out $$o/metrics.json; \
 	run $$b/znsbench -run E4,E6 -bench-json $$o/bench.json; \
 	run $$b/znsbench -slo -run E14 -bench-json $$o/bench_slo.json; \
-	run $$b/znsbench -shards 2 -run E4,E13; \
+	run $$b/znsbench -run E4,E13; \
 	run $$b/znsbench -faults default -run E13; \
 	run $$b/znsbench -seed 42 -faults default -slo; \
 	run $$b/znsbench -quick -run E4; \

@@ -8,7 +8,6 @@
 //	znsbench -run E2,E5      # selected experiments
 //	znsbench -list           # list experiments and their paper claims
 //	znsbench -seed 7         # change the workload seed
-//	znsbench -shards 2       # run two of an experiment's stacks at once; same reports
 //
 // Telemetry (see docs/observability.md):
 //
@@ -71,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		slo        = fs.Bool("slo", false, "run the per-tenant SLO experiment (E14); implies adding E14 to -run")
 		whatif     = fs.String("whatif", "", "run under counterfactual phase scalings, e.g. nand_program:0.5 or zone_reset:0,wp_serial:0 — the ground truth the what-if engine predicts")
 		explain    = fs.String("explain", "", "replay one measured IO with tick-by-tick forensics, e.g. E6:512 (experiment:sequence from a 'slowest IOs' report section); prints the annotated narrative and exits")
-		shards     = fs.Int("shards", 1, "how many of an experiment's independent device stacks run at once (reports are byte-identical at any count; each resident stack costs memory, idle cores want more); probe/explain runs go one at a time")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -93,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := validate(*runIDs, *faults, *whatif, *explain, *traceCap, *shards); err != nil {
+	if err := validate(*runIDs, *faults, *whatif, *explain, *traceCap); err != nil {
 		return fail(2, err)
 	}
 
@@ -109,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := core.Config{Quick: *quick, Seed: *seed, FaultProfile: *faults, Shards: *shards}
+	cfg := core.Config{Quick: *quick, Seed: *seed, FaultProfile: *faults}
 	if *whatif != "" {
 		sc, _ := critpath.ParseScenario(*whatif) // validated
 		cfg.Scenario = &sc
@@ -161,7 +159,7 @@ const maxTraceEvents = 1 << 22
 
 // validate rejects flag values znsbench cannot run, naming the valid range or
 // set, before any experiment starts.
-func validate(runIDs, faults, whatif, explain string, traceEvents, shards int) error {
+func validate(runIDs, faults, whatif, explain string, traceEvents int) error {
 	if runIDs != "" {
 		for _, id := range strings.Split(runIDs, ",") {
 			if _, ok := core.ByID(strings.TrimSpace(id)); !ok {
@@ -197,9 +195,6 @@ func validate(runIDs, faults, whatif, explain string, traceEvents, shards int) e
 	if traceEvents < 0 || traceEvents > maxTraceEvents {
 		return fmt.Errorf("-trace-events %d is out of range (valid: 0 for the default %d, or 1 to %d)",
 			traceEvents, telemetry.DefaultTraceEvents, maxTraceEvents)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards %d is out of range (valid: 1 or more)", shards)
 	}
 	return nil
 }

@@ -12,28 +12,26 @@ func TestValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name                          string
 		runIDs, faults, whatif, expln string
-		traceEvents, shards           int
+		traceEvents                   int
 		want                          string // substring of the error; "" means accepted
 	}{
-		{name: "defaults", traceEvents: 1 << 16, shards: 1},
+		{name: "defaults", traceEvents: 1 << 16},
 		{name: "everything set", runIDs: "E2, e4,A1", faults: "default", whatif: "zone_reset:0,wp_serial:0",
-			expln: "E6:926", traceEvents: maxTraceEvents, shards: 4},
-		{name: "trace events 0 selects the default", traceEvents: 0, shards: 1},
-		{name: "unknown -run ID", runIDs: "E2,E99", shards: 1, want: "valid: E1, E2,"},
-		{name: "empty -run ID", runIDs: "E2,", shards: 1, want: `unknown experiment "" in -run (valid: E1,`},
-		{name: "unknown profile", faults: "bogus", shards: 1, want: "valid: none, default, aggressive, wearout"},
-		{name: "whatif without factor", whatif: "zone_reset", shards: 1, want: "valid: comma-separated phase:factor terms"},
-		{name: "whatif unknown phase", whatif: "warp:0.5", shards: 1, want: "phase one of host_queue, wp_serial"},
-		{name: "whatif negative factor", whatif: "nand_read:-1", shards: 1, want: "factor 0 to 1e6"},
-		{name: "explain without seq", expln: "E6", shards: 1, want: "want <experiment>:<seq>"},
-		{name: "explain unknown ID", expln: "E99:3", shards: 1, want: "in -explain (valid: E1,"},
-		{name: "explain seq 0", expln: "E6:0", shards: 1, want: "valid: 1 or more"},
-		{name: "negative trace events", traceEvents: -5, shards: 1, want: "valid: 0 for the default 65536, or 1 to 4194304"},
-		{name: "huge trace events", traceEvents: maxTraceEvents + 1, shards: 1, want: "or 1 to 4194304"},
-		{name: "shards 0", shards: 0, want: "-shards 0 is out of range (valid: 1 or more)"},
-		{name: "negative shards", shards: -2, want: "valid: 1 or more"},
+			expln: "E6:926", traceEvents: maxTraceEvents},
+		{name: "trace events 0 selects the default", traceEvents: 0},
+		{name: "unknown -run ID", runIDs: "E2,E99", want: "valid: E1, E2,"},
+		{name: "empty -run ID", runIDs: "E2,", want: `unknown experiment "" in -run (valid: E1,`},
+		{name: "unknown profile", faults: "bogus", want: "valid: none, default, aggressive, wearout"},
+		{name: "whatif without factor", whatif: "zone_reset", want: "valid: comma-separated phase:factor terms"},
+		{name: "whatif unknown phase", whatif: "warp:0.5", want: "phase one of host_queue, wp_serial"},
+		{name: "whatif negative factor", whatif: "nand_read:-1", want: "factor 0 to 1e6"},
+		{name: "explain without seq", expln: "E6", want: "want <experiment>:<seq>"},
+		{name: "explain unknown ID", expln: "E99:3", want: "in -explain (valid: E1,"},
+		{name: "explain seq 0", expln: "E6:0", want: "valid: 1 or more"},
+		{name: "negative trace events", traceEvents: -5, want: "valid: 0 for the default 65536, or 1 to 4194304"},
+		{name: "huge trace events", traceEvents: maxTraceEvents + 1, want: "or 1 to 4194304"},
 	} {
-		err := validate(tc.runIDs, tc.faults, tc.whatif, tc.expln, tc.traceEvents, tc.shards)
+		err := validate(tc.runIDs, tc.faults, tc.whatif, tc.expln, tc.traceEvents)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: validate = %v, want accepted", tc.name, err)
@@ -49,7 +47,6 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-trace-events", "-5"},
 		{"-run", "E2,E99"},
-		{"-shards", "0"},
 		{"-faults", "bogus"},
 		{"-whatif", "warp:1"},
 		{"-explain", "E6:0"},
@@ -66,7 +63,9 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 // seed 42 reproduces docs/znsbench_full_output.txt byte for byte (after its
 // three header lines), and -bench-json reproduces the committed
 // BENCH_exemplars.json (E4,E6) and BENCH_slo.json (-slo, E14) byte for byte.
-// Each run goes through run, the same path the command takes.
+// Each run goes through run, the same path the command takes, so its parts
+// run on as many workers as GOMAXPROCS allows; the one-worker path is held
+// to the same bytes by internal/core's TestShardEquivalence table.
 func TestPinnedOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full campaign")

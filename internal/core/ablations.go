@@ -52,48 +52,66 @@ func runA1(cfg Config) (Report, error) {
 	if cfg.Quick {
 		churn = 2
 	}
-	for _, skewed := range []bool{false, true} {
-		was := make([]float64, 0, 2)
-		for _, policy := range []ftl.GCPolicy{ftl.Greedy, ftl.CostBenefit} {
-			dev, err := ftl.New(ftl.Config{
-				Geom:              e2Geometry(),
-				Lat:               flash.LatenciesFor(flash.TLC),
-				OPFraction:        0.07,
-				GCPolicy:          policy,
-				HotColdSeparation: true,
-				TrimSupported:     true,
-			})
-			if err != nil {
-				return r, err
-			}
-			var at sim.Time
-			for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
-				if at, err = dev.WritePage(at, lpn, nil); err != nil {
-					return r, err
-				}
-			}
-			src := workload.NewSource(cfg.Seed)
-			var keys workload.KeyGen = workload.NewUniform(src, dev.CapacityPages())
-			if skewed {
-				keys = workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
-			}
-			base := *dev.Counters()
-			for i := int64(0); i < dev.CapacityPages()*int64(churn); i++ {
-				if at, err = dev.WritePage(at, keys.Next(), nil); err != nil {
-					return r, err
-				}
-			}
-			c := *dev.Counters()
-			was = append(was, float64(c.FlashProgramPages-base.FlashProgramPages)/
-				float64(c.HostWritePages-base.HostWritePages))
+	// One part per (skew, policy) cell: each builds its own device.
+	skews := []bool{false, true}
+	policies := []ftl.GCPolicy{ftl.Greedy, ftl.CostBenefit}
+	was := make([]float64, len(skews)*len(policies))
+	var tasks []partTask
+	for si, skewed := range skews {
+		for pi, policy := range policies {
+			tasks = append(tasks, part(&was[si*len(policies)+pi], func(c Config) (float64, error) {
+				return a1Cell(policy, skewed, churn, c.Seed)
+			}))
 		}
+	}
+	if err := runParts(cfg, tasks...); err != nil {
+		return r, err
+	}
+	for si, skewed := range skews {
 		name := "uniform"
 		if skewed {
 			name = "hot/cold 90/10"
 		}
-		r.AddRow(name, fmt.Sprintf("%.2f", was[0]), fmt.Sprintf("%.2f", was[1]))
+		cell := was[si*len(policies):]
+		r.AddRow(name, fmt.Sprintf("%.2f", cell[0]), fmt.Sprintf("%.2f", cell[1]))
 	}
 	return r, nil
+}
+
+// a1Cell fills a 7%-OP device, churns it churn times over with uniform or
+// hot/cold keys, and returns the churn phase's write amplification.
+func a1Cell(policy ftl.GCPolicy, skewed bool, churn int, seed int64) (float64, error) {
+	dev, err := ftl.New(ftl.Config{
+		Geom:              e2Geometry(),
+		Lat:               flash.LatenciesFor(flash.TLC),
+		OPFraction:        0.07,
+		GCPolicy:          policy,
+		HotColdSeparation: true,
+		TrimSupported:     true,
+	})
+	if err != nil {
+		return 0, err
+	}
+	var at sim.Time
+	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
+		if at, err = dev.WritePage(at, lpn, nil); err != nil {
+			return 0, err
+		}
+	}
+	src := workload.NewSource(seed)
+	var keys workload.KeyGen = workload.NewUniform(src, dev.CapacityPages())
+	if skewed {
+		keys = workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
+	}
+	base := *dev.Counters()
+	for i := int64(0); i < dev.CapacityPages()*int64(churn); i++ {
+		if at, err = dev.WritePage(at, keys.Next(), nil); err != nil {
+			return 0, err
+		}
+	}
+	c := *dev.Counters()
+	return float64(c.FlashProgramPages-base.FlashProgramPages) /
+		float64(c.HostWritePages-base.HostWritePages), nil
 }
 
 // runA2 sweeps the zone stripe width: sequential fill throughput (wide

@@ -89,19 +89,32 @@ func runE2(cfg Config) (Report, error) {
 		ops = []float64{0, 0.11, 0.25}
 		churn = 2
 	}
+	// One part per OP point, each writing its slot; the rows follow in
+	// sweep order once every point is in.
+	type point struct{ wa, gc float64 }
+	points := make([]point, len(ops))
+	tasks := make([]partTask, len(ops))
 	for i, op := range ops {
-		// Attach the probe to the first (0% OP) point only: it is the
-		// highest-write-amp device, so its trace shows GC at its worst, and
-		// one point keeps the exported series self-consistent.
-		probe := cfg.Probe
-		if i != 0 {
-			probe = nil
-		}
-		wa, gc, err := e2Point(op, churn, cfg.Seed, probe)
-		if err != nil {
-			return r, fmt.Errorf("E2 at OP %.2f: %w", op, err)
-		}
-		r.AddRow(fmt.Sprintf("%.0f", op*100), fmt.Sprintf("%.2f", wa), fmt.Sprintf("%.2f", gc))
+		tasks[i] = part(&points[i], func(c Config) (point, error) {
+			// Attach the probe to the first (0% OP) point only: it is the
+			// highest-write-amp device, so its trace shows GC at its worst,
+			// and one point keeps the exported series self-consistent.
+			probe := c.Probe
+			if i != 0 {
+				probe = nil
+			}
+			wa, gc, err := e2Point(op, churn, c.Seed, probe)
+			if err != nil {
+				return point{}, fmt.Errorf("E2 at OP %.2f: %w", op, err)
+			}
+			return point{wa, gc}, nil
+		})
+	}
+	if err := runParts(cfg, tasks...); err != nil {
+		return r, err
+	}
+	for i, op := range ops {
+		r.AddRow(fmt.Sprintf("%.0f", op*100), fmt.Sprintf("%.2f", points[i].wa), fmt.Sprintf("%.2f", points[i].gc))
 	}
 	r.AddNote("greedy GC, 3.5%% fixed reserve (bad-block + GC headroom) at every point")
 	return r, nil

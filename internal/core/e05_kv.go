@@ -160,15 +160,18 @@ func runE5(cfg Config) (Report, error) {
 		return r, err
 	}
 	// The backends are built up front but fully independent (own devices,
-	// own workload sources seeded per part), so each runs as one part.
+	// own workload sources seeded per part), so each runs as one part. Each
+	// device stores its data, which bounds how many run at once.
 	var conv, z E5Result
-	err = runParts(cfg,
-		part(&conv, func(c Config) (E5Result, error) {
-			return E5Run("conventional (no trim, scattered alloc)", cb, c)
-		}),
-		part(&z, func(c Config) (E5Result, error) {
-			return E5Run("zns (zone per level)", zb, c)
-		}))
+	convPart := part(&conv, func(c Config) (E5Result, error) {
+		return E5Run("conventional (no trim, scattered alloc)", cb, c)
+	})
+	znsPart := part(&z, func(c Config) (E5Result, error) {
+		return E5Run("zns (zone per level)", zb, c)
+	})
+	payload := e5Geometry().CapacityBytes()
+	convPart.bytes, znsPart.bytes = payload, payload
+	err = runParts(cfg, convPart, znsPart)
 	if err != nil {
 		return r, err
 	}

@@ -90,16 +90,30 @@ func runE9(cfg Config) (Report, error) {
 		{placement.ByClass{K: classes, Classes: classes}, "full app hint (8 groups)"},
 		{placement.Oracle{K: classes, Base: 8 * sim.Millisecond}, "actual death time"},
 	}
-	for _, pc := range policies {
-		waPredict, err := E9Run(pc.p, 0.3, cfg)
-		if err != nil {
-			return r, err
-		}
-		waExp, err := E9Run(pc.p, 0, cfg)
-		if err != nil {
-			return r, err
-		}
-		r.AddRow(pc.p.Name(), pc.info, fmt.Sprintf("%.2f", waPredict), fmt.Sprintf("%.2f", waExp))
+	// One part per policy row, not per run: a row's two runs share its
+	// policy value (RoundRobin's cursor), so the row is the smallest unit
+	// that shares no mutable state.
+	type row struct{ predict, exp float64 }
+	rows := make([]row, len(policies))
+	tasks := make([]partTask, len(policies))
+	for i, pc := range policies {
+		tasks[i] = part(&rows[i], func(c Config) (row, error) {
+			waPredict, err := E9Run(pc.p, 0.3, c)
+			if err != nil {
+				return row{}, err
+			}
+			waExp, err := E9Run(pc.p, 0, c)
+			if err != nil {
+				return row{}, err
+			}
+			return row{waPredict, waExp}, nil
+		})
+	}
+	if err := runParts(cfg, tasks...); err != nil {
+		return r, err
+	}
+	for i, pc := range policies {
+		r.AddRow(pc.p.Name(), pc.info, fmt.Sprintf("%.2f", rows[i].predict), fmt.Sprintf("%.2f", rows[i].exp))
 	}
 	r.AddNote("objects: 4 pages, 8 lifetime classes 4ms..512ms, uniform class mix")
 	r.AddNote("predictable = +-30%% uniform lifetimes: hints nearly equal death times;")

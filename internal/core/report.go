@@ -44,15 +44,6 @@ type Config struct {
 	// the ground truth the what-if engine's predictions are validated
 	// against (TestReportsByteIdentical pins one).
 	Scenario *critpath.Scenario
-	// Shards is how many of an experiment's independent sub-simulations
-	// ("parts": one device stack + workload + telemetry session each) run
-	// at once; 0 means 1. A seeded run's report is byte-identical at any
-	// value (TestShardEquivalence is the gate), so the choice is the
-	// caller's resources: each resident part holds a device's memory (the
-	// benchmark's peak-RSS bound wants 1), and idle cores want more. Probe
-	// and explain runs execute parts in order whatever the value: both hang
-	// live state (metric registries, the narrator) off one shared sink.
-	Shards int
 	// ExplainSeq, when nonzero, arms per-IO forensics (znsbench -explain):
 	// instead of the critpath recorder and exemplar reservoir, the session
 	// sink carries a narrator that records the measured IO with this

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// workerCounts is the invariance table's Config.Shards axis: one worker, then
+// workerCounts is the invariance table's GOMAXPROCS axis: one worker, then
 // counts below and at-or-above any experiment's part count (counts beyond
 // the part count clamp).
 var workerCounts = []int{1, 2, 4}
 
-// runReportAt runs one experiment at a worker count and returns the rendered
-// report followed by its -bench-json entries — the byte-exact artifacts the
-// whole table compares. The entries carry what the text does not print (a
+// runReportAt runs one experiment on up to workers workers (GOMAXPROCS,
+// restored when t ends) and returns the rendered report followed by its
+// -bench-json entries — the byte-exact artifacts the whole table compares. The entries carry what the text does not print (a
 // histogram's max is exact on a part's own sink and only a bucket edge in a
 // delta against a sink another part has used).
 func runReportAt(t *testing.T, id string, cfg Config, workers int) string {
@@ -22,7 +22,7 @@ func runReportAt(t *testing.T, id string, cfg Config, workers int) string {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	cfg.Shards = workers
+	setWorkers(t, workers)
 	rep, err := e.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", id, workers, err)
@@ -88,6 +88,25 @@ func TestShardEquivalence(t *testing.T) {
 			cfg := quickCfg
 			cfg.FaultProfile = "default"
 			invariant(t, id, cfg)
+		})
+	}
+}
+
+// TestShardEquivalenceFullSize extends the table to full size for the sweeps
+// whose points are parts (E2's OP points, E9's policy rows, A1's cells, X3's
+// workload blocks, X6's cache designs): Quick runs fewer points, so a slot
+// mix-up among the points only full size has would pass the Quick rows. One
+// worker against two; znsbench's pinned output covers the host's count.
+func TestShardEquivalenceFullSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweeps")
+	}
+	for _, id := range []string{"E2", "E9", "A1", "X3", "X6"} {
+		t.Run(id, func(t *testing.T) {
+			cfg := Config{Seed: 42}
+			if got, ref := runReportAt(t, id, cfg, 2), runReportAt(t, id, cfg, 1); got != ref {
+				diffAt(t, id+" workers=2", got, ref)
+			}
 		})
 	}
 }

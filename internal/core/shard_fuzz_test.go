@@ -51,7 +51,9 @@ func FuzzShardSchedule(f *testing.F) {
 
 	prof, _ := fault.ProfileByName("default")
 	f.Fuzz(func(t *testing.T, seed int64, shards uint8, crashAt uint16) {
-		cfg := Config{Quick: true, Seed: 42, Shards: 1 + int(shards)%8}
+		cfg := Config{Quick: true, Seed: 42}
+		workers := 1 + int(shards)%8
+		setWorkers(t, workers)
 		const total = 1200
 		crashIdx := int64(crashAt) % total
 
@@ -72,11 +74,11 @@ func FuzzShardSchedule(f *testing.F) {
 			}))
 		}
 		if err := runParts(cfg, parts...); err != nil {
-			t.Fatalf("runParts seed=%d workers=%d crash@%d: %v", seed, cfg.Shards, crashIdx, err)
+			t.Fatalf("runParts seed=%d workers=%d crash@%d: %v", seed, workers, crashIdx, err)
 		}
 
 		for i, sb := range faultStackBuilders {
-			label := fmt.Sprintf("%s seed=%d workers=%d crash@%d", sb.name, seed, cfg.Shards, crashIdx)
+			label := fmt.Sprintf("%s seed=%d workers=%d crash@%d", sb.name, seed, workers, crashIdx)
 			if got[i] != ref[i] {
 				t.Errorf("%s: outcome under runParts diverged from the direct call:\n  direct   %+v\n  runParts %+v",
 					label, ref[i], got[i])

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // This file runs an experiment's independent sub-simulations ("parts") and
 // merges their results in part order.
@@ -14,12 +18,22 @@ import "sync"
 // rebased afterwards by the measured-IO count of parts 0..k-1. Aggregates
 // need no correction: a private sink starts from zero.
 
+// residentBudget bounds the payload bytes the parts running at once may
+// declare between them: one E5-sized data-storing stack (14 MiB), so E5's
+// two parts run one at a time and the campaign's peak RSS stays where a
+// serial run puts it. Parts that store no data declare 0 and are bounded by
+// GOMAXPROCS alone.
+const residentBudget = 16 << 20
+
 // partTask is one part: run executes it under a part-scoped Config; rebase,
 // if non-nil, shifts the result's measured-IO sequence numbers by the
-// measured-IO count of the preceding parts.
+// measured-IO count of the preceding parts. bytes is the payload the part's
+// stacks can hold resident: Geometry.CapacityBytes() of each device built
+// with StoreData, 0 when no device stores data.
 type partTask struct {
 	run    func(cfg Config) error
 	rebase func(delta uint64)
+	bytes  int64
 }
 
 // seqRebaser is implemented by part results that expose measured-IO
@@ -48,10 +62,24 @@ func part[T any](out *T, f func(Config) (T, error)) partTask {
 	}
 }
 
-// runParts runs the parts on clamp(cfg.Shards, 1, len(parts)) workers, each
-// part on a private session, and returns the first failed part's error in
-// part order; a part's panic is re-raised on the caller the same way. A
-// seeded run's results are identical at every worker count.
+// partWorkers is how many parts run at once:
+// clamp(residentBudget / largest declared bytes, 1, min(GOMAXPROCS, parts)).
+func partWorkers(parts []partTask) int {
+	n := min(runtime.GOMAXPROCS(0), len(parts))
+	var largest int64
+	for _, p := range parts {
+		largest = max(largest, p.bytes)
+	}
+	if largest > 0 {
+		n = min(n, int(residentBudget/largest))
+	}
+	return max(n, 1)
+}
+
+// runParts runs the parts on partWorkers(parts) workers, each part on a
+// private session, and returns the first failed part's error in part order;
+// a part's panic is re-raised on the caller the same way. A seeded run's
+// results are identical at every worker count.
 //
 // Explain and live-probe runs instead execute the parts in order on the
 // caller's session: the narrator must see the whole run's numbering on one
@@ -66,12 +94,9 @@ func runParts(cfg Config, parts ...partTask) error {
 		}
 		return nil
 	}
-	workers := min(max(cfg.Shards, 1), len(parts))
 	sessions := make([]*session, len(parts))
 	errs := make([]error, len(parts))
 	panics := make([]any, len(parts))
-	// A part that fails ends its worker, so with one worker nothing runs
-	// past the first failure; the first failure in part order always ran.
 	runOne := func(i int) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -84,14 +109,21 @@ func runParts(cfg Config, parts ...partTask) error {
 		errs[i] = parts[i].run(pcfg)
 		return errs[i] == nil
 	}
+	// Workers claim parts from one cursor in part order, so a slow part
+	// holds up only its own worker. A part that fails ends its worker: every
+	// part before a claimed one was claimed earlier, so the first failure in
+	// part order always ran, and one worker stops where the in-order loop
+	// would.
+	var next atomic.Int64 //simlint:allow concurrency the claim cursor is the workers' only shared state
 	var wg sync.WaitGroup //simlint:allow concurrency parts share no state; this is the one place the harness spends a second core
-	for w := 0; w < workers; w++ {
+	for range partWorkers(parts) {
 		wg.Add(1)
-		//simlint:allow concurrency worker w owns parts w, w+workers, ... and their slots in sessions/errs/panics until wg.Wait
+		//simlint:allow concurrency a worker owns the part it claimed and its slots in sessions/errs/panics until wg.Wait
 		go func() {
 			defer wg.Done()
-			for i := w; i < len(parts); i += workers {
-				if !runOne(i) {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(parts) || !runOne(i) {
 					return
 				}
 			}

@@ -3,21 +3,34 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blockhead/internal/telemetry"
 )
 
-// failingParts builds four parts of which 1 and 2 fail. With ordered set,
+// setWorkers lets runParts use up to n workers for the rest of t: the worker
+// count derives from GOMAXPROCS, restored when t ends. Reports are
+// worker-count invariant, so the setting cannot leak into a result.
+func setWorkers(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// failingParts builds n parts of which 1 and 2 fail. With ordered set,
 // part 1 fails only after part 2 has finished, so a runner that reported
 // failures in completion order would return part 2's error.
-func failingParts(errs [4]error, ran *[4]bool, ordered bool) []partTask {
+func failingParts(errs []error, ran []atomic.Bool, ordered bool) []partTask {
 	secondDone := make(chan struct{})
-	parts := make([]partTask, 4)
+	parts := make([]partTask, len(errs))
 	for i := range parts {
 		parts[i].run = func(Config) error {
-			ran[i] = true
+			ran[i].Store(true)
 			switch {
 			case i == 1 && ordered:
 				<-secondDone
@@ -32,17 +45,145 @@ func failingParts(errs [4]error, ran *[4]bool, ordered bool) []partTask {
 
 // TestRunPartsReturnsFirstErrorInPartOrder: whichever part fails first on
 // the clock, the caller sees the failure a one-at-a-time run would have hit
-// first. A lone worker stops there, as the in-order loop always did.
+// first, and every part before it ran. A lone worker stops there, as the
+// in-order loop always did.
 func TestRunPartsReturnsFirstErrorInPartOrder(t *testing.T) {
-	errs := [4]error{1: errors.New("part 1"), 2: errors.New("part 2")}
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		var ran [4]bool
-		err := runParts(Config{Shards: workers}, failingParts(errs, &ran, workers > 1)...)
+	errs := make([]error, 10)
+	errs[1], errs[2] = errors.New("part 1"), errors.New("part 2")
+	for workers := 1; workers <= 8; workers++ {
+		setWorkers(t, workers)
+		ran := make([]atomic.Bool, len(errs))
+		err := runParts(Config{}, failingParts(errs, ran, workers > 1)...)
 		if err != errs[1] {
 			t.Errorf("workers=%d: runParts returned %v, want part 1's error", workers, err)
 		}
-		if workers == 1 && (ran[2] || ran[3]) {
-			t.Errorf("one worker ran on past the first failure: ran = %v", ran)
+		if !ran[0].Load() || !ran[1].Load() {
+			t.Errorf("workers=%d: a part before the first failure did not run", workers)
+		}
+		if workers == 1 {
+			for i := 2; i < len(ran); i++ {
+				if ran[i].Load() {
+					t.Errorf("one worker ran part %d, past the first failure", i)
+				}
+			}
+		}
+	}
+}
+
+// TestRunPartsSlowPartHoldsOneWorker: workers claim parts from one cursor,
+// so while part 0 runs long, the other worker takes every later part. A
+// runner that dealt parts out in advance (part 2 to part 0's worker) would
+// leave part 0 waiting for a part queued behind it.
+func TestRunPartsSlowPartHoldsOneWorker(t *testing.T) {
+	setWorkers(t, 2)
+	const n = 6
+	var done atomic.Int32
+	allDone := make(chan struct{})
+	parts := make([]partTask, n)
+	parts[0].run = func(Config) error {
+		select {
+		case <-allDone:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("parts 1..%d finished %d times while part 0 ran", n-1, done.Load())
+		}
+	}
+	for i := 1; i < n; i++ {
+		parts[i].run = func(Config) error {
+			if done.Add(1) == n-1 {
+				close(allDone)
+			}
+			return nil
+		}
+	}
+	if err := runParts(Config{}, parts...); err != nil {
+		t.Error(err)
+	}
+}
+
+// overlapParts builds n parts that each declare bytes and, once running,
+// wait up to wait for another part to be running beside them; overlapped
+// reports whether two ever were.
+func overlapParts(n int, bytes int64, wait time.Duration) (parts []partTask, overlapped func() bool) {
+	var running atomic.Int32
+	var once sync.Once
+	met := make(chan struct{})
+	parts = make([]partTask, n)
+	for i := range parts {
+		parts[i] = partTask{bytes: bytes, run: func(Config) error {
+			if running.Add(1) > 1 {
+				once.Do(func() { close(met) })
+			}
+			defer running.Add(-1)
+			select {
+			case <-met:
+			case <-time.After(wait):
+			}
+			return nil
+		}}
+	}
+	return parts, func() bool {
+		select {
+		case <-met:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// TestRunPartsResidentBytesBound: parts that each declare more than half
+// the resident budget never run beside one another, however many cores
+// there are; parts that store no data do.
+func TestRunPartsResidentBytesBound(t *testing.T) {
+	for _, workers := range []int{2, 4, 8} {
+		setWorkers(t, workers)
+		parts, overlapped := overlapParts(2, residentBudget/2+1, 50*time.Millisecond)
+		if err := runParts(Config{}, parts...); err != nil {
+			t.Fatal(err)
+		}
+		if overlapped() {
+			t.Errorf("GOMAXPROCS(%d): two parts of %d bytes each ran at once under a %d-byte budget",
+				workers, residentBudget/2+1, residentBudget)
+		}
+	}
+	setWorkers(t, 2)
+	parts, overlapped := overlapParts(2, 0, 10*time.Second)
+	if err := runParts(Config{}, parts...); err != nil {
+		t.Fatal(err)
+	}
+	if !overlapped() {
+		t.Error("GOMAXPROCS(2): two zero-byte parts never ran at once")
+	}
+}
+
+// TestPartWorkers pins the derivation: clamp(residentBudget / largest
+// declared bytes, 1, min(GOMAXPROCS, parts)).
+func TestPartWorkers(t *testing.T) {
+	sized := func(bytes ...int64) []partTask {
+		parts := make([]partTask, len(bytes))
+		for i, b := range bytes {
+			parts[i].bytes = b
+		}
+		return parts
+	}
+	for _, tc := range []struct {
+		procs int
+		parts []partTask
+		want  int
+	}{
+		{procs: 2, parts: sized(0, 0, 0, 0), want: 2},
+		{procs: 8, parts: sized(0, 0, 0), want: 3},
+		{procs: 1, parts: sized(0, 0), want: 1},
+		{procs: 4, parts: sized(residentBudget/4, 0, 0, 0, 0), want: 4},
+		{procs: 8, parts: sized(residentBudget/3, 0, 0, 0, 0), want: 3},
+		{procs: 8, parts: sized(0, residentBudget/2+1), want: 1},
+		{procs: 8, parts: sized(2*residentBudget, 0), want: 1},
+		{procs: 4, parts: sized(), want: 1},
+	} {
+		setWorkers(t, tc.procs)
+		if got := partWorkers(tc.parts); got != tc.want {
+			t.Errorf("GOMAXPROCS(%d), %d parts: partWorkers = %d, want %d", tc.procs, len(tc.parts), got, tc.want)
 		}
 	}
 }
@@ -51,14 +192,15 @@ func TestRunPartsReturnsFirstErrorInPartOrder(t *testing.T) {
 // goroutine with its original value, not as a crashed worker.
 func TestRunPartsReraisesPanic(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 2} {
+	for workers := 1; workers <= 8; workers++ {
+		setWorkers(t, workers)
 		func() {
 			defer func() {
 				if r := recover(); r != boom {
 					t.Errorf("workers=%d: recovered %v, want the part's panic value", workers, r)
 				}
 			}()
-			err := runParts(Config{Shards: workers},
+			err := runParts(Config{},
 				partTask{run: func(Config) error { return nil }},
 				partTask{run: func(Config) error { panic(boom) }},
 				partTask{run: func(Config) error { return errors.New("a later part's error") }})
@@ -95,12 +237,13 @@ func TestRunPartsRebaseOffsets(t *testing.T) {
 	counts := []int{3, 0, 5, -1, 2}
 	want := []uint64{0, 3, 3, 8, 8}
 	for _, workers := range []int{1, 2, 4} {
+		setWorkers(t, workers)
 		out := make([]rebaseProbe, len(counts))
 		var parts []partTask
 		for i, n := range counts {
 			parts = append(parts, measuringPart(&out[i], n))
 		}
-		if err := runParts(Config{Shards: workers}, parts...); err != nil {
+		if err := runParts(Config{}, parts...); err != nil {
 			t.Fatal(err)
 		}
 		for i := range out {
@@ -117,9 +260,8 @@ func TestRunPartsRebaseOffsets(t *testing.T) {
 // taken from the former must name the same IO in the latter.
 func TestExplainResolvesSecondPartSeq(t *testing.T) {
 	e, _ := ByID("E6")
-	cfg := quickCfg
-	cfg.Shards = 2
-	rep, err := e.Run(cfg)
+	setWorkers(t, 2)
+	rep, err := e.Run(quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

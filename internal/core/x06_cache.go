@@ -92,13 +92,27 @@ func runX6(cfg Config) (Report, error) {
 	}
 	zc := zcache.NewZNSCache(zdev)
 
-	for _, c := range []zcache.Cache{sa, cb, zc} {
-		hit, wa, dram, err := X6Drive(c, ops, cfg.Seed)
-		if err != nil {
-			return r, fmt.Errorf("%s: %w", c.Name(), err)
-		}
-		r.AddRow(c.Name(), fmt.Sprintf("%.3f", hit), fmt.Sprintf("%.2f", wa),
-			fmt.Sprintf("%.0f", dram))
+	// The caches are built up front, each on its own device, and each runs
+	// as one part.
+	caches := []zcache.Cache{sa, cb, zc}
+	type row struct{ hit, wa, dram float64 }
+	rows := make([]row, len(caches))
+	tasks := make([]partTask, len(caches))
+	for i, c := range caches {
+		tasks[i] = part(&rows[i], func(pcfg Config) (row, error) {
+			hit, wa, dram, err := X6Drive(c, ops, pcfg.Seed)
+			if err != nil {
+				return row{}, fmt.Errorf("%s: %w", c.Name(), err)
+			}
+			return row{hit, wa, dram}, nil
+		})
+	}
+	if err := runParts(cfg, tasks...); err != nil {
+		return r, err
+	}
+	for i, c := range caches {
+		r.AddRow(c.Name(), fmt.Sprintf("%.3f", rows[i].hit), fmt.Sprintf("%.2f", rows[i].wa),
+			fmt.Sprintf("%.0f", rows[i].dram))
 	}
 	r.AddNote("zipfian get-or-insert, %d-page objects, identical flash under all three", x6ObjPages)
 	r.AddNote("at fleet scale the region buffer is per cache instance: the DRAM §4.1 says ZNS reclaims")
