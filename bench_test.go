@@ -88,14 +88,11 @@ func BenchmarkE4ReadLatencyThroughput(b *testing.B) {
 func BenchmarkE5LSMOnZNS(b *testing.B) {
 	var conv, z core.E5Result
 	for i := 0; i < b.N; i++ {
-		cb, zb, err := core.E5Backends(quick())
-		if err != nil {
+		var err error
+		if conv, err = core.E5Conventional(quick()); err != nil {
 			b.Fatal(err)
 		}
-		if conv, err = core.E5Run("conv", cb, quick()); err != nil {
-			b.Fatal(err)
-		}
-		if z, err = core.E5Run("zns", zb, quick()); err != nil {
+		if z, err = core.E5ZNS(quick()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -116,15 +117,11 @@ func TestE4Shape(t *testing.T) {
 
 // E5: device WA gap (paper: 5x -> 1.2x).
 func TestE5Shape(t *testing.T) {
-	cb, zb, err := E5Backends(quickCfg)
+	conv, err := E5Conventional(quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := E5Run("conv", cb, quickCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := E5Run("zns", zb, quickCfg)
+	z, err := E5ZNS(quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +133,30 @@ func TestE5Shape(t *testing.T) {
 	}
 	if z.WriteBytesPS <= conv.WriteBytesPS {
 		t.Error("zns write throughput must beat conv")
+	}
+}
+
+// TestE5PartFreesItsStack: once E5's conventional part has returned, its
+// device and table blobs (about 17 MB) are garbage, so the ZNS part never
+// runs beside them. A part that captured a stack built outside it would
+// keep them live here.
+func TestE5PartFreesItsStack(t *testing.T) {
+	setWorkers(t, 1)
+	var conv, z E5Result
+	parts := e5Parts(&conv, &z)
+	var heap uint64
+	measure := partTask{run: func(Config) error {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap = ms.HeapAlloc
+		return nil
+	}}
+	if err := runParts(quickCfg, parts[0], measure); err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(parts[0].bytes / 2); heap >= limit {
+		t.Errorf("heap after E5's first part = %d bytes, want under half its declared %d", heap, parts[0].bytes)
 	}
 }
 

@@ -47,19 +47,21 @@ func e5Opts(seed int64) zkv.Options {
 // write throughput, and end-to-end write amplification.
 func E5Run(name string, backend zkv.Backend, cfg Config) (E5Result, error) {
 	db := zkv.Open(backend, e5Opts(cfg.Seed))
-	keys := 12000
-	churn := keys
+	keys := make([][]byte, 12000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%08d", i))
+	}
+	churn := len(keys)
 	if cfg.Quick {
-		churn = keys / 2
+		churn = len(keys) / 2
 	}
 	src := workload.NewSource(cfg.Seed)
 	val := make([]byte, 580)
-	key := func(i int64) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 
 	var at sim.Time
-	for i := int64(0); i < int64(keys); i++ {
+	for _, key := range keys {
 		var err error
-		if at, err = db.Put(at, key(i), val); err != nil {
+		if at, err = db.Put(at, key, val); err != nil {
 			return E5Result{}, fmt.Errorf("%s fill: %w", name, err)
 		}
 	}
@@ -69,8 +71,8 @@ func E5Run(name string, backend zkv.Backend, cfg Config) (E5Result, error) {
 	base := *backend.Counters()
 	baseAt := at
 	var userBytes uint64
-	kg := workload.NewUniform(src, int64(keys))
-	rg := workload.NewUniform(src, int64(keys))
+	kg := workload.NewUniform(src, int64(len(keys)))
+	rg := workload.NewUniform(src, int64(len(keys)))
 	writesLeft := churn
 	var lastWrite sim.Time
 	res := RunMixed(MixedCfg{
@@ -81,13 +83,13 @@ func E5Run(name string, backend zkv.Backend, cfg Config) (E5Result, error) {
 			}
 			writesLeft--
 			userBytes += uint64(len(val) + 12)
-			done, err := db.Put(t, key(kg.Next()), val)
+			done, err := db.Put(t, keys[kg.Next()], val)
 			lastWrite = done
 			return done, err
 		},
 		Readers: 2,
 		Read: func(t sim.Time) (sim.Time, error) {
-			done, _, found, err := db.Get(t, key(rg.Next()))
+			done, _, found, err := db.Get(t, keys[rg.Next()])
 			if err != nil {
 				return t, err
 			}
@@ -120,31 +122,47 @@ func E5Run(name string, backend zkv.Backend, cfg Config) (E5Result, error) {
 	}, nil
 }
 
-// E5Backends builds the two calibrated backends: a trim-less conventional
-// device with filesystem-style scattered allocation (the deployment the
-// paper's RocksDB numbers describe) and a ZNS device with per-level zone
-// streams (ZenFS-style).
-func E5Backends(cfg Config) (*zkv.ConvBackend, *zkv.ZNSBackend, error) {
-	convDev, err := ftl.New(ftl.Config{Geom: e5Geometry(), Lat: flash.LatenciesFor(flash.TLC),
+// E5Conventional runs E5 on a trim-less conventional device with
+// filesystem-style scattered allocation: the deployment the paper's RocksDB
+// numbers describe.
+func E5Conventional(cfg Config) (E5Result, error) {
+	dev, err := ftl.New(ftl.Config{Geom: e5Geometry(), Lat: flash.LatenciesFor(flash.TLC),
 		OPFraction: 0.03, HotColdSeparation: true, TrimSupported: false, StoreData: true})
 	if err != nil {
-		return nil, nil, err
+		return E5Result{}, err
 	}
-	cb, err := zkv.NewConvBackend(convDev, 64)
+	b, err := zkv.NewConvBackend(dev, 64)
 	if err != nil {
-		return nil, nil, err
+		return E5Result{}, err
 	}
-	cb.SetAllocPolicy(zkv.ScatterFit)
-	znsDev, err := zns.New(zns.Config{Geom: e5Geometry(), Lat: flash.LatenciesFor(flash.TLC),
+	b.SetAllocPolicy(zkv.ScatterFit)
+	return E5Run("conventional (no trim, scattered alloc)", b, cfg)
+}
+
+// E5ZNS runs E5 on a ZNS device with per-level zone streams (ZenFS-style).
+func E5ZNS(cfg Config) (E5Result, error) {
+	dev, err := zns.New(zns.Config{Geom: e5Geometry(), Lat: flash.LatenciesFor(flash.TLC),
 		ZoneBlocks: 2, StoreData: true})
 	if err != nil {
-		return nil, nil, err
+		return E5Result{}, err
 	}
-	zb, err := zkv.NewZNSBackend(znsDev, 4)
+	b, err := zkv.NewZNSBackend(dev, 4)
 	if err != nil {
-		return nil, nil, err
+		return E5Result{}, err
 	}
-	return cb, zb, nil
+	return E5Run("zns (zone per level)", b, cfg)
+}
+
+// e5Parts is E5's two parts. Each device stores its data, so each part
+// declares the payload it can hold, which runs them one at a time; and each
+// part builds the stack it runs, so the conventional device and its table
+// blobs are garbage before the ZNS part builds its own.
+func e5Parts(conv, z *E5Result) []partTask {
+	parts := []partTask{part(conv, E5Conventional), part(z, E5ZNS)}
+	for i := range parts {
+		parts[i].bytes = e5Geometry().CapacityBytes()
+	}
+	return parts
 }
 
 func runE5(cfg Config) (Report, error) {
@@ -155,24 +173,8 @@ func runE5(cfg Config) (Report, error) {
 		Header: []string{"Backend", "Device WA", "App WA", "User MB/s",
 			"Read mean (us)", "Read p99 (us)", "Read p999 (us)"},
 	}
-	cb, zb, err := E5Backends(cfg)
-	if err != nil {
-		return r, err
-	}
-	// The backends are built up front but fully independent (own devices,
-	// own workload sources seeded per part), so each runs as one part. Each
-	// device stores its data, which bounds how many run at once.
 	var conv, z E5Result
-	convPart := part(&conv, func(c Config) (E5Result, error) {
-		return E5Run("conventional (no trim, scattered alloc)", cb, c)
-	})
-	znsPart := part(&z, func(c Config) (E5Result, error) {
-		return E5Run("zns (zone per level)", zb, c)
-	})
-	payload := e5Geometry().CapacityBytes()
-	convPart.bytes, znsPart.bytes = payload, payload
-	err = runParts(cfg, convPart, znsPart)
-	if err != nil {
+	if err := runParts(cfg, e5Parts(&conv, &z)...); err != nil {
 		return r, err
 	}
 	for _, e := range []E5Result{conv, z} {

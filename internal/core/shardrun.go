@@ -21,8 +21,10 @@ import (
 // residentBudget bounds the payload bytes the parts running at once may
 // declare between them: one E5-sized data-storing stack (14 MiB), so E5's
 // two parts run one at a time and the campaign's peak RSS stays where a
-// serial run puts it. Parts that store no data declare 0 and are bounded by
-// GOMAXPROCS alone.
+// serial run puts it. The budget counts only running parts because a part
+// builds the stacks it runs: a finished part's devices are garbage, and a
+// part closure captures no device. Parts that store no data declare 0 and
+// are bounded by GOMAXPROCS alone.
 const residentBudget = 16 << 20
 
 // partTask is one part: run executes it under a part-scoped Config; rebase,
@@ -94,9 +96,12 @@ func runParts(cfg Config, parts ...partTask) error {
 		}
 		return nil
 	}
-	sessions := make([]*session, len(parts))
+	seqs := make([]uint64, len(parts))
 	errs := make([]error, len(parts))
 	panics := make([]any, len(parts))
+	// runOne keeps the part's measured-IO count, not its session: a session's
+	// sink holds the device-snapshot source its stacks armed, so keeping it
+	// would keep a finished part's devices live until the last part ends.
 	runOne := func(i int) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -105,8 +110,10 @@ func runParts(cfg Config, parts ...partTask) error {
 		}()
 		pcfg := cfg
 		pcfg.session = newSession()
-		sessions[i] = pcfg.session
 		errs[i] = parts[i].run(pcfg)
+		if s := pcfg.session.sink; s != nil {
+			seqs[i] = s.Seq()
+		}
 		return errs[i] == nil
 	}
 	// Workers claim parts from one cursor in part order, so a slow part
@@ -141,9 +148,7 @@ func runParts(cfg Config, parts ...partTask) error {
 		if p.rebase != nil {
 			p.rebase(offset)
 		}
-		if s := sessions[i].sink; s != nil {
-			offset += s.Seq()
-		}
+		offset += seqs[i]
 	}
 	return nil
 }

@@ -9,8 +9,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
+	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
+	"blockhead/internal/telemetry/critpath"
+	"blockhead/internal/telemetry/exemplar"
 )
 
 // setWorkers lets runParts use up to n workers for the rest of t: the worker
@@ -185,6 +189,35 @@ func TestPartWorkers(t *testing.T) {
 		if got := partWorkers(tc.parts); got != tc.want {
 			t.Errorf("GOMAXPROCS(%d), %d parts: partWorkers = %d, want %d", tc.procs, len(tc.parts), got, tc.want)
 		}
+	}
+}
+
+// TestRunPartsDropsFinishedPart: on one worker, what part 0 built is
+// garbage by the time part 1 starts, even what it hung on its session the
+// way every attributed stack does (the reservoir's device-snapshot source).
+// runParts keeps a finished part's result slot and measured-IO count only.
+func TestRunPartsDropsFinishedPart(t *testing.T) {
+	setWorkers(t, 1)
+	var stack weak.Pointer[[1 << 20]byte]
+	var live bool
+	err := runParts(Config{},
+		partTask{run: func(cfg Config) error {
+			dev := new([1 << 20]byte)
+			stack = weak.Make(dev)
+			exemplarArm(cfg, attrProbe(cfg), "part 0", critpath.PredictOpts{},
+				func(sim.Time, *exemplar.DevSnap) { dev[0]++ })
+			return nil
+		}},
+		partTask{run: func(Config) error {
+			runtime.GC()
+			live = stack.Value() != nil
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live {
+		t.Error("part 0's stack was still reachable when part 1 started")
 	}
 }
 
