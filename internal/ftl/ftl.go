@@ -608,6 +608,22 @@ func (d *Device) Trim(at sim.Time, lpn, n int64) error {
 	return nil
 }
 
+// DropPayload forgets the stored payloads of n logical pages starting at
+// lpn, host bookkeeping for a range no read can reach any more (a deleted
+// file's extent): reads return no payload until the page is written again.
+// Nothing else changes — no flash op, counter or telemetry, and the mapping
+// and virtual time stay as they are, so without TrimSupported the stale
+// pages still cost GC copies. Without StoreData it is a no-op.
+func (d *Device) DropPayload(lpn, n int64) error {
+	if lpn < 0 || n < 0 || lpn+n > d.logicalPages {
+		return ErrOutOfRange
+	}
+	if d.data != nil {
+		clear(d.data[lpn : lpn+n])
+	}
+	return nil
+}
+
 // Utilization reports the fraction of logical pages currently mapped.
 func (d *Device) Utilization() float64 {
 	return float64(d.gc.Mapped()) / float64(d.logicalPages)

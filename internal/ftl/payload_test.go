@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"blockhead/internal/sim"
@@ -116,6 +118,54 @@ func TestPayloadStore(t *testing.T) {
 		}
 		if err := d.Trim(at, 0, 4); err != nil {
 			t.Fatal(err)
+		}
+	})
+
+	t.Run("DropPayload clears the range's payloads and nothing else", func(t *testing.T) {
+		// Twin devices take the same writes; only b drops [11,14). The drop
+		// is bookkeeping: mapping, counters, flash and time must not see it.
+		a, b := stored(false), stored(false)
+		var at sim.Time
+		for lpn := int64(10); lpn < 16; lpn++ {
+			payload := []byte{byte('a' + lpn - 10)}
+			write(t, b, at, lpn, payload)
+			at = write(t, a, at, lpn, payload)
+		}
+		if err := b.DropPayload(11, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DropPayload(12, 0); err != nil { // empty range: a no-op
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.gc.L2P, b.gc.L2P) || *a.Counters() != *b.Counters() || a.Flash().Counts() != b.Flash().Counts() {
+			t.Errorf("drop moved the device: counters %+v / %+v, flash %+v / %+v",
+				*a.Counters(), *b.Counters(), a.Flash().Counts(), b.Flash().Counts())
+		}
+		if da, db := write(t, a, at, 20, nil), write(t, b, at, 20, nil); da != db {
+			t.Errorf("next write completes at %v after the drop, %v without", db, da)
+		}
+		var got, kept string
+		for lpn := int64(10); lpn < 16; lpn++ {
+			got += read(t, b, at, lpn) + ","
+			kept += read(t, a, at, lpn) + ","
+		}
+		if got != "a,,,,e,f," || kept != "a,b,c,d,e,f," {
+			t.Errorf("after drop of [11,14): %q (twin %q)", got, kept)
+		}
+		at = write(t, b, at, 12, []byte("again"))
+		if got := read(t, b, at, 12); got != "again" {
+			t.Errorf("rewrite after drop: %q", got)
+		}
+		last := b.CapacityPages() - 1
+		for _, r := range [][2]int64{{-1, 1}, {last, 2}, {0, -1}, {b.CapacityPages(), 1}} {
+			if err := b.DropPayload(r[0], r[1]); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("DropPayload(%d, %d) = %v, want ErrOutOfRange", r[0], r[1], err)
+			}
+		}
+		off := mustNew(t, defaultCfg())
+		at = write(t, off, 0, 1, []byte("ignored"))
+		if err := off.DropPayload(0, 4); err != nil || off.data != nil {
+			t.Errorf("without StoreData: %v, store %v", err, off.data != nil)
 		}
 	})
 }

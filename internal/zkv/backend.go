@@ -28,7 +28,8 @@ type Backend interface {
 	// The returned slice may alias the stored payload: callers must not
 	// modify it, and copy what they hand on.
 	ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error)
-	// Delete drops a table, releasing its space.
+	// Delete drops a table, releasing its space and its payload: the
+	// device keeps no reference to the blob WriteTable stored.
 	Delete(at sim.Time, h TableHandle) error
 	// AppendWAL persists n bytes of log; ResetWAL truncates the log after
 	// a flush.
@@ -223,8 +224,8 @@ func (b *ConvBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, 
 // readSpan assembles bytes [off, off+n) of a table from its pages, all read
 // at time at, each page once and in order. readPage returns the payload
 // stored for one page of the table, which may be shorter than a page (a
-// table's last page) or nil (the device kept none, or lost it to a crash);
-// bytes past it read as zero.
+// table's last page) or nil (the device kept none, lost it to a crash, or
+// dropped it with a deleted table); bytes past it read as zero.
 //
 // The devices keep sub-slices of the blob WriteTable stored as page
 // payloads, so a span whose every page continues the first page's backing
@@ -266,14 +267,18 @@ func readSpan(at sim.Time, pageSize, off, n int, readPage func(page int64) (sim.
 	return done, out, nil
 }
 
-// Delete implements Backend: trim the extent and return it to the free
-// list.
+// Delete implements Backend: trim the extent, drop its payload (a device
+// without TRIM would keep it until the pages are overwritten) and return it
+// to the free list.
 func (b *ConvBackend) Delete(at sim.Time, h TableHandle) error {
 	t, ok := b.tables[h]
 	if !ok {
 		return ErrBadHandle
 	}
 	if err := b.dev.Trim(at, t.ext.start, t.ext.pages); err != nil {
+		return err
+	}
+	if err := b.dev.DropPayload(t.ext.start, t.ext.pages); err != nil {
 		return err
 	}
 	delete(b.tables, h)

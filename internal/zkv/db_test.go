@@ -12,7 +12,10 @@ import (
 )
 
 // bigConvBackend / bigZNSBackend give the DB a few MB to work with.
-func bigConvBackend(t *testing.T) *ConvBackend {
+func bigConvBackend(t *testing.T) *ConvBackend { return bigConvBackendTrim(t, true) }
+
+// bigConvBackendTrim is bigConvBackend on a device with or without TRIM.
+func bigConvBackendTrim(t *testing.T, trim bool) *ConvBackend {
 	t.Helper()
 	dev, err := ftl.New(ftl.Config{
 		Geom: flash.Geometry{Channels: 4, DiesPerChan: 2, PlanesPerDie: 1,
@@ -20,7 +23,7 @@ func bigConvBackend(t *testing.T) *ConvBackend {
 		Lat:               flash.LatenciesFor(flash.TLC),
 		OPFraction:        0.15,
 		HotColdSeparation: true,
-		TrimSupported:     true,
+		TrimSupported:     trim,
 		StoreData:         true,
 	})
 	if err != nil {

@@ -133,7 +133,8 @@ func (b *ZNSBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, [
 	})
 }
 
-// Delete implements Backend: mark the table dead; a sealed zone whose
+// Delete implements Backend: drop the table's payload (its pages stay in
+// the zone until the zone is reset) and mark it dead; a sealed zone whose
 // tables are all dead is reset immediately.
 func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 	t, ok := b.tables[h]
@@ -141,6 +142,9 @@ func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 		return ErrBadHandle
 	}
 	z := t.Zone
+	if err := b.dev.DropPayload(b.dev.LBA(z, t.Off), t.Pages); err != nil {
+		return err
+	}
 	b.za.Kill(&t.Extent)
 	delete(b.tables, h)
 	b.recycle(at, z)

@@ -1,6 +1,7 @@
 package zns
 
 import (
+	"errors"
 	"testing"
 
 	"blockhead/internal/sim"
@@ -112,6 +113,66 @@ func TestPayloadStore(t *testing.T) {
 		}
 		if got := readAll(t, d, at, 1); got != "," || d.data != nil {
 			t.Errorf("payload %q, store %v", got, d.data != nil)
+		}
+	})
+
+	t.Run("DropPayload clears the range's payloads and nothing else", func(t *testing.T) {
+		// Twin devices take the same appends; only b drops zone 1's pages
+		// 1..3. The drop is bookkeeping: write pointers, zone states,
+		// counters, flash and time must not see it.
+		a, b := mustNew(t, cfg), mustNew(t, cfg)
+		var at sim.Time
+		for _, d := range []*Device{a, b} {
+			_, at = appendPages(t, d, 0, 1, "a", "b", "c", "d", "e")
+			_, at = appendPages(t, d, at, 2, "z2")
+		}
+		if err := b.DropPayload(b.LBA(1, 1), 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DropPayload(b.LBA(2, 0), 0); err != nil { // empty range: a no-op
+			t.Fatal(err)
+		}
+		for z := 0; z < a.NumZones(); z++ {
+			if a.WP(z) != b.WP(z) || a.State(z) != b.State(z) {
+				t.Errorf("zone %d: wp %d state %v after the drop, wp %d state %v without", z, b.WP(z), b.State(z), a.WP(z), a.State(z))
+			}
+		}
+		if *a.Counters() != *b.Counters() || a.Flash().Counts() != b.Flash().Counts() {
+			t.Errorf("drop moved the device: counters %+v / %+v, flash %+v / %+v",
+				*a.Counters(), *b.Counters(), a.Flash().Counts(), b.Flash().Counts())
+		}
+		la, da, errA := a.Append(at, 1, nil)
+		lb, db, errB := b.Append(at, 1, nil)
+		if la != lb || da != db || errA != nil || errB != nil {
+			t.Errorf("next append: lba %d at %v after the drop, lba %d at %v without (%v, %v)", lb, db, la, da, errB, errA)
+		}
+		at = max(da, db)
+		if got, kept := readAll(t, b, at, 1), readAll(t, a, at, 1); got != "a,,,,e,," || kept != "a,b,c,d,e,," {
+			t.Errorf("after drop of pages 1..3: %q (twin %q)", got, kept)
+		}
+		if got := readAll(t, b, at, 2); got != "z2," {
+			t.Errorf("neighbour zone after drop: %q", got)
+		}
+		at, err := b.Reset(at, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, at = appendPages(t, b, at, 1, "x", "again")
+		if got := readAll(t, b, at, 1); got != "x,again," {
+			t.Errorf("rewrite after drop: %q", got)
+		}
+		total := int64(b.NumZones()) * b.ZonePages()
+		for _, r := range [][2]int64{{-1, 1}, {total - 1, 2}, {0, -1}, {total, 1}} {
+			if err := b.DropPayload(r[0], r[1]); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("DropPayload(%d, %d) = %v, want ErrOutOfRange", r[0], r[1], err)
+			}
+		}
+		cfg := cfg
+		cfg.StoreData = false
+		off := mustNew(t, cfg)
+		appendPages(t, off, 0, 0, "ignored")
+		if err := off.DropPayload(0, 1); err != nil || off.data != nil {
+			t.Errorf("without StoreData: %v, store %v", err, off.data != nil)
 		}
 	})
 }

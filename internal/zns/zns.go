@@ -740,6 +740,22 @@ func (d *Device) Read(at sim.Time, lba int64) (done sim.Time, data []byte, err e
 	return done, data, nil
 }
 
+// DropPayload forgets the stored payloads of n pages starting at lba, host
+// bookkeeping for pages no read will reach again (a deleted table in a zone
+// not yet reset): reads of them return no payload until the zone is reset
+// and rewritten. Nothing else changes — no flash op, counter or telemetry,
+// and the write pointer, zone state and virtual time stay as they are.
+// Without StoreData it is a no-op.
+func (d *Device) DropPayload(lba, n int64) error {
+	if lba < 0 || n < 0 || lba+n > int64(len(d.zones))*d.zonePages {
+		return ErrOutOfRange
+	}
+	if d.data != nil {
+		clear(d.data[lba : lba+n])
+	}
+	return nil
+}
+
 // SimpleCopy copies the pages at srcLBAs to the write pointer of dstZone
 // entirely inside the device (§2.3): flash reads and programs happen, data
 // crosses the channel buses, but no bytes cross the host interface. It
