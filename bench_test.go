@@ -68,7 +68,7 @@ func BenchmarkE3DRAMFootprint(b *testing.B) {
 // BenchmarkE4ReadLatencyThroughput reproduces the WD comparison (§2.4):
 // lower read latency and higher throughput on ZNS.
 func BenchmarkE4ReadLatencyThroughput(b *testing.B) {
-	var conv, z core.E4Result
+	var conv, z core.LatResult
 	for i := 0; i < b.N; i++ {
 		var err error
 		if conv, err = core.E4Conventional(quick()); err != nil {
@@ -104,7 +104,7 @@ func BenchmarkE5LSMOnZNS(b *testing.B) {
 
 // BenchmarkE6HostScheduledGC reproduces the IBM SALSA claims (§2.4).
 func BenchmarkE6HostScheduledGC(b *testing.B) {
-	var conv, host core.E6Result
+	var conv, host core.LatResult
 	for i := 0; i < b.N; i++ {
 		var err error
 		if conv, err = core.E6Conventional(quick()); err != nil {

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"blockhead/internal/flash"
 	"blockhead/internal/ftl"
-	"blockhead/internal/sim"
-	"blockhead/internal/workload"
 )
 
 func init() {
@@ -21,7 +17,7 @@ func init() {
 // E6ConventionalIncremental is E6's baseline device upgraded with
 // device-side incremental GC — the strongest conventional controller our
 // model supports.
-func E6ConventionalIncremental(cfg Config) (E6Result, error) {
+func E6ConventionalIncremental(cfg Config) (LatResult, error) {
 	dev, err := ftl.New(ftl.Config{
 		Geom:              e6Geometry(),
 		Lat:               flash.LatenciesFor(flash.TLC),
@@ -32,36 +28,9 @@ func E6ConventionalIncremental(cfg Config) (E6Result, error) {
 		TrimSupported:     true,
 	})
 	if err != nil {
-		return E6Result{}, err
+		return LatResult{}, err
 	}
-	var at sim.Time
-	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
-		if at, err = dev.WritePage(at, lpn, nil); err != nil {
-			return E6Result{}, err
-		}
-	}
-	src := workload.NewSource(cfg.Seed)
-	hc := workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
-	for i := int64(0); i < dev.CapacityPages(); i++ { // age to steady state
-		if at, err = dev.WritePage(at, hc.Next(), nil); err != nil {
-			return E6Result{}, err
-		}
-	}
-	rKeys := workload.NewUniform(src, dev.CapacityPages())
-	return e6Measure(e6Stack{
-		name:  "conventional (device-incremental GC)",
-		write: func(t sim.Time) (sim.Time, error) { return dev.WritePage(t, hc.Next(), nil) },
-		read: func(t sim.Time) (sim.Time, error) {
-			done, _, err := dev.ReadPage(t, rKeys.Next())
-			return done, err
-		},
-		counters: func() (uint64, uint64) {
-			c := dev.Counters()
-			return c.HostWritePages, c.FlashProgramPages
-		},
-		at:  at,
-		src: src,
-	}, cfg)
+	return e6Measure(convOn(dev, "conventional (device-incremental GC)"), cfg)
 }
 
 func runA5(cfg Config) (Report, error) {
@@ -84,11 +53,8 @@ func runA5(cfg Config) (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	for _, e := range []E6Result{fg, inc, host} {
-		r.AddRow(e.Name, fmt.Sprintf("%.0f", e.WritePagesPS), fmt.Sprintf("%.2f", e.WA),
-			fmt.Sprintf("%.0f", e.ReadMean.Micros()),
-			fmt.Sprintf("%.0f", e.ReadP99.Micros()),
-			fmt.Sprintf("%.0f", e.ReadP999.Micros()))
+	for _, e := range []LatResult{fg, inc, host} {
+		addE6Row(&r, e)
 	}
 	r.AddNote("pacing buys the device only a modest p999 improvement (%.1fx) and costs it",
 		float64(fg.ReadP999)/float64(inc.ReadP999))

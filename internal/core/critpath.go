@@ -13,9 +13,9 @@ import (
 
 // This file wires the critical-path recorder and what-if engine into the
 // experiment harness: scenario-scaled timing parameters (the ground truth
-// counterfactual runs the engine's predictions are validated against),
-// per-stack recorder drains, and the "critical path & what-if" report
-// section.
+// counterfactual runs the engine's predictions are validated against) and
+// the "critical path & what-if" report section, which Report.addWindow
+// fills from a measured window (window.go).
 
 // scaledLatencies applies cfg.Scenario's service-phase factors to the
 // flash timing parameters — the ground-truth counterfactual a what-if
@@ -58,13 +58,6 @@ func wpSerialScale(cfg Config) (bool, float64) {
 	return true, f
 }
 
-// critDrain captures and resets the recorder attached to the probe's sink.
-// Called once before a measured window (discarding prefill/aging paths) and
-// once after (the measurement).
-func critDrain(probe *telemetry.Probe) critpath.Snapshot {
-	return critpath.DrainFromSink(probe.Attribution())
-}
-
 // CritSection is one configuration's critical-path block: the recorder
 // snapshot over the measured window, the replay-model options for its
 // stack, and the exactly measured attribution the prediction ratios are
@@ -77,16 +70,6 @@ type CritSection struct {
 	// Scenarios are the what-if counterfactuals the section answers
 	// (canonical three, plus the run's own when it is a -whatif run).
 	Scenarios []critpath.Scenario
-}
-
-// AddCrit appends a critical-path section. Snapshots with no completed IOs
-// are skipped, so experiments without path recording render unchanged.
-func (r *Report) AddCrit(cfg Config, name string, snap critpath.Snapshot, opts critpath.PredictOpts, attr telemetry.AttrSnapshot) {
-	if snap.IOs == 0 {
-		return
-	}
-	r.Crit = append(r.Crit, CritSection{Name: name, Snap: snap, Opts: opts,
-		Attr: attr, Scenarios: critScenarios(cfg)})
 }
 
 // critScenarios returns the what-if scenarios a report answers: the three

@@ -20,8 +20,8 @@ func init() {
 }
 
 // e2Geometry: 4 LUNs, 512 blocks of 64 pages (128 MiB at 4 KiB pages) —
-// large enough that the fixed reserve floor (16 blocks) stays close to the
-// calibrated 3.5%.
+// large enough that the fixed reserve floor (16 blocks, 3.1%) stays below
+// E2's calibrated 4.2% reserve (21 blocks).
 func e2Geometry() flash.Geometry {
 	return flash.Geometry{Channels: 4, DiesPerChan: 1, PlanesPerDie: 1,
 		BlocksPerLUN: 128, PagesPerBlock: 64, PageSize: 4096}

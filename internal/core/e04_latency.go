@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"blockhead/internal/flash"
-	"blockhead/internal/ftl"
 	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
-	"blockhead/internal/telemetry/exemplar"
 	"blockhead/internal/workload"
 	"blockhead/internal/zns"
 )
@@ -27,120 +25,72 @@ func e4Geometry() flash.Geometry {
 		BlocksPerLUN: 64, PagesPerBlock: 64, PageSize: 4096}
 }
 
-// E4Result is one device's measurement, exposed for benches and tests.
-type E4Result struct {
-	Name         string
-	WritePagesPS float64
-	ReadMean     sim.Time
-	ReadP50      sim.Time
-	ReadP90      sim.Time
-	ReadP99      sim.Time
-	ReadP999     sim.Time
-	WriteP99     sim.Time
-	// Attr is the per-phase latency attribution accumulated over the
-	// measured window of this configuration's drive.
-	Attr telemetry.AttrSnapshot
-	// Crit is the critical-path recording over the same window; CritOpts
-	// selects the stack's replay model (zoned: erases are resets).
-	Crit     critpath.Snapshot
-	CritOpts critpath.PredictOpts
-	// Exem is the drained exemplar reservoir over the same window (the
-	// slowest IOs with full forensics); ExemNames are the tenant labels.
-	Exem      exemplar.Snapshot
-	ExemNames [telemetry.MaxTenants]string
-	// Device is the end-of-run device snapshot (wear, zone census, audit).
-	Device DeviceState
-}
-
-// rebaseSeqs shifts the result's exemplar sequence numbers past those of
-// the parts that precede it (runParts).
-func (e *E4Result) rebaseSeqs(delta uint64) { e.Exem.Rebase(delta) }
-
 // E4Conventional drives a steady-state conventional SSD: the device is
 // pre-filled and the writers sustain uniform random overwrites, so the FTL
 // garbage-collects continuously while Poisson reads arrive.
-func E4Conventional(cfg Config) (E4Result, error) {
-	dev, err := ftl.NewDefault(e4Geometry(), scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), false), 0.07)
+func E4Conventional(cfg Config) (LatResult, error) {
+	s, err := convStack(cfg, "conventional (OP 7%)", e4Geometry(), 0.07, critpath.PredictOpts{})
 	if err != nil {
-		return E4Result{}, err
-	}
-	probe := attrProbe(cfg)
-	dev.SetProbe(probe)
-	exemplarArm(cfg, probe, "conventional (OP 7%)", critpath.PredictOpts{},
-		convDevSnap(dev, e4Geometry()))
-	var at sim.Time
-	for lpn := int64(0); lpn < dev.CapacityPages(); lpn++ {
-		if at, err = dev.WritePage(at, lpn, nil); err != nil {
-			return E4Result{}, err
-		}
+		return LatResult{}, err
 	}
 	src := workload.NewSource(cfg.Seed)
-	wKeys := workload.NewUniform(src, dev.CapacityPages())
+	wKeys := workload.NewUniform(src, s.capacity)
+	rKeys := workload.NewUniform(src, s.capacity)
+	var at sim.Time
 	// Age the device to GC steady state: overwrite 1.5x the logical space
 	// so the measurement sees the sustained-GC regime, not a fresh drive.
-	for i := int64(0); i < dev.CapacityPages()*3/2; i++ {
-		if at, err = dev.WritePage(at, wKeys.Next(), nil); err != nil {
-			return E4Result{}, err
-		}
-	}
-	rKeys := workload.NewUniform(src, dev.CapacityPages())
-	dur, warm := e4Duration(cfg)
-	before := probe.Attr.Snapshot()
-	critDrain(probe)     // discard prefill/aging paths
-	exemplarDrain(probe) // likewise for exemplars
-	res := RunMixed(MixedCfg{
-		Writers: 4,
-		Write: func(t sim.Time) (sim.Time, error) {
-			return dev.WritePage(sim.Max(t, at), wKeys.Next(), nil)
-		},
-		ReadRate: e4ReadRate,
-		Read: func(t sim.Time) (sim.Time, error) {
-			done, _, err := dev.ReadPage(sim.Max(t, at), rKeys.Next())
-			return done, err
-		},
-		Start:    at,
-		Duration: dur,
-		Warmup:   warm,
-		Src:      src,
-		Probe:    probe,
+	err = age(s.capacity, s.capacity*3/2, wKeys, func(lpn int64) (err error) {
+		at, err = s.write(at, lpn, false)
+		return err
 	})
-	if res.Err != nil {
-		return E4Result{}, res.Err
+	if err != nil {
+		return LatResult{}, err
 	}
-	return E4Result{
-		Name:         "conventional (OP 7%)",
-		WritePagesPS: res.WriteScale,
-		ReadMean:     res.ReadLat.Mean,
-		ReadP50:      res.ReadLat.P50,
-		ReadP90:      res.ReadLat.P90,
-		ReadP99:      res.ReadLat.P99,
-		ReadP999:     res.ReadLat.P999,
-		WriteP99:     res.WriteLat.P99,
-		Attr:         probe.Attr.Snapshot().Delta(before),
-		Crit:         critDrain(probe),
-		CritOpts:     critpath.PredictOpts{},
-		Exem:         exemplarDrain(probe),
-		ExemNames:    exemplarNames(probe),
-		Device:       DeviceState{Name: "conventional (OP 7%)", Wear: dev.Flash().Wear()},
-	}, nil
+	dur, warm := e4Duration(cfg)
+	out := LatResult{window: s.window}
+	err = out.measure(s.probe, func() error {
+		res := RunMixed(MixedCfg{
+			Writers: 4,
+			Write: func(t sim.Time) (sim.Time, error) {
+				return s.write(sim.Max(t, at), wKeys.Next(), false)
+			},
+			ReadRate: e4ReadRate,
+			Read: func(t sim.Time) (sim.Time, error) {
+				return s.read(sim.Max(t, at), rKeys.Next())
+			},
+			Start:    at,
+			Duration: dur,
+			Warmup:   warm,
+			Src:      src,
+			Probe:    s.probe,
+		})
+		out.WritePagesPS = res.WriteScale
+		out.setLat(res)
+		return res.Err
+	})
+	if err != nil {
+		return LatResult{}, err
+	}
+	out.Device, err = s.device()
+	return out, err
 }
 
 // E4ZNS drives the zone-native equivalent: writers append through zones in
 // a circular log, resetting each wholly-invalidated zone before reuse —
 // the host schedules all reclamation, and no data is ever copied.
-func E4ZNS(cfg Config) (E4Result, error) {
+func E4ZNS(cfg Config) (LatResult, error) {
 	scaleWP, wpScale := wpSerialScale(cfg)
 	dev, err := zns.New(zns.Config{
 		Geom: e4Geometry(), Lat: scaledLatencies(cfg, flash.LatenciesFor(flash.TLC), true),
 		ZoneBlocks: 4, ScaleWPSerial: scaleWP, WPSerialScale: wpScale})
 	if err != nil {
-		return E4Result{}, err
+		return LatResult{}, err
 	}
+	const name = "zns (host-scheduled resets)"
+	opts := critpath.PredictOpts{ErasesAreResets: true}
 	probe := attrProbe(cfg)
 	dev.SetProbe(probe)
-	exemplarArm(cfg, probe, "zns (host-scheduled resets)",
-		critpath.PredictOpts{ErasesAreResets: true},
-		znsDevSnap(dev, e4Geometry(), rawReclaim(dev)))
+	exemplarArm(cfg, probe, name, opts, znsDevSnap(dev, e4Geometry(), rawReclaim(dev)))
 	aud := dev.AttachAuditor()
 	nz := dev.NumZones()
 	// Pre-fill every zone so reads have targets and reuse requires resets.
@@ -148,7 +98,7 @@ func E4ZNS(cfg Config) (E4Result, error) {
 	for z := 0; z < nz; z++ {
 		for o := int64(0); o < dev.ZonePages(); o++ {
 			if _, at, err = dev.Append(at, z, nil); err != nil {
-				return E4Result{}, err
+				return LatResult{}, err
 			}
 		}
 	}
@@ -174,56 +124,45 @@ func E4ZNS(cfg Config) (E4Result, error) {
 		return done, err
 	}
 	dur, warm := e4Duration(cfg)
-	before := probe.Attr.Snapshot()
-	critDrain(probe)     // discard prefill paths
-	exemplarDrain(probe) // likewise for exemplars
-	res := RunMixed(MixedCfg{
-		Writers:  4,
-		Write:    func(t sim.Time) (sim.Time, error) { return writeOne(sim.Max(t, at)) },
-		ReadRate: e4ReadRate,
-		Read: func(t sim.Time) (sim.Time, error) {
-			// Read only below the target zone's write pointer.
-			lba := rSrc.Next()
-			z, off := dev.ZoneOf(lba)
-			if wp := dev.WP(z); wp == 0 {
-				z, off = 0, 0
-				if dev.WP(0) == 0 {
-					return t, nil
+	out := LatResult{window: window{Name: name, CritOpts: opts}}
+	err = out.measure(probe, func() error {
+		res := RunMixed(MixedCfg{
+			Writers:  4,
+			Write:    func(t sim.Time) (sim.Time, error) { return writeOne(sim.Max(t, at)) },
+			ReadRate: e4ReadRate,
+			Read: func(t sim.Time) (sim.Time, error) {
+				// Read only below the target zone's write pointer.
+				lba := rSrc.Next()
+				z, off := dev.ZoneOf(lba)
+				if wp := dev.WP(z); wp == 0 {
+					z, off = 0, 0
+					if dev.WP(0) == 0 {
+						return t, nil
+					}
+				} else if off >= wp {
+					off = off % wp
 				}
-			} else if off >= wp {
-				off = off % wp
-			}
-			done, _, err := dev.Read(sim.Max(t, at), dev.LBA(z, off))
-			return done, err
-		},
-		Start:    at,
-		Duration: dur,
-		Warmup:   warm,
-		Src:      src,
-		Probe:    probe,
+				done, _, err := dev.Read(sim.Max(t, at), dev.LBA(z, off))
+				return done, err
+			},
+			Start:    at,
+			Duration: dur,
+			Warmup:   warm,
+			Src:      src,
+			Probe:    probe,
+		})
+		out.WritePagesPS = res.WriteScale
+		out.setLat(res)
+		if res.Err != nil {
+			return res.Err
+		}
+		return aud.Check()
 	})
-	if res.Err != nil {
-		return E4Result{}, res.Err
+	if err != nil {
+		return LatResult{}, err
 	}
-	if err := aud.Check(); err != nil {
-		return E4Result{}, err
-	}
-	return E4Result{
-		Name:         "zns (host-scheduled resets)",
-		WritePagesPS: res.WriteScale,
-		ReadMean:     res.ReadLat.Mean,
-		ReadP50:      res.ReadLat.P50,
-		ReadP90:      res.ReadLat.P90,
-		ReadP99:      res.ReadLat.P99,
-		ReadP999:     res.ReadLat.P999,
-		WriteP99:     res.WriteLat.P99,
-		Attr:         probe.Attr.Snapshot().Delta(before),
-		Crit:         critDrain(probe),
-		CritOpts:     critpath.PredictOpts{ErasesAreResets: true},
-		Exem:         exemplarDrain(probe),
-		ExemNames:    exemplarNames(probe),
-		Device:       deviceState("zns (host-scheduled resets)", dev, aud),
-	}, nil
+	out.Device = deviceState(name, dev, aud)
+	return out, nil
 }
 
 const e4ReadRate = 3000 // reads per virtual second
@@ -243,33 +182,18 @@ func runE4(cfg Config) (Report, error) {
 		Header: []string{"Device", "Write pages/s", "Read mean (us)", "Read p99 (us)",
 			"Read p999 (us)", "Write p99 (us)"},
 	}
-	var conv, z E4Result
+	var conv, z LatResult
 	if err := runParts(cfg, part(&conv, E4Conventional), part(&z, E4ZNS)); err != nil {
 		return r, err
 	}
-	for _, e := range []E4Result{conv, z} {
+	for _, e := range []LatResult{conv, z} {
 		r.AddRow(e.Name, fmt.Sprintf("%.0f", e.WritePagesPS),
 			fmt.Sprintf("%.0f", e.ReadMean.Micros()),
 			fmt.Sprintf("%.0f", e.ReadP99.Micros()),
 			fmt.Sprintf("%.0f", e.ReadP999.Micros()),
 			fmt.Sprintf("%.0f", e.WriteP99.Micros()))
-		r.AddBreakdown(e.Name, e.Attr)
-		r.AddCrit(cfg, e.Name, e.Crit, e.CritOpts, e.Attr)
-		r.AddExemplars(cfg, e.Name, e.Exem, e.CritOpts, e.ExemNames)
-		r.AddDeviceState(e.Device)
-		r.Bench = append(r.Bench, BenchEntry{
-			Experiment: "E4", Name: e.Name,
-			WritePPS:    e.WritePagesPS,
-			ReadMeanUs:  e.ReadMean.Micros(),
-			ReadP50Us:   e.ReadP50.Micros(),
-			ReadP90Us:   e.ReadP90.Micros(),
-			ReadP99Us:   e.ReadP99.Micros(),
-			ReadP999Us:  e.ReadP999.Micros(),
-			WriteP99Us:  e.WriteP99.Micros(),
-			Attribution: e.Attr.Dump(),
-			CritPath:    critBench(e.Crit, e.CritOpts),
-			Exemplars:   e.Exem.Bench(),
-		})
+		r.addWindow(cfg, e.window)
+		r.Bench = append(r.Bench, e.bench("E4"))
 	}
 	r.AddNote("throughput ratio (zns/conv): %.2fx; read-mean reduction: %.0f%%; read-p99 ratio: %.2fx",
 		z.WritePagesPS/conv.WritePagesPS,

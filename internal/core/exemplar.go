@@ -17,7 +17,8 @@ import (
 // This file wires tail-exemplar capture and per-IO forensics into the
 // experiment harness: the per-run session that scopes measured-IO sequence
 // numbers, per-stack arming of the exemplar reservoir (or the -explain
-// narrator), the "slowest IOs" report section, and Explain — the
+// narrator), the "slowest IOs" report section (filled from a measured
+// window by Report.addWindow, window.go), and Explain — the
 // deterministic replay behind `znsbench -explain <exp>:<seq>`.
 
 // session is per-run state shared across an experiment's device stacks:
@@ -46,25 +47,6 @@ func exemplarArm(cfg Config, probe *telemetry.Probe, stack string, opts critpath
 		return
 	}
 	exemplar.FromSink(sink).SetSnap(snap)
-}
-
-// exemplarDrain captures and resets the exemplar reservoir attached to the
-// probe's sink. Like critDrain: once before a measured window (discarding
-// prefill exemplars) and once after (the measurement). Empty in explain
-// mode (the narrator replaces the reservoir), which AddExemplars skips.
-func exemplarDrain(probe *telemetry.Probe) exemplar.Snapshot {
-	return exemplar.FromSink(probe.Attribution()).Drain()
-}
-
-// exemplarNames captures the sink's tenant labels for a section, so the
-// rendered rows keep their names after the sink moves on.
-func exemplarNames(probe *telemetry.Probe) [telemetry.MaxTenants]string {
-	var out [telemetry.MaxTenants]string
-	sink := probe.Attribution()
-	for t := 0; t < telemetry.MaxTenants; t++ {
-		out[t] = sink.TenantName(telemetry.TenantID(t))
-	}
-	return out
 }
 
 // convDevSnap is a conventional (device-FTL) stack's device-snapshot
@@ -149,17 +131,6 @@ func (es ExemplarSection) Label(t telemetry.TenantID) string {
 		return "sys"
 	}
 	return fmt.Sprintf("t%d", t)
-}
-
-// AddExemplars appends a slowest-IOs section. Empty snapshots (no captures;
-// also every explain-mode drain) are skipped, so experiments without
-// exemplar capture render unchanged.
-func (r *Report) AddExemplars(cfg Config, name string, snap exemplar.Snapshot, opts critpath.PredictOpts, names [telemetry.MaxTenants]string) {
-	if snap.Captured() == 0 && len(snap.Flagged) == 0 {
-		return
-	}
-	r.Exemplars = append(r.Exemplars, ExemplarSection{
-		Name: name, ID: r.ID, Seed: cfg.Seed, Quick: cfg.Quick, Snap: snap, Opts: opts, Names: names})
 }
 
 // exemplarShow bounds the merged worst-IO rows a section renders (the

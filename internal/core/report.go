@@ -235,16 +235,6 @@ func (r *Report) AddNote(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// AddBreakdown appends a latency-attribution section for one configuration.
-// Snapshots with no completed IOs are skipped.
-func (r *Report) AddBreakdown(name string, snap telemetry.AttrSnapshot) {
-	d := snap.Dump()
-	if len(d.Ops) == 0 {
-		return
-	}
-	r.Breakdowns = append(r.Breakdowns, Breakdown{Name: name, Attr: d})
-}
-
 // Format renders the report as an aligned text table.
 func (r Report) Format() string {
 	var b strings.Builder

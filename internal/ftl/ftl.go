@@ -83,9 +83,9 @@ type Config struct {
 
 	// ReserveFraction is the minimal spare kept even at OPFraction = 0
 	// (GC headroom and bad-block reserve). The paper's "no overprovisioning"
-	// point still requires a sliver of spare for GC to make progress; the
-	// default (3.5% of raw blocks) is calibrated so the E2 sweep reproduces
-	// the paper's "15x with no overprovisioning". A floor of
+	// point still requires a sliver of spare for GC to make progress. The
+	// default is 3.5% of raw blocks; E2 sets 4.2%, calibrated so its sweep
+	// reproduces the paper's "15x with no overprovisioning". A floor of
 	// 2*LUNs + GCLowWaterBlocks + 4 blocks guarantees GC can always find an
 	// eligible victim (see maybeGC).
 	ReserveFraction float64
