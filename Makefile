@@ -18,10 +18,8 @@ build:
 
 # Project-specific static analysis (docs/static-analysis.md): determinism
 # (no wall clock/global rand/map-order leaks), concurrency (sim core is a
-# single-threaded virtual-time loop), nilguard (nil instruments are no-ops),
-# tickunit (no time.Duration in tick arithmetic), pairing (AttrSink brackets
-# close on every path), exhaustive (zone-state switches and the experiment
-# registry are complete). Diffs against the committed baseline —
+# single-threaded virtual-time loop), tickunit (no time.Duration in tick
+# arithmetic). Diffs against the committed baseline —
 # LINT_BASELINE.json holds the accepted findings (currently none) — and fails
 # on anything new AND on stale entries, so suppression debt can only shrink
 # deliberately.

@@ -1,9 +1,7 @@
 // Command simlint runs the project's static-analysis suite over the module:
-// the determinism, concurrency, nil-guard, tick-unit, bracket-pairing, and
-// exhaustiveness contracts that keep every simulation bit-identical across
-// runs and every disabled instrument a zero-alloc no-op. See
-// docs/static-analysis.md for the rule set, the //simlint:allow directive,
-// and the baseline workflow.
+// the determinism, concurrency and tick-unit contracts that keep every
+// simulation bit-identical across runs. See docs/static-analysis.md for the
+// rule set, the //simlint:allow directive, and the baseline workflow.
 //
 // Usage:
 //
@@ -31,7 +29,7 @@ func main() {
 	writeBaseline := flag.String("write-baseline", "", "write the current findings to the baseline `file` and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Lints the module against the simulator's contracts: determinism,\nconcurrency, nil-guards, tick units, AttrSink bracket pairing, and\nzone-state/registry exhaustiveness. Defaults to ./... when\nno package pattern is given.\n\n")
+		fmt.Fprintf(os.Stderr, "Lints the module against the simulator's determinism contracts: no\nwall clock or global rand, no goroutines in the sim core, no map-order\nleaks, no wall-clock units in tick arithmetic. Defaults to ./... when\nno package pattern is given.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -119,8 +119,6 @@ type Counts struct {
 // nothing. An injector belongs to one device: its draws form a single
 // sequence in that device's virtual-time order, which is what makes a seeded
 // campaign bit-identical.
-//
-//simlint:nilsafe
 type Injector struct {
 	prof   Profile
 	rng    *rand.Rand

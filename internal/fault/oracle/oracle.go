@@ -46,8 +46,6 @@ const maxDetails = 16
 
 // Oracle shadow-maps one FTL stack. The nil *Oracle no-ops on every method,
 // so harnesses can thread it unconditionally.
-//
-//simlint:nilsafe
 type Oracle struct {
 	hist     [][]rec // per-lpn acknowledged writes, oldest first
 	trimmed  []bool  // host unmapped it; durable copies may still resurrect

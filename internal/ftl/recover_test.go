@@ -2,10 +2,12 @@ package ftl
 
 import (
 	"errors"
+	"io"
 	"testing"
 
 	"blockhead/internal/flash"
 	"blockhead/internal/sim"
+	"blockhead/internal/telemetry"
 )
 
 // recoveryFTL builds a small page-mapped device with recovery armed.
@@ -149,5 +151,47 @@ func TestRecoverRequiresRecoveryConfig(t *testing.T) {
 	}
 	if _, err := d.Recover(0); err == nil {
 		t.Fatal("Recover without Config.Recovery succeeded")
+	}
+}
+
+// TestSuspendingPathsLeaveSinkBalanced runs forced GC, a grown-bad block's
+// retirement and crash recovery, the paths that suspend attribution beside
+// the write path's own GC, each inside an armed record. End counts a Suspend
+// still open as a violation, so each path must leave the sink as it found
+// it.
+func TestSuspendingPathsLeaveSinkBalanced(t *testing.T) {
+	d := recoveryFTL(t)
+	probe := telemetry.NewProbe(telemetry.Options{})
+	probe.FlightRec.DumpTo = io.Discard
+	d.SetProbe(probe)
+	sink := probe.Attribution()
+	n := d.CapacityPages()
+	var at sim.Time
+	for i := int64(0); i < n+n/2; i++ {
+		done, err := d.WritePage(at, i%n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = done
+	}
+	for _, c := range []struct {
+		name string
+		run  func(at sim.Time) sim.Time
+	}{
+		{"forceGC", d.forceGC},
+		{"retireBlock", func(at sim.Time) sim.Time { return d.retireBlock(at, d.blockOf(d.gc.L2P[0])) }},
+		{"Recover", func(at sim.Time) sim.Time {
+			if _, err := d.Recover(at); err != nil {
+				t.Fatal(err)
+			}
+			return at
+		}},
+	} {
+		sink.BeginTenant(telemetry.OpWrite, 0, at)
+		c.run(at)
+		sink.End(at) // suspended work charges the open record nothing
+		if v := sink.Violations(); v != 0 {
+			t.Fatalf("%s left a bracket open: violations = %d", c.name, v)
+		}
 	}
 }

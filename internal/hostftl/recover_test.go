@@ -1,11 +1,13 @@
 package hostftl
 
 import (
+	"io"
 	"testing"
 
 	"blockhead/internal/fault"
 	"blockhead/internal/flash"
 	"blockhead/internal/sim"
+	"blockhead/internal/telemetry"
 	"blockhead/internal/zns"
 )
 
@@ -165,5 +167,60 @@ func TestReadOnlyZoneEvacuation(t *testing.T) {
 	}
 	if err := aud.Check(); err != nil {
 		t.Fatalf("auditor: %v", err)
+	}
+}
+
+// TestSuspendingPathsLeaveSinkBalanced runs paced maintenance, a read-only
+// zone's evacuation and crash recovery, the host FTL paths that suspend
+// attribution beside the write path's own reclaim, each inside an armed
+// record. End counts a Suspend still open as a violation, so each path must
+// leave the sink as it found it.
+func TestSuspendingPathsLeaveSinkBalanced(t *testing.T) {
+	f, dev := recoveryStack(t)
+	probe := telemetry.NewProbe(telemetry.Options{})
+	probe.FlightRec.DumpTo = io.Discard
+	f.SetProbe(probe)
+	sink := probe.Attribution()
+	n := f.CapacityPages()
+	var at sim.Time
+	for i := int64(0); i < n+n/2; i++ {
+		done, err := f.Write(at, i%n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = done
+	}
+
+	sink.BeginTenant(telemetry.OpWrite, 0, at)
+	if !f.MaintenanceStep(at, 4, dev.NumZones()) {
+		t.Fatal("maintenance did nothing")
+	}
+	sink.End(at) // background work charges the open record nothing
+	if v := sink.Violations(); v != 0 {
+		t.Fatalf("MaintenanceStep left a bracket open: violations = %d", v)
+	}
+
+	// Seed 746 fails exactly the next program (TestReadOnlyZoneEvacuation).
+	dev.SetInjector(fault.New(fault.Profile{Name: "one-shot", ProgramFailBase: 5e-4}, 746))
+	sink.BeginTenant(telemetry.OpWrite, 0, at)
+	done, err := f.Write(at, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.End(done)
+	if f.Evacuations() == 0 {
+		t.Fatal("ReadOnly zone was not evacuated")
+	}
+	if v := sink.Violations(); v != 0 {
+		t.Fatalf("evacuating write: violations = %d", v)
+	}
+
+	sink.BeginTenant(telemetry.OpWrite, 0, done)
+	if _, err := f.Recover(done); err != nil {
+		t.Fatal(err)
+	}
+	sink.End(done)
+	if v := sink.Violations(); v != 0 {
+		t.Fatalf("Recover left a bracket open: violations = %d", v)
 	}
 }

@@ -1,17 +1,10 @@
-// Package lint is simlint: a project-specific static analyzer that
-// mechanically enforces the simulator's unwritten contracts. The repo's
-// credibility rests on two properties that ordinary tests can only spot-check:
-//
-//   - Determinism. The sim core is a single-threaded virtual-time event loop;
-//     every benchmark number must be bit-identical across runs from the same
-//     seed (the pinned reports and bench/golden depend on it). Wall-clock
-//     reads, the process-global rand source, and order-dependent map
-//     iteration all silently break this.
-//
-//   - Nil-safe telemetry. Every probe/instrument handle is a valid no-op when
-//     nil, so device hot paths call it unconditionally and the disabled path
-//     is pinned at 0 allocs/op. A single unguarded exported method turns
-//     "telemetry off" into a panic.
+// Package lint is simlint: a project-specific static analyzer for the one
+// contract the simulator cannot check at run time. The sim core is a
+// single-threaded virtual-time event loop; every benchmark number must be
+// bit-identical across runs from the same seed (the pinned reports and
+// bench/golden depend on it). Wall-clock reads, the process-global rand
+// source, goroutines, order-dependent map iteration and wall-clock units in
+// tick arithmetic all break this silently, and no run sees it.
 //
 // The analyzer is built only on the stdlib go/parser, go/ast, and go/types
 // (the build environment is offline, so golang.org/x/tools is unavailable).
@@ -26,18 +19,13 @@
 //     sim-core packages.
 //   - concurrency: no go statements, channels, select, or sync primitives
 //     outside cmd/ — the sim core is a single-threaded virtual-time loop.
-//   - nilguard: every exported pointer-receiver method on an instrument type
-//     (exported types in internal/telemetry, plus any type marked with a
-//     `//simlint:nilsafe` directive) must start with a nil-receiver guard.
 //   - tickunit: time.Duration must not leak into sim-core tick arithmetic,
 //     and nothing may convert directly between time.Duration and sim.Time.
-//   - pairing (path-sensitive): AttrSink bracket discipline — Begin reaches
-//     End/Drop on all paths, Suspend/Resume and PushWorker/PopWorker balance
-//     on every path including early returns, charges only inside an open
-//     bracket.
-//   - exhaustive: switches on internal/zns enum types must cover every
-//     declared state or carry a default; experiment registry IDs must be
-//     string literals forming a unique, well-formed, hole-free ID space.
+//
+// The contracts the simulator checks on every run are not linted:
+// AttrSink.End counts an open Suspend or PushWorker bracket, the nil-probe
+// product runs and the zero-allocation pins exercise every instrument's nil
+// guard, and core.CheckRegistry validates the experiment IDs.
 //
 // Deliberate violations are silenced with an allow directive on the same
 // line or the line above:
@@ -79,10 +67,7 @@ func Rules() []RuleDoc {
 	return []RuleDoc{
 		{"determinism", "no wall-clock/entropy reads module-wide; no order-dependent map iteration in sim-core packages"},
 		{"concurrency", "no goroutines, channels, select, or sync primitives outside cmd/"},
-		{"nilguard", "exported pointer-receiver methods on instrument types must begin with a nil-receiver guard"},
 		{"tickunit", "no time.Duration in sim-core tick arithmetic; no direct time.Duration<->sim.Time conversion"},
-		{"pairing", "AttrSink bracket discipline on every path: Begin reaches End/Drop, Suspend/Resume and PushWorker/PopWorker balance, charges land inside an open bracket"},
-		{"exhaustive", "switches on internal/zns enum types cover every state or carry a default; experiment registry IDs are literal, unique, well-formed, and hole-free"},
 		{"allow", "meta: every //simlint:allow must name a known rule, carry a reason, and suppress a real finding"},
 	}
 }
@@ -145,10 +130,7 @@ type reporter struct {
 }
 
 func (r *reporter) findf(pos token.Pos, rule, format string, args ...interface{}) {
-	r.findfAt(r.p.Fset.Position(pos), rule, format, args...)
-}
-
-func (r *reporter) findfAt(position token.Position, rule, format string, args ...interface{}) {
+	position := r.p.Fset.Position(pos)
 	key := fmt.Sprintf("%s:%d:%s", position.Filename, position.Line, rule)
 	if r.seen == nil {
 		r.seen = make(map[string]bool)
@@ -163,31 +145,13 @@ func (r *reporter) findfAt(position token.Position, rule, format string, args ..
 // Check runs every rule over the packages and returns the surviving findings
 // (allow directives applied), sorted by position.
 func Check(pkgs []*Package) []Finding {
-	reps := make(map[string]*reporter, len(pkgs))
-	rep := func(p *Package) *reporter {
-		r := reps[p.Path]
-		if r == nil {
-			r = &reporter{p: p}
-			reps[p.Path] = r
-		}
-		return r
-	}
-	for _, p := range pkgs {
-		r := rep(p)
-		checkDeterminism(p, r)
-		checkConcurrency(p, r)
-		checkNilGuard(p, r)
-		checkTickUnit(p, r)
-		checkPairing(p, r)
-	}
-	checkExhaustive(pkgs, rep)
 	var all []Finding
 	for _, p := range pkgs {
-		var found []Finding
-		if r := reps[p.Path]; r != nil {
-			found = r.findings
-		}
-		all = append(all, applyAllows(p, found)...)
+		r := &reporter{p: p}
+		checkDeterminism(p, r)
+		checkConcurrency(p, r)
+		checkTickUnit(p, r)
+		all = append(all, applyAllows(p, r.findings)...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -227,15 +191,13 @@ func applyAllows(p *Package, findings []Finding) []Finding {
 				fields := strings.Fields(strings.TrimPrefix(c.Text, "//simlint:"))
 				switch {
 				case len(fields) == 0:
-					meta = append(meta, Finding{pos, "allow", "bare //simlint: directive; expected //simlint:allow <rule> <reason> or //simlint:nilsafe"})
-				case fields[0] == "nilsafe":
-					// Type marker, consumed by the nilguard rule.
+					meta = append(meta, Finding{pos, "allow", "bare //simlint: directive; expected //simlint:allow <rule> <reason>"})
 				case fields[0] != "allow":
-					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown //simlint: directive %q (directives: allow, nilsafe)", fields[0])})
+					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown //simlint: directive %q (the only directive is allow)", fields[0])})
 				case len(fields) == 1:
 					meta = append(meta, Finding{pos, "allow", "//simlint:allow needs a rule and a reason: //simlint:allow <rule> <reason>"})
 				case !knownRule(fields[1]):
-					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown rule %q in //simlint:allow (rules: determinism, concurrency, nilguard, tickunit, pairing, exhaustive)", fields[1])})
+					meta = append(meta, Finding{pos, "allow", fmt.Sprintf("unknown rule %q in //simlint:allow (rules: determinism, concurrency, tickunit)", fields[1])})
 				default:
 					a := &allowDirective{pos: pos, rule: fields[1]}
 					if len(fields) == 2 {

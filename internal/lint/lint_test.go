@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"os/exec"
 	"regexp"
 	"testing"
@@ -13,6 +14,8 @@ import (
 var (
 	wantRe = regexp.MustCompile("//\\s*want(?:\\s+\\+(\\d+))?((?:\\s+`[^`]*`)+)")
 	patRe  = regexp.MustCompile("`([^`]*)`")
+	// headingRe matches a rule heading in docs/static-analysis.md.
+	headingRe = regexp.MustCompile("(?m)^### `([^`]*)`")
 )
 
 type expectation struct {
@@ -84,8 +87,10 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestFixturesCoverEveryRule guards the acceptance criterion that each rule
-// class has at least one positive fixture.
+// TestFixturesCoverEveryRule checks that each rule has at least one positive
+// fixture and that docs/static-analysis.md documents exactly the rule set:
+// one "### `<rule>`" heading per rule, and no heading for a rule that is
+// gone.
 func TestFixturesCoverEveryRule(t *testing.T) {
 	pkgs, err := LoadTree("testdata/src")
 	if err != nil {
@@ -95,10 +100,25 @@ func TestFixturesCoverEveryRule(t *testing.T) {
 	for _, f := range Check(pkgs) {
 		got[f.Rule]++
 	}
+	doc, err := os.ReadFile("../../docs/static-analysis.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]int{}
+	for _, m := range headingRe.FindAllStringSubmatch(string(doc), -1) {
+		headings[m[1]]++
+	}
 	for _, r := range Rules() {
 		if got[r.Name] == 0 {
 			t.Errorf("rule %s has no positive fixture finding", r.Name)
 		}
+		if headings[r.Name] != 1 {
+			t.Errorf("docs/static-analysis.md has %d \"### `%s`\" headings, want 1", headings[r.Name], r.Name)
+		}
+		delete(headings, r.Name)
+	}
+	for name := range headings {
+		t.Errorf("docs/static-analysis.md documents %q, which is not a rule", name)
 	}
 }
 

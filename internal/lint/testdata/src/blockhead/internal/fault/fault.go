@@ -1,11 +1,8 @@
 // Package fault fixtures: the injector is part of the simulator core, so the
-// nilguard contract (//simlint:nilsafe) and the map-iteration rule both
-// apply. The nil *Injector must behave as "no faults" on every method.
+// map-iteration rule applies.
 package fault
 
-// Injector mirrors the real fault injector's nil-safe contract.
-//
-//simlint:nilsafe
+// Injector mirrors the real fault injector.
 type Injector struct {
 	reads  uint64
 	counts map[string]uint64
@@ -17,11 +14,6 @@ func (i *Injector) Reads() uint64 {
 		return 0
 	}
 	return i.reads
-}
-
-// Bump dereferences the receiver with no guard.
-func (i *Injector) Bump() { // want `\[nilguard\] exported method \(\*Injector\)\.Bump`
-	i.reads++
 }
 
 // Names leaks map iteration order into its output — nondeterministic

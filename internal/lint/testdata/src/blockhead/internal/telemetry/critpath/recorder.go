@@ -1,39 +1,12 @@
 // Package critpath fixtures: the critical-path recorder's contracts. The
 // package is sim-core (simCoreSuffixes), so the determinism and tickunit
-// rules apply here; the Recorder type carries //simlint:nilsafe, so its
-// exported pointer-receiver methods are nilguard-contracted exactly like
-// the real recorder's.
+// rules apply here.
 package critpath
 
 import (
 	"sort"
 	"time"
 )
-
-// Recorder mirrors the per-IO path recorder: the nil *Recorder is a valid
-// no-op on every method.
-//
-//simlint:nilsafe
-type Recorder struct {
-	ios   uint64
-	paths map[string]int64
-}
-
-// IOs is guarded — the hot path on a detached recorder is a no-op.
-func (r *Recorder) IOs() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.ios
-}
-
-// Active tests the receiver in its return expression — compliant.
-func (r *Recorder) Active() bool { return r != nil && r.ios > 0 }
-
-// Violations dereferences the receiver with no guard.
-func (r *Recorder) Violations() uint64 { // want `\[nilguard\] exported method \(\*Recorder\)\.Violations`
-	return r.ios
-}
 
 // dumpOrderLeak renders the per-phase path table in map order — the
 // report section and /critpath.json must never do this.

@@ -1,40 +1,12 @@
 // Package exemplar fixtures: the tail-exemplar reservoir's contracts. The
 // package is sim-core (simCoreSuffixes), so the determinism and tickunit
-// rules apply here; the Reservoir type carries //simlint:nilsafe, so its
-// exported pointer-receiver methods are nilguard-contracted exactly like
-// the real reservoir's.
+// rules apply here.
 package exemplar
 
 import (
 	"sort"
 	"time"
 )
-
-// Reservoir mirrors the worst-K exemplar reservoir: the nil *Reservoir is
-// a valid no-op on every method — experiments arm it unconditionally and
-// a detached probe must cost nothing.
-//
-//simlint:nilsafe
-type Reservoir struct {
-	ios   uint64
-	heaps map[int][]int64
-}
-
-// IOs is guarded — the per-IO hot path on a detached reservoir is a no-op.
-func (r *Reservoir) IOs() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.ios
-}
-
-// Active tests the receiver in its return expression — compliant.
-func (r *Reservoir) Active() bool { return r != nil && r.ios > 0 }
-
-// FlagSeen dereferences the receiver with no guard.
-func (r *Reservoir) FlagSeen() uint64 { // want `\[nilguard\] exported method \(\*Reservoir\)\.FlagSeen`
-	return r.ios
-}
 
 // worstOrderLeak merges per-tenant worst-K sets in map order — the
 // "slowest IOs" section and /exemplars.json must never do this: the

@@ -1,69 +1,9 @@
 // Windowed-SLO fixtures: the shapes internal/telemetry/window.go and
-// slo.go must keep. Exported instrument types are nilguard-contracted
-// (disabled telemetry is a nil no-op), and verdict rendering must not leak
-// map iteration order into its output.
+// slo.go must keep. Verdict rendering must not leak map iteration order
+// into its output.
 package telemetry
 
 import "sort"
-
-// WindowSet mirrors the per-tenant window ring.
-type WindowSet struct {
-	width int64
-	late  uint64
-}
-
-// Observe is guarded — the hot path on a disabled set is a no-op.
-func (w *WindowSet) Observe(tenant int, total int64) {
-	if w == nil {
-		return
-	}
-	w.late++
-}
-
-// Width is guarded, returning the disabled zero — compliant.
-func (w *WindowSet) Width() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.width
-}
-
-// Active tests the receiver in its return expression — compliant.
-func (w *WindowSet) Active() bool { return w != nil && w.late > 0 }
-
-// Late dereferences the receiver with no guard.
-func (w *WindowSet) Late() uint64 { // want `\[nilguard\] exported method \(\*WindowSet\)\.Late`
-	return w.late
-}
-
-// SLOEngine mirrors the objective evaluator.
-type SLOEngine struct {
-	objectives []int
-}
-
-// Add is guarded — registering objectives on a nil engine is a no-op.
-func (e *SLOEngine) Add(o int) {
-	if e == nil {
-		return
-	}
-	e.objectives = append(e.objectives, o)
-}
-
-// Objectives is guarded — compliant.
-func (e *SLOEngine) Objectives() int {
-	if e == nil {
-		return 0
-	}
-	return len(e.objectives)
-}
-
-// Evaluate delegates to a guarded contracted method — compliant.
-func (e *SLOEngine) Evaluate() int { return e.Objectives() }
-
-// BurnRate dereferences the receiver with no guard.
-func (e *SLOEngine) BurnRate() int { // want `\[nilguard\] exported method \(\*SLOEngine\)\.BurnRate`
-	return len(e.objectives) * 2
-}
 
 // verdictOrderLeak renders named verdicts in map order — the report and
 // the JSON dumps must never do this.

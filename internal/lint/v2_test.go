@@ -1,4 +1,4 @@
-// Tests for the path-sensitive pairing sweep and the findings baseline.
+// Tests for the findings baseline.
 package lint
 
 import (
@@ -9,23 +9,6 @@ import (
 	"testing"
 )
 
-// TestPairingModuleClean pins the result of the bracket-discipline sweep
-// over the real module: the AttrSink call sites in internal/core,
-// internal/ftl, and internal/hostftl all close their brackets on every
-// path. A future leak fails here with only the pairing findings, instead
-// of drowning in the whole-module wall of TestModuleIsClean.
-func TestPairingModuleClean(t *testing.T) {
-	pkgs, err := LoadModule("../..", []string{"./..."})
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	for _, f := range Check(pkgs) {
-		if f.Rule == "pairing" {
-			t.Errorf("%s", f)
-		}
-	}
-}
-
 // TestBaselineDiff checks the diff semantics the lint gate relies on:
 // matching is line-insensitive (edits that shift a baselined finding do not
 // churn), multiset (a second identical finding is still new), and stale
@@ -34,7 +17,7 @@ func TestBaselineDiff(t *testing.T) {
 	cur := []JSONFinding{
 		{File: "a.go", Line: 10, Rule: "determinism", Msg: "wall clock"},
 		{File: "a.go", Line: 44, Rule: "determinism", Msg: "wall clock"},
-		{File: "b.go", Line: 5, Rule: "pairing", Msg: "leaked bracket"},
+		{File: "b.go", Line: 5, Rule: "concurrency", Msg: "go statement"},
 	}
 	base := &BaselineFile{Version: BaselineVersion, Findings: []JSONFinding{
 		{File: "a.go", Line: 99, Rule: "determinism", Msg: "wall clock"},
@@ -59,7 +42,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "baseline.json")
 	cur := []JSONFinding{
-		{File: "internal/x/x.go", Line: 7, Rule: "pairing", Msg: "leaked bracket"},
+		{File: "internal/x/x.go", Line: 7, Rule: "tickunit", Msg: "time.Duration in tick arithmetic"},
 	}
 	if err := os.WriteFile(path, EncodeJSON(cur), 0o644); err != nil {
 		t.Fatal(err)

@@ -83,18 +83,3 @@ func (r *Resource) Interrupt(t Time) {
 		r.busyUntil = t
 	}
 }
-
-// AcquireAll reserves every resource for dur starting no earlier than at and
-// no earlier than the moment all of them are free. It is used for operations
-// that need several units at once (e.g. a multi-plane erase).
-func AcquireAll(at, dur Time, rs ...*Resource) (start, end Time) {
-	start = at
-	for _, r := range rs {
-		start = Max(start, r.FreeAt())
-	}
-	end = start + dur
-	for _, r := range rs {
-		r.busyUntil = end
-	}
-	return start, end
-}

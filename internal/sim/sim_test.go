@@ -58,19 +58,6 @@ func TestResourceReset(t *testing.T) {
 	}
 }
 
-func TestAcquireAll(t *testing.T) {
-	var a, b Resource
-	a.Acquire(0, 100)
-	b.Acquire(0, 30)
-	start, end := AcquireAll(50, 10, &a, &b)
-	if start != 100 || end != 110 {
-		t.Errorf("AcquireAll: got (%d,%d), want (100,110)", start, end)
-	}
-	if a.FreeAt() != 110 || b.FreeAt() != 110 {
-		t.Errorf("AcquireAll must reserve all resources: a=%d b=%d", a.FreeAt(), b.FreeAt())
-	}
-}
-
 // Property: a sequence of acquisitions never overlaps and never starts before
 // its request time.
 func TestResourceNoOverlapProperty(t *testing.T) {

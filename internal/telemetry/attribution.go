@@ -358,13 +358,14 @@ func (s *AttrSink) Resume() {
 }
 
 // End closes the active record for an IO that completed at done, checks —
-// once — the sum invariant and the blame-conservation invariant, folds the
-// record into the per-op and per-tenant aggregates, and hands it to every
-// attached Fold. A record whose phases do not sum exactly to done-start, or
-// whose blame does not sum exactly to its blame-phase stalls, increments
-// Violations (it is still aggregated, so the discrepancy is visible, not
-// hidden). Phase histograms record only the phases the IO entered; the
-// snapshot derives each histogram's zeros from Count.
+// once — the sum invariant, the blame-conservation invariant and the
+// bracket balance, folds the record into the per-op and per-tenant
+// aggregates, and hands it to every attached Fold. A record whose phases do
+// not sum exactly to done-start, whose blame does not sum exactly to its
+// blame-phase stalls, or that ends with a Suspend or a PushWorker still open
+// increments Violations (it is still aggregated, so the discrepancy is
+// visible, not hidden). Phase histograms record only the phases the IO
+// entered; the snapshot derives each histogram's zeros from Count.
 func (s *AttrSink) End(done sim.Time) {
 	if s == nil || !s.active {
 		return
@@ -396,7 +397,7 @@ func (s *AttrSink) End(done sim.Time) {
 	if sum != r.Total {
 		s.pathViolations++
 	}
-	if sum != r.Total || s.suspended != 0 || blameSum != stallSum {
+	if sum != r.Total || s.suspended != 0 || s.nworkers != 0 || blameSum != stallSum {
 		s.violated(done)
 	}
 	a.Count++

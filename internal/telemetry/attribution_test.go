@@ -102,6 +102,40 @@ func TestAttrSuspendResume(t *testing.T) {
 	}
 }
 
+// TestAttrEndChecksBrackets is the runtime twin of the bracket discipline:
+// a record that ends with a Suspend or a PushWorker still open counts one
+// violation, and once the caller closes the bracket a balanced record
+// counts none.
+func TestAttrEndChecksBrackets(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		open, close func(*AttrSink)
+	}{
+		{"suspend", (*AttrSink).Suspend, (*AttrSink).Resume},
+		{"push_worker", func(s *AttrSink) { s.PushWorker(1) }, (*AttrSink).PopWorker},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewAttrSink()
+			s.BeginTenant(OpWrite, 0, 0)
+			tc.open(s)
+			s.Charge(PhaseNANDProgram, 40)
+			s.End(40)
+			if v := s.Violations(); v != 1 {
+				t.Fatalf("bracket open at End: violations = %d, want 1", v)
+			}
+			tc.close(s)
+			s.BeginTenant(OpWrite, 0, 100)
+			tc.open(s)
+			tc.close(s)
+			s.Charge(PhaseNANDProgram, 40)
+			s.End(140)
+			if v := s.Violations(); v != 1 {
+				t.Fatalf("balanced record after the leak: violations = %d, want still 1", v)
+			}
+		})
+	}
+}
+
 func TestAttrReclassifyClamps(t *testing.T) {
 	s := NewAttrSink()
 	s.BeginTenant(OpWrite, 0, 0)

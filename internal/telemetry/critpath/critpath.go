@@ -81,8 +81,6 @@ const DefaultSampleCap = 4096
 // critical-path aggregates and retains a deterministic sample of full paths
 // for the what-if engine. The nil *Recorder is a valid no-op on every method
 // and no per-IO method allocates (see the package comment).
-//
-//simlint:nilsafe
 type Recorder struct {
 	// sink already folds every record into per-op and per-tenant counts,
 	// totals and phase sums, and checks the exact sum once per IO; the

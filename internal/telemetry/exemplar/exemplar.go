@@ -160,8 +160,6 @@ const DefaultFlagCap = 16
 // ring for flagged IOs (auditor violations, fault retries). The nil
 // *Reservoir is a valid no-op on every method and no hot-path method
 // allocates (see the package comment).
-//
-//simlint:nilsafe
 type Reservoir struct {
 	k        int
 	heaps    [telemetry.MaxTenants][]Exemplar

@@ -29,8 +29,6 @@ const narratorEventCap = 4096
 // canonical what-if scenarios. The nil *Narrator is a valid no-op on every
 // method, and no hot-path method allocates (the event buffer is
 // preallocated).
-//
-//simlint:nilsafe
 type Narrator struct {
 	target uint64
 

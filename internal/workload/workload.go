@@ -8,7 +8,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"blockhead/internal/sim"
@@ -144,51 +143,6 @@ func (p *Poisson) Next(now sim.Time) sim.Time {
 	return now + d
 }
 
-// OnOff models a bursty tenant (§4.2's "typical bursty workloads"):
-// alternating exponentially-distributed on and off periods; during an on
-// period arrivals are Poisson at burstRate. It reports, for each call, the
-// next arrival time, skipping over off periods.
-type OnOff struct {
-	src       *Source
-	burst     *Poisson
-	meanOn    float64 // ns
-	meanOff   float64 // ns
-	periodEnd sim.Time
-	inOn      bool
-}
-
-// NewOnOff returns a bursty arrival process. meanOn and meanOff are the
-// average durations of on and off periods; burstRate is the arrival rate
-// (events/second) while on.
-func NewOnOff(src *Source, meanOn, meanOff sim.Time, burstRate float64) *OnOff {
-	return &OnOff{
-		src:     src,
-		burst:   NewPoisson(src, burstRate),
-		meanOn:  float64(meanOn),
-		meanOff: float64(meanOff),
-	}
-}
-
-// Next returns the next arrival time strictly after now.
-func (o *OnOff) Next(now sim.Time) sim.Time {
-	for {
-		if !o.inOn {
-			// Jump to the start of the next on period.
-			off := sim.Time(o.src.ExpFloat64() * o.meanOff)
-			start := sim.Max(now, o.periodEnd) + off
-			o.periodEnd = start + sim.Time(o.src.ExpFloat64()*o.meanOn)
-			o.inOn = true
-			now = start
-		}
-		t := o.burst.Next(now)
-		if t <= o.periodEnd {
-			return t
-		}
-		now = o.periodEnd
-		o.inOn = false
-	}
-}
-
 // Object is one item in a lifetime-classed object stream (§4.1): data
 // written together that dies at a predictable time.
 type Object struct {
@@ -265,10 +219,4 @@ func (s *Source) ExpMean(mean sim.Time) sim.Time {
 		d = 1
 	}
 	return d
-}
-
-// LogNormal draws a log-normal sample with the given median and sigma —
-// used for object-size distributions.
-func (s *Source) LogNormal(median float64, sigma float64) float64 {
-	return median * math.Exp(s.NormFloat64()*sigma)
 }

@@ -127,37 +127,6 @@ func TestPoissonRate(t *testing.T) {
 	}
 }
 
-func TestOnOffBursts(t *testing.T) {
-	o := NewOnOff(NewSource(7), 10*sim.Millisecond, 100*sim.Millisecond, 100000)
-	var now sim.Time
-	var gaps []sim.Time
-	for i := 0; i < 2000; i++ {
-		next := o.Next(now)
-		if next <= now {
-			t.Fatal("arrivals must advance time")
-		}
-		gaps = append(gaps, next-now)
-		now = next
-	}
-	// Bursty: most gaps are tiny (in-burst, ~10us), some are huge (off
-	// periods, ~100ms).
-	var small, big int
-	for _, g := range gaps {
-		if g < sim.Millisecond {
-			small++
-		}
-		if g > 20*sim.Millisecond {
-			big++
-		}
-	}
-	if small < len(gaps)/2 {
-		t.Errorf("only %d/%d small gaps; not bursty", small, len(gaps))
-	}
-	if big == 0 {
-		t.Error("no off-period gaps observed")
-	}
-}
-
 func TestObjectGen(t *testing.T) {
 	g := NewObjectGen(NewSource(8), 4, []sim.Time{sim.Millisecond, sim.Second})
 	if g.Classes() != 2 {
@@ -207,24 +176,6 @@ func TestExpMeanPositive(t *testing.T) {
 	mean := float64(sum) / 10000
 	if mean < 0.9*float64(100*sim.Microsecond) || mean > 1.1*float64(100*sim.Microsecond) {
 		t.Errorf("ExpMean average = %v", mean)
-	}
-}
-
-func TestLogNormal(t *testing.T) {
-	s := NewSource(11)
-	var below int
-	for i := 0; i < 10000; i++ {
-		v := s.LogNormal(100, 0.5)
-		if v <= 0 {
-			t.Fatal("LogNormal must be positive")
-		}
-		if v < 100 {
-			below++
-		}
-	}
-	// Median 100: about half the samples below.
-	if below < 4500 || below > 5500 {
-		t.Errorf("below-median count = %d/10000, want ~5000", below)
 	}
 }
 

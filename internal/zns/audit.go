@@ -85,8 +85,6 @@ func (k AuditKind) String() string {
 //
 // Violations feed the device's flight recorder (when a probe is attached),
 // so the first illegal transition dumps the recent event history.
-//
-//simlint:nilsafe
 type Auditor struct {
 	d      *Device
 	mirror []ZoneState

@@ -768,23 +768,36 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 	if zn.cap-zn.wp < int64(len(srcLBAs)) {
 		return 0, at, ErrZoneFull
 	}
-	// Copies are issued concurrently (they serialize only through the flash
-	// resources): suspend per-page attribution and charge wall-clock once.
+	firstLBA, done, err = d.copyPages(at, srcLBAs, dstZone)
+	if err != nil {
+		return 0, done, err
+	}
+	d.attr.Charge(telemetry.PhaseDevCopy, done-at)
+	d.tr.SpanArg(telemetry.ProcZone, int32(dstZone), "zns", "simple_copy", at, done,
+		"pages", int64(len(srcLBAs)))
+	return firstLBA, done, nil
+}
+
+// copyPages is SimpleCopy's page loop. Copies are issued concurrently (they
+// serialize only through the flash resources), so per-page attribution is
+// suspended for the whole loop and SimpleCopy charges the wall-clock time
+// once, after the deferred Resume. A failed copy returns done = at, except a
+// program failure, which returns when the failed program finished.
+func (d *Device) copyPages(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA int64, done sim.Time, err error) {
 	d.attr.Suspend()
+	defer d.attr.Resume()
+	zn := &d.zones[dstZone]
 	done = at
 	firstLBA = -1
 	for _, src := range srcLBAs {
 		if src < 0 || src >= int64(len(d.zones))*d.zonePages {
-			d.attr.Resume()
 			return 0, at, ErrOutOfRange
 		}
 		sz, so := d.ZoneOf(src)
 		if so >= d.zones[sz].wp {
-			d.attr.Resume()
 			return 0, at, ErrUnwritten
 		}
 		if err := d.activate(at, dstZone); err != nil {
-			d.attr.Resume()
 			return 0, at, err
 		}
 		sb, sp := d.addr(sz, so)
@@ -797,11 +810,9 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 			// pointer (readable, but unmapped by the host — dead on arrival).
 			d.release(zn)
 			d.transition(at, dstZone, ReadOnly)
-			d.attr.Resume()
 			return 0, cDone, ErrZoneReadOnly
 		}
 		if cErr != nil {
-			d.attr.Resume()
 			return 0, at, cErr
 		}
 		dst := d.LBA(dstZone, zn.wp)
@@ -829,10 +840,6 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 			done = cDone
 		}
 	}
-	d.attr.Resume()
-	d.attr.Charge(telemetry.PhaseDevCopy, done-at)
-	d.tr.SpanArg(telemetry.ProcZone, int32(dstZone), "zns", "simple_copy", at, done,
-		"pages", int64(len(srcLBAs)))
 	return firstLBA, done, nil
 }
 

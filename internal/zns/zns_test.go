@@ -2,11 +2,14 @@ package zns
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 
+	"blockhead/internal/fault"
 	"blockhead/internal/flash"
 	"blockhead/internal/sim"
+	"blockhead/internal/telemetry"
 )
 
 func testGeom() flash.Geometry {
@@ -340,6 +343,86 @@ func TestSimpleCopy(t *testing.T) {
 	big := make([]int64, d.ZonePages()+1)
 	if _, _, err := d.SimpleCopy(done, big, 1); !errors.Is(err, ErrZoneFull) {
 		t.Errorf("oversized copy: %v", err)
+	}
+}
+
+// TestSimpleCopyErrorsLeaveSinkBalanced fails a simple copy on each early
+// return after its Suspend, inside an armed measured IO: the record must
+// end with no bracket open (End counts one otherwise), and the next IO's
+// phases must still sum to its latency.
+func TestSimpleCopyErrorsLeaveSinkBalanced(t *testing.T) {
+	// Each case starts with zone 0 open and one page written, and returns
+	// the copy's sources and destination zone.
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, d *Device, at sim.Time) ([]int64, int)
+		want  error
+	}{
+		{"out_of_range_source", func(t *testing.T, d *Device, at sim.Time) ([]int64, int) {
+			return []int64{0, int64(d.NumZones()) * d.ZonePages()}, 1
+		}, ErrOutOfRange},
+		{"unwritten_source", func(t *testing.T, d *Device, at sim.Time) ([]int64, int) {
+			return []int64{0, d.LBA(2, 0)}, 1
+		}, ErrUnwritten},
+		{"active_limit", func(t *testing.T, d *Device, at sim.Time) ([]int64, int) {
+			for z := 1; z < d.MaxActive(); z++ {
+				if err := d.Open(at, z); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Close(at, z); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return []int64{0}, d.MaxActive()
+		}, ErrTooManyActive},
+		{"program_failure", func(t *testing.T, d *Device, at sim.Time) ([]int64, int) {
+			d.SetInjector(fault.New(fault.Profile{Name: "certain", ProgramFailBase: 1}, 1))
+			return []int64{0}, 1
+		}, ErrZoneReadOnly},
+		{"uncorrectable_source", func(t *testing.T, d *Device, at sim.Time) ([]int64, int) {
+			d.SetInjector(fault.New(fault.Profile{Name: "certain", ReadTransientProb: 1}, 1))
+			return []int64{0}, 1
+		}, flash.ErrUncorrectable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := mustNew(t, testCfg())
+			probe := telemetry.NewProbe(telemetry.Options{})
+			probe.FlightRec.DumpTo = io.Discard
+			d.SetProbe(probe)
+			sink := probe.Attribution()
+			_, at, err := d.Append(0, 0, []byte("a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs, dst := tc.setup(t, d, at)
+
+			sink.BeginTenant(telemetry.OpWrite, 0, at)
+			if _, _, err := d.SimpleCopy(at, srcs, dst); !errors.Is(err, tc.want) {
+				t.Fatalf("SimpleCopy err = %v, want %v", err, tc.want)
+			}
+			sink.End(at) // the failed copy charged nothing
+			if v := sink.Violations(); v != 0 {
+				t.Fatalf("failed copy left a bracket open: violations = %d", v)
+			}
+
+			d.SetInjector(nil)
+			before := sink.Snapshot()
+			sink.BeginTenant(telemetry.OpWrite, 0, at)
+			_, done, err := d.Append(at, 0, []byte("b"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink.End(done)
+			w := sink.Snapshot().Delta(before).Ops[telemetry.OpWrite]
+			var sum sim.Time
+			for _, v := range w.PhaseSum {
+				sum += v
+			}
+			if sink.Violations() != 0 || w.Count != 1 || w.TotalSum != done-at || sum != w.TotalSum {
+				t.Fatalf("next IO: count %d, total %v, phases sum %v, want 1, %v, %v (violations %d)",
+					w.Count, w.TotalSum, sum, done-at, done-at, sink.Violations())
+			}
+		})
 	}
 }
 
