@@ -22,25 +22,26 @@ import (
 // outgrows one chunk allocates what it always did.
 const chunkLen = 4096
 
-// radixMin is the sample count from which the sorted view is built by radix
-// passes; below it the fixed cost of the digit histograms loses to
-// slices.Sort (measured crossover: between 1 024 and 1 536 samples).
+// radixMin is the most samples (all of them, or the bucket holding a rank)
+// a query sorts with slices.Sort rather than narrowing by another digit.
 const radixMin = 1024
+
+// digitBits is the width of one selection digit (2 048 buckets).
+const digitBits = 11
 
 // Dist records a distribution of latency samples and computes summary
 // statistics. The zero value is ready to use.
 //
 // Samples live in chunks: Add fills the last one and starts another when it
 // is full, so recording never copies what is already held. A percentile
-// query replaces the chunks with a single sorted one, which later Adds
-// extend with fresh chunks and the next query sorts again.
+// query selects its ranks from the chunks as they stand (nearestRanks): one
+// pass per digit it narrows, at most 32 KiB allocated whatever the count.
 type Dist struct {
 	chunks [][]sim.Time
 	n      int
 	sum    sim.Time
 	max    sim.Time
 	min    sim.Time
-	sorted bool // chunks is a single sorted chunk (or empty)
 }
 
 // NewDist returns an empty distribution with capacity hint n.
@@ -64,7 +65,6 @@ func (d *Dist) Add(v sim.Time) {
 	}
 	d.chunks[last] = append(d.chunks[last], v)
 	d.n++
-	d.sorted = false
 }
 
 // Count reports the number of recorded samples.
@@ -91,90 +91,96 @@ func (d *Dist) Min() sim.Time {
 
 // Percentile reports the p-th percentile (0 < p <= 100) by nearest rank.
 // It returns 0 with no samples.
-func (d *Dist) Percentile(p float64) sim.Time {
-	n := d.n
-	if n == 0 {
-		return 0
-	}
-	if !d.sorted {
-		d.sort()
-	}
-	rank := int(math.Ceil(p * float64(n) / 100))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return d.chunks[0][rank-1]
-}
+func (d *Dist) Percentile(p float64) sim.Time { return d.nearestRanks(p)[0] }
 
-// sort replaces the chunks with one sorted chunk holding every sample.
-func (d *Dist) sort() {
-	var flat []sim.Time
-	if d.n >= radixMin && d.max != d.min {
-		flat = radixSorted(d.chunks, d.n, d.min, d.max)
-	} else {
-		flat = d.chunks[0]
-		if len(d.chunks) > 1 {
-			flat = slices.Concat(d.chunks...)
-		}
+// nearestRanks returns the nearest-rank ps[r]-th percentiles for up to four
+// ps (zeros with no samples). At most radixMin samples are sorted in a copy;
+// more by exact radix selection on the key v - min, which in uint64 is
+// exact for any min <= v and no wider than the span, so negative samples
+// order correctly and the digit count follows the data's spread. Each round
+// is one pass over the chunks: the first counts every key's top digit, each
+// later one serves every open rank r, whose bucket holds the n[r] keys with
+// k>>shift == prefix[r] and r's want[r]-th smallest. A bucket of more than
+// radixMin keys is narrowed by counting its next digit, a smaller one is
+// gathered and sorted (never more than 4 x radixMin samples in all), and
+// one narrowed to the last digit is a single value.
+func (d *Dist) nearestRanks(ps ...float64) (out [4]sim.Time) {
+	if d.n == 0 {
+		return out
+	}
+	var want, n [4]int
+	var prefix [4]uint64
+	for r, p := range ps {
+		want[r], n[r] = min(max(int(math.Ceil(p*float64(d.n)/100)), 1), d.n), d.n
+	}
+	if d.n <= radixMin {
+		flat := slices.Concat(d.chunks...)
 		slices.Sort(flat)
+		for r := range ps {
+			out[r] = flat[want[r]-1]
+		}
+		return out
 	}
-	d.chunks = [][]sim.Time{flat}
-	d.sorted = true
-}
-
-// radixSorted returns the n samples held in chunks, all within [lo, hi], in
-// ascending order, by least-significant-digit radix passes over the bytes of
-// v - lo. The offset makes every key a non-negative number no wider than the
-// span, so negative samples order correctly and the pass count follows the
-// spread of the data (three passes for latencies within 16 ms of each
-// other), not the width of sim.Time; the subtraction is done in uint64,
-// where it is exact for any lo <= v. The first pass reads the chunks
-// directly and releases each one as it goes, so no unsorted flat copy is
-// ever made and at most two n-sample buffers are live at a time.
-func radixSorted(chunks [][]sim.Time, n int, lo, hi sim.Time) []sim.Time {
-	base := uint64(lo)
-	passes := (bits.Len64(uint64(hi)-base) + 7) / 8
-	var next [8][256]int // per pass: digit count, then the digit's next slot
-	for _, c := range chunks {
-		for _, v := range c {
-			k := uint64(v) - base
-			for p := 0; p < passes; p++ {
-				next[p][byte(k>>(8*p))]++
+	base := uint64(d.min)
+	shift := uint(bits.Len64(uint64(d.max) - base))
+	top := shift - min(shift, digitBits) // the first round's digit is k>>top
+	var hist [4][1 << digitBits]int
+	var owners [1 << digitBits]uint8 // per top digit: the open ranks whose bucket lies in it
+	var gather [4][]sim.Time
+	open := uint8(1)<<len(ps) - 1
+	for round := 0; open != 0; round++ {
+		next := shift - min(shift, digitBits)
+		mask := uint64(1)<<(shift-next) - 1
+		clear(owners[:])
+		for m := open; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros8(m)
+			if n[r] <= radixMin {
+				gather[r] = make([]sim.Time, 0, n[r])
+			} else {
+				clear(hist[r][:])
+			}
+			owners[prefix[r]>>(top-shift)] |= 1 << r
+		}
+		for _, c := range d.chunks {
+			if round == 0 {
+				for _, v := range c {
+					hist[0][((uint64(v)-base)>>top)&(1<<digitBits-1)]++
+				}
+				continue
+			}
+			for _, v := range c {
+				k := uint64(v) - base
+				for m := owners[(k>>top)&(1<<digitBits-1)]; m != 0; m &= m - 1 {
+					if r := bits.TrailingZeros8(m); prefix[r] != k>>shift {
+						continue
+					} else if n[r] > radixMin {
+						hist[r][(k>>next)&mask]++
+					} else {
+						gather[r] = append(gather[r], v)
+					}
+				}
 			}
 		}
-	}
-	for p := 0; p < passes; p++ {
-		at := 0
-		for digit, count := range next[p] {
-			next[p][digit] = at
-			at += count
+		for m := open; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros8(m)
+			if n[r] <= radixMin {
+				slices.Sort(gather[r])
+				out[r], open = gather[r][want[r]-1], open&^(1<<r)
+				continue
+			}
+			h := &hist[r*min(round, 1)] // the first round counted once, for every rank
+			digit := 0
+			for ; want[r] > h[digit]; digit++ {
+				want[r] -= h[digit]
+			}
+			prefix[r], n[r] = prefix[r]<<(shift-next)|uint64(digit), h[digit]
+			if next == 0 {
+				out[r], open = sim.Time(base+prefix[r]), open&^(1<<r)
+			}
 		}
+		shift = next
 	}
-	sorted := make([]sim.Time, n)
-	for i, c := range chunks {
-		for _, v := range c {
-			digit := byte(uint64(v) - base)
-			sorted[next[0][digit]] = v
-			next[0][digit]++
-		}
-		chunks[i] = nil
-	}
-	var spare []sim.Time
-	for p := 1; p < passes; p++ {
-		if spare == nil {
-			spare = make([]sim.Time, n)
-		}
-		for _, v := range sorted {
-			digit := byte((uint64(v) - base) >> (8 * p))
-			spare[next[p][digit]] = v
-			next[p][digit]++
-		}
-		sorted, spare = spare, sorted
-	}
-	return sorted
+	return out
 }
 
 // Summary bundles the statistics reported in experiment tables.
@@ -188,17 +194,11 @@ type Summary struct {
 	Max   sim.Time
 }
 
-// Summary computes the full summary.
+// Summary computes the full summary; its four percentiles share one
+// selection.
 func (d *Dist) Summary() Summary {
-	return Summary{
-		Count: d.Count(),
-		Mean:  d.Mean(),
-		P50:   d.Percentile(50),
-		P90:   d.Percentile(90),
-		P99:   d.Percentile(99),
-		P999:  d.Percentile(99.9),
-		Max:   d.Max(),
-	}
+	p := d.nearestRanks(50, 90, 99, 99.9)
+	return Summary{Count: d.Count(), Mean: d.Mean(), P50: p[0], P90: p[1], P99: p[2], P999: p[3], Max: d.Max()}
 }
 
 // String formats the summary with microsecond precision.

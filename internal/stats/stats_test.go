@@ -48,8 +48,8 @@ func TestDistAddAfterPercentile(t *testing.T) {
 	var d Dist
 	d.Add(3)
 	d.Add(1)
-	_ = d.Percentile(50) // sorts
-	d.Add(2)             // must re-sort on next query
+	_ = d.Percentile(50)
+	d.Add(2) // must count in the next query
 	if p := d.Percentile(100); p != 3 {
 		t.Errorf("P100 after interleaved Add = %d, want 3", p)
 	}

@@ -364,7 +364,7 @@ func (s *AttrSink) Resume() {
 // not sum exactly to done-start, whose blame does not sum exactly to its
 // blame-phase stalls, or that ends with a Suspend or a PushWorker still open
 // increments Violations (it is still aggregated, so the discrepancy is
-// visible, not hidden). Phase histograms record only the phases the IO
+// visible, not hidden); End then closes any open Suspend. Phase histograms record only the phases the IO
 // entered; the snapshot derives each histogram's zeros from Count.
 func (s *AttrSink) End(done sim.Time) {
 	if s == nil || !s.active {
@@ -400,6 +400,7 @@ func (s *AttrSink) End(done sim.Time) {
 	if sum != r.Total || s.suspended != 0 || s.nworkers != 0 || blameSum != stallSum {
 		s.violated(done)
 	}
+	s.suspended = 0 // counted once here, not again by the next BeginTenant
 	a.Count++
 	a.TotalSum += r.Total
 	a.Total.Add(r.Total)

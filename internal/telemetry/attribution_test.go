@@ -136,6 +136,47 @@ func TestAttrEndChecksBrackets(t *testing.T) {
 	}
 }
 
+// TestAttrSuspendLeakCountsOnce checks that a Suspend nobody resumes is one
+// violation wherever it leaks: inside a record End counts it and closes it,
+// so the next BeginTenant does not count it again; between records (a
+// maintenance path that runs outside any measured IO) the next BeginTenant
+// counts it and clears it, so that record's End passes.
+func TestAttrSuspendLeakCountsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		leak func(s *AttrSink) // leaves one Suspend open
+	}{
+		{"inside_record", func(s *AttrSink) {
+			s.BeginTenant(OpWrite, 0, 0)
+			s.Suspend()
+			s.Charge(PhaseNANDProgram, 40)
+			s.End(40)
+		}},
+		{"between_records", func(s *AttrSink) {
+			s.BeginTenant(OpWrite, 0, 0)
+			s.Charge(PhaseNANDProgram, 40)
+			s.End(40)
+			s.Suspend()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewAttrSink()
+			tc.leak(s)
+			for i := sim.Time(1); i <= 2; i++ {
+				s.BeginTenant(OpWrite, 0, 100*i)
+				s.Charge(PhaseNANDProgram, 40)
+				s.End(100*i + 40)
+				if v := s.Violations(); v != 1 {
+					t.Fatalf("record %d after the leak: violations = %d, want 1", i, v)
+				}
+			}
+			if got := s.Snapshot().Ops[OpWrite].Count; got != 3 {
+				t.Fatalf("aggregated %d writes, want 3", got)
+			}
+		})
+	}
+}
+
 func TestAttrReclassifyClamps(t *testing.T) {
 	s := NewAttrSink()
 	s.BeginTenant(OpWrite, 0, 0)

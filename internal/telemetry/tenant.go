@@ -101,13 +101,17 @@ func (a TenantAttr) Delta(prev TenantAttr) TenantAttr {
 // BeginTenant opens the attribution record for one measured IO issued at
 // start by tenant t (0: the sys tenant). No-op on a nil sink. A BeginTenant
 // while a record is open abandons the old record (counted as a violation:
-// the driver failed to End or Drop it).
+// the driver failed to End or Drop it). So does one that finds a Suspend
+// left open since the last record closed: a path that ran between measured
+// IOs leaked it.
 func (s *AttrSink) BeginTenant(op OpKind, t TenantID, start sim.Time) {
 	if s == nil {
 		return
 	}
 	if s.active {
 		s.pathViolations++
+	}
+	if s.active || s.suspended != 0 {
 		s.violated(start)
 	}
 	s.active = true
