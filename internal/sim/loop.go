@@ -31,6 +31,7 @@ type Loop struct {
 	seq     uint64
 	stopped bool
 	steps   uint64
+	spent   bool // h[0] is the running event: the next At takes its slot
 }
 
 // NewLoop returns an empty event loop positioned at time 0.
@@ -48,7 +49,13 @@ func (l *Loop) At(t Time, fn func(now Time)) {
 		panic("sim: event scheduled in the past")
 	}
 	l.seq++
-	l.push(event{at: t, seq: l.seq, fn: fn})
+	e := event{at: t, seq: l.seq, fn: fn}
+	if l.spent {
+		l.spent = false
+		l.siftDown(e)
+		return
+	}
+	l.push(e)
 }
 
 // push sifts e up from a new leaf. The hole moves instead of swapping, so
@@ -68,27 +75,29 @@ func (l *Loop) push(e event) {
 	h[i] = e
 }
 
-// pop removes the earliest event: the last leaf sifts down from the root.
-// The vacated tail slot is zeroed so the backing array does not keep the
-// closure of an event that already ran (and whatever it captured) reachable.
-func (l *Loop) pop() event {
-	h := l.h
-	top := h[0]
-	n := len(h) - 1
-	e := h[n]
-	h[n] = event{}
-	h = h[:n]
-	l.h = h
-	if n == 0 {
-		return top
+// popSpent removes the consumed root; the last leaf sifts down in its place.
+// Zeroing the vacated tail slot keeps no finished closure reachable.
+func (l *Loop) popSpent() {
+	l.spent = false
+	n := len(l.h) - 1
+	e := l.h[n]
+	l.h[n] = event{}
+	l.h = l.h[:n]
+	if n > 0 {
+		l.siftDown(e)
 	}
-	i := 0
+}
+
+// siftDown puts e in the root's place and sifts it down. Any e leaves a
+// valid heap; an e due before most of the queue stops near the top.
+func (l *Loop) siftDown(e event) {
+	h, i := l.h, 0
 	for {
 		child := 2*i + 1
-		if child >= n {
+		if child >= len(h) {
 			break
 		}
-		if r := child + 1; r < n && h[r].before(h[child]) {
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
 			child = r
 		}
 		if !h[child].before(e) {
@@ -98,15 +107,18 @@ func (l *Loop) pop() event {
 		i = child
 	}
 	h[i] = e
-	return top
 }
 
-// step runs the earliest queued event.
+// step runs the earliest queued event, which keeps h[0] while it runs: a
+// callback that schedules pays one sift, not a pop and a push.
 func (l *Loop) step() {
-	e := l.pop()
-	l.now = e.at
+	l.now = l.h[0].at
 	l.steps++
-	e.fn(e.at)
+	l.spent = true
+	l.h[0].fn(l.now)
+	if l.spent {
+		l.popSpent()
+	}
 }
 
 // After schedules fn to run d after the loop's current time.
@@ -115,14 +127,26 @@ func (l *Loop) After(d Time, fn func(now Time)) { l.At(l.now+d, fn) }
 // NextAt reports the timestamp of the earliest queued event, or false if the
 // queue is empty.
 func (l *Loop) NextAt() (Time, bool) {
-	if len(l.h) == 0 {
+	h := l.h
+	if l.spent { // the earliest queued event is a child of the running one
+		h = h[1:min(3, len(h))]
+		if len(h) == 2 && h[1].before(h[0]) {
+			h = h[1:]
+		}
+	}
+	if len(h) == 0 {
 		return 0, false
 	}
-	return l.h[0].at, true
+	return h[0].at, true
 }
 
-// Pending reports how many events are queued.
-func (l *Loop) Pending() int { return len(l.h) }
+// Pending reports how many events are queued; a running event is not.
+func (l *Loop) Pending() int {
+	if l.spent {
+		return len(l.h) - 1
+	}
+	return len(l.h)
+}
 
 // Stop makes the in-progress Run or RunUntil return after the current event
 // completes. The flag is scoped to one run: the next Run/RunUntil call clears
@@ -137,6 +161,9 @@ func (l *Loop) Steps() uint64 { return l.steps }
 // It returns the virtual time of the last event executed.
 func (l *Loop) Run() Time {
 	l.stopped = false
+	if l.spent { // a callback panicked out of the last run
+		l.popSpent()
+	}
 	for len(l.h) > 0 && !l.stopped {
 		l.step()
 	}
@@ -152,6 +179,9 @@ func (l *Loop) Run() Time {
 // time already beyond their timestamps on resume.
 func (l *Loop) RunUntil(deadline Time) Time {
 	l.stopped = false
+	if l.spent { // a callback panicked out of the last run
+		l.popSpent()
+	}
 	for len(l.h) > 0 && !l.stopped && l.h[0].at <= deadline {
 		l.step()
 	}
