@@ -92,7 +92,6 @@ coverage-product:
 	run $$b/znsbench -quick -run E2,E5; \
 	run $$b/znsbench -list; \
 	run $$b/znsbench -run E1; \
-	run $$b/znsbench -quick -run E2,E8 -trace-out $$o/trace.json -metrics-out $$o/metrics.json; \
 	run $$b/znsbench -run E4,E6 -bench-json $$o/bench.json; \
 	run $$b/znsbench -slo -run E14 -bench-json $$o/bench_slo.json; \
 	run $$b/znsbench -run E4,E13; \
@@ -108,7 +107,6 @@ coverage-product:
 	run $$b/tracegen -replay $$o/w.ztrc -device zns; \
 	run $$b/tracegen -ops 20000 -device both; \
 	run $$b/zonectl -ops "append:0,append:0,finish:1,reset:0"; \
-	run $$b/zonectl -ops "append:0,finish:0" -trace-out $$o/t.json -metrics-out $$o/m.json; \
 	run $$b/zonectl inspect -ops "append:0,append:0,finish:1,reset:0"; \
 	run $$b/zonectl inspect -json -ops "append:0,append:0,finish:1,reset:0"
 	@$(GO) tool covdata func -i=$(COVDIR)/data | \

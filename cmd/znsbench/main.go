@@ -11,16 +11,11 @@
 //
 // Telemetry (see docs/observability.md):
 //
-//	znsbench -run E2,E8 -trace-out out.json -metrics-out metrics.json
 //	znsbench -run E4,E6 -bench-json BENCH.json
 //	znsbench -slo -run E14 -bench-json BENCH_slo.json  # per-tenant SLO run
 //	znsbench -run E4 -whatif nand_program:0.5  # counterfactual ground truth
 //	znsbench -explain E6:512          # per-IO forensic replay (tick-by-tick)
 //	znsbench -cpuprofile cpu.pprof    # profile the simulator itself
-//
-// -trace-out writes Chrome trace-event JSON (open in chrome://tracing or
-// https://ui.perfetto.dev) with one track per flash channel, LUN, and zone;
-// -metrics-out writes counters, gauges, and histograms.
 //
 // -bench-json writes the machine-readable results (throughput, latency
 // percentiles, per-phase attribution, critical path, exemplars); the
@@ -41,7 +36,6 @@ import (
 
 	"blockhead/internal/core"
 	"blockhead/internal/fault"
-	"blockhead/internal/sim"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
 )
@@ -61,9 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick      = fs.Bool("quick", false, "shrink sweeps and run lengths")
 		list       = fs.Bool("list", false, "list experiments and exit")
 		seed       = fs.Int64("seed", 42, "workload seed")
-		metricsOut = fs.String("metrics-out", "", "write metrics JSON (counters, gauges, histograms) to this file")
-		traceOut   = fs.String("trace-out", "", "write Chrome trace-event JSON to this file")
-		traceCap   = fs.Int("trace-events", telemetry.DefaultTraceEvents, "trace ring capacity (older events are dropped)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator to this file")
 		benchJSON  = fs.String("bench-json", "", "write machine-readable benchmark results (BENCH_*.json schema) to this file")
 		faults     = fs.String("faults", "", "fault profile for the fault-campaign experiment (E13); implies running E13")
@@ -91,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := validate(*runIDs, *faults, *whatif, *explain, *traceCap); err != nil {
+	if err := validate(*runIDs, *faults, *whatif, *explain); err != nil {
 		return fail(2, err)
 	}
 
@@ -122,10 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, transcript)
 		return 0
 	}
-	if *metricsOut != "" || *traceOut != "" {
-		cfg.Probe = telemetry.NewProbe(telemetry.Options{TraceEvents: *traceCap})
-	}
-
 	var bench []core.BenchEntry
 	for _, e := range selectExperiments(*runIDs, *faults != "", *slo) {
 		rep, err := e.Run(cfg)
@@ -145,21 +132,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "znsbench: wrote %d benchmark entries to %s\n", len(bench), *benchJSON)
 	}
-	if cfg.Probe != nil {
-		if err := exportTelemetry(stderr, cfg.Probe, *metricsOut, *traceOut); err != nil {
-			return fail(1, err)
-		}
-	}
 	return 0
 }
 
-// maxTraceEvents bounds -trace-events: the ring is allocated up front, and
-// four million events are already more than a trace viewer loads.
-const maxTraceEvents = 1 << 22
-
 // validate rejects flag values znsbench cannot run, naming the valid range or
 // set, before any experiment starts.
-func validate(runIDs, faults, whatif, explain string, traceEvents int) error {
+func validate(runIDs, faults, whatif, explain string) error {
 	if runIDs != "" {
 		for _, id := range strings.Split(runIDs, ",") {
 			if _, ok := core.ByID(strings.TrimSpace(id)); !ok {
@@ -191,10 +169,6 @@ func validate(runIDs, faults, whatif, explain string, traceEvents int) error {
 		if seq == 0 {
 			return fmt.Errorf("-explain sequence 0 never matches (valid: 1 or more; measured IOs are numbered from 1)")
 		}
-	}
-	if traceEvents < 0 || traceEvents > maxTraceEvents {
-		return fmt.Errorf("-trace-events %d is out of range (valid: 0 for the default %d, or 1 to %d)",
-			traceEvents, telemetry.DefaultTraceEvents, maxTraceEvents)
 	}
 	return nil
 }
@@ -273,47 +247,4 @@ func writeBenchJSON(path string, cfg core.Config, entries []core.BenchEntry) err
 		err = cerr
 	}
 	return err
-}
-
-// exportTelemetry writes the requested telemetry outputs after the runs.
-func exportTelemetry(stderr io.Writer, p *telemetry.Probe, metricsOut, traceOut string) error {
-	writeTo := func(path string, write func(w io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if metricsOut != "" {
-		// Poll the gauges at the end of the traced timeline, so busy
-		// fractions are over the span the trace shows.
-		at := traceEnd(p.Trace)
-		if err := writeTo(metricsOut, func(w io.Writer) error {
-			return p.Metrics.WriteJSON(w, at)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "znsbench: wrote metrics to %s\n", metricsOut)
-	}
-	if traceOut != "" {
-		if err := writeTo(traceOut, p.Trace.WriteChromeTrace); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "znsbench: wrote %d trace events to %s (%d dropped)\n",
-			p.Trace.Len(), traceOut, p.Trace.Dropped())
-	}
-	return nil
-}
-
-// traceEnd is the latest instant a retained trace event reaches, or 0.
-func traceEnd(t *telemetry.Tracer) sim.Time {
-	var end sim.Time
-	for _, e := range t.Events() {
-		end = sim.Max(end, e.Start+sim.Max(e.Dur, 0))
-	}
-	return end
 }

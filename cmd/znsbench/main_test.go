@@ -12,13 +12,11 @@ func TestValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name                          string
 		runIDs, faults, whatif, expln string
-		traceEvents                   int
 		want                          string // substring of the error; "" means accepted
 	}{
-		{name: "defaults", traceEvents: 1 << 16},
+		{name: "defaults"},
 		{name: "everything set", runIDs: "E2, e4,A1", faults: "default", whatif: "zone_reset:0,wp_serial:0",
-			expln: "E6:926", traceEvents: maxTraceEvents},
-		{name: "trace events 0 selects the default", traceEvents: 0},
+			expln: "E6:926"},
 		{name: "unknown -run ID", runIDs: "E2,E99", want: "valid: E1, E2,"},
 		{name: "empty -run ID", runIDs: "E2,", want: `unknown experiment "" in -run (valid: E1,`},
 		{name: "unknown profile", faults: "bogus", want: "valid: none, default, aggressive, wearout"},
@@ -28,10 +26,8 @@ func TestValidate(t *testing.T) {
 		{name: "explain without seq", expln: "E6", want: "want <experiment>:<seq>"},
 		{name: "explain unknown ID", expln: "E99:3", want: "in -explain (valid: E1,"},
 		{name: "explain seq 0", expln: "E6:0", want: "valid: 1 or more"},
-		{name: "negative trace events", traceEvents: -5, want: "valid: 0 for the default 65536, or 1 to 4194304"},
-		{name: "huge trace events", traceEvents: maxTraceEvents + 1, want: "or 1 to 4194304"},
 	} {
-		err := validate(tc.runIDs, tc.faults, tc.whatif, tc.expln, tc.traceEvents)
+		err := validate(tc.runIDs, tc.faults, tc.whatif, tc.expln)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: validate = %v, want accepted", tc.name, err)
@@ -45,7 +41,7 @@ func TestValidate(t *testing.T) {
 // exit status 2 before any experiment runs.
 func TestRejectedFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
-		{"-trace-events", "-5"},
+		{"-trace-out", "t.json"}, // the telemetry export flags are gone
 		{"-run", "E2,E99"},
 		{"-faults", "bogus"},
 		{"-whatif", "warp:1"},

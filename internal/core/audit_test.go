@@ -49,7 +49,7 @@ func TestAuditZoneChurnProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := telemetry.NewProbe(telemetry.Options{})
+	probe := telemetry.NewProbe()
 	probe.FlightRec.DumpTo = io.Discard
 	dev.SetProbe(probe)
 	aud := dev.AttachAuditor()
@@ -112,7 +112,7 @@ func TestAuditHostFTLChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := telemetry.NewProbe(telemetry.Options{})
+	probe := telemetry.NewProbe()
 	probe.FlightRec.DumpTo = io.Discard
 	f.SetProbe(probe)
 	aud := dev.AttachAuditor()

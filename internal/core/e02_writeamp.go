@@ -6,7 +6,6 @@ import (
 	"blockhead/internal/flash"
 	"blockhead/internal/ftl"
 	"blockhead/internal/sim"
-	"blockhead/internal/telemetry"
 	"blockhead/internal/workload"
 )
 
@@ -31,12 +30,6 @@ func e2Geometry() flash.Geometry {
 // returns the steady-state write amplification. Exposed for the benchmark
 // harness and ablations.
 func E2Point(op float64, churnMultiple int, seed int64) (wa float64, gcPerHostWrite float64, err error) {
-	return e2Point(op, churnMultiple, seed, nil)
-}
-
-// e2Point is E2Point with an optional telemetry probe attached to the
-// device, so a probed run exports its write-amp gauge and GC-stall spans.
-func e2Point(op float64, churnMultiple int, seed int64, probe *telemetry.Probe) (wa float64, gcPerHostWrite float64, err error) {
 	dev, err := ftl.New(ftl.Config{
 		Geom: e2Geometry(),
 		Lat:  flash.LatenciesFor(flash.TLC),
@@ -49,9 +42,6 @@ func e2Point(op float64, churnMultiple int, seed int64, probe *telemetry.Probe) 
 	})
 	if err != nil {
 		return 0, 0, err
-	}
-	if probe != nil {
-		dev.SetProbe(probe)
 	}
 	var at sim.Time
 	// Fill sequentially, then overwrite uniformly at random; measure only
@@ -96,14 +86,7 @@ func runE2(cfg Config) (Report, error) {
 	tasks := make([]partTask, len(ops))
 	for i, op := range ops {
 		tasks[i] = part(&points[i], func(c Config) (point, error) {
-			// Attach the probe to the first (0% OP) point only: it is the
-			// highest-write-amp device, so its trace shows GC at its worst,
-			// and one point keeps the exported series self-consistent.
-			probe := c.Probe
-			if i != 0 {
-				probe = nil
-			}
-			wa, gc, err := e2Point(op, churn, c.Seed, probe)
+			wa, gc, err := E2Point(op, churn, c.Seed)
 			if err != nil {
 				return point{}, fmt.Errorf("E2 at OP %.2f: %w", op, err)
 			}

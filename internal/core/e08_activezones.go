@@ -76,10 +76,6 @@ func E8Run(policy ZonePolicy, cfg Config) (E8Result, error) {
 	// limit), so every transition is validated regardless of telemetry.
 	aud := dev.AttachAuditor()
 	loop := sim.NewLoop()
-	if cfg.Probe != nil && policy == DynamicZones {
-		// Attach telemetry to the dynamic-policy run only, the interesting one.
-		dev.SetProbe(cfg.Probe)
-	}
 	src := workload.NewSource(cfg.Seed)
 	lat := stats.NewDist(256)
 	var bursts, pages uint64

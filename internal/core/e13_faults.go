@@ -188,7 +188,6 @@ func e13Conventional(cfg Config, prof fault.Profile) (e13Stack, error) {
 	probe := attrProbe(cfg)
 	dev.SetProbe(probe)
 	inj := fault.New(prof, cfg.Seed*31+1)
-	inj.SetProbe(probe)
 	dev.SetInjector(inj)
 	name := "conventional (page-mapped FTL)"
 	return e13Stack{
@@ -237,7 +236,6 @@ func e13Host(cfg Config, prof fault.Profile) (e13Stack, error) {
 	probe := attrProbe(cfg)
 	f.SetProbe(probe)
 	inj := fault.New(prof, cfg.Seed*31+2)
-	inj.SetProbe(probe)
 	zdev.SetInjector(inj)
 	aud := zdev.AttachAuditor()
 	name := "host FTL on ZNS"

@@ -27,10 +27,13 @@ type Config struct {
 	Quick bool
 	// Seed drives all workload randomness.
 	Seed int64
-	// Probe, when non-nil, is attached to the device models of the
-	// experiments that support cross-layer telemetry (E2, E8, ...); the
-	// caller exports its metrics and trace after the run. A nil probe is
-	// the zero-overhead default.
+	// Probe, when non-nil, lends its attribution sink and flight recorder to
+	// every stack attrProbe arms, in place of the run's own. It is the seam
+	// tests watch the per-IO attribution stream through (checkedProbe in
+	// attribution_test.go, recordedStream in exemplar's
+	// record_oracle_test.go), so a probed run keeps runParts' serial path:
+	// its parts run in order on the caller's session and the one sink sees
+	// every IO in sequence. Nil is the default; no command sets it.
 	Probe *telemetry.Probe
 	// FaultProfile names the fault.Profile driven by the experiments that
 	// model NAND failures and power loss (E13). Empty selects each
@@ -59,12 +62,10 @@ type Config struct {
 	session *session
 }
 
-// attrProbe returns a probe carrying the session's shared attribution sink
-// and flight recorder when cfg.Probe is set, or private instances otherwise.
-// Experiments that drive several device stacks attach one of these to each
-// stack instead of the full cfg.Probe: sharing the metric registry would let
-// the stacks overwrite each other's gauges (flash/chan/N/util etc.), while
-// the attribution sink and flight recorder are designed to be shared. The flight recorder is always present — even
+// attrProbe returns a probe carrying cfg.Probe's attribution sink and
+// flight recorder when it is set, or the session's shared sink and a private
+// recorder otherwise. Experiments that drive several device stacks attach
+// one of these to each stack. The flight recorder is always present — even
 // without cfg.Probe — so auditor and attribution violations inside
 // experiments dump recent history.
 func attrProbe(cfg Config) *telemetry.Probe {

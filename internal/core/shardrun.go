@@ -83,10 +83,9 @@ func partWorkers(parts []partTask) int {
 // a part's panic is re-raised on the caller the same way. A seeded run's
 // results are identical at every worker count.
 //
-// Explain and live-probe runs instead execute the parts in order on the
+// Explain and probed runs instead execute the parts in order on the
 // caller's session: the narrator must see the whole run's numbering on one
-// sink, and a probe hangs one metric registry and flight recorder off the
-// run.
+// sink, and a test's cfg.Probe sink must see every IO of the run in order.
 func runParts(cfg Config, parts ...partTask) error {
 	if cfg.Probe != nil || cfg.ExplainSeq != 0 {
 		for _, p := range parts {

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 
 	"blockhead/internal/sim"
-	"blockhead/internal/telemetry"
 )
 
 // Profile parameterizes the NAND error model. Probabilities are per
@@ -123,26 +122,11 @@ type Injector struct {
 	prof   Profile
 	rng    *rand.Rand
 	counts Counts
-
-	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	mTransient, mUncorr, mProgFail, mEraseFail *telemetry.Counter
 }
 
 // New builds an injector for the profile, seeded deterministically.
 func New(prof Profile, seed int64) *Injector {
 	return &Injector{prof: prof, rng: rand.New(rand.NewSource(seed))}
-}
-
-// SetProbe attaches fault counters to the registry; nil-safe.
-func (i *Injector) SetProbe(p *telemetry.Probe) {
-	if i == nil {
-		return
-	}
-	reg := p.Registry()
-	i.mTransient = reg.Counter("fault/read_transients")
-	i.mUncorr = reg.Counter("fault/read_uncorrectable")
-	i.mProgFail = reg.Counter("fault/program_fails")
-	i.mEraseFail = reg.Counter("fault/erase_fails")
 }
 
 // Profile returns the injector's profile; nil-safe (zero Profile).
@@ -174,7 +158,6 @@ func (i *Injector) ReadFaults(wear float64) (retries int, uncorrectable bool) {
 			if n > 0 {
 				i.counts.ReadTransients += uint64(n)
 				i.counts.ReadRetryOps++
-				i.mTransient.Add(uint64(n))
 			}
 			return n, false
 		}
@@ -182,8 +165,6 @@ func (i *Injector) ReadFaults(wear float64) (retries int, uncorrectable bool) {
 	i.counts.ReadTransients += uint64(i.prof.ReadRetries)
 	i.counts.ReadRetryOps++
 	i.counts.Uncorrectable++
-	i.mTransient.Add(uint64(i.prof.ReadRetries))
-	i.mUncorr.Inc()
 	return i.prof.ReadRetries, true
 }
 
@@ -200,7 +181,6 @@ func (i *Injector) ProgramFails(wear float64) bool {
 		return false
 	}
 	i.counts.ProgramFails++
-	i.mProgFail.Inc()
 	return true
 }
 
@@ -217,7 +197,6 @@ func (i *Injector) EraseFails(wear float64) bool {
 		return false
 	}
 	i.counts.EraseFails++
-	i.mEraseFail.Inc()
 	return true
 }
 

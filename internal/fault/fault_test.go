@@ -141,7 +141,6 @@ func TestNilInjector(t *testing.T) {
 	if inj.Counts() != (Counts{}) || inj.Profile() != (Profile{}) {
 		t.Fatal("nil injector reported non-zero state")
 	}
-	inj.SetProbe(nil) // must not panic
 }
 
 // TestRecoveryReportString pins the one-line summary format the reports and

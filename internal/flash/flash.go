@@ -262,15 +262,9 @@ type Device struct {
 	// op queued behind.
 	owners bool
 
-	// probed is set when any per-page instrument (attribution, tracer,
-	// counters) is armed, so a page op tests one flag for all of them.
-	probed bool
-
-	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	tr                     *telemetry.Tracer
-	attr                   *telemetry.AttrSink
-	fl                     *telemetry.Flight
-	mReads, mProgs, mErase *telemetry.Counter
+	// Telemetry handles; both nil (zero-cost no-ops) without SetProbe.
+	attr *telemetry.AttrSink
+	fl   *telemetry.Flight
 }
 
 // New returns a fresh, fully erased device. It panics on invalid geometry;
@@ -293,12 +287,10 @@ func New(geom Geometry, lat Latencies) *Device {
 	return d
 }
 
-// SetProbe attaches (or, with nil, detaches) telemetry: physical-op
-// counters, per-channel/per-LUN utilization gauges, and busy-interval spans
-// on one trace track per channel and per LUN. Attach before driving I/O.
+// SetProbe attaches (or, with nil, detaches) telemetry: per-page latency
+// attribution with resource blame, and fault and erase records in the
+// flight recorder. Attach before driving I/O.
 func (d *Device) SetProbe(p *telemetry.Probe) {
-	reg := p.Registry()
-	d.tr = p.Tracer()
 	d.attr = p.Attribution()
 	d.fl = p.Flight()
 	if d.attr != nil && !d.owners {
@@ -306,41 +298,6 @@ func (d *Device) SetProbe(p *telemetry.Probe) {
 		for i := range d.luns {
 			d.luns[i].op = -1
 		}
-	}
-	d.mReads = reg.Counter("flash/read_pages")
-	d.mProgs = reg.Counter("flash/program_pages")
-	d.mErase = reg.Counter("flash/block_erases")
-	d.probed = d.attr != nil || d.tr != nil || d.mReads != nil
-	reg.Gauge("flash/wear/max_erase", func(sim.Time) float64 {
-		return float64(d.Wear().MaxErase)
-	})
-	reg.Gauge("flash/wear/skew", func(sim.Time) float64 {
-		return d.Wear().Skew
-	})
-	p.Heat().Register("flash", d.heatSection)
-	d.tr.NameProcess(telemetry.ProcFlashChan, "flash channels")
-	d.tr.NameProcess(telemetry.ProcFlashLUN, "flash LUNs (dies)")
-	for c := 0; c < d.Geom.Channels; c++ {
-		c := c
-		d.tr.NameTrack(telemetry.ProcFlashChan, int32(c), fmt.Sprintf("chan %d", c))
-		reg.Gauge(fmt.Sprintf("flash/chan/%d/util", c), func(at sim.Time) float64 {
-			if at <= 0 {
-				return 0
-			}
-			return float64(d.chans[c].busy) / float64(at)
-		})
-	}
-	for l := 0; l < d.Geom.LUNs(); l++ {
-		l := l
-		die := l / d.Geom.PlanesPerDie % d.Geom.DiesPerChan
-		d.tr.NameTrack(telemetry.ProcFlashLUN, int32(l),
-			fmt.Sprintf("lun %d (chan %d die %d)", l, d.Geom.ChannelOfLUN(l), die))
-		reg.Gauge(fmt.Sprintf("flash/lun/%d/util", l), func(at sim.Time) float64 {
-			if at <= 0 {
-				return 0
-			}
-			return float64(d.luns[l].busy) / float64(at)
-		})
 	}
 }
 
@@ -505,25 +462,20 @@ func (d *Device) ReadPage(at sim.Time, block, page int) (sim.Time, error) {
 	if uncorrectable {
 		// Error paths charge no attribution; the caller abandons or
 		// re-places the op and accounts for the gap itself.
-		d.mReads.Inc()
 		d.fl.Record(at, telemetry.FlightFault, int32(block), "read_uncorrectable", int64(page))
-		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "read", senseStart, senseEnd, "block", int64(block))
 		return senseEnd, ErrUncorrectable
 	}
 	prevCh := d.claimChan(ch)
 	xferStart, done := d.chans[ch].res.Acquire(senseEnd, d.Lat.XferPage)
 	d.chans[ch].busy += d.Lat.XferPage
-	if d.probed {
+	if d.attr != nil {
 		// Attribution: [at..senseStart) LUN queue, sense (incl. retries),
 		// [senseEnd..xferStart) bus queue, transfer — contiguous intervals
 		// covering at..done exactly. Waits blame the resource's previous
 		// occupant.
-		d.mReads.Inc()
 		d.attr.ChargeSteps(
 			telemetry.Step{Wait: telemetry.PhaseLUNWait, Queued: senseStart - at, Culprit: prevLUN, Bind: lunBind, Svc: telemetry.PhaseNANDRead, Busy: sense},
 			telemetry.Step{Wait: telemetry.PhaseChanWait, Queued: xferStart - senseEnd, Culprit: prevCh, Bind: telemetry.PhaseXfer, Svc: telemetry.PhaseXfer, Busy: d.Lat.XferPage})
-		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "read", senseStart, senseEnd, "block", int64(block))
-		d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_out", xferStart, done)
 	}
 	return done, nil
 }
@@ -563,23 +515,17 @@ func (d *Device) ProgramPage(at sim.Time, block, page int) (sim.Time, error) {
 		// and readable; the failed page's cells are untrusted, so nextPage
 		// does not advance and the block refuses further programs.
 		b.bad = true
-		d.mProgs.Inc()
 		d.fl.Record(at, telemetry.FlightFault, int32(block), "program_failed", int64(page))
-		d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_in", xferStart, xferEnd)
-		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "program", progStart, done, "block", int64(block))
 		return done, ErrProgramFailed
 	}
 	b.nextPage++
 	if d.recovery {
 		d.progDone[d.pageIndex(block, page)] = done
 	}
-	if d.probed {
-		d.mProgs.Inc()
+	if d.attr != nil {
 		d.attr.ChargeSteps(
 			telemetry.Step{Wait: telemetry.PhaseChanWait, Queued: xferStart - at, Culprit: prevCh, Bind: telemetry.PhaseXfer, Svc: telemetry.PhaseXfer, Busy: d.Lat.XferPage},
 			telemetry.Step{Wait: telemetry.PhaseLUNWait, Queued: progStart - xferEnd, Culprit: prevLUN, Bind: lunBind, Svc: telemetry.PhaseNANDProgram, Busy: d.Lat.ProgramPage})
-		d.tr.Span(telemetry.ProcFlashChan, int32(ch), "flash", "xfer_in", xferStart, xferEnd)
-		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "program", progStart, done, "block", int64(block))
 	}
 	return done, nil
 }
@@ -608,7 +554,6 @@ func (d *Device) EraseBlock(at sim.Time, block int) (sim.Time, error) {
 	eraseStart, done := d.luns[lun].res.Acquire(at, d.Lat.EraseBlock)
 	d.luns[lun].busy += d.Lat.EraseBlock
 	d.counts.Erases++
-	d.mErase.Inc()
 	if d.inj != nil && d.inj.EraseFails(d.wearFrac(b)) {
 		// The erase ran and failed: the cells are indeterminate, so the
 		// block is retired with nothing readable. Callers only erase
@@ -617,7 +562,6 @@ func (d *Device) EraseBlock(at sim.Time, block int) (sim.Time, error) {
 		b.nextPage = 0
 		b.sealed = false
 		d.fl.Record(at, telemetry.FlightFault, int32(block), "erase_failed", int64(b.eraseCount))
-		d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "erase", eraseStart, done, "block", int64(block))
 		return done, ErrEraseFailed
 	}
 	b.eraseCount++
@@ -626,7 +570,6 @@ func (d *Device) EraseBlock(at sim.Time, block int) (sim.Time, error) {
 	d.attr.ChargeWaitBlamed(telemetry.PhaseLUNWait, eraseStart-at, prevLUN, lunBind)
 	d.attr.Charge(telemetry.PhaseNANDErase, d.Lat.EraseBlock)
 	d.fl.Record(at, telemetry.FlightErase, int32(block), "", int64(b.eraseCount))
-	d.tr.SpanArg(telemetry.ProcFlashLUN, int32(lun), "flash", "erase", eraseStart, done, "block", int64(block))
 	return done, nil
 }
 

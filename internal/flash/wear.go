@@ -1,14 +1,8 @@
 package flash
 
-import (
-	"blockhead/internal/sim"
-	"blockhead/internal/telemetry"
-)
-
 // WearSummary aggregates per-block erase wear. It is the single source of
-// truth for wear statistics: the endurance path (ErrWornOut), the wear
-// telemetry gauges, and the heatmap dump all derive from the same per-block
-// erase counts.
+// truth for wear statistics: the endurance path (ErrWornOut) and every wear
+// report derive from the same per-block erase counts.
 type WearSummary struct {
 	Blocks      int     // total blocks
 	BadBlocks   int     // retired blocks
@@ -56,86 +50,4 @@ func (d *Device) Wear() WearSummary {
 		w.Skew = float64(w.MaxErase) / w.MeanErase
 	}
 	return w
-}
-
-// EraseCounts appends every block's erase count to dst (allocating when dst
-// lacks capacity) and returns the result, indexed by block.
-func (d *Device) EraseCounts(dst []uint32) []uint32 {
-	if cap(dst) < len(d.blocks) {
-		dst = make([]uint32, 0, len(d.blocks))
-	}
-	dst = dst[:0]
-	for i := range d.blocks {
-		dst = append(dst, d.blocks[i].eraseCount)
-	}
-	return dst
-}
-
-// wearHistBuckets is the bucket budget of the wear histogram in heatmap
-// dumps.
-const wearHistBuckets = 16
-
-// wearHist buckets the per-block erase counts into at most wearHistBuckets
-// equal-width ranges; empty buckets are omitted.
-func wearHist(counts []uint32, max uint32) []telemetry.WearBucket {
-	width := max/wearHistBuckets + 1
-	var filled [wearHistBuckets]int
-	used := 0
-	for _, c := range counts {
-		i := int(c / width)
-		if i >= wearHistBuckets {
-			i = wearHistBuckets - 1
-		}
-		if filled[i] == 0 {
-			used++
-		}
-		filled[i]++
-	}
-	hist := make([]telemetry.WearBucket, 0, used)
-	for i, n := range filled {
-		if n == 0 {
-			continue
-		}
-		hist = append(hist, telemetry.WearBucket{
-			Lo:     uint32(i) * width,
-			Hi:     uint32(i+1)*width - 1,
-			Blocks: n,
-		})
-	}
-	return hist
-}
-
-// heatSection is the flash device's heatmap source: wear statistics with a
-// downsampled per-block grid, plus per-channel and per-LUN busy occupancy.
-func (d *Device) heatSection(at sim.Time) telemetry.DeviceHeat {
-	w := d.Wear()
-	counts := d.EraseCounts(nil)
-	cells, stride := telemetry.HeatCellsU32(counts)
-	wh := &telemetry.WearHeat{
-		Blocks:     w.Blocks,
-		BadBlocks:  w.BadBlocks,
-		MaxErase:   w.MaxErase,
-		MeanErase:  w.MeanErase,
-		Spread:     w.Spread,
-		Skew:       w.Skew,
-		Hist:       wearHist(counts, w.MaxErase),
-		Cells:      cells,
-		CellBlocks: stride,
-	}
-	chans := make([]telemetry.UnitOcc, d.Geom.Channels)
-	for c := range chans {
-		chans[c] = telemetry.UnitOcc{ID: c, BusyFrac: busyFrac(d.chans[c].busy, at)}
-	}
-	luns := make([]telemetry.UnitOcc, d.Geom.LUNs())
-	for l := range luns {
-		luns[l] = telemetry.UnitOcc{ID: l, BusyFrac: busyFrac(d.luns[l].busy, at)}
-	}
-	return telemetry.DeviceHeat{Wear: wh, Channels: chans, LUNs: luns}
-}
-
-func busyFrac(busy, at sim.Time) float64 {
-	if at <= 0 {
-		return 0
-	}
-	return float64(busy) / float64(at)
 }

@@ -205,14 +205,9 @@ type Device struct {
 	// stall; exported via Stats for the scheduling experiments.
 	lastGCStall sim.Time
 
-	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	tr         *telemetry.Tracer
-	attr       *telemetry.AttrSink
-	fl         *telemetry.Flight
-	mGCVictims *telemetry.Counter
-	mGCCopies  *telemetry.Counter
-	mGCForced  *telemetry.Counter
-	hGCStall   *telemetry.Hist
+	// Telemetry handles; both nil (zero-cost no-ops) without SetProbe.
+	attr *telemetry.AttrSink
+	fl   *telemetry.Flight
 }
 
 // l2pStore is one deferred mapping update: l2p[lpn] = ppn.
@@ -281,7 +276,7 @@ func New(cfg Config) (*Device, error) {
 	}
 	d.gc.Copy, d.gc.Erase, d.gc.LastKill = d.relocate, d.erase, make([]sim.Time, blocks)
 	d.gc.Less, d.gc.Barrier = d.lessWorn, cfg.Recovery
-	d.gc.Proc, d.gc.Cat, d.gc.Kind = telemetry.ProcFTL, "ftl", telemetry.FlightGCVictim
+	d.gc.Kind = telemetry.FlightGCVictim
 	if cfg.GCPolicy == CostBenefit {
 		d.gc.Score = d.costBenefit
 	}
@@ -321,27 +316,15 @@ func NewDefault(geom flash.Geometry, lat flash.Latencies, opFraction float64) (*
 	})
 }
 
-// SetProbe attaches telemetry to the FTL and its flash chip: GC work
-// counters, a GC-stall histogram, gauges for write amplification and the
-// free pool, and GC phase spans on the FTL trace track. Attach before
-// driving I/O; a nil probe leaves every handle as a zero-cost no-op.
+// SetProbe attaches telemetry to the FTL and its flash chip: GC-stall
+// attribution with polluter blame, and GC victim records in the flight
+// recorder. Attach before driving I/O; a nil probe leaves every handle as a
+// zero-cost no-op.
 func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.chip.SetProbe(p)
-	reg := p.Registry()
-	d.tr = p.Tracer()
 	d.attr = p.Attribution()
-	d.mGCVictims = reg.Counter("ftl/gc/victims")
-	d.mGCCopies = reg.Counter("ftl/gc/copy_pages")
-	d.mGCForced = reg.Counter("ftl/gc/forced_runs")
-	d.hGCStall = reg.Histogram("ftl/gc/stall")
-	d.tr.NameProcess(telemetry.ProcFTL, "conventional FTL")
-	d.tr.NameTrack(telemetry.ProcFTL, 0, "gc")
-	reg.Gauge("ftl/write_amp", func(sim.Time) float64 { return d.counters.WriteAmp() })
-	reg.Gauge("ftl/free_blocks", func(sim.Time) float64 { return float64(d.freeCount) })
-	reg.Gauge("ftl/free_slots", func(sim.Time) float64 { return float64(d.freeSlots) })
-	reg.Gauge("ftl/utilization", func(sim.Time) float64 { return d.Utilization() })
 	d.fl = p.Flight()
-	d.gc.Attach(d.attr, d.tr, d.fl)
+	d.gc.Attach(d.attr, d.fl)
 }
 
 // CapacityPages reports the logical (host-visible) capacity in pages.
@@ -622,11 +605,6 @@ func (d *Device) DropPayload(lpn, n int64) error {
 		clear(d.data[lpn : lpn+n])
 	}
 	return nil
-}
-
-// Utilization reports the fraction of logical pages currently mapped.
-func (d *Device) Utilization() float64 {
-	return float64(d.gc.Mapped()) / float64(d.logicalPages)
 }
 
 // FreeBlocks reports the current free-block count.

@@ -307,17 +307,6 @@ func TestDRAMFootprint(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	d := mustNew(t, defaultCfg())
-	if d.Utilization() != 0 {
-		t.Error("fresh device utilization must be 0")
-	}
-	d.WritePage(0, 0, nil)
-	if d.Utilization() <= 0 {
-		t.Error("utilization must rise after a write")
-	}
-}
-
 func TestGCPolicyString(t *testing.T) {
 	if Greedy.String() != "greedy" || CostBenefit.String() != "cost-benefit" {
 		t.Error("GCPolicy.String wrong")

@@ -32,7 +32,7 @@ func (d *Device) maybeGC(at sim.Time) sim.Time {
 	// (forceGC extends the same round).
 	d.gc.NewRound()
 	d.lastGCStall = 0
-	slots, start, span := d.hostSlots(), at, "gc_foreground_stall"
+	slots, start := d.hostSlots(), at
 	switch {
 	case d.cfg.GCMode == GCForeground:
 		if slots > d.thresholdSlots {
@@ -42,16 +42,12 @@ func (d *Device) maybeGC(at sim.Time) sim.Time {
 	case slots > 2*d.thresholdSlots:
 		return at
 	case slots <= d.thresholdSlots/2:
-		at, span = d.gc.Emergency(at, d.slotsLow), "gc_emergency_stall"
+		at = d.gc.Emergency(at, d.slotsLow)
 	default:
 		d.gc.Chunk(at, d.cfg.GCChunkPages)
 		return at
 	}
 	d.lastGCStall = at - start
-	if d.lastGCStall > 0 {
-		d.hGCStall.Observe(d.lastGCStall)
-		d.tr.Span(telemetry.ProcFTL, 0, "ftl", span, start, at)
-	}
 	return at
 }
 
@@ -69,7 +65,6 @@ func (d *Device) poolLow() bool { return d.freeCount <= gcReserveBlocks+1 }
 func (d *Device) forceGC(at sim.Time) sim.Time {
 	d.attr.Suspend()
 	defer d.attr.Resume()
-	d.mGCForced.Inc()
 	return d.gc.Foreground(at, d.poolLow)
 }
 
@@ -245,7 +240,6 @@ func (d *Device) relocate(at sim.Time, victim int, from int64, budget int) recla
 		}
 		p.Done = sim.Max(p.Done, done)
 		d.copied(ppn, lpn, dst)
-		d.mGCCopies.Inc()
 		p.Moved++
 	}
 	p.Empty, p.OK = p.Next >= int64(d.pages), true
@@ -258,7 +252,6 @@ func (d *Device) relocate(at sim.Time, victim int, from int64, budget int) recla
 // free pool and out of freeSlots.
 func (d *Device) erase(at sim.Time, victim int) sim.Time {
 	d.gcRuns++
-	d.mGCVictims.Inc()
 	done, err := d.chip.EraseBlock(at, victim)
 	if err != nil {
 		return 0

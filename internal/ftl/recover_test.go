@@ -161,7 +161,7 @@ func TestRecoverRequiresRecoveryConfig(t *testing.T) {
 // it.
 func TestSuspendingPathsLeaveSinkBalanced(t *testing.T) {
 	d := recoveryFTL(t)
-	probe := telemetry.NewProbe(telemetry.Options{})
+	probe := telemetry.NewProbe()
 	probe.FlightRec.DumpTo = io.Discard
 	d.SetProbe(probe)
 	sink := probe.Attribution()

@@ -172,7 +172,6 @@ func (d *Device) relocateAndErasePerPage(at sim.Time, victim int) reclaim.Progre
 		}
 	}
 	moved := d.counters.GCCopyPages - copied
-	d.mGCCopies.Add(moved)
 	return reclaim.Progress{Next: int64(d.pages), Moved: int(moved), Issue: at, Done: lastDone, Empty: true, OK: true}
 }
 
@@ -233,7 +232,6 @@ func (d *Device) relocateChunkPerPage(at sim.Time, victim int, cursor int64, bud
 		d.counters.FlashReadPages++
 		d.counters.FlashProgramPages++
 		d.counters.GCCopyPages++
-		d.mGCCopies.Inc()
 		moved++
 	}
 	return reclaim.Progress{Next: cursor, Moved: moved, Issue: at, Done: done,

@@ -138,14 +138,9 @@ type FTL struct {
 	// reclamation work.
 	lastStall sim.Time
 
-	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	tr           *telemetry.Tracer
-	attr         *telemetry.AttrSink
-	fl           *telemetry.Flight
-	mRelocPages  *telemetry.Counter
-	mGCResets    *telemetry.Counter
-	mEmergencies *telemetry.Counter
-	hStall       *telemetry.Hist
+	// Telemetry handles; both nil (zero-cost no-ops) without SetProbe.
+	attr *telemetry.AttrSink
+	fl   *telemetry.Flight
 }
 
 // New wraps a ZNS device. The device must allow at least Streams+1 active
@@ -194,7 +189,7 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 		f.nextSeq = 1
 	}
 	f.gc.Copy, f.gc.Erase, f.gc.Barrier = f.relocate, f.reset, f.recovery
-	f.gc.Proc, f.gc.Cat, f.gc.Kind = telemetry.ProcHostFTL, "hostftl", telemetry.FlightReclaim
+	f.gc.Kind = telemetry.FlightReclaim
 	if cfg.UseSimpleCopy {
 		f.reloc.batch = make([]int64, 0, zp)
 	} else {
@@ -213,24 +208,14 @@ func New(dev *zns.Device, cfg Config) (*FTL, error) {
 }
 
 // SetProbe attaches telemetry to the translation layer and, through it, the
-// underlying ZNS device and flash chip: reclamation counters, a write-stall
-// histogram, end-to-end write-amp and free-zone gauges, and reclamation
-// phase spans on the host-FTL trace track. Attach before driving I/O.
+// underlying ZNS device and flash chip: write-stall attribution with
+// polluter blame, and reclamation records in the flight recorder. Attach
+// before driving I/O.
 func (f *FTL) SetProbe(p *telemetry.Probe) {
 	f.dev.SetProbe(p)
-	reg := p.Registry()
-	f.tr = p.Tracer()
 	f.attr = p.Attribution()
-	f.mRelocPages = reg.Counter("hostftl/reclaim/copy_pages")
-	f.mGCResets = reg.Counter("hostftl/reclaim/zone_resets")
-	f.mEmergencies = reg.Counter("hostftl/reclaim/emergencies")
-	f.hStall = reg.Histogram("hostftl/write_stall")
-	f.tr.NameProcess(telemetry.ProcHostFTL, "host FTL")
-	f.tr.NameTrack(telemetry.ProcHostFTL, 0, "reclaim")
-	reg.Gauge("hostftl/write_amp", func(sim.Time) float64 { return f.WriteAmp() })
-	reg.Gauge("hostftl/free_zones", func(sim.Time) float64 { return float64(f.freeZones.Len()) })
 	f.fl = p.Flight()
-	f.gc.Attach(f.attr, f.tr, f.fl)
+	f.gc.Attach(f.attr, f.fl)
 }
 
 // CapacityPages reports the logical capacity in pages.
@@ -376,9 +361,6 @@ func (f *FTL) WriteStream(at sim.Time, lpn int64, stream int, data []byte) (sim.
 	f.gc.Bind(at, lpn, int32(lba))
 	f.hostWrites++
 	f.lastStall = at - start
-	if f.lastStall > 0 {
-		f.hStall.Observe(f.lastStall)
-	}
 	// reclaim() suspended per-op attribution; the write is charged the
 	// host-visible stall it caused, keeping phases summing to done-start.
 	// The stall blames the dominant polluter of the victim that dominated

@@ -5,7 +5,6 @@ import (
 
 	"blockhead/internal/reclaim"
 	"blockhead/internal/sim"
-	"blockhead/internal/telemetry"
 	"blockhead/internal/zns"
 )
 
@@ -57,8 +56,6 @@ func (f *FTL) reclaim(at sim.Time) sim.Time {
 	case f.freeZones.Len() <= 1:
 		// Emergency: the pool is dry; fall back to a blocking pass.
 		f.emergencies++
-		f.mEmergencies.Inc()
-		f.tr.Instant(telemetry.ProcHostFTL, 0, "hostftl", "emergency", at)
 	default:
 		if f.freeZones.Len() <= incrementalStartWater {
 			f.gc.Chunk(at, f.cfg.GCChunkPages)
@@ -119,7 +116,6 @@ func (f *FTL) reset(at sim.Time, victim int) sim.Time {
 		f.freeZones.Push(victim)
 	}
 	f.gcResets++
-	f.mGCResets.Inc()
 	return done
 }
 
@@ -226,7 +222,6 @@ func (f *FTL) remap(src, dst int64) {
 	if lpn == unmapped {
 		return
 	}
-	f.mRelocPages.Inc()
 	f.gc.Move(lpn, int32(src), int32(dst))
 	f.gc.L2P[lpn] = int32(dst)
 	f.remaps++

@@ -177,7 +177,7 @@ func TestReadOnlyZoneEvacuation(t *testing.T) {
 // leave the sink as it found it.
 func TestSuspendingPathsLeaveSinkBalanced(t *testing.T) {
 	f, dev := recoveryStack(t)
-	probe := telemetry.NewProbe(telemetry.Options{})
+	probe := telemetry.NewProbe()
 	probe.FlightRec.DumpTo = io.Discard
 	f.SetProbe(probe)
 	sink := probe.Attribution()

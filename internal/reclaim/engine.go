@@ -60,12 +60,9 @@ type Engine struct {
 	Culprit telemetry.TenantID
 	topAdv  sim.Time
 
-	// Telemetry handles, nil (no-op) without a probe, and the labels the
-	// stack's reclamation events carry.
-	Tracer *telemetry.Tracer
+	// Flight is the stack's flight recorder, nil (no-op) without a probe;
+	// Kind labels the stack's reclamation records in it.
 	Flight *telemetry.Flight
-	Proc   int32
-	Cat    string
 	Kind   telemetry.FlightKind
 }
 
@@ -156,7 +153,6 @@ func (e *Engine) reclaim(at sim.Time, v int, from int64) (sim.Time, bool) {
 		e.topAdv, e.Culprit = done-at, c
 	}
 	e.Flight.Record(at, e.Kind, int32(v), "", int64(p.Moved))
-	e.Tracer.SpanArg(e.Proc, 0, e.Cat, "reclaim_victim", at, done, "unit", int64(v))
 	return done, true
 }
 
@@ -206,8 +202,8 @@ func (e *Engine) Chunk(at sim.Time, budget int) {
 
 // Attach hands the engine the stack's telemetry. An attribution sink starts
 // blame tracking: per-page writers and per-unit death counts.
-func (e *Engine) Attach(attr *telemetry.AttrSink, tr *telemetry.Tracer, fl *telemetry.Flight) {
-	e.Attr, e.Tracer, e.Flight = attr, tr, fl
+func (e *Engine) Attach(attr *telemetry.AttrSink, fl *telemetry.Flight) {
+	e.Attr, e.Flight = attr, fl
 	if attr != nil && e.deadBy == nil {
 		e.Owner = make([]telemetry.TenantID, len(e.P2L))
 		e.deadBy = make([][telemetry.MaxTenants]int32, len(e.Valid))

@@ -215,14 +215,12 @@ func (d *Dist) Reset() { *d = Dist{} }
 type Histogram struct {
 	buckets [64]uint64
 	count   uint64
-	sum     sim.Time
 	max     sim.Time
 }
 
 // Add records one sample (negative samples count into bucket 0).
 func (h *Histogram) Add(v sim.Time) {
 	h.count++
-	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -245,14 +243,6 @@ func bucketOf(v sim.Time) int {
 
 // Count reports the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean reports the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() sim.Time {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / sim.Time(h.count)
-}
 
 // Max reports the largest sample.
 func (h *Histogram) Max() sim.Time { return h.max }
@@ -283,7 +273,7 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 // of its highest non-empty bucket (an upper bound), or the cumulative max
 // when that bucket is the cumulative max's own bucket.
 func (h Histogram) Delta(prev Histogram) Histogram {
-	d := Histogram{count: h.count - prev.count, sum: h.sum - prev.sum}
+	d := Histogram{count: h.count - prev.count}
 	top := -1
 	for i := range h.buckets {
 		d.buckets[i] = h.buckets[i] - prev.buckets[i]

@@ -11,10 +11,6 @@ import (
 // device models call telemetry unconditionally on every simulated I/O.
 func BenchmarkProbeDisabled(b *testing.B) {
 	var (
-		c  *Counter
-		h  *Hist
-		tr *Tracer
-		r  *Registry
 		p  *Probe
 		a  *AttrSink
 		fl *Flight
@@ -22,12 +18,6 @@ func BenchmarkProbeDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		at := sim.Time(i)
-		c.Inc()
-		c.Add(4)
-		h.Observe(at)
-		tr.Span(ProcFlashLUN, 3, "flash", "read", at, at+40*sim.Microsecond)
-		tr.Instant(ProcZone, 9, "zone", "->open", at)
-		_ = r.Counter("bench/ops")
 		a.BeginTenant(OpRead, 0, at)
 		a.Charge(PhaseNANDRead, 40*sim.Microsecond)
 		a.Suspend()
@@ -41,7 +31,7 @@ func BenchmarkProbeDisabled(b *testing.B) {
 		a.End(at + 50*sim.Microsecond)
 		fl.Record(at, FlightTransition, 3, "empty->open", 0)
 		fl.Violation(at, FlightAuditViolation, 3, "illegal", 0)
-		if p.Flight() != nil || p.Heat() != nil {
+		if p.Flight() != nil || p.Attribution() != nil {
 			b.Fatal("nil probe must resolve nil handles")
 		}
 	}
@@ -80,32 +70,39 @@ func BenchmarkWindowObserveEnabled(b *testing.B) {
 	}
 }
 
-// The enabled path for comparison: counters and spans on a live probe.
-// Spans into a pre-sized ring are allocation-free too.
+// The enabled path for comparison: one attributed IO and two flight
+// records on a live probe. The sink's buffers and the flight ring are
+// preallocated, so the armed path is allocation-free too.
 func BenchmarkProbeEnabled(b *testing.B) {
-	p := NewProbe(Options{TraceEvents: 1 << 10})
-	c := p.Metrics.Counter("bench/ops")
-	h := p.Metrics.Histogram("bench/lat")
-	tr := p.Trace
+	p := NewProbe()
+	a, fl := p.Attr, p.FlightRec
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at := sim.Time(i)
-		c.Inc()
-		c.Add(4)
-		h.Observe(at)
-		tr.Span(ProcFlashLUN, 3, "flash", "read", at, at+40*sim.Microsecond)
-		tr.Instant(ProcZone, 9, "zone", "->open", at)
+		armedIO(a, fl, sim.Time(i))
 	}
+}
+
+// armedIO drives one measured IO through an armed sink and recorder: the
+// charge, blame, bracket and record calls the device layers make.
+func armedIO(a *AttrSink, fl *Flight, at sim.Time) {
+	a.BeginTenant(OpRead, 2, at)
+	a.ChargeBlamed(PhaseLUNWait, 10*sim.Microsecond, 3)
+	a.Charge(PhaseNANDRead, 40*sim.Microsecond)
+	a.Suspend()
+	a.Resume()
+	a.PushWorker(1)
+	_ = a.Worker()
+	a.PopWorker()
+	a.End(at + 50*sim.Microsecond)
+	fl.Record(at, FlightTransition, 3, "empty->open", 0)
+	fl.Record(at, FlightErase, 7, "", 3)
 }
 
 // TestDisabledPathZeroAllocs pins the benchmark's claim in a normal test
 // run, so `go test` alone catches a regression.
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var (
-		c  *Counter
-		tr *Tracer
-		r  *Registry
 		a  *AttrSink
 		fl *Flight
 		p  *Probe
@@ -113,10 +110,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		e  *SLOEngine
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		tr.Span(ProcFTL, 0, "ftl", "gc", 0, sim.Millisecond)
-		tr.Instant(ProcZone, 1, "zone", "->open", 0)
-		_ = r.Histogram("ftl/gc/stall")
 		a.BeginTenant(OpWrite, 0, 0)
 		a.Charge(PhaseGCStall, sim.Millisecond)
 		a.End(sim.Millisecond)
@@ -133,9 +126,19 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		fl.Record(0, FlightErase, 7, "worn_out", 3)
 		fl.Violation(0, FlightAttrViolation, -1, "attribution_invariant", 0)
 		_ = p.Flight()
-		_ = p.Heat()
+		_ = p.Attribution()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f allocs/op, want 0", allocs)
+	}
+	armed := NewProbe()
+	var at sim.Time
+	armedIO(armed.Attr, armed.FlightRec, at) // first End sizes the sink's folds
+	allocs = testing.AllocsPerRun(1000, func() {
+		at += sim.Millisecond
+		armedIO(armed.Attr, armed.FlightRec, at)
+	})
+	if allocs != 0 {
+		t.Fatalf("armed sink and recorder allocate %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -256,17 +256,3 @@ func (d *Device) StateCensus() StateCounts {
 	}
 	return c
 }
-
-// heatSection is the ZNS device's heatmap source: one snapshot per zone.
-// The raw device does not track host-level page liveness, so Valid is -1;
-// the host FTL's own section carries true valid fractions.
-func (d *Device) heatSection(sim.Time) telemetry.DeviceHeat {
-	zones := make([]telemetry.ZoneHeat, len(d.zones))
-	for z := range d.zones {
-		zn := &d.zones[z]
-		zones[z] = telemetry.ZoneHeat{
-			Zone: z, State: zn.state.String(), WP: zn.wp, Cap: zn.cap, Valid: -1,
-		}
-	}
-	return telemetry.DeviceHeat{Zones: zones}
-}

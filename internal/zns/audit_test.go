@@ -12,7 +12,7 @@ import (
 // auditProbe returns a full probe whose flight recorder auto-dumps into buf
 // instead of stderr, so tests can assert on the dump.
 func auditProbe(buf *bytes.Buffer) *telemetry.Probe {
-	p := telemetry.NewProbe(telemetry.Options{})
+	p := telemetry.NewProbe()
 	p.FlightRec.DumpTo = buf
 	return p
 }
@@ -133,6 +133,9 @@ func TestDisabledAuditZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled audit path allocates %.1f allocs/op, want 0", allocs)
+	}
+	if a.Violations() != 0 || a.ViolationsByKind(AuditIllegalTransition) != 0 {
+		t.Fatal("nil auditor reported violations")
 	}
 }
 

@@ -52,7 +52,7 @@ func FuzzZoneStateMachine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := telemetry.NewProbe(telemetry.Options{})
+		probe := telemetry.NewProbe()
 		probe.FlightRec.DumpTo = io.Discard
 		d.SetProbe(probe)
 		aud := d.AttachAuditor()

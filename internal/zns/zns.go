@@ -153,14 +153,9 @@ type Device struct {
 	// every transition (audit.go). Nil (no-op) without AttachAuditor.
 	audit *Auditor
 
-	// Telemetry handles; all nil (zero-cost no-ops) without SetProbe.
-	reg     *telemetry.Registry
-	tr      *telemetry.Tracer
-	attr    *telemetry.AttrSink
-	fl      *telemetry.Flight
-	mTrans  [numZoneStates]*telemetry.Counter
-	mResets *telemetry.Counter
-	mAppend *telemetry.Counter
+	// Telemetry handles; both nil (zero-cost no-ops) without SetProbe.
+	attr *telemetry.AttrSink
+	fl   *telemetry.Flight
 
 	// blockDone records, per flash block, when its last program completed —
 	// the reference point for classifying LUN wait as write-pointer
@@ -180,13 +175,9 @@ type Device struct {
 	wpDone []sim.Time
 }
 
-// numZoneStates sizes the per-target-state transition counter array.
+// numZoneStates sizes the per-state tables (legal transitions, labels,
+// the census).
 const numZoneStates = int(Offline) + 1
-
-// transNames are precomputed so recording a transition never allocates.
-var transNames = [numZoneStates]string{
-	"->empty", "->open", "->closed", "->full", "->read-only", "->offline",
-}
 
 // New builds a device. ZoneBlocks defaults to 4; MaxOpen defaults to
 // MaxActive.
@@ -243,41 +234,23 @@ func New(cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// SetProbe attaches telemetry to the device and its flash chip: zone
-// state-transition counters (one per target state), active/open-zone
-// gauges, reset/append counters, and per-zone trace tracks carrying write,
-// append, reset, and state-transition events. Attach before driving I/O.
+// SetProbe attaches telemetry to the device and its flash chip: per-page
+// attribution that splits write-pointer serialization from die contention,
+// and zone transitions, resets and write-pointer conflicts in the flight
+// recorder. Attach before driving I/O.
 func (d *Device) SetProbe(p *telemetry.Probe) {
 	d.chip.SetProbe(p)
-	reg := p.Registry()
-	d.reg = reg
-	d.tr = p.Tracer()
 	d.attr = p.Attribution()
 	if d.attr != nil && d.blockDone == nil {
 		d.blockDone = make([]sim.Time, d.cfg.Geom.TotalBlocks())
 		d.writtenBy = make([][telemetry.MaxTenants]int32, len(d.zones))
 	}
-	for s := range d.mTrans {
-		d.mTrans[s] = reg.Counter("zns/zone/state_transitions{to=" + ZoneState(s).String() + "}")
-	}
-	d.mResets = reg.Counter("zns/zone/resets")
-	d.mAppend = reg.Counter("zns/zone/appends")
-	d.tr.NameProcess(telemetry.ProcZone, "zns zones")
-	for z := range d.zones {
-		d.tr.NameTrack(telemetry.ProcZone, int32(z), fmt.Sprintf("zone %d", z))
-	}
-	reg.Gauge("zns/active_zones", func(sim.Time) float64 { return float64(d.active) })
-	reg.Gauge("zns/open_zones", func(sim.Time) float64 { return float64(d.open) })
-	reg.Gauge("zns/write_amp", func(sim.Time) float64 { return d.counters.WriteAmp() })
-	reg.Gauge("zns/audit/violations", func(sim.Time) float64 { return float64(d.audit.Violations()) })
 	d.fl = p.Flight()
-	p.Heat().Register("zns", d.heatSection)
 }
 
 // transition moves a zone to a new state, recording the telemetry event.
-// All zone state changes must route through here so the transition counters,
-// the per-zone trace track, the flight recorder, and the state-machine
-// auditor stay complete.
+// All zone state changes must route through here so the flight recorder and
+// the state-machine auditor stay complete.
 func (d *Device) transition(at sim.Time, z int, to ZoneState) {
 	zn := &d.zones[z]
 	from := zn.state
@@ -287,8 +260,6 @@ func (d *Device) transition(at sim.Time, z int, to ZoneState) {
 	zn.state = to
 	d.audit.observe(at, z, from, to)
 	d.fl.Record(at, telemetry.FlightTransition, int32(z), transPair[from][to], zn.wp)
-	d.mTrans[to].Inc()
-	d.tr.Instant(telemetry.ProcZone, int32(z), "zns", transNames[to], at)
 }
 
 // NumZones reports the number of zones.
@@ -556,11 +527,9 @@ func (d *Device) Reset(at sim.Time, z int) (sim.Time, error) {
 		d.transition(at, z, Offline)
 		return done, nil
 	}
-	d.tr.SpanArg(telemetry.ProcZone, int32(z), "zns", "reset", at, done, "blocks", int64(len(zn.blocks)))
 	d.transition(at, z, Empty)
 	d.fl.Record(at, telemetry.FlightReset, int32(z), "", int64(len(zn.blocks)))
 	d.resets++
-	d.mResets.Inc()
 	return done, nil
 }
 
@@ -660,7 +629,6 @@ func (d *Device) write(at sim.Time, z int, data []byte) (lba int64, done sim.Tim
 		}
 		d.wpDone[block] = realDone
 	}
-	d.tr.Span(telemetry.ProcZone, int32(z), "zns", "write", at, done)
 	zn.wp++
 	if zn.wp == zn.cap {
 		d.release(zn)
@@ -688,8 +656,6 @@ func (d *Device) Write(at sim.Time, lba int64, data []byte) (sim.Time, error) {
 		// The §4.2 contention signal: a host writer lost the race for the
 		// write pointer and must retry — exactly the serialization cost zone
 		// append eliminates.
-		d.reg.Counter("zns/write/wp_conflicts").Inc()
-		d.tr.Instant(telemetry.ProcZone, int32(z), "zns", "wp_conflict", at)
 		d.fl.Record(at, telemetry.FlightWPConflict, int32(z), "", offset)
 		return at, ErrNotWritePtr
 	}
@@ -708,7 +674,6 @@ func (d *Device) Append(at sim.Time, z int, data []byte) (lba int64, done sim.Ti
 	lba, done, err = d.write(at, z, data)
 	if err == nil {
 		d.appends++
-		d.mAppend.Inc()
 	}
 	return lba, done, err
 }
@@ -773,8 +738,6 @@ func (d *Device) SimpleCopy(at sim.Time, srcLBAs []int64, dstZone int) (firstLBA
 		return 0, done, err
 	}
 	d.attr.Charge(telemetry.PhaseDevCopy, done-at)
-	d.tr.SpanArg(telemetry.ProcZone, int32(dstZone), "zns", "simple_copy", at, done,
-		"pages", int64(len(srcLBAs)))
 	return firstLBA, done, nil
 }
 

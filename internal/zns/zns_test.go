@@ -386,7 +386,7 @@ func TestSimpleCopyErrorsLeaveSinkBalanced(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := mustNew(t, testCfg())
-			probe := telemetry.NewProbe(telemetry.Options{})
+			probe := telemetry.NewProbe()
 			probe.FlightRec.DumpTo = io.Discard
 			d.SetProbe(probe)
 			sink := probe.Attribution()
