@@ -7,6 +7,7 @@ import (
 
 	"blockhead/internal/flash"
 	"blockhead/internal/sim"
+	"blockhead/internal/stats"
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
 	"blockhead/internal/telemetry/exemplar"
@@ -14,9 +15,10 @@ import (
 	"blockhead/internal/zns"
 )
 
-// shiftRun is what one time-shifted drive leaves to compare: the driver's
-// result and, when armed, the three telemetry folds' snapshots.
-type shiftRun struct {
+// logRun is what one drive of the metamorphic tests' ZNS log leaves to
+// compare: the driver's result and, when armed, the three telemetry folds'
+// snapshots.
+type logRun struct {
 	res  MixedResult
 	attr telemetry.AttrSnapshot
 	crit critpath.Snapshot
@@ -24,21 +26,35 @@ type shiftRun struct {
 	viol uint64
 }
 
-// shiftedZNSLog drives E4's ZNS circular log on a small geometry through
-// RunMixed, with every timestamp offset by t0: the pre-fill starts at t0,
-// then 8 closed-loop writers recycle zones in FIFO order while Poisson reads
-// land below the write pointers. armed attaches attribution, the
-// critical-path recorder and the exemplar reservoir as E4 does.
-func shiftedZNSLog(t *testing.T, seed int64, t0 sim.Time, armed bool) shiftRun {
+// logCfg is one transformation of that drive.
+type logCfg struct {
+	seed  int64
+	t0    sim.Time // the pre-fill's start
+	scale sim.Time // multiplies every flash latency, Duration and Warmup; 0 means 1
+	armed bool
+	// readers > 0 runs closed-loop readers in place of Poisson reads at
+	// 20 000/s, whose float gaps do not scale exactly.
+	readers int
+}
+
+// znsLogDrive drives E4's ZNS circular log on a small geometry through
+// RunMixed: the pre-fill starts at t0, then 8 closed-loop writers recycle
+// zones in FIFO order while reads land below the write pointers. armed
+// attaches attribution, the critical-path recorder and the exemplar
+// reservoir as E4 does.
+func znsLogDrive(t *testing.T, c logCfg) logRun {
 	t.Helper()
+	k := max(c.scale, 1)
 	geom := flash.Geometry{Channels: 2, DiesPerChan: 2, PlanesPerDie: 1,
 		BlocksPerLUN: 16, PagesPerBlock: 32, PageSize: 4096}
-	dev, err := zns.New(zns.Config{Geom: geom, Lat: flash.LatenciesFor(flash.TLC), ZoneBlocks: 4})
+	lat := flash.LatenciesFor(flash.TLC)
+	lat.ReadPage, lat.ProgramPage, lat.EraseBlock, lat.XferPage = k*lat.ReadPage, k*lat.ProgramPage, k*lat.EraseBlock, k*lat.XferPage
+	dev, err := zns.New(zns.Config{Geom: geom, Lat: lat, ZoneBlocks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var probe *telemetry.Probe
-	if armed {
+	if c.armed {
 		probe = attrProbe(Config{})
 		dev.SetProbe(probe)
 		exemplarArm(Config{}, probe, "zns", critpath.PredictOpts{ErasesAreResets: true},
@@ -46,7 +62,7 @@ func shiftedZNSLog(t *testing.T, seed int64, t0 sim.Time, armed bool) shiftRun {
 	}
 	aud := dev.AttachAuditor()
 	nz := dev.NumZones()
-	at := t0
+	at := c.t0
 	for z := 0; z < nz; z++ {
 		for o := int64(0); o < dev.ZonePages(); o++ {
 			if _, at, err = dev.Append(at, z, nil); err != nil {
@@ -54,7 +70,7 @@ func shiftedZNSLog(t *testing.T, seed int64, t0 sim.Time, armed bool) shiftRun {
 			}
 		}
 	}
-	src := workload.NewSource(seed)
+	src := workload.NewSource(c.seed)
 	rKeys := workload.NewUniform(src, int64(nz)*dev.ZonePages())
 	next, cur := 0, -1
 	write := func(t sim.Time) (sim.Time, error) {
@@ -78,18 +94,22 @@ func shiftedZNSLog(t *testing.T, seed int64, t0 sim.Time, armed bool) shiftRun {
 		done, _, err := dev.Read(sim.Max(t, at), dev.LBA(z, off%wp))
 		return done, err
 	}
-	res := RunMixed(MixedCfg{
-		Writers: 8, Write: write, ReadRate: 20000, Read: read,
-		Start: at, Duration: sim.Second, Warmup: 100 * sim.Millisecond,
+	cfg := MixedCfg{
+		Writers: 8, Write: write, Readers: c.readers, Read: read,
+		Start: at, Duration: k * sim.Second, Warmup: k * 100 * sim.Millisecond,
 		Src: src, Probe: probe,
-	})
+	}
+	if c.readers == 0 {
+		cfg.ReadRate = 20000
+	}
+	res := RunMixed(cfg)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if err := aud.Check(); err != nil {
 		t.Fatal(err)
 	}
-	run := shiftRun{res: res}
+	run := logRun{res: res}
 	if sink := probe.Attribution(); sink != nil {
 		run.attr, run.viol = sink.Snapshot(), sink.Violations()
 		run.crit = critpath.FromSink(sink).Snapshot()
@@ -108,8 +128,8 @@ func TestTimeShiftMetamorphic(t *testing.T) {
 	for _, seed := range []int64{42, 7, 13} {
 		for _, armed := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed%d/armed=%v", seed, armed), func(t *testing.T) {
-				base := shiftedZNSLog(t, seed, 0, armed)
-				moved := shiftedZNSLog(t, seed, shift, armed)
+				base := znsLogDrive(t, logCfg{seed: seed, armed: armed})
+				moved := znsLogDrive(t, logCfg{seed: seed, t0: shift, armed: armed})
 				if base.res.WriteOps == 0 || base.res.ReadOps == 0 {
 					t.Fatalf("drive measured %d writes and %d reads", base.res.WriteOps, base.res.ReadOps)
 				}
@@ -134,6 +154,44 @@ func TestTimeShiftMetamorphic(t *testing.T) {
 				if base.exem.IOs != moved.exem.IOs || base.exem.FlagSeen != moved.exem.FlagSeen {
 					t.Errorf("exemplar reservoir saw %d IOs (%d flagged) at t0=0, %d (%d) at t0=2^40",
 						base.exem.IOs, base.exem.FlagSeen, moved.exem.IOs, moved.exem.FlagSeen)
+				}
+			})
+		}
+	}
+}
+
+// TestTimeScaleMetamorphic is ROADMAP item 4(a) at the driver level: the
+// same drive with every flash latency, Duration and Warmup multiplied by k
+// must count the same ops and report every latency percentile and the
+// maximum exactly k times larger. Mean is a floor of sum/n, so k·m ≤ Mean′
+// < k·m + k. Reads are closed loop: Poisson gaps are float draws and do not
+// scale exactly. At k = 4096 the read p50 lies above 2^32 ns, so stats.Dist
+// selects its ranks from the wide store end to end.
+func TestTimeScaleMetamorphic(t *testing.T) {
+	for _, seed := range []int64{42, 7, 13} {
+		base := znsLogDrive(t, logCfg{seed: seed, readers: 4}).res
+		if base.WriteOps == 0 || base.ReadOps == 0 {
+			t.Fatalf("seed %d: drive measured %d writes and %d reads", seed, base.WriteOps, base.ReadOps)
+		}
+		for _, k := range []sim.Time{3, 4096} {
+			t.Run(fmt.Sprintf("seed%d/k=%d", seed, k), func(t *testing.T) {
+				scaled := znsLogDrive(t, logCfg{seed: seed, scale: k, readers: 4}).res
+				if scaled.WriteOps != base.WriteOps || scaled.ReadOps != base.ReadOps {
+					t.Errorf("ops: %d writes, %d reads at k=1; %d, %d at k=%d",
+						base.WriteOps, base.ReadOps, scaled.WriteOps, scaled.ReadOps, k)
+				}
+				for _, s := range []struct {
+					name         string
+					base, scaled stats.Summary
+				}{{"write", base.WriteLat, scaled.WriteLat}, {"read", base.ReadLat, scaled.ReadLat}} {
+					b, g := s.base, s.scaled
+					if g.Count != b.Count || g.P50 != k*b.P50 || g.P90 != k*b.P90 || g.P99 != k*b.P99 ||
+						g.P999 != k*b.P999 || g.Max != k*b.Max || g.Mean < k*b.Mean || g.Mean >= k*b.Mean+k {
+						t.Errorf("%s latency does not scale by %d:\n k=1: %+v\n k=%d: %+v", s.name, k, b, k, g)
+					}
+				}
+				if k == 4096 && scaled.ReadLat.P50 < 1<<32 {
+					t.Errorf("read p50 %d at k=4096 is below 2^32 ns: the wide store goes untested", scaled.ReadLat.P50)
 				}
 			})
 		}

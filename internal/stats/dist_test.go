@@ -63,7 +63,11 @@ func checkDist(t *testing.T, d *Dist, samples []sim.Time) {
 // that stress selection: a 16 ms outlier that puts nearly every sample in one
 // top-digit bucket, long runs of ties that end exactly at the p50/p90/p99/
 // p999 ranks, and a dense cluster under a far outlier, whose rank buckets
-// stay larger than radixMin for more than one narrowing digit.
+// stay larger than radixMin for more than one narrowing digit. The last four
+// shapes split the samples between the narrow and the wide store: samples
+// either side of the 2^32 boundary, a narrow majority with a few wide
+// samples and a 5 s outlier, a wide majority that holds p50 and p90, and
+// negative samples (so a negative min) under a narrow majority.
 func TestDistMatchesSortedReference(t *testing.T) {
 	latency := func(r *rand.Rand) sim.Time { return sim.Time(20_000 + r.ExpFloat64()*80_000) }
 	shapes := []struct {
@@ -99,6 +103,28 @@ func TestDistMatchesSortedReference(t *testing.T) {
 				return 1 << 40
 			}
 			return sim.Time(r.Int63n(1 << 14))
+		}},
+		{"store-edge", func(r *rand.Rand, _, _ int) sim.Time { return 1<<32 - 1 + sim.Time(r.Intn(2)) }},
+		{"narrow-few-wide", func(r *rand.Rand, i, n int) sim.Time {
+			switch {
+			case i == n/2:
+				return 5_000_000_000
+			case i%997 == 1:
+				return 1<<32 + latency(r)
+			}
+			return latency(r)
+		}},
+		{"wide-majority", func(r *rand.Rand, i, _ int) sim.Time {
+			if i%20 == 0 {
+				return latency(r)
+			}
+			return 5_000_000_000 + latency(r)
+		}},
+		{"negative-min-narrow", func(r *rand.Rand, i, _ int) sim.Time {
+			if i%500 == 0 {
+				return -latency(r)
+			}
+			return latency(r)
 		}},
 	}
 	sizes := []int{0, 1, 2, radixMin - 1, radixMin, chunkLen - 1, chunkLen, chunkLen + 1, 400_000}
@@ -204,6 +230,35 @@ func TestDistSummaryDoesNotAllocatePerSample(t *testing.T) {
 			if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
 				t.Errorf("n=%d outlier=%v: Summary allocates %d B, want < %d", n, outlier, got, bound)
 			}
+		}
+	}
+}
+
+// TestDistBytesPerSample pins the storage: a million latency-shaped samples
+// take four bytes each in all (chunks, chunk list and one Summary), where
+// eight-byte storage took eight, and a million samples of 5 s and up take
+// their eight and no more, so neither store copies what it holds.
+func TestDistBytesPerSample(t *testing.T) {
+	const n = 1_000_000
+	for _, tc := range []struct {
+		name   string
+		offset sim.Time
+		bound  float64
+	}{{"narrow", 0, 4.25}, {"wide", 5_000_000_000, 8.5}} {
+		rng := rand.New(rand.NewSource(42))
+		var d Dist
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			d.Add(tc.offset + sim.Time(20_000+rng.ExpFloat64()*80_000))
+		}
+		s := d.Summary()
+		runtime.ReadMemStats(&after)
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / n; got > tc.bound {
+			t.Errorf("%s: %.2f B per sample, want <= %.2f", tc.name, got, tc.bound)
+		}
+		if s.Count != n || s.P50 <= tc.offset {
+			t.Errorf("%s: Summary = %+v", tc.name, s)
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 	"blockhead/internal/sim"
 )
 
-// chunkLen is the number of samples in one storage chunk (32 KiB). It is
-// also the capacity RunMixed used to ask for up front, so a drive that never
-// outgrows one chunk allocates what it always did.
+// chunkLen is the number of samples in one storage chunk: 16 KiB of narrow
+// samples, 32 KiB of wide ones. It is also the capacity RunMixed asks
+// NewDist for up front.
 const chunkLen = 4096
 
 // radixMin is the most samples (all of them, or the bucket holding a rank)
@@ -32,21 +32,29 @@ const digitBits = 11
 // Dist records a distribution of latency samples and computes summary
 // statistics. The zero value is ready to use.
 //
-// Samples live in chunks: Add fills the last one and starts another when it
-// is full, so recording never copies what is already held. A percentile
-// query selects its ranks from the chunks as they stand (nearestRanks): one
-// pass per digit it narrows, at most 32 KiB allocated whatever the count.
+// Samples live in chunks, in one of two stores: a sample in [0, 2^32) ns
+// (up to 4.29 s, every latency a drive normally sees) is narrow and takes
+// four bytes; any other sample (negative, or 2^32 ns and up) is wide and
+// keeps its eight. Add fills the last chunk of its store and starts another
+// when it is full, so recording never copies what is already held. A
+// percentile query selects its ranks from both stores as they stand
+// (nearestRanks): one pass per digit it narrows, at most 32 KiB allocated
+// whatever the count.
 type Dist struct {
-	chunks [][]sim.Time
+	narrow [][]uint32
+	wide   [][]sim.Time
 	n      int
 	sum    sim.Time
 	max    sim.Time
 	min    sim.Time
 }
 
+// sample is the element type of one store.
+type sample interface{ uint32 | sim.Time }
+
 // NewDist returns an empty distribution with capacity hint n.
 func NewDist(n int) *Dist {
-	return &Dist{chunks: [][]sim.Time{make([]sim.Time, 0, min(n, chunkLen))}}
+	return &Dist{narrow: [][]uint32{make([]uint32, 0, min(n, chunkLen))}}
 }
 
 // Add records one sample.
@@ -58,13 +66,25 @@ func (d *Dist) Add(v sim.Time) {
 		d.max = v
 	}
 	d.sum += v
-	last := len(d.chunks) - 1
-	if last < 0 || len(d.chunks[last]) == cap(d.chunks[last]) {
-		d.chunks = append(d.chunks, make([]sim.Time, 0, chunkLen))
+	if uint64(v) < 1<<32 {
+		push(&d.narrow, uint32(v))
+	} else {
+		push(&d.wide, v)
+	}
+	d.n++
+}
+
+// push appends v to the last chunk of a store, starting a chunk when that
+// one is full.
+func push[T sample](chunks *[][]T, v T) {
+	c := *chunks
+	last := len(c) - 1
+	if last < 0 || len(c[last]) == cap(c[last]) {
+		c = append(c, make([]T, 0, chunkLen))
+		*chunks = c
 		last++
 	}
-	d.chunks[last] = append(d.chunks[last], v)
-	d.n++
+	c[last] = append(c[last], v)
 }
 
 // Count reports the number of recorded samples.
@@ -93,94 +113,133 @@ func (d *Dist) Min() sim.Time {
 // It returns 0 with no samples.
 func (d *Dist) Percentile(p float64) sim.Time { return d.nearestRanks(p)[0] }
 
+// selection is one nearestRanks query's state between its passes: rank r's
+// bucket holds the n[r] keys with k>>shift == prefix[r], and owners maps a
+// top digit to the open ranks whose bucket lies in it.
+type selection struct {
+	base             uint64
+	top, shift, next uint
+	prefix           [4]uint64
+	n                [4]int
+	owners           [1 << digitBits]uint8
+	hist             [4][1 << digitBits]int
+	gather           [4][]sim.Time
+}
+
 // nearestRanks returns the nearest-rank ps[r]-th percentiles for up to four
 // ps (zeros with no samples). At most radixMin samples are sorted in a copy;
 // more by exact radix selection on the key v - min, which in uint64 is
 // exact for any min <= v and no wider than the span, so negative samples
 // order correctly and the digit count follows the data's spread. Each round
-// is one pass over the chunks: the first counts every key's top digit, each
-// later one serves every open rank r, whose bucket holds the n[r] keys with
-// k>>shift == prefix[r] and r's want[r]-th smallest. A bucket of more than
-// radixMin keys is narrowed by counting its next digit, a smaller one is
-// gathered and sorted (never more than 4 x radixMin samples in all), and
-// one narrowed to the last digit is a single value.
+// is one pass over both stores: the first counts every key's top digit (in
+// hist[0], for every rank), each later one serves every open rank r, whose
+// bucket holds r's want[r]-th smallest key. A bucket of more than radixMin
+// keys is narrowed by counting its next digit, a smaller one is gathered
+// and sorted (never more than 4 x radixMin samples in all), and one
+// narrowed to the last digit is a single value.
 func (d *Dist) nearestRanks(ps ...float64) (out [4]sim.Time) {
 	if d.n == 0 {
 		return out
 	}
-	var want, n [4]int
-	var prefix [4]uint64
+	var want [4]int
+	var s selection
 	for r, p := range ps {
-		want[r], n[r] = min(max(int(math.Ceil(p*float64(d.n)/100)), 1), d.n), d.n
+		want[r], s.n[r] = min(max(int(math.Ceil(p*float64(d.n)/100)), 1), d.n), d.n
 	}
 	if d.n <= radixMin {
-		flat := slices.Concat(d.chunks...)
+		flat := appendAll(appendAll(make([]sim.Time, 0, d.n), d.narrow), d.wide)
 		slices.Sort(flat)
 		for r := range ps {
 			out[r] = flat[want[r]-1]
 		}
 		return out
 	}
-	base := uint64(d.min)
-	shift := uint(bits.Len64(uint64(d.max) - base))
-	top := shift - min(shift, digitBits) // the first round's digit is k>>top
-	var hist [4][1 << digitBits]int
-	var owners [1 << digitBits]uint8 // per top digit: the open ranks whose bucket lies in it
-	var gather [4][]sim.Time
+	s.base = uint64(d.min)
+	s.shift = uint(bits.Len64(uint64(d.max) - s.base))
+	s.top = s.shift - min(s.shift, digitBits) // the first round's digit is k>>top
 	open := uint8(1)<<len(ps) - 1
 	for round := 0; open != 0; round++ {
-		next := shift - min(shift, digitBits)
-		mask := uint64(1)<<(shift-next) - 1
-		clear(owners[:])
-		for m := open; m != 0; m &= m - 1 {
-			r := bits.TrailingZeros8(m)
-			if n[r] <= radixMin {
-				gather[r] = make([]sim.Time, 0, n[r])
-			} else {
-				clear(hist[r][:])
-			}
-			owners[prefix[r]>>(top-shift)] |= 1 << r
-		}
-		for _, c := range d.chunks {
-			if round == 0 {
-				for _, v := range c {
-					hist[0][((uint64(v)-base)>>top)&(1<<digitBits-1)]++
+		s.next = s.shift - min(s.shift, digitBits)
+		if round == 0 {
+			countTop(&s, d.narrow)
+			countTop(&s, d.wide)
+		} else {
+			clear(s.owners[:])
+			for m := open; m != 0; m &= m - 1 {
+				r := bits.TrailingZeros8(m)
+				if s.n[r] <= radixMin {
+					s.gather[r] = make([]sim.Time, 0, s.n[r])
+				} else {
+					clear(s.hist[r][:])
 				}
-				continue
+				s.owners[s.prefix[r]>>(s.top-s.shift)] |= 1 << r
 			}
-			for _, v := range c {
-				k := uint64(v) - base
-				for m := owners[(k>>top)&(1<<digitBits-1)]; m != 0; m &= m - 1 {
-					if r := bits.TrailingZeros8(m); prefix[r] != k>>shift {
-						continue
-					} else if n[r] > radixMin {
-						hist[r][(k>>next)&mask]++
-					} else {
-						gather[r] = append(gather[r], v)
-					}
-				}
-			}
+			filter(&s, d.narrow)
+			filter(&s, d.wide)
 		}
 		for m := open; m != 0; m &= m - 1 {
 			r := bits.TrailingZeros8(m)
-			if n[r] <= radixMin {
-				slices.Sort(gather[r])
-				out[r], open = gather[r][want[r]-1], open&^(1<<r)
+			if s.n[r] <= radixMin {
+				slices.Sort(s.gather[r])
+				out[r], open = s.gather[r][want[r]-1], open&^(1<<r)
 				continue
 			}
-			h := &hist[r*min(round, 1)] // the first round counted once, for every rank
+			h := &s.hist[r*min(round, 1)] // the first round counted once, for every rank
 			digit := 0
 			for ; want[r] > h[digit]; digit++ {
 				want[r] -= h[digit]
 			}
-			prefix[r], n[r] = prefix[r]<<(shift-next)|uint64(digit), h[digit]
-			if next == 0 {
-				out[r], open = sim.Time(base+prefix[r]), open&^(1<<r)
+			s.prefix[r], s.n[r] = s.prefix[r]<<(s.shift-s.next)|uint64(digit), h[digit]
+			if s.next == 0 {
+				out[r], open = sim.Time(s.base+s.prefix[r]), open&^(1<<r)
 			}
 		}
-		shift = next
+		s.shift = s.next
 	}
 	return out
+}
+
+// appendAll appends every sample of a store to dst.
+func appendAll[T sample](dst []sim.Time, chunks [][]T) []sim.Time {
+	for _, c := range chunks {
+		for _, v := range c {
+			dst = append(dst, sim.Time(v))
+		}
+	}
+	return dst
+}
+
+// countTop is a selection's first pass over one store: it counts every
+// key's top digit into hist[0].
+func countTop[T sample](s *selection, chunks [][]T) {
+	h, base, top := &s.hist[0], s.base, s.top
+	for _, c := range chunks {
+		for _, v := range c {
+			h[((uint64(v)-base)>>top)&(1<<digitBits-1)]++
+		}
+	}
+}
+
+// filter is a selection's later pass over one store: a key in an open
+// rank's bucket counts into that rank's next digit, or is gathered when the
+// bucket is at most radixMin keys.
+func filter[T sample](s *selection, chunks [][]T) {
+	base, top, shift, next := s.base, s.top, s.shift, s.next
+	mask := uint64(1)<<(shift-next) - 1
+	for _, c := range chunks {
+		for _, v := range c {
+			k := uint64(v) - base
+			for m := s.owners[(k>>top)&(1<<digitBits-1)]; m != 0; m &= m - 1 {
+				if r := bits.TrailingZeros8(m); s.prefix[r] != k>>shift {
+					continue
+				} else if s.n[r] > radixMin {
+					s.hist[r][(k>>next)&mask]++
+				} else {
+					s.gather[r] = append(s.gather[r], sim.Time(v))
+				}
+			}
+		}
+	}
 }
 
 // Summary bundles the statistics reported in experiment tables.
