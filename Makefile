@@ -44,8 +44,10 @@ bench-selftest:
 # The same holds for what every event-driven run pays per event and per
 # latency sample: sim.Loop's schedule+dispatch allocates nothing once the
 # queue has its depth, and stats.Dist.Add allocates one 16 KiB chunk per
-# 4096 samples under 2^32 ns, four bytes each (TestDistBytesPerSample). The
-# pins run without -race, where allocation counts are exact.
+# 4096 samples under 2^32 ns, four bytes each (TestDistBytesPerSample). An
+# armed run's critical-path reservoir holds each sampled path in at most
+# 96 B (TestRecorderBytesPerPath). The pins run without -race, where
+# allocation counts are exact.
 #
 # And for what every LSM run pays per table: zkv's one table builder adds
 # entries without allocating once it has built a table, and the blob it
@@ -57,7 +59,7 @@ bench-selftest:
 # where the mapping tables outgrow the caches.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench='ProbeDisabled|ProbeEnabled|ArmedIO' -benchmem ./internal/telemetry/ ./internal/telemetry/critpath/ ./internal/telemetry/exemplar/ ./internal/zns/ ./internal/fault/
-	$(GO) test -run='DoesNotAllocate|DoNotAllocate|DoesNotRegrow|HasNoSlack|BytesPerSample' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|TableRead|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/ ./internal/zalloc/
+	$(GO) test -run='DoesNotAllocate|DoNotAllocate|DoesNotRegrow|HasNoSlack|BytesPerSample|BytesPerPath' -bench='^Benchmark(Loop|DistAddSummary|TableBuilder|TableRead|CompactLevel|GetHit|GetBloomMiss|FTLGCWrite|HostFTLReclaimWrite)$$' -benchmem ./internal/sim/ ./internal/stats/ ./internal/zkv/ ./internal/ftl/ ./internal/hostftl/ ./internal/zalloc/ ./internal/telemetry/critpath/
 
 # The full per-table benchmark suite (slow; custom metrics carry results).
 bench:

@@ -167,23 +167,32 @@ func TestTimeShiftMetamorphic(t *testing.T) {
 // < k·m + k. Reads are closed loop: Poisson gaps are float draws and do not
 // scale exactly. At k = 4096 the read p50 lies above 2^32 ns, so stats.Dist
 // selects its ranks from the wide store end to end.
+//
+// Both drives are armed, so the critical-path recorder must sample the same
+// IOs with every cell exactly k times larger. At k = 4096 the cells of
+// 2^32 ns and more go through the reservoir's side list, and since ×4096
+// is exact in float64 the what-if engine must predict equal ratios.
 func TestTimeScaleMetamorphic(t *testing.T) {
 	for _, seed := range []int64{42, 7, 13} {
-		base := znsLogDrive(t, logCfg{seed: seed, readers: 4}).res
-		if base.WriteOps == 0 || base.ReadOps == 0 {
-			t.Fatalf("seed %d: drive measured %d writes and %d reads", seed, base.WriteOps, base.ReadOps)
+		base := znsLogDrive(t, logCfg{seed: seed, readers: 4, armed: true})
+		if base.res.WriteOps == 0 || base.res.ReadOps == 0 {
+			t.Fatalf("seed %d: drive measured %d writes and %d reads", seed, base.res.WriteOps, base.res.ReadOps)
+		}
+		if len(base.crit.Paths) == 0 {
+			t.Fatalf("seed %d: armed drive sampled no critical paths", seed)
 		}
 		for _, k := range []sim.Time{3, 4096} {
 			t.Run(fmt.Sprintf("seed%d/k=%d", seed, k), func(t *testing.T) {
-				scaled := znsLogDrive(t, logCfg{seed: seed, scale: k, readers: 4}).res
-				if scaled.WriteOps != base.WriteOps || scaled.ReadOps != base.ReadOps {
+				run := znsLogDrive(t, logCfg{seed: seed, scale: k, readers: 4, armed: true})
+				scaled := run.res
+				if scaled.WriteOps != base.res.WriteOps || scaled.ReadOps != base.res.ReadOps {
 					t.Errorf("ops: %d writes, %d reads at k=1; %d, %d at k=%d",
-						base.WriteOps, base.ReadOps, scaled.WriteOps, scaled.ReadOps, k)
+						base.res.WriteOps, base.res.ReadOps, scaled.WriteOps, scaled.ReadOps, k)
 				}
 				for _, s := range []struct {
 					name         string
 					base, scaled stats.Summary
-				}{{"write", base.WriteLat, scaled.WriteLat}, {"read", base.ReadLat, scaled.ReadLat}} {
+				}{{"write", base.res.WriteLat, scaled.WriteLat}, {"read", base.res.ReadLat, scaled.ReadLat}} {
 					b, g := s.base, s.scaled
 					if g.Count != b.Count || g.P50 != k*b.P50 || g.P90 != k*b.P90 || g.P99 != k*b.P99 ||
 						g.P999 != k*b.P999 || g.Max != k*b.Max || g.Mean < k*b.Mean || g.Mean >= k*b.Mean+k {
@@ -193,7 +202,68 @@ func TestTimeScaleMetamorphic(t *testing.T) {
 				if k == 4096 && scaled.ReadLat.P50 < 1<<32 {
 					t.Errorf("read p50 %d at k=4096 is below 2^32 ns: the wide store goes untested", scaled.ReadLat.P50)
 				}
+				if base.viol != 0 || run.viol != 0 {
+					t.Errorf("attribution violations: %d at k=1, %d at k=%d", base.viol, run.viol, k)
+				}
+				wide := checkPathsScale(t, base.crit, run.crit, k)
+				if k != 4096 {
+					return
+				}
+				if wide == 0 {
+					t.Error("no sampled cell reaches 2^32 ns at k=4096: the side list goes untested")
+				}
+				opts := critpath.PredictOpts{ErasesAreResets: true, PerTenant: true}
+				for _, sc := range critpath.Canonical() {
+					b, g := base.crit.Predict(sc, opts), run.crit.Predict(sc, opts)
+					if len(b) != len(g) {
+						t.Fatalf("%s: %d predictions at k=1, %d at k=%d", sc.Name, len(b), len(g), k)
+					}
+					for i := range b {
+						if b[i].Op != g[i].Op || b[i].Tenant != g[i].Tenant || b[i].Count != g[i].Count ||
+							b[i].MeanRatio != g[i].MeanRatio || b[i].P99Ratio != g[i].P99Ratio || b[i].P999Ratio != g[i].P999Ratio {
+							t.Errorf("%s predicts differently at k=%d:\n k=1: %+v\n k=%d: %+v", sc.Name, k, b[i], k, g[i])
+						}
+					}
+				}
 			})
 		}
 	}
+}
+
+// checkPathsScale checks that scaled samples the same IOs as base with
+// every Total, Path, WaitBy and Comp cell exactly k times larger, and
+// returns how many scaled cells reach 2^32 ns.
+func checkPathsScale(t *testing.T, base, scaled critpath.Snapshot, k sim.Time) (wide int) {
+	t.Helper()
+	if base.IOs != scaled.IOs || base.Stride != scaled.Stride || len(base.Paths) != len(scaled.Paths) {
+		t.Fatalf("critical paths: %d IOs, stride %d, %d sampled at k=1; %d, %d, %d at k=%d",
+			base.IOs, base.Stride, len(base.Paths), scaled.IOs, scaled.Stride, len(scaled.Paths), k)
+	}
+	for i := range base.Paths {
+		b, g := &base.Paths[i], &scaled.Paths[i]
+		scale := func(d sim.Time) sim.Time {
+			if k*d >= 1<<32 {
+				wide++
+			}
+			return k * d
+		}
+		want := critpath.PathRec{Op: b.Op, Tenant: b.Tenant, Total: k * b.Total}
+		for p := range b.Path {
+			want.Path[p] = scale(b.Path[p])
+		}
+		for w := range b.WaitBy {
+			for q := range b.WaitBy[w] {
+				want.WaitBy[w][q] = scale(b.WaitBy[w][q])
+			}
+		}
+		for c := range b.Comp {
+			for q := range b.Comp[c] {
+				want.Comp[c][q] = scale(b.Comp[c][q])
+			}
+		}
+		if *g != want {
+			t.Fatalf("sampled path %d does not scale by %d:\n k=1: %+v\n k=%d: %+v", i, k, *b, k, *g)
+		}
+	}
+	return wide
 }

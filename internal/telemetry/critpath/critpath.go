@@ -11,8 +11,19 @@
 //     *exactly* (zero-tick slack) to its end-to-end latency. The sink
 //     checks it once per IO; violations are counted, never hidden.
 //   - The nil *Recorder is a valid no-op on every method.
-//   - No method allocates: the reservoir is preallocated, so the hot path
-//     stays 0 allocs/op whether the recorder is attached or not.
+//   - The per-IO path does not allocate: the reservoir is preallocated, so
+//     the hot path stays 0 allocs/op whether the recorder is attached or
+//     not. The one exception is the side list (below), which Fold grows
+//     when it admits a path that does not pack while the list is full:
+//     past SampleCap/64 such paths held at once, then past each capacity
+//     append has grown it to. The census in DESIGN.md ("Packed critical
+//     paths") found none in the product's runs.
+//
+// The reservoir keeps each sampled path packed as its nonzero cells, 72 B
+// against PathRec's 472: a recorded path touches a handful of its 56
+// cells, each a tick below 2^32 ns. A path that does not pack is kept
+// whole in a side list. Snapshot expands both back into PathRecs, so the
+// sample a reader sees is exactly the unpacked one.
 //
 // On top of the recorded paths, whatif.go replays them under counterfactual
 // phase scalings and predicts the resulting latency distribution.
@@ -91,9 +102,81 @@ type Recorder struct {
 	base recorderBase
 
 	ops    [telemetry.NumOps]OpAgg
-	paths  []PathRec
+	paths  []packed
+	side   []PathRec // the sampled paths that do not pack, in sample order
 	stride uint64
 	seq    uint64
+}
+
+// Cell slots number a PathRec's tick cells in one fixed order: Path, then
+// WaitBy, then Comp, each row by row.
+const (
+	waitBase = telemetry.NumPhases
+	compBase = waitBase + telemetry.NumWaits*telemetry.NumBinds
+	numSlots = compBase + telemetry.NumComposites*telemetry.NumPhases
+
+	// maxCells bounds a packed path's nonzero cells. mixed_rw_armed's
+	// sampled paths hold 2 to 7 and the full campaign's 2 to 9.
+	maxCells = 12
+)
+
+// cell returns slot s of p.
+func cell(p *PathRec, s int) *sim.Time {
+	switch {
+	case s < waitBase:
+		return &p.Path[s]
+	case s < compBase:
+		s -= waitBase
+		return &p.WaitBy[s/telemetry.NumBinds][s%telemetry.NumBinds]
+	}
+	s -= compBase
+	return &p.Comp[s/telemetry.NumPhases][s%telemetry.NumPhases]
+}
+
+// packed is one sampled path in the reservoir: its nonzero cells as slot
+// and tick, in slot order. A path with more than maxCells nonzero cells,
+// a tick or Total outside [0, 2^32), or an Op or Tenant that does not fit
+// a byte is kept whole in Recorder.side instead, at index side; side is -1
+// for a path the cells hold.
+type packed struct {
+	total      uint32
+	side       int32
+	op, tenant uint8
+	n          uint8
+	slot       [maxCells]uint8
+	tick       [maxCells]uint32
+}
+
+// pack fills k from p and reports whether p fits; k's side is -1 if so.
+func (k *packed) pack(p *PathRec) bool {
+	if !fits(p.Total) || telemetry.OpKind(uint8(p.Op)) != p.Op || telemetry.TenantID(uint8(p.Tenant)) != p.Tenant {
+		return false
+	}
+	k.total, k.side, k.op, k.tenant, k.n = uint32(p.Total), -1, uint8(p.Op), uint8(p.Tenant), 0
+	for s := 0; s < numSlots; s++ {
+		t := *cell(p, s)
+		if t == 0 {
+			continue
+		}
+		if k.n == maxCells || !fits(t) {
+			return false
+		}
+		k.slot[k.n], k.tick[k.n] = uint8(s), uint32(t)
+		k.n++
+	}
+	return true
+}
+
+// fits reports whether t packs into a cell's four bytes.
+func fits(t sim.Time) bool { return uint64(t) < 1<<32 }
+
+// unpack expands k into the path it was packed from.
+func (k *packed) unpack() PathRec {
+	p := PathRec{Op: telemetry.OpKind(k.op), Tenant: telemetry.TenantID(k.tenant), Total: sim.Time(k.total)}
+	for i := uint8(0); i < k.n; i++ {
+		*cell(&p, int(k.slot[i])) = sim.Time(k.tick[i])
+	}
+	return p
 }
 
 // recorderBase is the sink's state a recorder's snapshot counts from.
@@ -106,13 +189,16 @@ type recorderBase struct {
 // waitMask has the bits of the wait phases in a record's PhaseMask.
 const waitMask = 1<<telemetry.PhaseWPSerial | 1<<telemetry.PhaseChanWait | 1<<telemetry.PhaseLUNWait
 
-// New returns an empty recorder with a preallocated reservoir.
+// New returns an empty recorder with a preallocated reservoir. The side
+// list starts at SampleCap/64 entries and grows only past them: the GC
+// counts an allocated span as live whether or not its pages were touched,
+// so a full-size side list would cost the heap what packing saves.
 func New(opts Options) *Recorder {
 	cap_ := opts.SampleCap
 	if cap_ <= 0 {
 		cap_ = DefaultSampleCap
 	}
-	return &Recorder{paths: make([]PathRec, 0, cap_), stride: 1}
+	return &Recorder{paths: make([]packed, 0, cap_), side: make([]PathRec, 0, cap_/64), stride: 1}
 }
 
 // Attach creates a recorder and adds it to sink's folds. Returns nil (a
@@ -176,19 +262,36 @@ func (r *Recorder) Fold(rec *telemetry.Record) {
 func (r *Recorder) admit(rec *telemetry.Record) {
 	if r.seq&(r.stride-1) == 0 {
 		if len(r.paths) == cap(r.paths) {
-			keep := 0
-			for i := 0; i < len(r.paths); i += 2 {
-				r.paths[keep] = r.paths[i]
-				keep++
-			}
-			r.paths = r.paths[:keep]
-			r.stride *= 2
+			r.decimate()
 		}
 		if r.seq&(r.stride-1) == 0 && len(r.paths) < cap(r.paths) {
-			r.paths = append(r.paths, PathOf(rec))
+			p := PathOf(rec)
+			r.paths = r.paths[:len(r.paths)+1]
+			if k := &r.paths[len(r.paths)-1]; !k.pack(&p) {
+				k.side = int32(len(r.side))
+				r.side = append(r.side, p)
+			}
 		}
 	}
 	r.seq++
+}
+
+// decimate keeps every second sampled path and doubles the stride. The
+// side list keeps the wide paths of the kept entries, in order.
+func (r *Recorder) decimate() {
+	keep, side := 0, 0
+	for i := 0; i < len(r.paths); i += 2 {
+		k := r.paths[i]
+		if k.side >= 0 {
+			r.side[side] = r.side[k.side]
+			k.side = int32(side)
+			side++
+		}
+		r.paths[keep] = k
+		keep++
+	}
+	r.paths, r.side = r.paths[:keep], r.side[:side]
+	r.stride *= 2
 }
 
 // Snapshot is a copyable capture of a recorder's aggregates and sampled
@@ -203,8 +306,8 @@ type Snapshot struct {
 }
 
 // Snapshot returns a copy of the recorder's state since the last Drain.
-// It allocates (copies the reservoir), so it is for publish/report time,
-// not the per-IO path.
+// It allocates (expands the reservoir into PathRecs), so it is for
+// publish/report time, not the per-IO path.
 func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
@@ -216,7 +319,13 @@ func (r *Recorder) Snapshot() Snapshot {
 		Stride:     r.stride,
 		Paths:      make([]PathRec, len(r.paths)),
 	}
-	copy(s.Paths, r.paths)
+	for i := range r.paths {
+		if k := &r.paths[i]; k.side >= 0 {
+			s.Paths[i] = r.side[k.side]
+		} else {
+			s.Paths[i] = k.unpack()
+		}
+	}
 	for k := 0; k < telemetry.NumOps; k++ {
 		n, b, o := &now.attr.Ops[k], &r.base.attr.Ops[k], &s.Ops[k]
 		o.Count, o.TotalSum = n.Count-b.Count, n.TotalSum-b.TotalSum
@@ -245,7 +354,7 @@ func (r *Recorder) Drain() Snapshot {
 	s := r.Snapshot()
 	r.base = r.mark()
 	r.ops = [telemetry.NumOps]OpAgg{}
-	r.paths = r.paths[:0]
+	r.paths, r.side = r.paths[:0], r.side[:0]
 	r.stride = 1
 	r.seq = 0
 	return s
