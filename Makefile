@@ -50,8 +50,10 @@ bench-selftest:
 # allocation counts are exact.
 #
 # And for what every LSM run pays per table: zkv's one table builder adds
-# entries without allocating once it has built a table, and the blob it
-# hands the devices carries no spare capacity for them to pin.
+# entries and seals them into a blob without allocating once it has built a
+# table (DoesNotRegrow); the devices keep each table in exact-size segments
+# of at most 32 KiB with no spare capacity to pin (HasNoSlack); and a table
+# read, one ReadAt per segment, allocates nothing (DoesNotAllocate).
 #
 # And for what an aged device pays per host write: a reclaiming write through
 # either stack (victim pick, relocation, erase or zone reset) allocates

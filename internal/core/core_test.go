@@ -116,29 +116,41 @@ func TestE4Shape(t *testing.T) {
 	}
 }
 
-// E5: device WA gap (paper: 5x -> 1.2x).
+// E5: device WA gap (paper: 5x -> 1.2x), read tail (paper: 2-4x lower) and
+// write throughput (paper: 2x higher). At -quick ZNS's p99 is 6.5-7.1x
+// below the conventional backend's, and its throughput is 1.39x, 1.42x and
+// 1.43x the conventional backend's at seeds 42, 7 and 13: the model gives
+// ZNS the higher throughput, not the paper's factor of 2, and the band
+// [1.3, 1.55] holds that answer at every seed.
 func TestE5Shape(t *testing.T) {
-	conv, err := E5Conventional(quickCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := E5ZNS(quickCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.DeviceWA >= conv.DeviceWA {
-		t.Errorf("zns WA %.2f must be below conv %.2f", z.DeviceWA, conv.DeviceWA)
-	}
-	if z.DeviceWA > 1.3 {
-		t.Errorf("zns WA = %.2f, want near the paper's 1.2", z.DeviceWA)
-	}
-	if z.WriteBytesPS <= conv.WriteBytesPS {
-		t.Error("zns write throughput must beat conv")
+	for _, seed := range []int64{42, 7, 13} {
+		cfg := Config{Quick: true, Seed: seed}
+		conv, err := E5Conventional(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, err := E5ZNS(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if z.DeviceWA >= conv.DeviceWA {
+			t.Errorf("seed %d: zns WA %.2f must be below conv %.2f", seed, z.DeviceWA, conv.DeviceWA)
+		}
+		if z.DeviceWA > 1.3 {
+			t.Errorf("seed %d: zns WA = %.2f, want near the paper's 1.2", seed, z.DeviceWA)
+		}
+		if z.ReadP99 >= conv.ReadP99 {
+			t.Errorf("seed %d: zns read p99 %v must be below conv %v", seed, z.ReadP99, conv.ReadP99)
+		}
+		if r := z.WriteBytesPS / conv.WriteBytesPS; r < 1.3 || r > 1.55 {
+			t.Errorf("seed %d: zns/conv write throughput = %.2fx, want in [1.3, 1.55]", seed, r)
+		}
 	}
 }
 
 // TestE5PartFreesItsStack: once E5's conventional part has returned, its
-// device and table blobs (about 17 MB) are garbage, so the ZNS part never
+// device and table segments (about 10.5 MB live at the part's end, after a
+// collection, at -quick and seed 42) are garbage, so the ZNS part never
 // runs beside them. A part that captured a stack built outside it would
 // keep them live here.
 func TestE5PartFreesItsStack(t *testing.T) {

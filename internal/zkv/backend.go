@@ -1,8 +1,10 @@
 package zkv
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"blockhead/internal/ftl"
@@ -22,11 +24,14 @@ type Backend interface {
 	PageSize() int
 	// WriteTable stores blob as a new table. level is a lifetime hint
 	// (LSM level): short-lived L0 data and long-lived deep-level data may
-	// be placed differently.
+	// be placed differently. The backend keeps a copy, not blob: the
+	// caller may reuse blob once WriteTable returns.
 	WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error)
 	// ReadAt reads bytes [off, off+n) of a table, page-granular underneath.
 	// The returned slice may alias the stored payload: callers must not
-	// modify it, and copy what they hand on.
+	// modify it, and copy what they hand on. A span inside one segment of
+	// segBytes(PageSize()) bytes (see storeSegments) is returned without a
+	// copy; a longer one is copied.
 	ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error)
 	// Delete drops a table, releasing its space and its payload: the
 	// device keeps no reference to the blob WriteTable stored.
@@ -179,6 +184,31 @@ func (b *ConvBackend) freeExtent(e extent) {
 	}
 }
 
+// segBytes is the size of the segments a backend stores a table in: 32 KiB,
+// the Go allocator's largest small size class, rounded down to whole pages
+// and never less than one page, so no page straddles two segments. A larger
+// allocation would take whole 8 KiB runtime pages: a 33.5 KB table stored
+// in one piece occupied 40 KiB.
+func segBytes(pageSize int) int { return max(pageSize, (32<<10)/pageSize*pageSize) }
+
+// storeSegments copies blob into exact-size segments of segBytes(pageSize)
+// bytes, the last one shorter, and calls put with each page's payload in
+// page order: a sub-slice of its segment that reaches to the segment's end,
+// so readSpan can return a window of it. The segments are the only copy of
+// the table a device keeps; blob is not retained.
+func storeSegments(blob []byte, pageSize int, put func(payload []byte) error) error {
+	seg := segBytes(pageSize)
+	for lo := 0; lo < len(blob); lo += seg {
+		s := slices.Clip(bytes.Clone(blob[lo:min(lo+seg, len(blob))])) // not zeroed first
+		for p := 0; p < len(s); p += pageSize {
+			if err := put(s[p:min(p+pageSize, len(s))]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // WriteTable implements Backend. The level hint is ignored: a block device
 // has no way to use it (§4.1's information barrier).
 func (b *ConvBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error) {
@@ -188,18 +218,13 @@ func (b *ConvBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHand
 	if !ok {
 		return 0, at, ErrNoSpace
 	}
-	done := at
-	for p := int64(0); p < pages; p++ {
-		lo := p * ps
-		hi := lo + ps
-		if hi > int64(len(blob)) {
-			hi = int64(len(blob))
-		}
-		d, err := b.dev.WritePage(at, start+p, blob[lo:hi])
-		if err != nil {
-			return 0, at, err
-		}
-		done = sim.Max(done, d)
+	done, lpn := at, start
+	if err := storeSegments(blob, int(ps), func(payload []byte) error {
+		d, err := b.dev.WritePage(at, lpn, payload)
+		done, lpn = sim.Max(done, d), lpn+1
+		return err
+	}); err != nil {
+		return 0, at, err
 	}
 	h := b.next
 	b.next++
@@ -227,12 +252,14 @@ func (b *ConvBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, 
 // table's last page) or nil (the device kept none, lost it to a crash, or
 // dropped it with a deleted table); bytes past it read as zero.
 //
-// The devices keep sub-slices of the blob WriteTable stored as page
-// payloads, so a span whose every page continues the first page's backing
-// array is already in memory, in order: readSpan returns that window of the
-// blob without copying it. At the first page that does not continue it (a
-// nil, short, stale or foreign payload) the window so far is copied once and
-// the rest is appended after it, zero-filled past each payload's end.
+// The devices keep sub-slices of the segments WriteTable stored as page
+// payloads, so a span whose every page continues the first page's segment
+// is already in memory, in order: readSpan returns that window of the
+// segment without copying it. At the first page that does not continue it
+// (the next segment, or a nil, short, stale or foreign payload) the window
+// so far is copied once and the rest is appended after it, zero-filled past
+// each payload's end. The DB reads a span that crosses segments as one
+// ReadAt per segment, so it never takes the copy on intact tables.
 func readSpan(at sim.Time, pageSize, off, n int, readPage func(page int64) (sim.Time, []byte, error)) (sim.Time, []byte, error) {
 	var window []byte // [off, off+n) of the first page's array, while every page continues it
 	var out []byte    // the copy, once a page does not

@@ -301,6 +301,11 @@ func patterned(n int, salt byte) []byte {
 var spanGeom = flash.Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
 	BlocksPerLUN: 64, PagesPerBlock: 8, PageSize: 32}
 
+// segGeom stores tables of several segments: 4 KiB pages, eight to a
+// segment, and zones of 64 pages on the zoned device.
+var segGeom = flash.Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
+	BlocksPerLUN: 32, PagesPerBlock: 32, PageSize: 4096}
+
 func writeTable(t testing.TB, b Backend, blob []byte) TableHandle {
 	t.Helper()
 	h, _, err := b.WriteTable(0, blob, 0)
@@ -310,11 +315,11 @@ func writeTable(t testing.TB, b Backend, blob []byte) TableHandle {
 	return h
 }
 
-// spanBackends are a conventional and a zoned backend on spanGeom.
-func spanBackends(t testing.TB) (*ConvBackend, *ZNSBackend) {
+// spanBackends are a conventional and a zoned backend on geom.
+func spanBackends(t testing.TB, geom flash.Geometry) (*ConvBackend, *ZNSBackend) {
 	t.Helper()
 	lat := flash.LatenciesFor(flash.TLC)
-	convDev, err := ftl.New(ftl.Config{Geom: spanGeom, Lat: lat, OPFraction: 0.25, StoreData: true})
+	convDev, err := ftl.New(ftl.Config{Geom: geom, Lat: lat, OPFraction: 0.25, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +327,7 @@ func spanBackends(t testing.TB) (*ConvBackend, *ZNSBackend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	znsDev, err := zns.New(zns.Config{Geom: spanGeom, Lat: lat, ZoneBlocks: 2, StoreData: true})
+	znsDev, err := zns.New(zns.Config{Geom: geom, Lat: lat, ZoneBlocks: 2, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,21 +338,21 @@ func spanBackends(t testing.TB) (*ConvBackend, *ZNSBackend) {
 	return conv, zoned
 }
 
-// relocatedTable stores blob as a table on a fresh zoned backend and has
-// zone reclamation move it by simple copy, short last page and all: a dead
-// neighbour makes its zone the only victim once a table that does not fit
-// seals it, and with the pool drained to its low water, reclamation moves
-// the live table into the relocation zone.
-func relocatedTable(t testing.TB, blob []byte) (*ZNSBackend, TableHandle) {
+// relocatedTable stores blob as a table on a fresh zoned backend on geom
+// and has zone reclamation move it by simple copy, short last page and all:
+// a dead neighbour makes its zone the only victim once a table that does
+// not fit seals it, and with the pool drained to its low water, reclamation
+// moves the live table into the relocation zone.
+func relocatedTable(t testing.TB, geom flash.Geometry, blob []byte) (*ZNSBackend, TableHandle) {
 	t.Helper()
-	_, zoned := spanBackends(t)
+	_, zoned := spanBackends(t, geom)
 	dead := writeTable(t, zoned, patterned(70, 2))
 	live := writeTable(t, zoned, blob)
 	if err := zoned.Delete(0, dead); err != nil {
 		t.Fatal(err)
 	}
 	from := zoned.zoneOf(live)
-	writeTable(t, zoned, patterned(int(zoned.dev.ZonePages())*32, 6))
+	writeTable(t, zoned, patterned(int(zoned.dev.ZonePages())*geom.PageSize, 6))
 	for zoned.za.Free.Len() > 2 {
 		zoned.za.Free.Take(zoned.dev)
 	}
@@ -362,9 +367,11 @@ func relocatedTable(t testing.TB, blob []byte) (*ZNSBackend, TableHandle) {
 // table's last page is short (its stored payload is shorter than a page),
 // when it is not, after zone reclamation moved the table by simple copy,
 // and when its extent was used before by a longer table whose stale
-// payloads the trim-less device still holds.
+// payloads the trim-less device still holds. On tables of several segments
+// it does for every span that starts or ends near a cut, inside one segment
+// or across one or more of them.
 func TestReadAtEverySpan(t *testing.T) {
-	conv, zoned := spanBackends(t)
+	conv, zoned := spanBackends(t, spanGeom)
 	for _, size := range []int{1, 31, 32, 33, 150, 160} {
 		for name, b := range map[string]Backend{"conv": conv, "zns": zoned} {
 			blob := patterned(size, 1)
@@ -373,7 +380,7 @@ func TestReadAtEverySpan(t *testing.T) {
 	}
 
 	blob := patterned(150, 3)
-	relocated, live := relocatedTable(t, blob)
+	relocated, live := relocatedTable(t, spanGeom, blob)
 	checkEverySpan(t, "zns/relocated", relocated, live, blob)
 
 	// Conventional: first-fit hands a freed extent to the next table.
@@ -388,15 +395,56 @@ func TestReadAtEverySpan(t *testing.T) {
 		t.Fatal("extent was not reused")
 	}
 	checkEverySpan(t, "conv/reused extent", conv, reused, blob)
+
+	seg := segBytes(segGeom.PageSize)
+	blob = patterned(4*seg+100, 7)
+	var near []int // offsets within 2 bytes of a cut or an end
+	for c := 0; c <= len(blob); c += seg {
+		for o := max(0, c-2); o <= min(len(blob), c+2); o++ {
+			near = append(near, o)
+		}
+	}
+	near = append(near, len(blob)-2, len(blob)-1, len(blob))
+	conv, zoned = spanBackends(t, segGeom)
+	relocated, live = relocatedTable(t, segGeom, blob)
+	for _, c := range []struct {
+		name string
+		b    Backend
+		h    TableHandle
+	}{
+		{"conv/segments", conv, writeTable(t, conv, blob)},
+		{"zns/segments", zoned, writeTable(t, zoned, blob)},
+		{"zns/segments relocated", relocated, live},
+	} {
+		for _, lo := range near {
+			for _, hi := range near {
+				if _, got, err := c.b.ReadAt(0, c.h, lo, hi-lo); lo <= hi && (err != nil || !bytes.Equal(got, blob[lo:hi])) {
+					t.Fatalf("%s: ReadAt(%d, %d): %v, bytes right: %v", c.name, lo, hi-lo, err, bytes.Equal(got, blob[lo:hi]))
+				}
+			}
+		}
+	}
 }
 
-// The pages of a stored table hold sub-slices of its blob, so ReadAt hands
-// back a window of it: a whole-table and a mid-table read allocate nothing
-// on either backend, nor after zone reclamation moved the table.
+// joined is the entry region an iterator would walk, its pieces joined.
+func joined(it blobIter) []byte {
+	out := bytes.Clone(it.data)
+	for _, p := range it.later[:it.pieces] {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// The pages of a stored table hold sub-slices of its segments, so ReadAt
+// hands back a window of one: a whole-table and a mid-table read of a
+// one-segment table allocate nothing on either backend, nor after zone
+// reclamation moved the table. A table of several segments is read as one
+// ReadAt per segment (DB.readEntries): a whole-table read and a mid-table
+// span across a cut allocate nothing either, in the same three places.
 func TestReadAtDoesNotAllocate(t *testing.T) {
 	blob := patterned(150, 1)
-	conv, zoned := spanBackends(t)
-	relocated, live := relocatedTable(t, blob)
+	conv, zoned := spanBackends(t, spanGeom)
+	relocated, live := relocatedTable(t, spanGeom, blob)
 	for _, c := range []struct {
 		name string
 		b    Backend
@@ -413,6 +461,33 @@ func TestReadAtDoesNotAllocate(t *testing.T) {
 			})
 			if ok := bytes.Equal(got, blob[span[0]:span[0]+span[1]]); allocs != 0 || !ok {
 				t.Errorf("%s: ReadAt(%d, %d) made %.1f allocations; bytes right: %v", c.name, span[0], span[1], allocs, ok)
+			}
+		}
+	}
+
+	seg := segBytes(segGeom.PageSize)
+	blob = patterned((maxPieces-1)*seg+100, 2) // as many segments as a read has pieces
+	conv, zoned = spanBackends(t, segGeom)
+	relocated, live = relocatedTable(t, segGeom, blob)
+	for _, c := range []struct {
+		name string
+		b    Backend
+		h    TableHandle
+	}{
+		{"conv/segments", conv, writeTable(t, conv, blob)},
+		{"zns/segments", zoned, writeTable(t, zoned, blob)},
+		{"zns/segments relocated", relocated, live},
+	} {
+		db := Open(c.b, Options{})
+		table := &tableMeta{handle: c.h, sizeB: len(blob), indexOff: len(blob)}
+		for _, span := range [][2]int{{0, len(blob)}, {seg - 1000, 2*seg + 3000}} {
+			var it blobIter
+			allocs := testing.AllocsPerRun(20, func() {
+				it = blobIter{}
+				_, _ = db.readEntries(0, table, span[0], span[1], &it)
+			})
+			if ok := bytes.Equal(joined(it), blob[span[0]:span[1]]); allocs != 0 || !ok {
+				t.Errorf("%s: readEntries(%d, %d) made %.1f allocations; bytes right: %v", c.name, span[0], span[1], allocs, ok)
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func benchZNSDB(b *testing.B) *DB {
 
 // BenchmarkTableRead reads one whole table back per op through each
 // backend, as a compaction does with every input: 32 KiB and a short last
-// page on 4 KiB pages.
+// page on 4 KiB pages, two segments, one ReadAt each.
 func BenchmarkTableRead(b *testing.B) {
 	geom := flash.Geometry{Channels: 4, DiesPerChan: 2, PlanesPerDie: 1,
 		BlocksPerLUN: 24, PagesPerBlock: 64, PageSize: 4096}
@@ -94,13 +94,15 @@ func BenchmarkTableRead(b *testing.B) {
 	blob := patterned(32<<10+100, 1)
 	for _, backend := range []Backend{conv, benchZNSDB(b).backend} {
 		b.Run(backend.Name(), func(b *testing.B) {
-			h := writeTable(b, backend, blob)
+			db := Open(backend, Options{})
+			table := &tableMeta{handle: writeTable(b, backend, blob), sizeB: len(blob), indexOff: len(blob)}
 			b.SetBytes(int64(len(blob)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, got, err := backend.ReadAt(0, h, 0, len(blob)); err != nil || len(got) != len(blob) {
-					b.Fatalf("read %d bytes: %v", len(got), err)
+				var it blobIter
+				if _, err := db.readEntries(0, table, 0, len(blob), &it); err != nil || it.pieces != 1 {
+					b.Fatalf("read %d pieces: %v", it.pieces+1, err)
 				}
 			}
 		})

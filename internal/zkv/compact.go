@@ -189,13 +189,12 @@ func (db *DB) merge(at sim.Time, runs [][]*tableMeta, outLevel int) ([]*tableMet
 	for _, run := range runs {
 		its := make([]blobIter, len(run))
 		for i, t := range run {
-			d, blob, err := db.backend.ReadAt(at, t.handle, 0, t.sizeB)
+			d, err := db.readEntries(at, t, 0, t.sizeB, &its[i])
 			if err != nil {
 				return nil, at, err
 			}
 			done = sim.Max(done, d)
 			db.stats.CompactionReadBytes += uint64(t.sizeB)
-			its[i].data = blob[:t.indexOff]
 		}
 		m.add(mergeSource{run: its}, nil)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,30 +15,56 @@ import (
 
 // recBackend records every table call with its arguments and result, and
 // keeps a copy of every blob written, so two stores can be compared call by
-// call and byte by byte.
+// call and byte by byte. A table read split at segment cuts is logged as
+// the one read it replaces: consecutive reads of one table at one time,
+// each starting where the last ended, coalesce into one entry.
 type recBackend struct {
 	Backend
 	log   []string
 	blobs map[TableHandle][]byte
+	read  *readRec // the read the log ends with, if it does
+}
+
+type readRec struct {
+	at, done sim.Time
+	h        TableHandle
+	off, n   int
+	err      error
+}
+
+func (r *readRec) String() string {
+	return fmt.Sprintf("read at=%d h=%d off=%d n=%d -> done=%d err=%v", r.at, r.h, r.off, r.n, r.done, r.err)
 }
 
 func (r *recBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error) {
 	h, done, err := r.Backend.WriteTable(at, blob, level)
-	r.log = append(r.log, fmt.Sprintf("write at=%d len=%d level=%d -> h=%d done=%d err=%v", at, len(blob), level, h, done, err))
+	r.log, r.read = append(r.log, fmt.Sprintf("write at=%d len=%d level=%d -> h=%d done=%d err=%v", at, len(blob), level, h, done, err)), nil
 	r.blobs[h] = append([]byte(nil), blob...)
 	return h, done, err
 }
 
 func (r *recBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error) {
 	done, p, err := r.Backend.ReadAt(at, h, off, n)
-	r.log = append(r.log, fmt.Sprintf("read at=%d h=%d off=%d n=%d -> done=%d err=%v", at, h, off, n, done, err))
+	if l := r.read; l != nil && l.at == at && l.h == h && l.off+l.n == off && l.err == nil {
+		l.n, l.done, l.err = l.n+n, sim.Max(l.done, done), err
+		r.log[len(r.log)-1] = l.String()
+	} else {
+		r.read = &readRec{at: at, done: done, h: h, off: off, n: n, err: err}
+		r.log = append(r.log, r.read.String())
+	}
 	return done, p, err
 }
 
 func (r *recBackend) Delete(at sim.Time, h TableHandle) error {
 	err := r.Backend.Delete(at, h)
-	r.log = append(r.log, fmt.Sprintf("delete at=%d h=%d err=%v", at, h, err))
+	r.log, r.read = append(r.log, fmt.Sprintf("delete at=%d h=%d err=%v", at, h, err)), nil
 	return err
+}
+
+// reset empties the record.
+func (r *recBackend) reset() {
+	r.log, r.read = nil, nil
+	clear(r.blobs)
 }
 
 // manualOpts never compacts on its own: the tests below decide when.
@@ -62,83 +89,103 @@ func describe(db *DB) []string {
 // trees, compacting one with the production (run-chained) merger and the
 // other with the parent's one-source-per-table merge, and requires the same
 // backend calls at the same virtual times, the same output tables byte for
-// byte, and the same levels afterwards.
+// byte, and the same levels afterwards. The oracle reads every table with
+// one ReadAt; the production merge reads a table of several segments with
+// one per segment, which the record coalesces. The tables fit in one
+// segment, or (the "segments" layout, with values up to 20 times longer)
+// span up to six, more than a read has pieces.
 func TestCompactionMatchesPerTableOracle(t *testing.T) {
-	for _, seed := range []int64{42, 7, 13} {
-		for _, backend := range []string{"conv", "zns"} {
-			t.Run(fmt.Sprintf("%s/seed%d", backend, seed), func(t *testing.T) {
-				open := func() (*DB, *recBackend) {
-					r := &recBackend{Backend: dbBackends(t)[backend], blobs: map[TableHandle][]byte{}}
-					return Open(r, manualOpts(seed)), r
-				}
-				got, gotRec := open()
-				want, wantRec := open()
-				var at sim.Time
-				// both runs one step on each store; the records and trees
-				// are compared whenever tables were written.
-				both := func(what string, prod, oracle func(*DB) (sim.Time, error)) {
-					t.Helper()
-					gotAt, gotErr := prod(got)
-					wantAt, wantErr := oracle(want)
-					if gotAt != wantAt || gotErr != nil || wantErr != nil {
-						t.Fatalf("%s: done %d err %v, oracle %d err %v", what, gotAt, gotErr, wantAt, wantErr)
-					}
-					at = gotAt
-					if len(gotRec.log) == 0 && len(wantRec.log) == 0 {
-						return
-					}
-					if !reflect.DeepEqual(gotRec.log, wantRec.log) {
-						t.Fatalf("%s: backend calls differ from the oracle's\n got %q\nwant %q", what, gotRec.log, wantRec.log)
-					}
-					if !reflect.DeepEqual(gotRec.blobs, wantRec.blobs) {
-						t.Fatalf("%s: output tables differ from the oracle's", what)
-					}
-					if g, w := describe(got), describe(want); !reflect.DeepEqual(g, w) {
-						t.Fatalf("%s: tree differs from the oracle's\n got %q\nwant %q", what, g, w)
-					}
-					gotRec.log, wantRec.log = nil, nil
-					clear(gotRec.blobs)
-					clear(wantRec.blobs)
-				}
-				flush := func(db *DB) (sim.Time, error) { return db.Flush(at) }
-
-				rng := rand.New(rand.NewSource(seed))
-				var l0s, deeper int
-				for round := 0; round < 60; round++ {
-					// One to three overlapping L0 tables of puts, overwrites,
-					// empty values and tombstones over a window of the key
-					// space; now and then a fresh window that overlaps nothing.
-					base := rng.Intn(3) * 300
-					if rng.Intn(5) == 0 {
-						base = 1000 + round*500
-					}
-					for f := 1 + rng.Intn(3); f > 0; f-- {
-						for n := 1 + rng.Intn(120); n > 0; n-- {
-							k := key(base + rng.Intn(300))
-							v := bytes.Repeat([]byte{byte(round)}, rng.Intn(2)*(1+rng.Intn(150)))
-							write := func(db *DB) (sim.Time, error) { return db.Put(at, k, v) }
-							if rng.Intn(4) == 0 {
-								write = func(db *DB) (sim.Time, error) { return db.Delete(at, k) }
-							}
-							both("write", write, write)
-						}
-						both("flush", flush, flush)
-					}
-					if rng.Intn(3) == 0 || len(got.levels[1]) == 0 {
-						both("compactL0", func(db *DB) (sim.Time, error) { return db.compactL0(at) },
-							func(db *DB) (sim.Time, error) { return db.oracleCompactL0(at) })
-						l0s++
-					} else { // L1 -> L2, the bottom level: tombstones drop
-						both("compactLevel", func(db *DB) (sim.Time, error) { return db.compactLevel(at, 1) },
-							func(db *DB) (sim.Time, error) { return db.oracleCompactLevel(at, 1) })
-						deeper++
-					}
-				}
-				if l0s < 5 || deeper < 5 || len(got.levels[2]) < 2 {
-					t.Fatalf("weak run: %d+%d compactions, %d bottom tables", l0s, deeper, len(got.levels[2]))
-				}
-			})
+	for _, layout := range []struct {
+		prefix      string
+		tableTarget int
+		valueScale  int
+	}{{"", 2 << 10, 1}, {"segments/", 160 << 10, 20}} {
+		for _, seed := range []int64{42, 7, 13} {
+			for _, backend := range []string{"conv", "zns"} {
+				t.Run(fmt.Sprintf("%s%s/seed%d", layout.prefix, backend, seed), func(t *testing.T) {
+					compactionMatchesOracle(t, backend, seed, layout.tableTarget, layout.valueScale)
+				})
+			}
 		}
+	}
+}
+
+// compactionMatchesOracle is one run of TestCompactionMatchesPerTableOracle:
+// tables of about tableTarget bytes, values up to 150*valueScale long.
+func compactionMatchesOracle(t *testing.T, backend string, seed int64, tableTarget, valueScale int) {
+	opts := manualOpts(seed)
+	opts.TableTargetBytes = tableTarget
+	open := func() (*DB, *recBackend) {
+		r := &recBackend{Backend: dbBackends(t)[backend], blobs: map[TableHandle][]byte{}}
+		return Open(r, opts), r
+	}
+	got, gotRec := open()
+	want, wantRec := open()
+	var at sim.Time
+	// both runs one step on each store; the records and trees
+	// are compared whenever tables were written.
+	both := func(what string, prod, oracle func(*DB) (sim.Time, error)) {
+		t.Helper()
+		gotAt, gotErr := prod(got)
+		wantAt, wantErr := oracle(want)
+		if gotAt != wantAt || gotErr != nil || wantErr != nil {
+			t.Fatalf("%s: done %d err %v, oracle %d err %v", what, gotAt, gotErr, wantAt, wantErr)
+		}
+		at = gotAt
+		if len(gotRec.log) == 0 && len(wantRec.log) == 0 {
+			return
+		}
+		if !reflect.DeepEqual(gotRec.log, wantRec.log) {
+			t.Fatalf("%s: backend calls differ from the oracle's\n got %q\nwant %q", what, gotRec.log, wantRec.log)
+		}
+		if !reflect.DeepEqual(gotRec.blobs, wantRec.blobs) {
+			t.Fatalf("%s: output tables differ from the oracle's", what)
+		}
+		if g, w := describe(got), describe(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: tree differs from the oracle's\n got %q\nwant %q", what, g, w)
+		}
+		gotRec.reset()
+		wantRec.reset()
+	}
+	flush := func(db *DB) (sim.Time, error) { return db.Flush(at) }
+
+	rng := rand.New(rand.NewSource(seed))
+	var l0s, deeper int
+	for round := 0; round < 60; round++ {
+		// One to three overlapping L0 tables of puts, overwrites,
+		// empty values and tombstones over a window of the key
+		// space; now and then a fresh window that overlaps nothing.
+		base := rng.Intn(3) * 300
+		if rng.Intn(5) == 0 {
+			base = 1000 + round*500
+		}
+		for f := 1 + rng.Intn(3); f > 0; f-- {
+			for n := 1 + rng.Intn(120); n > 0; n-- {
+				k := key(base + rng.Intn(300))
+				v := bytes.Repeat([]byte{byte(round)}, rng.Intn(2)*(1+rng.Intn(150*valueScale)))
+				write := func(db *DB) (sim.Time, error) { return db.Put(at, k, v) }
+				if rng.Intn(4) == 0 {
+					write = func(db *DB) (sim.Time, error) { return db.Delete(at, k) }
+				}
+				both("write", write, write)
+			}
+			both("flush", flush, flush)
+		}
+		if rng.Intn(3) == 0 || len(got.levels[1]) == 0 {
+			both("compactL0", func(db *DB) (sim.Time, error) { return db.compactL0(at) },
+				func(db *DB) (sim.Time, error) { return db.oracleCompactL0(at) })
+			l0s++
+		} else { // L1 -> L2, the bottom level: tombstones drop
+			both("compactLevel", func(db *DB) (sim.Time, error) { return db.compactLevel(at, 1) },
+				func(db *DB) (sim.Time, error) { return db.oracleCompactLevel(at, 1) })
+			deeper++
+		}
+	}
+	if l0s < 5 || deeper < 5 || len(got.levels[2]) < 2 {
+		t.Fatalf("weak run: %d+%d compactions, %d bottom tables", l0s, deeper, len(got.levels[2]))
+	}
+	if most := slices.MaxFunc(got.levels[2], func(a, b *tableMeta) int { return a.sizeB - b.sizeB }); valueScale > 1 && most.sizeB <= maxPieces*segBytes(got.backend.PageSize()) {
+		t.Fatalf("weak run: the largest bottom table has %d bytes, within %d segments", most.sizeB, maxPieces)
 	}
 }
 

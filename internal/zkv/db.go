@@ -81,6 +81,7 @@ func (s Stats) AppWriteAmp() float64 {
 type DB struct {
 	opts    Options
 	backend Backend
+	seg     int // segBytes of the backend's page size
 
 	mem    *memtable
 	tb     tableBuilder   // builds every table, flushed or compacted; empty in between
@@ -100,6 +101,7 @@ func Open(backend Backend, opts Options) *DB {
 	return &DB{
 		opts:    o,
 		backend: backend,
+		seg:     segBytes(backend.PageSize()),
 		mem:     newMemtable(o.Seed),
 		levels:  make([][]*tableMeta, o.MaxLevels),
 	}
@@ -141,7 +143,14 @@ func (db *DB) write(at sim.Time, key, value []byte) (sim.Time, error) {
 			return at, err
 		}
 	}
-	db.mem.put(append([]byte(nil), key...), cloneOrNil(value))
+	// The memtable's copies of key and value share one allocation.
+	kv := make([]byte, len(key)+len(value))
+	copy(kv[copy(kv, key):], value)
+	k, v := kv[:len(key):len(key)], kv[len(key):]
+	if value == nil {
+		v = nil
+	}
+	db.mem.put(k, v)
 	if db.mem.sizeBytes() >= db.opts.MemtableBytes {
 		var err error
 		at, err = db.Flush(at)
@@ -216,11 +225,11 @@ func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (s
 	if lo >= hi {
 		return at, nil, false, nil
 	}
-	done, chunk, err := db.backend.ReadAt(at, t.handle, lo, hi-lo)
+	var it blobIter
+	done, err := db.readEntries(at, t, lo, hi, &it)
 	if err != nil {
 		return at, nil, false, err
 	}
-	it := blobIter{data: chunk}
 	for it.next() {
 		c := bytes.Compare(it.key, key)
 		if c > 0 {
@@ -237,6 +246,36 @@ func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (s
 		return done, nil, false, it.err
 	}
 	return done, nil, false, nil
+}
+
+// readEntries reads bytes [off, end) of table t as one ReadAt per segment
+// the span touches, all at time at, so each piece is a window of a stored
+// segment and nothing is copied. The pages are read once each, in order,
+// exactly as one ReadAt of the span would read them. It points it, which
+// must be empty, at the pieces' bytes below t.indexOff, the entry region. A
+// span of more than maxPieces segments reads its tail as one piece, which
+// ReadAt copies.
+func (db *DB) readEntries(at sim.Time, t *tableMeta, off, end int, it *blobIter) (sim.Time, error) {
+	done := at
+	for pos, i := off, 0; pos < end; i++ {
+		next := min(end, (pos/db.seg+1)*db.seg)
+		if i == maxPieces-1 {
+			next = end
+		}
+		d, p, err := db.backend.ReadAt(at, t.handle, pos, next-pos)
+		if err != nil {
+			return at, err
+		}
+		done = sim.Max(done, d)
+		p = p[:max(0, min(len(p), t.indexOff-pos))]
+		if i == 0 {
+			it.data = p
+		} else {
+			it.later[i-1], it.pieces = p, i
+		}
+		pos = next
+	}
+	return done, nil
 }
 
 // tombstoneMark is a non-nil, zero-length sentinel distinguishing "found a

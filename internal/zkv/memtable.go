@@ -63,7 +63,7 @@ func (m *memtable) put(key, value []byte) {
 	}
 	if nxt := x.next[0]; nxt != nil && bytes.Equal(nxt.key, key) {
 		m.bytes += int64(len(value) - len(nxt.value))
-		nxt.value = value
+		nxt.key, nxt.value = key, value // the old key may share the old value's array
 		return
 	}
 	lvl := m.randomLevel()

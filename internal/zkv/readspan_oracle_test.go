@@ -51,6 +51,7 @@ type spanLayout struct {
 	times    []sim.Time
 	failAt   int      // page whose read returns an error; -1 for none
 	arrays   [][]byte // the arrays the payloads are cut from
+	bases    []int    // the table offset each array starts at; nil for all 0
 }
 
 var errPageRead = errors.New("page read failed")
@@ -69,8 +70,12 @@ func (l *spanLayout) reader(at sim.Time, log *[]int64) func(page int64) (sim.Tim
 // aliases reports whether got starts at byte off of one of the layout's
 // arrays, i.e. readSpan returned a window instead of a copy.
 func (l *spanLayout) aliases(got []byte, off int) bool {
-	for _, a := range l.arrays {
-		if len(got) > 0 && off < len(a) && &got[0] == &a[off] {
+	for i, a := range l.arrays {
+		at := off
+		if l.bases != nil {
+			at -= l.bases[i]
+		}
+		if len(got) > 0 && 0 <= at && at < len(a) && &got[0] == &a[at] {
 			return true
 		}
 	}
@@ -80,7 +85,9 @@ func (l *spanLayout) aliases(got []byte, off int) bool {
 // spanLayouts builds one table per payload shape, all from rng: one
 // contiguous array; a nil payload mid-table; a page short of its bytes
 // mid-table and at the tail, still inside the array; a page cut from a
-// second array holding different bytes; a failing page read.
+// second array holding different bytes; a failing page read; and the
+// table's bytes in exact-size segments of one to three pages, as the
+// backends store them.
 func spanLayouts(rng *rand.Rand) []*spanLayout {
 	ps := 1 + rng.Intn(8)
 	npages := 3 + rng.Intn(4)
@@ -114,7 +121,17 @@ func spanLayouts(rng *rand.Rand) []*spanLayout {
 	foreignFirst.pages[0] = other[:ps]
 	failing := contiguous("failing read")
 	failing.failAt = mid
-	return []*spanLayout{contiguous("contiguous"), nilMid, shortMid, shortTail, foreign, foreignFirst, failing}
+	segmented := contiguous("segments")
+	segmented.arrays = nil
+	for lo, segLen := 0, (1+rng.Intn(3))*ps; lo < size; lo += segLen {
+		seg := slices.Clip(slices.Clone(arr[lo:min(lo+segLen, size)]))
+		segmented.arrays = append(segmented.arrays, seg)
+		segmented.bases = append(segmented.bases, lo)
+		for p := lo; p < lo+len(seg); p += ps {
+			segmented.pages[p/ps] = seg[p-lo : min(p-lo+ps, len(seg))]
+		}
+	}
+	return []*spanLayout{contiguous("contiguous"), nilMid, shortMid, shortTail, foreign, foreignFirst, failing, segmented}
 }
 
 // TestReadSpanMatchesCopyingParent reads every (off, n) span of seeded

@@ -27,12 +27,12 @@ func (db *DB) Scan(at sim.Time, start, limit []byte, fn func(key, value []byte) 
 				continue
 			}
 			lo, _ := t.chunkFor(start)
-			done, chunk, err := db.backend.ReadAt(at, t.handle, lo, t.indexOff-lo)
+			run = append(run, blobIter{})
+			done, err := db.readEntries(at, t, lo, t.indexOff, &run[len(run)-1])
 			if err != nil {
 				return at, err
 			}
 			at = sim.Max(at, done)
-			run = append(run, blobIter{data: chunk})
 		}
 		m.add(mergeSource{run: run}, start)
 	}

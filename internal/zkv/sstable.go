@@ -49,14 +49,13 @@ type tableMeta struct {
 
 // tableBuilder accumulates sorted entries and serializes them into a blob.
 // One builder serves every table a DB writes: its scratch survives finish,
-// so after the first table add neither allocates nor regrows. The blob
-// itself is the exception — the devices keep sub-slices of it as page
-// payloads and readers alias them, so finish allocates each one fresh, at
-// exactly its final size, and nothing writes to it again.
+// so after the first table neither add nor finish allocates or regrows. The
+// blob finish returns is that scratch too, valid until the next add: the
+// backends copy it into segments of their own (see storeSegments), so
+// nothing keeps it once WriteTable returns.
 type tableBuilder struct {
-	ents    []byte   // entry region
+	ents    []byte   // entry region; finish appends the index, filter and footer
 	idx     []byte   // index region, serialized as checkpoints are taken
-	tail    []byte   // filter and footer, serialized by finish
 	hashes  []uint64 // bloomHash of every key, for the filter
 	last    []byte   // the latest key, aliasing ents
 	count   int
@@ -65,7 +64,7 @@ type tableBuilder struct {
 
 // reset empties the builder for the next table, keeping its scratch.
 func (b *tableBuilder) reset() {
-	*b = tableBuilder{ents: b.ents[:0], idx: b.idx[:0], tail: b.tail[:0], hashes: b.hashes[:0]}
+	*b = tableBuilder{ents: b.ents[:0], idx: b.idx[:0], hashes: b.hashes[:0]}
 }
 
 // add appends an entry; keys must arrive in strictly increasing order.
@@ -100,24 +99,15 @@ func (b *tableBuilder) sizeEstimate() int { return len(b.ents) }
 
 // finish serializes the blob, returns it with the table's metadata (handle
 // and level are filled in by the caller after the backend write) and resets
-// the builder. The filter and footer go into the builder's scratch, and the
-// three regions are joined into one allocation of exactly the blob's size,
-// which the runtime does not zero first: every byte of it is copied in. The
-// metadata owns copies of the keys it holds, never the builder's scratch.
+// the builder. The blob is the builder's scratch (see seal): it stays valid
+// until the next add, and the caller hands it to WriteTable before then.
+// The metadata owns copies of the keys it holds, never the scratch.
 func (b *tableBuilder) finish() ([]byte, *tableMeta) {
 	filter := newBloom(b.count)
 	for _, h := range b.hashes {
 		filter.add(h)
 	}
-	indexOff := len(b.ents)
-	filterOff := indexOff + len(b.idx)
-	b.tail = filter.appendTo(b.tail[:0])
-	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(indexOff))
-	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(filterOff))
-	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(b.count))
-	b.tail = binary.LittleEndian.AppendUint32(b.tail, tableMagic)
-	blob := bytes.Join([][]byte{b.ents, b.idx, b.tail}, nil)
-	index, err := parseIndex(b.idx, indexOff)
+	index, err := parseIndex(b.idx, len(b.ents))
 	if err != nil {
 		panic("zkv: tableBuilder wrote an index it cannot parse")
 	}
@@ -126,16 +116,32 @@ func (b *tableBuilder) finish() ([]byte, *tableMeta) {
 		first = index[0].key // the first add always takes a checkpoint
 	}
 	meta := &tableMeta{
-		sizeB:    len(blob),
 		entries:  b.count,
 		firstKey: first,
 		lastKey:  append([]byte(nil), b.last...),
 		index:    index,
-		indexOff: indexOff,
+		indexOff: len(b.ents),
 		filter:   filter,
 	}
+	blob := b.seal(filter)
+	meta.sizeB = len(blob)
 	b.reset()
 	return blob, meta
+}
+
+// seal appends the index region, filter and footer to the entry region in
+// place and returns the whole blob, which is b.ents: once the scratch has
+// held one table of this size, it allocates nothing.
+func (b *tableBuilder) seal(filter *bloom) []byte {
+	indexOff := len(b.ents)
+	b.ents = append(b.ents, b.idx...)
+	filterOff := len(b.ents)
+	b.ents = filter.appendTo(b.ents)
+	b.ents = binary.LittleEndian.AppendUint32(b.ents, uint32(indexOff))
+	b.ents = binary.LittleEndian.AppendUint32(b.ents, uint32(filterOff))
+	b.ents = binary.LittleEndian.AppendUint32(b.ents, uint32(b.count))
+	b.ents = binary.LittleEndian.AppendUint32(b.ents, tableMagic)
+	return b.ents
 }
 
 // parseIndex decodes a serialized index region whose checkpoints must lie
@@ -200,50 +206,117 @@ func parseTable(blob []byte) (*tableMeta, error) {
 	return meta, nil
 }
 
-// blobIter walks the entry region of a blob sequentially.
+// maxPieces bounds the pieces one blobIter walks: a table span is read as
+// one piece per segment, and a span of more segments than this reads its
+// tail as one piece (see DB.readEntries).
+const maxPieces = 4
+
+// blobIter walks an entry region sequentially. The region may come in
+// pieces, read one per segment: data is the unread part of the current
+// piece and later[piece:pieces] the pieces after it. An entry inside one
+// piece is returned as slices of it; one that straddles a cut is copied.
 type blobIter struct {
-	data  []byte
-	key   []byte
-	value []byte // nil for tombstones
-	err   error
+	data          []byte
+	later         [maxPieces - 1][]byte
+	piece, pieces int
+	key           []byte
+	value         []byte // nil for tombstones
+	err           error
 }
 
 // next decodes one entry. Lengths are compared as uint64 before any
 // conversion: a length of 2^63 or more would turn negative as an int, pass
 // a signed bounds check and panic in the slice expression.
 func (it *blobIter) next() bool {
+	for len(it.data) == 0 && it.piece < it.pieces {
+		it.data, it.piece = it.later[it.piece], it.piece+1
+	}
 	if len(it.data) == 0 || it.err != nil {
 		return false
 	}
-	klen, n := binary.Uvarint(it.data)
-	if n <= 0 {
-		it.err = ErrCorrupt
-		return false
+	data := it.data
+	klen, n1 := binary.Uvarint(data)
+	vlenPlus, n2 := uint64(0), 0
+	if n1 > 0 {
+		vlenPlus, n2 = binary.Uvarint(data[n1:])
 	}
-	it.data = it.data[n:]
-	vlenPlus, n := binary.Uvarint(it.data)
-	if n <= 0 {
-		it.err = ErrCorrupt
-		return false
+	if n1 <= 0 || n2 <= 0 || klen > uint64(len(data)-n1-n2) ||
+		vlenPlus > 0 && vlenPlus-1 > uint64(len(data)-n1-n2)-klen {
+		return it.nextAcross() // the entry goes on in the next piece, or is corrupt
 	}
-	it.data = it.data[n:]
-	if klen > uint64(len(it.data)) {
-		it.err = ErrCorrupt
-		return false
+	data = data[n1+n2:]
+	it.key, data = data[:klen], data[klen:]
+	it.value = nil
+	if vlenPlus > 0 {
+		it.value, data = data[:vlenPlus-1], data[vlenPlus-1:]
 	}
-	it.key = it.data[:klen]
-	it.data = it.data[klen:]
-	if vlenPlus == 0 {
-		it.value = nil
-		return true
-	}
-	if vlenPlus-1 > uint64(len(it.data)) {
-		it.err = ErrCorrupt
-		return false
-	}
-	it.value = it.data[:vlenPlus-1]
-	it.data = it.data[vlenPlus-1:]
+	it.data = data
 	return true
+}
+
+// nextAcross decodes an entry that does not fit in the current piece: it
+// straddles a cut, or the region is corrupt, which nextAcross reports
+// exactly where the same bytes in one piece would be. The header is decoded
+// from a copy of the next bytes (two uvarints read at most
+// 2*MaxVarintLen64+1 of them), and a whole entry is copied into a slice of
+// its own.
+func (it *blobIter) nextAcross() bool {
+	left := len(it.data)
+	for _, p := range it.later[it.piece:it.pieces] {
+		left += len(p)
+	}
+	var buf [2*binary.MaxVarintLen64 + 1]byte
+	hdr := buf[:min(len(buf), left)]
+	it.copyOut(hdr, false)
+	klen, n1 := binary.Uvarint(hdr)
+	if n1 <= 0 {
+		it.err = ErrCorrupt
+		return false
+	}
+	vlenPlus, n2 := binary.Uvarint(hdr[n1:])
+	if n2 <= 0 {
+		it.err = ErrCorrupt
+		return false
+	}
+	left -= n1 + n2
+	if klen > uint64(left) {
+		it.err = ErrCorrupt
+		return false
+	}
+	left -= int(klen)
+	vlen := uint64(0)
+	if vlenPlus > 0 {
+		if vlen = vlenPlus - 1; vlen > uint64(left) {
+			it.err = ErrCorrupt
+			return false
+		}
+	}
+	it.copyOut(hdr[:n1+n2], true)
+	entry := make([]byte, int(klen)+int(vlen))
+	it.copyOut(entry, true)
+	it.key = entry[:klen]
+	it.value = nil
+	if vlenPlus > 0 {
+		it.value = entry[klen:]
+	}
+	return true
+}
+
+// copyOut copies the next len(dst) unread bytes, which must exist, into
+// dst; consume moves past them.
+func (it *blobIter) copyOut(dst []byte, consume bool) {
+	data, piece := it.data, it.piece
+	for n := 0; ; {
+		c := copy(dst[n:], data)
+		n, data = n+c, data[c:]
+		if n == len(dst) {
+			break
+		}
+		data, piece = it.later[piece], piece+1
+	}
+	if consume {
+		it.data, it.piece = data, piece
+	}
 }
 
 // chunkFor returns the byte range [lo, hi) of the entry region that can

@@ -1,10 +1,12 @@
 package zkv
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -36,27 +38,14 @@ func TestTableBlobFormatPinned(t *testing.T) {
 	}
 }
 
-// The devices keep sub-slices of the blob as page payloads, so any spare
-// capacity would stay pinned for as long as the table lives.
-func TestTableBlobHasNoSlack(t *testing.T) {
-	b := new(tableBuilder)
-	for _, n := range []int{1, 2, 50, 700} {
-		for i := 0; i < n; i++ {
-			b.add(key(i), make([]byte, i%90))
-		}
-		if blob, _ := b.finish(); cap(blob) != len(blob) {
-			t.Errorf("%d entries: blob has len %d, cap %d", n, len(blob), cap(blob))
-		}
-	}
-}
-
 // After one warm-up table the builder's scratch is as large as a table
-// needs: adding the next table's entries allocates nothing, and what finish
-// returned is not touched by the reuse.
+// needs: adding the next table's entries allocates nothing, and neither does
+// sealing them into a blob, which is the scratch itself. finish's only
+// allocations are the table's metadata, and reusing the builder leaves a
+// finished table's metadata as it was.
 func TestBuilderSteadyStateDoesNotRegrow(t *testing.T) {
 	b := new(tableBuilder)
-	blob, meta := fixedTable(b)
-	before := append([]byte(nil), blob...)
+	_, meta := fixedTable(b)
 	first, last := string(meta.firstKey), string(meta.lastKey)
 
 	keys := make([][]byte, 700)
@@ -64,18 +53,28 @@ func TestBuilderSteadyStateDoesNotRegrow(t *testing.T) {
 		keys[i] = key(i)
 	}
 	val := make([]byte, 20)
-	allocs := testing.AllocsPerRun(20, func() {
+	adds := func() {
 		b.reset()
 		for _, k := range keys {
 			b.add(k, val)
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(20, adds); allocs != 0 {
 		t.Errorf("%.1f allocations per table of adds in steady state, want 0", allocs)
 	}
-	if string(blob) != string(before) || string(meta.firstKey) != first || string(meta.lastKey) != last ||
+	adds()
+	filter, entries := newBloom(b.count), len(b.ents)
+	var blob []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		b.ents = b.ents[:entries]
+		blob = b.seal(filter)
+	})
+	if allocs != 0 || &blob[0] != &b.ents[0] || len(blob) <= entries {
+		t.Errorf("seal made %.1f allocations, want 0, and a blob of %d bytes in the scratch", allocs, len(blob))
+	}
+	if string(meta.firstKey) != first || string(meta.lastKey) != last ||
 		string(meta.index[len(meta.index)-1].key) > last {
-		t.Error("reusing the builder changed a finished table")
+		t.Error("reusing the builder changed a finished table's metadata")
 	}
 }
 
@@ -121,22 +120,139 @@ func tableCorpus() [][]byte {
 		blob[:meta.indexOff], blob[:meta.indexOff-3], blob[:len(blob)-1], blob[5:])
 }
 
-// FuzzBlobIter: any entry region either walks to its end or stops with
-// ErrCorrupt; it never panics.
-func FuzzBlobIter(f *testing.F) {
-	for _, seed := range tableCorpus() {
-		f.Add(seed)
+// cutAt returns an iterator over data in pieces cut at the ascending
+// offsets cuts, each piece a private exact-size copy, as readEntries hands
+// over one window per segment.
+func cutAt(data []byte, cuts ...int) blobIter {
+	var it blobIter
+	lo := 0
+	for i, hi := range append(cuts, len(data)) {
+		p := slices.Clip(bytes.Clone(data[lo:hi]))
+		if i == 0 {
+			it.data = p
+		} else {
+			it.later[i-1], it.pieces = p, i
+		}
+		lo = hi
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		it := blobIter{data: data}
-		for it.next() {
+	return it
+}
+
+// walk runs an iterator to its end and renders every entry it yields; it
+// fails the test if the walk stopped cleanly with bytes unread.
+func walk(t *testing.T, it blobIter) ([]string, error) {
+	t.Helper()
+	var ents []string
+	for it.next() {
+		ents = append(ents, fmt.Sprintf("%q=%q/%v", it.key, it.value, it.value == nil))
+	}
+	if it.err == nil && (len(it.data) != 0 || it.piece != it.pieces) {
+		t.Fatalf("walk stopped cleanly with %d bytes and %d pieces left", len(it.data), it.pieces-it.piece)
+	}
+	return ents, it.err
+}
+
+// checkCuts requires the walk of data cut into pieces at cuts to match the
+// walk of data whole: the same entries and the same error.
+func checkCuts(t *testing.T, data []byte, cuts ...int) {
+	t.Helper()
+	want, wantErr := walk(t, blobIter{data: data})
+	got, gotErr := walk(t, cutAt(data, cuts...))
+	if !slices.Equal(got, want) || gotErr != wantErr {
+		t.Fatalf("%x cut at %v: %q, %v; whole: %q, %v", data, cuts, got, gotErr, want, wantErr)
+	}
+}
+
+// entryRegion serializes entries the way tableBuilder.add does; a nil
+// value is a tombstone.
+func entryRegion(kvs ...[]byte) []byte {
+	var region []byte
+	for i := 0; i < len(kvs); i += 2 {
+		vlen := uint64(0)
+		if kvs[i+1] != nil {
+			vlen = uint64(len(kvs[i+1])) + 1
 		}
-		if it.err == nil && len(it.data) != 0 {
-			t.Fatalf("walk stopped cleanly with %d bytes left", len(it.data))
+		region = binary.AppendUvarint(region, uint64(len(kvs[i])))
+		region = binary.AppendUvarint(region, vlen)
+		region = append(append(region, kvs[i]...), kvs[i+1]...)
+	}
+	return region
+}
+
+// tenByteVarints is one valid entry, key "k" and value "v", whose two
+// length headers are padded to ten bytes each (Uvarint accepts them).
+var tenByteVarints = []byte{
+	0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, // klen 1
+	0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, // vlen+1 2
+	'k', 'v',
+}
+
+// An entry region cut into pieces — at every offset, every pair of offsets
+// and, for the short regions, every triple — walks to the same entries and
+// the same error as the whole region. The regions put a cut inside
+// two-byte varint headers, keys and values, between entries, at either end,
+// and into every class of damage the whole region reports as ErrCorrupt.
+func TestPiecewiseIterMatchesWhole(t *testing.T) {
+	long := entryRegion(bytes.Repeat([]byte("k"), 128), bytes.Repeat([]byte("v"), 130), []byte("t"), nil, []byte("u"), []byte{})
+	short := entryRegion([]byte("ab"), []byte("xyz"), []byte("c"), nil, []byte("d"), []byte{}, []byte("e"), []byte("12345"))
+	entries, table := hugeLengths()
+	fixed, meta := fixedTable(new(tableBuilder))
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		triples bool
+	}{
+		{"two-byte headers, tombstone, empty value", long, false},
+		{"short entries", short, true},
+		{"value past the end", short[:len(short)-2], true},
+		{"key past the end", entryRegion([]byte("key"), []byte("v"))[:4], true},
+		{"header cut short", append(append([]byte(nil), short...), 0x80), true},
+		{"overlong varint", append(append([]byte(nil), short[:6]...), bytes.Repeat([]byte{0xff}, 11)...), true},
+		{"ten-byte varints", tenByteVarints, true},
+		{"2^63 key length", entries[0], true},
+		{"2^63 value length", entries[1], true},
+		{"not an entry region", table, false},
+		{"empty", nil, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := len(c.data)
+			for i := 0; i <= n; i++ {
+				checkCuts(t, c.data, i)
+				for j := i; j <= n; j++ {
+					checkCuts(t, c.data, i, j)
+					for k := j; c.triples && k <= n; k++ {
+						checkCuts(t, c.data, i, j, k)
+					}
+				}
+			}
+		})
+	}
+	if ents, err := walk(t, blobIter{data: tenByteVarints}); len(ents) != 1 || err != nil {
+		t.Fatalf("ten-byte varints: %q, %v; want one entry", ents, err)
+	}
+	t.Run("a whole table's entries", func(t *testing.T) {
+		region := fixed[:meta.indexOff]
+		for i := 0; i <= len(region); i += 61 {
+			checkCuts(t, region, i)
 		}
-		if it.err != nil && !errors.Is(it.err, ErrCorrupt) {
-			t.Fatalf("err = %v", it.err)
+	})
+}
+
+// FuzzBlobIter: any entry region either walks to its end or stops with
+// ErrCorrupt, it never panics, and cut into pieces at up to three offsets
+// it walks to the same entries and the same error.
+func FuzzBlobIter(f *testing.F) {
+	for i, seed := range tableCorpus() {
+		f.Add(seed, uint16(i*37), uint16(i*101), uint16(len(seed)/2))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, c1, c2, c3 uint16) {
+		_, err := walk(t, blobIter{data: data})
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v", err)
 		}
+		cuts := []int{int(c1) % (len(data) + 1), int(c2) % (len(data) + 1), int(c3) % (len(data) + 1)}
+		slices.Sort(cuts)
+		checkCuts(t, data, cuts...)
 	})
 }
 

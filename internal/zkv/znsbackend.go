@@ -81,8 +81,8 @@ func (b *ZNSBackend) recycle(at sim.Time, z int) {
 	}
 }
 
-// WriteTable implements Backend: the blob is appended to the zone of the
-// level's stream.
+// WriteTable implements Backend: the blob's segments are appended to the
+// zone of the level's stream.
 func (b *ZNSBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandle, sim.Time, error) {
 	ps := int64(b.PageSize())
 	pages := (int64(len(blob)) + ps - 1) / ps
@@ -99,17 +99,12 @@ func (b *ZNSBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandl
 	}
 	off := b.dev.WP(z)
 	done := at
-	for p := int64(0); p < pages; p++ {
-		lo := p * ps
-		hi := lo + ps
-		if hi > int64(len(blob)) {
-			hi = int64(len(blob))
-		}
-		_, d, err := b.dev.Append(at, z, blob[lo:hi])
-		if err != nil {
-			return 0, at, err
-		}
+	if err := storeSegments(blob, int(ps), func(payload []byte) error {
+		_, d, err := b.dev.Append(at, z, payload)
 		done = sim.Max(done, d)
+		return err
+	}); err != nil {
+		return 0, at, err
 	}
 	t := &znsTable{Extent: zalloc.Extent{Pages: pages}, size: len(blob)}
 	b.za.Place(&t.Extent, z, off)
