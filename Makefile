@@ -79,18 +79,18 @@ else
 endif
 
 # The product-coverage audit: machinery stays only if the product runs it.
-# Builds the three CLIs with coverage of every package in the module, runs
+# Builds the two CLIs with coverage of every package in the module, runs
 # the invocations that define the product (the README quick start, the
-# benchmark JSON, the fault and SLO campaigns, -explain, -whatif, tracegen's
-# usage lines, zonectl and its inspect views), and fails on any non-test
-# function they never execute — or any package they never link — that
-# COVERAGE_ALLOWLIST does not name, one line each, with a caller outside the
-# CLIs or the question it answers. An entry for something the product now
+# benchmark JSON, the fault and SLO campaigns, -explain, -whatif, zonectl
+# and its inspect views), and fails on any non-test function they never
+# execute — or any package they never link — that COVERAGE_ALLOWLIST does
+# not name, one line each, with a caller outside the CLIs or the question it
+# answers. An entry for something the product now
 # runs, or that is gone, fails too, so the list can only shrink deliberately.
 COVDIR ?= .coverage-product
 coverage-product:
 	rm -rf $(COVDIR) && mkdir -p $(COVDIR)/bin $(COVDIR)/data $(COVDIR)/out
-	$(GO) build -cover -coverpkg=blockhead/... -o $(COVDIR)/bin/ ./cmd/znsbench ./cmd/zonectl ./cmd/tracegen
+	$(GO) build -cover -coverpkg=blockhead/... -o $(COVDIR)/bin/ ./cmd/znsbench ./cmd/zonectl
 	@set -e; export GOCOVERDIR=$(COVDIR)/data; b=$(COVDIR)/bin; o=$(COVDIR)/out; \
 	run() { echo "  $$*"; "$$@" > /dev/null; }; \
 	run $$b/znsbench; \
@@ -107,10 +107,6 @@ coverage-product:
 	run $$b/znsbench -quick -run E6; \
 	run $$b/znsbench -quick -whatif zone_reset:0,wp_serial:0 -run E4; \
 	run $$b/znsbench -quick -explain E6:926; \
-	run $$b/tracegen -out $$o/w.ztrc -ops 50000 -workload zipf; \
-	run $$b/tracegen -replay $$o/w.ztrc -device conv; \
-	run $$b/tracegen -replay $$o/w.ztrc -device zns; \
-	run $$b/tracegen -ops 20000 -device both; \
 	run $$b/zonectl -ops "append:0,append:0,finish:1,reset:0"; \
 	run $$b/zonectl inspect -ops "append:0,append:0,finish:1,reset:0"; \
 	run $$b/zonectl inspect -json -ops "append:0,append:0,finish:1,reset:0"
@@ -126,10 +122,11 @@ coverage-product:
 	@if [ -s $(COVDIR)/report ]; then cat $(COVDIR)/report; exit 1; fi
 	@echo "coverage-product: $$(wc -l < $(COVDIR)/allowed) allowlisted, nothing else unrun"
 
-# Short fuzz passes over the parsers of outside bytes: the trace decoder
-# and zkv's table blobs (a whole table, and a bare entry region).
+# Short fuzz passes over the parsers of outside input: the -whatif flag's
+# scenario parser and zkv's table blobs (a whole table, and a bare entry
+# region).
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=30s ./internal/telemetry/critpath/
 	$(GO) test -run='^$$' -fuzz=FuzzParseTable -fuzztime=30s ./internal/zkv/
 	$(GO) test -run='^$$' -fuzz=FuzzBlobIter -fuzztime=30s ./internal/zkv/
 

@@ -23,6 +23,7 @@ func TestValidate(t *testing.T) {
 		{name: "whatif without factor", whatif: "zone_reset", want: "valid: comma-separated phase:factor terms"},
 		{name: "whatif unknown phase", whatif: "warp:0.5", want: "phase one of host_queue, wp_serial"},
 		{name: "whatif negative factor", whatif: "nand_read:-1", want: "factor 0 to 1e6"},
+		{name: "whatif NaN factor", whatif: "zone_reset:NaN", want: "factor 0 to 1e6"},
 		{name: "explain without seq", expln: "E6", want: "want <experiment>:<seq>"},
 		{name: "explain unknown ID", expln: "E99:3", want: "in -explain (valid: E1,"},
 		{name: "explain seq 0", expln: "E6:0", want: "valid: 1 or more"},
@@ -45,6 +46,7 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{"-run", "E2,E99"},
 		{"-faults", "bogus"},
 		{"-whatif", "warp:1"},
+		{"-whatif", "zone_reset:NaN"},
 		{"-explain", "E6:0"},
 		{"-no-such-flag"},
 	} {

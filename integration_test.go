@@ -2,112 +2,16 @@
 package blockhead
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"blockhead/internal/core"
 	"blockhead/internal/flash"
-	"blockhead/internal/ftl"
-	"blockhead/internal/hostftl"
 	"blockhead/internal/sim"
-	"blockhead/internal/trace"
 	"blockhead/internal/workload"
 	"blockhead/internal/zkv"
 	"blockhead/internal/zns"
 )
-
-// One workload trace, recorded once, replayed against both device classes:
-// the §4.2 "systematically test workloads" loop in miniature.
-func TestIntegrationTraceReplayAcrossDevices(t *testing.T) {
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	src := workload.NewSource(5)
-	arr := workload.NewPoisson(src, 4000)
-	keys := workload.NewZipf(src, 4000, 0.99)
-	var at sim.Time
-	const ops = 30000
-	for i := 0; i < ops; i++ {
-		at = arr.Next(at)
-		kind := trace.OpWrite
-		if src.Float64() < 0.25 {
-			kind = trace.OpRead
-		}
-		if err := w.Append(trace.Record{At: at, Kind: kind, LBA: keys.Next(), Pages: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	geom := flash.Geometry{Channels: 4, DiesPerChan: 1, PlanesPerDie: 1,
-		BlocksPerLUN: 32, PagesPerBlock: 64, PageSize: 4096}
-
-	// Conventional replay.
-	conv, err := ftl.NewDefault(geom, flash.LatenciesFor(flash.TLC), 0.11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	written := map[int64]bool{}
-	nConv, err := trace.Replay(trace.NewReader(bytes.NewReader(raw)), func(rec trace.Record) error {
-		lpn := rec.LBA % conv.CapacityPages()
-		switch rec.Kind {
-		case trace.OpWrite:
-			_, err := conv.WritePage(rec.At, lpn, nil)
-			written[lpn] = true
-			return err
-		case trace.OpRead:
-			if !written[lpn] {
-				return nil
-			}
-			_, _, err := conv.ReadPage(rec.At, lpn)
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Block-on-ZNS replay of the identical bytes.
-	zdev, err := zns.New(zns.Config{Geom: geom, Lat: flash.LatenciesFor(flash.TLC), ZoneBlocks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := hostftl.New(zdev, hostftl.Config{ZonesPerStream: 4, UseSimpleCopy: true,
-		GCMode: hostftl.GCIncremental})
-	if err != nil {
-		t.Fatal(err)
-	}
-	written = map[int64]bool{}
-	nHost, err := trace.Replay(trace.NewReader(bytes.NewReader(raw)), func(rec trace.Record) error {
-		lpn := rec.LBA % host.CapacityPages()
-		switch rec.Kind {
-		case trace.OpWrite:
-			_, err := host.Write(rec.At, lpn, nil)
-			written[lpn] = true
-			return err
-		case trace.OpRead:
-			if !written[lpn] {
-				return nil
-			}
-			_, _, err := host.Read(rec.At, lpn)
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nConv != ops || nHost != ops {
-		t.Fatalf("replayed %d/%d records, want %d", nConv, nHost, ops)
-	}
-	if conv.Counters().WriteAmp() < 1 || host.WriteAmp() < 1 {
-		t.Error("write amplification below 1 is impossible")
-	}
-}
 
 // The LSM store must keep its data intact while the underlying ZNS device
 // wears out and shrinks zones underneath it.

@@ -99,13 +99,13 @@ func a1Cell(policy ftl.GCPolicy, skewed bool, churn int, seed int64) (float64, e
 		}
 	}
 	src := workload.NewSource(seed)
-	var keys workload.KeyGen = workload.NewUniform(src, dev.CapacityPages())
+	next := workload.NewUniform(src, dev.CapacityPages()).Next
 	if skewed {
-		keys = workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9)
+		next = workload.NewHotCold(src, dev.CapacityPages(), 0.1, 0.9).Next
 	}
 	base := *dev.Counters()
 	for i := int64(0); i < dev.CapacityPages()*int64(churn); i++ {
-		if at, err = dev.WritePage(at, keys.Next(), nil); err != nil {
+		if at, err = dev.WritePage(at, next(), nil); err != nil {
 			return 0, err
 		}
 	}

@@ -39,7 +39,7 @@ func E4Conventional(cfg Config) (LatResult, error) {
 	var at sim.Time
 	// Age the device to GC steady state: overwrite 1.5x the logical space
 	// so the measurement sees the sustained-GC regime, not a fresh drive.
-	err = age(s.capacity, s.capacity*3/2, wKeys, func(lpn int64) (err error) {
+	err = age(s.capacity, s.capacity*3/2, wKeys.Next, func(lpn int64) (err error) {
 		at, err = s.write(at, lpn, false)
 		return err
 	})

@@ -93,7 +93,7 @@ func e14Measure(s stack, cfg Config) (E14Result, error) {
 	// writes to separate streams, application knowledge the opaque device
 	// never had. Ownership flows through the worker stack so the polluter
 	// bookkeeping is right from block 0.
-	err := age(s.capacity, s.capacity, hcAll, func(lpn int64) error {
+	err := age(s.capacity, s.capacity, hcAll.Next, func(lpn int64) error {
 		sink.PushWorker(e14TenantOf(lpn, third))
 		var werr error
 		at, werr = s.write(at, lpn, hcAll.IsHot(lpn))

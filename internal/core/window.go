@@ -8,7 +8,6 @@ import (
 	"blockhead/internal/telemetry"
 	"blockhead/internal/telemetry/critpath"
 	"blockhead/internal/telemetry/exemplar"
-	"blockhead/internal/workload"
 	"blockhead/internal/zns"
 )
 
@@ -240,15 +239,15 @@ func hostStack(cfg Config, opts critpath.PredictOpts) (stack, error) {
 }
 
 // age prefills every logical page of a capacity-page device in order and
-// then ages it with n writes drawn from keys.
-func age(capacity, n int64, keys workload.KeyGen, write func(lpn int64) error) error {
+// then ages it with n writes at the keys next draws.
+func age(capacity, n int64, next func() int64, write func(lpn int64) error) error {
 	for lpn := int64(0); lpn < capacity; lpn++ {
 		if err := write(lpn); err != nil {
 			return err
 		}
 	}
 	for i := int64(0); i < n; i++ {
-		if err := write(keys.Next()); err != nil {
+		if err := write(next()); err != nil {
 			return err
 		}
 	}

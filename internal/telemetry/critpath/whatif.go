@@ -36,7 +36,7 @@ func (sc Scenario) Factor(p telemetry.Phase) float64 {
 
 // ParseScenario parses the CLI/spec form "phase:factor[,phase:factor...]",
 // e.g. "nand_program:0.5" or "zone_reset:0,wp_serial:0". Phase names are
-// the attribution wire names; factors must be finite and >= 0.
+// the attribution wire names; factors must lie in [0, 1e6].
 func ParseScenario(spec string) (Scenario, error) {
 	sc := Scenario{Name: spec}
 	for _, part := range strings.Split(spec, ",") {
@@ -60,7 +60,7 @@ func ParseScenario(spec string) (Scenario, error) {
 			return Scenario{}, fmt.Errorf("critpath: unknown phase %q in scenario %q", name, spec)
 		}
 		f, err := strconv.ParseFloat(factorStr, 64)
-		if err != nil || f < 0 || f > 1e6 {
+		if err != nil || !(f >= 0 && f <= 1e6) { // also rejects NaN
 			return Scenario{}, fmt.Errorf("critpath: bad factor %q for phase %s", factorStr, name)
 		}
 		sc.Scales = append(sc.Scales, Scale{Phase: p, Factor: f})

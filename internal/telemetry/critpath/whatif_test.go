@@ -23,11 +23,38 @@ func TestParseScenario(t *testing.T) {
 	approx(t, "program", sc.Factor(telemetry.PhaseNANDProgram), 0.5)
 	approx(t, "reset", sc.Factor(telemetry.PhaseZoneReset), 0)
 	approx(t, "unscaled", sc.Factor(telemetry.PhaseNANDRead), 1)
-	for _, bad := range []string{"", "bogus:1", "nand_read", "nand_read:-1", "nand_read:x"} {
+	for _, bad := range []string{"", "bogus:1", "nand_read", "nand_read:-1", "nand_read:x", "nand_read:NaN"} {
 		if _, err := ParseScenario(bad); err == nil {
 			t.Fatalf("ParseScenario(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseScenario: ParseScenario reads the -whatif flag, so it must not
+// panic on any input, and every scenario it accepts must scale known phases
+// by factors in [0, 1e6].
+func FuzzParseScenario(f *testing.F) {
+	for _, seed := range []string{"nand_program:0.5", "zone_reset:0,wp_serial:0", " lun_wait:2 ,",
+		"zone_reset:NaN", "zone_reset:Inf", "nand_read:1e7", "nand_read:-0", "warp:1", ":", ""} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := ParseScenario(spec)
+		if err != nil {
+			return
+		}
+		if len(sc.Scales) == 0 {
+			t.Fatalf("ParseScenario(%q) accepted a scenario with no terms", spec)
+		}
+		for _, s := range sc.Scales {
+			if s.Phase < 0 || int(s.Phase) >= telemetry.NumPhases {
+				t.Fatalf("ParseScenario(%q): unknown phase %d", spec, s.Phase)
+			}
+			if !(s.Factor >= 0 && s.Factor <= 1e6) {
+				t.Fatalf("ParseScenario(%q): factor %v for %s outside [0, 1e6]", spec, s.Factor, s.Phase)
+			}
+		}
+	})
 }
 
 // TestReplayDirect: service phases scale by their own factor.

@@ -1,7 +1,7 @@
 // Package workload provides the deterministic workload generators the
-// experiments share: key distributions (uniform, zipfian, sequential,
-// hot/cold), open-loop arrival processes (Poisson, bursty on/off), and
-// object streams with lifetime classes for the placement studies (§4.1).
+// experiments share: key distributions (uniform, zipfian, hot/cold),
+// open-loop Poisson arrivals, and object streams with lifetime classes for
+// the placement studies (§4.1).
 //
 // Every generator is seeded explicitly; the same seed reproduces the same
 // sequence, which keeps all experiment outputs stable.
@@ -23,13 +23,6 @@ func NewSource(seed int64) *Source {
 	return &Source{Rand: rand.New(rand.NewSource(seed))}
 }
 
-// KeyGen produces a stream of keys (logical pages, object IDs) in [0, N).
-type KeyGen interface {
-	Next() int64
-	// N reports the key-space size.
-	N() int64
-}
-
 // Uniform picks keys uniformly at random.
 type Uniform struct {
 	src *Source
@@ -39,17 +32,13 @@ type Uniform struct {
 // NewUniform returns a uniform key generator over [0, n).
 func NewUniform(src *Source, n int64) *Uniform { return &Uniform{src: src, n: n} }
 
-// Next implements KeyGen.
+// Next returns the next key.
 func (u *Uniform) Next() int64 { return u.src.Int63n(u.n) }
-
-// N implements KeyGen.
-func (u *Uniform) N() int64 { return u.n }
 
 // Zipf picks keys with a zipfian popularity distribution, the standard
 // skewed model for caches and key-value stores. Key 0 is the hottest.
 type Zipf struct {
 	z *rand.Zipf
-	n int64
 }
 
 // NewZipf returns a zipfian generator over [0, n) with skew theta
@@ -59,32 +48,11 @@ func NewZipf(src *Source, n int64, theta float64) *Zipf {
 	if theta <= 1 {
 		theta = 1.0001
 	}
-	return &Zipf{z: rand.NewZipf(src.Rand, theta, 1, uint64(n-1)), n: n}
+	return &Zipf{z: rand.NewZipf(src.Rand, theta, 1, uint64(n-1))}
 }
 
-// Next implements KeyGen.
+// Next returns the next key.
 func (z *Zipf) Next() int64 { return int64(z.z.Uint64()) }
-
-// N implements KeyGen.
-func (z *Zipf) N() int64 { return z.n }
-
-// Sequential cycles through keys in order — the fill pattern.
-type Sequential struct {
-	next, n int64
-}
-
-// NewSequential returns a sequential generator over [0, n).
-func NewSequential(n int64) *Sequential { return &Sequential{n: n} }
-
-// Next implements KeyGen.
-func (s *Sequential) Next() int64 {
-	k := s.next
-	s.next = (s.next + 1) % s.n
-	return k
-}
-
-// N implements KeyGen.
-func (s *Sequential) N() int64 { return s.n }
 
 // HotCold picks from a hot set with probability hotProb and from the cold
 // remainder otherwise — the classic skewed-write model for WA studies.
@@ -105,7 +73,7 @@ func NewHotCold(src *Source, n int64, hotFrac, hotProb float64) *HotCold {
 	return &HotCold{src: src, n: n, hotKeys: hot, hotProb: hotProb}
 }
 
-// Next implements KeyGen.
+// Next returns the next key.
 func (h *HotCold) Next() int64 {
 	if h.src.Float64() < h.hotProb {
 		return h.src.Int63n(h.hotKeys)
@@ -115,9 +83,6 @@ func (h *HotCold) Next() int64 {
 	}
 	return h.hotKeys + h.src.Int63n(h.n-h.hotKeys)
 }
-
-// N implements KeyGen.
-func (h *HotCold) N() int64 { return h.n }
 
 // IsHot reports whether key falls in the hot set.
 func (h *HotCold) IsHot(key int64) bool { return key < h.hotKeys }

@@ -186,9 +186,11 @@ func (db *DB) merge(at sim.Time, runs [][]*tableMeta, outLevel int) ([]*tableMet
 	bottom := outLevel == db.opts.MaxLevels-1
 	done := at
 	m := merger{srcs: make([]mergeSource, 0, len(runs))}
-	for _, run := range runs {
+	spills := make([]spillBufs, len(runs))
+	for r, run := range runs {
 		its := make([]blobIter, len(run))
 		for i, t := range run {
+			its[i].spill = &spills[r]
 			d, err := db.readEntries(at, t, 0, t.sizeB, &its[i])
 			if err != nil {
 				return nil, at, err

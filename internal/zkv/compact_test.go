@@ -93,34 +93,46 @@ func describe(db *DB) []string {
 // one ReadAt; the production merge reads a table of several segments with
 // one per segment, which the record coalesces. The tables fit in one
 // segment, or (the "segments" layout, with values up to 20 times longer)
-// span up to six, more than a read has pieces.
+// span up to six, more than a read has pieces. In the "long" layout every
+// nonempty value is longer than a segment, so each such entry that starts
+// before a read's tail piece straddles a cut, and a source takes its spill
+// buffers in turn on consecutive entries (with one buffer instead of two,
+// the merger's key is overwritten and the run fails).
 func TestCompactionMatchesPerTableOracle(t *testing.T) {
-	for _, layout := range []struct {
-		prefix      string
-		tableTarget int
-		valueScale  int
-	}{{"", 2 << 10, 1}, {"segments/", 160 << 10, 20}} {
+	for _, layout := range []oracleLayout{
+		{"", 2 << 10, 1, 0, 120},
+		{"segments/", 160 << 10, 20, 0, 120},
+		{"long/", 160 << 10, 40, 32 << 10, 8},
+	} {
 		for _, seed := range []int64{42, 7, 13} {
 			for _, backend := range []string{"conv", "zns"} {
 				t.Run(fmt.Sprintf("%s%s/seed%d", layout.prefix, backend, seed), func(t *testing.T) {
-					compactionMatchesOracle(t, backend, seed, layout.tableTarget, layout.valueScale)
+					compactionMatchesOracle(t, backend, seed, layout)
 				})
 			}
 		}
 	}
 }
 
-// compactionMatchesOracle is one run of TestCompactionMatchesPerTableOracle:
-// tables of about tableTarget bytes, values up to 150*valueScale long.
-func compactionMatchesOracle(t *testing.T, backend string, seed int64, tableTarget, valueScale int) {
+// oracleLayout shapes one TestCompactionMatchesPerTableOracle run: tables
+// of about tableTarget bytes; a nonempty value is valueMin bytes plus up to
+// 150*valueScale more; each flush takes up to writes puts and deletes.
+type oracleLayout struct {
+	prefix                                    string
+	tableTarget, valueScale, valueMin, writes int
+}
+
+// compactionMatchesOracle is one run of TestCompactionMatchesPerTableOracle.
+func compactionMatchesOracle(t *testing.T, backend string, seed int64, layout oracleLayout) {
 	opts := manualOpts(seed)
-	opts.TableTargetBytes = tableTarget
+	opts.TableTargetBytes = layout.tableTarget
 	open := func() (*DB, *recBackend) {
 		r := &recBackend{Backend: dbBackends(t)[backend], blobs: map[TableHandle][]byte{}}
 		return Open(r, opts), r
 	}
 	got, gotRec := open()
 	want, wantRec := open()
+	seg := segBytes(got.backend.PageSize())
 	var at sim.Time
 	// both runs one step on each store; the records and trees
 	// are compared whenever tables were written.
@@ -160,9 +172,13 @@ func compactionMatchesOracle(t *testing.T, backend string, seed int64, tableTarg
 			base = 1000 + round*500
 		}
 		for f := 1 + rng.Intn(3); f > 0; f-- {
-			for n := 1 + rng.Intn(120); n > 0; n-- {
+			for n := 1 + rng.Intn(layout.writes); n > 0; n-- {
 				k := key(base + rng.Intn(300))
-				v := bytes.Repeat([]byte{byte(round)}, rng.Intn(2)*(1+rng.Intn(150*valueScale)))
+				vlen := rng.Intn(2) * (1 + rng.Intn(150*layout.valueScale))
+				if vlen > 0 {
+					vlen += layout.valueMin
+				}
+				v := bytes.Repeat([]byte{byte(round)}, vlen)
 				write := func(db *DB) (sim.Time, error) { return db.Put(at, k, v) }
 				if rng.Intn(4) == 0 {
 					write = func(db *DB) (sim.Time, error) { return db.Delete(at, k) }
@@ -184,8 +200,54 @@ func compactionMatchesOracle(t *testing.T, backend string, seed int64, tableTarg
 	if l0s < 5 || deeper < 5 || len(got.levels[2]) < 2 {
 		t.Fatalf("weak run: %d+%d compactions, %d bottom tables", l0s, deeper, len(got.levels[2]))
 	}
-	if most := slices.MaxFunc(got.levels[2], func(a, b *tableMeta) int { return a.sizeB - b.sizeB }); valueScale > 1 && most.sizeB <= maxPieces*segBytes(got.backend.PageSize()) {
+	if most := slices.MaxFunc(got.levels[2], func(a, b *tableMeta) int { return a.sizeB - b.sizeB }); layout.valueScale > 1 && most.sizeB <= maxPieces*seg {
 		t.Fatalf("weak run: the largest bottom table has %d bytes, within %d segments", most.sizeB, maxPieces)
+	}
+}
+
+// TestMergeStraddleDoesNotAllocate walks the merge of a run of full tables
+// shaped like kv_lsm's (32 KiB target, entries of ~600 B, so a table is two
+// segments with an entry across the cut) on both backends. Without spill
+// buffers every straddling entry is an allocation, about one a table; with
+// them, once they have grown, the walk makes none. Both walks yield every
+// key once.
+func TestMergeStraddleDoesNotAllocate(t *testing.T) {
+	const keys = 2000
+	for name, b := range dbBackends(t) {
+		opts := manualOpts(1)
+		opts.TableTargetBytes, opts.DisableWAL = 32<<10, true
+		db := Open(b, opts)
+		for k := 0; k < keys; k++ {
+			if _, err := db.Put(0, key(k), patterned(590, byte(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+		run := db.levels[0]
+		its, srcs := make([]blobIter, len(run)), make([]mergeSource, 0, 1)
+		for _, spill := range []*spillBufs{nil, new(spillBufs)} {
+			var merged int
+			walk := func() {
+				for i, tm := range run {
+					its[i] = blobIter{spill: spill}
+					if _, err := db.readEntries(0, tm, 0, tm.sizeB, &its[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m := merger{srcs: srcs[:0]}
+				m.add(mergeSource{run: its}, nil)
+				for merged = 0; m.next(); merged++ {
+				}
+			}
+			walk() // grows the spill buffers
+			allocs := testing.AllocsPerRun(10, walk)
+			if spill != nil && allocs != 0 || spill == nil && allocs < float64(len(run)/2) || merged != keys {
+				t.Errorf("%s: merging %d tables (spill buffers: %v) made %.1f allocations and %d keys, want %s and %d",
+					name, len(run), spill != nil, allocs, merged, map[bool]string{false: "about one a table", true: "0"}[spill != nil], keys)
+			}
+		}
 	}
 }
 

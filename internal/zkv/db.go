@@ -252,9 +252,9 @@ func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (s
 // the span touches, all at time at, so each piece is a window of a stored
 // segment and nothing is copied. The pages are read once each, in order,
 // exactly as one ReadAt of the span would read them. It points it, which
-// must be empty, at the pieces' bytes below t.indexOff, the entry region. A
-// span of more than maxPieces segments reads its tail as one piece, which
-// ReadAt copies.
+// must have no pieces yet, at the pieces' bytes below t.indexOff, the entry
+// region. A span of more than maxPieces segments reads its tail as one
+// piece, which ReadAt copies.
 func (db *DB) readEntries(at sim.Time, t *tableMeta, off, end int, it *blobIter) (sim.Time, error) {
 	done := at
 	for pos, i := off, 0; pos < end; i++ {

@@ -17,7 +17,9 @@ func (db *DB) Scan(at sim.Time, start, limit []byte, fn func(key, value []byte) 
 	// key in [start, limit).
 	var m merger
 	m.add(mergeSource{mem: db.mem.iter()}, start)
-	for _, tables := range append(newestFirst(db.levels[0]), db.levels[1:]...) {
+	runs := append(newestFirst(db.levels[0]), db.levels[1:]...)
+	spills := make([]spillBufs, len(runs))
+	for r, tables := range runs {
 		var run []blobIter
 		for _, t := range tables {
 			if limit != nil && bytes.Compare(t.firstKey, limit) >= 0 {
@@ -27,7 +29,7 @@ func (db *DB) Scan(at sim.Time, start, limit []byte, fn func(key, value []byte) 
 				continue
 			}
 			lo, _ := t.chunkFor(start)
-			run = append(run, blobIter{})
+			run = append(run, blobIter{spill: &spills[r]})
 			done, err := db.readEntries(at, t, lo, t.indexOff, &run[len(run)-1])
 			if err != nil {
 				return at, err

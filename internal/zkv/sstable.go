@@ -214,7 +214,9 @@ const maxPieces = 4
 // blobIter walks an entry region sequentially. The region may come in
 // pieces, read one per segment: data is the unread part of the current
 // piece and later[piece:pieces] the pieces after it. An entry inside one
-// piece is returned as slices of it; one that straddles a cut is copied.
+// piece is returned as slices of it; one that straddles a cut is copied,
+// into spill's buffers when the iterator has them and into a slice of its
+// own when it does not.
 type blobIter struct {
 	data          []byte
 	later         [maxPieces - 1][]byte
@@ -222,6 +224,27 @@ type blobIter struct {
 	key           []byte
 	value         []byte // nil for tombstones
 	err           error
+	spill         *spillBufs
+}
+
+// spillBufs are the two buffers a merge source copies straddling entries
+// into, taken in turn and shared by the iterators of every table in its
+// run: the entry a source returned stays valid while it advances once
+// more, as long as the merger reads it, and a merge of full tables
+// allocates nothing for them once the buffers have grown.
+type spillBufs [2][]byte
+
+// take swaps the buffers and returns the first, resized to n bytes; a nil
+// s returns a slice of its own.
+func (s *spillBufs) take(n int) []byte {
+	if s == nil {
+		return make([]byte, n)
+	}
+	s[0], s[1] = s[1], s[0]
+	if cap(s[0]) < n {
+		s[0] = make([]byte, n)
+	}
+	return s[0][:n]
 }
 
 // next decodes one entry. Lengths are compared as uint64 before any
@@ -258,8 +281,8 @@ func (it *blobIter) next() bool {
 // straddles a cut, or the region is corrupt, which nextAcross reports
 // exactly where the same bytes in one piece would be. The header is decoded
 // from a copy of the next bytes (two uvarints read at most
-// 2*MaxVarintLen64+1 of them), and a whole entry is copied into a slice of
-// its own.
+// 2*MaxVarintLen64+1 of them), and a whole entry is copied into the next
+// spill buffer, or a slice of its own.
 func (it *blobIter) nextAcross() bool {
 	left := len(it.data)
 	for _, p := range it.later[it.piece:it.pieces] {
@@ -292,7 +315,7 @@ func (it *blobIter) nextAcross() bool {
 		}
 	}
 	it.copyOut(hdr[:n1+n2], true)
-	entry := make([]byte, int(klen)+int(vlen))
+	entry := it.spill.take(int(klen) + int(vlen))
 	it.copyOut(entry, true)
 	it.key = entry[:klen]
 	it.value = nil

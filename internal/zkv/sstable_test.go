@@ -153,11 +153,14 @@ func walk(t *testing.T, it blobIter) ([]string, error) {
 }
 
 // checkCuts requires the walk of data cut into pieces at cuts to match the
-// walk of data whole: the same entries and the same error.
+// walk of data whole: the same entries and the same error. The cut walk
+// copies straddling entries into spill buffers, as a merge source does.
 func checkCuts(t *testing.T, data []byte, cuts ...int) {
 	t.Helper()
 	want, wantErr := walk(t, blobIter{data: data})
-	got, gotErr := walk(t, cutAt(data, cuts...))
+	it := cutAt(data, cuts...)
+	it.spill = new(spillBufs)
+	got, gotErr := walk(t, it)
 	if !slices.Equal(got, want) || gotErr != wantErr {
 		t.Fatalf("%x cut at %v: %q, %v; whole: %q, %v", data, cuts, got, gotErr, want, wantErr)
 	}
