@@ -13,8 +13,11 @@ check: vet build lint test bench-selftest bench-telemetry
 vet:
 	$(GO) vet ./...
 
+# The Windows build compiles the heap twin of zkv's slab chunks (slab_other.go),
+# which no Unix build does.
 build:
 	$(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 # Project-specific static analysis (docs/static-analysis.md): determinism
 # (no wall clock/global rand/map-order leaks), concurrency (sim core is a
@@ -51,9 +54,12 @@ bench-selftest:
 #
 # And for what every LSM run pays per table: zkv's one table builder adds
 # entries and seals them into a blob without allocating once it has built a
-# table (DoesNotRegrow); the devices keep each table in exact-size segments
-# of at most 32 KiB with no spare capacity to pin (HasNoSlack); and a table
-# read, one ReadAt per segment, allocates nothing (DoesNotAllocate).
+# table (DoesNotRegrow); the devices keep each table in segments of at most
+# 32 KiB with no spare capacity, every full one a slot of the backend's slab
+# outside the Go heap and the last one an exact-size heap allocation
+# (HasNoSlack); a table read, one ReadAt per segment, allocates nothing, and
+# a merge or a Get copies an entry that straddles a cut into reused spill
+# buffers, so a Get allocates only the value it returns (DoesNotAllocate).
 #
 # And for what an aged device pays per host write: a reclaiming write through
 # either stack (victim pick, relocation, erase or zone reset) allocates

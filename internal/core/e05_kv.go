@@ -122,6 +122,10 @@ func E5Run(name string, backend zkv.Backend, cfg Config) (E5Result, error) {
 	}, nil
 }
 
+// e5Built, when set, sees the device E5Conventional builds, so a test can
+// hold it weakly and see the finished part's stack collected.
+var e5Built func(dev *ftl.Device)
+
 // E5Conventional runs E5 on a trim-less conventional device with
 // filesystem-style scattered allocation: the deployment the paper's RocksDB
 // numbers describe.
@@ -130,6 +134,9 @@ func E5Conventional(cfg Config) (E5Result, error) {
 		OPFraction: 0.03, HotColdSeparation: true, TrimSupported: false, StoreData: true})
 	if err != nil {
 		return E5Result{}, err
+	}
+	if e5Built != nil {
+		e5Built(dev)
 	}
 	b, err := zkv.NewConvBackend(dev, 64)
 	if err != nil {
@@ -154,9 +161,11 @@ func E5ZNS(cfg Config) (E5Result, error) {
 }
 
 // e5Parts is E5's two parts. Each device stores its data, so each part
-// declares the payload it can hold, which runs them one at a time; and each
-// part builds the stack it runs, so the conventional device and its table
-// blobs are garbage before the ZNS part builds its own.
+// declares the payload it can hold (its table segments, resident in slab
+// chunks outside the Go heap), which runs them one at a time; and each part
+// builds the stack it runs, so the conventional device is garbage, and its
+// chunks are unmapped after the next collection, once the ZNS part builds
+// its own. Running the two at once is ROADMAP 15(f).
 func e5Parts(conv, z *E5Result) []partTask {
 	parts := []partTask{part(conv, E5Conventional), part(z, E5ZNS)}
 	for i := range parts {

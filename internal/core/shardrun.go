@@ -21,9 +21,12 @@ import (
 // residentBudget bounds the payload bytes the parts running at once may
 // declare between them: one E5-sized data-storing stack (14 MiB), so E5's
 // two parts run one at a time and the campaign's peak RSS stays where a
-// serial run puts it. The budget counts only running parts because a part
-// builds the stacks it runs: a finished part's devices are garbage, and a
-// part closure captures no device. Parts that store no data declare 0 and
+// serial run puts it. A declared byte is a resident byte: zkv keeps full
+// table segments in slab chunks mapped outside the Go heap, where the
+// collector's pacing does not double them. The budget counts only running
+// parts because a part builds the stacks it runs: a finished part's devices
+// are garbage, their chunks are unmapped once the collector finds them, and
+// a part closure captures no device. Parts that store no data declare 0 and
 // are bounded by GOMAXPROCS alone.
 const residentBudget = 16 << 20
 

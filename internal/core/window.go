@@ -40,17 +40,18 @@ type window struct {
 // the parts that precede it (runParts).
 func (w *window) rebaseSeqs(delta uint64) { w.Exem.Rebase(delta) }
 
-// measure runs one measured window on probe's sink. Before run it drains
+// measure runs one measured window on probe's sink. Before run it resets
 // the critical-path recorder and the exemplar reservoir, discarding what
-// ran before (prefill, aging, E6's throughput phase); after run it captures the attribution delta over
-// run, both drained recordings and the tenant labels. In explain mode the
+// ran before (prefill, aging, E6's throughput phase) without building a
+// snapshot of it; after run it captures the attribution delta over run,
+// both drained recordings and the tenant labels. In explain mode the
 // narrator replaces the reservoir, so Exem stays empty. A nil probe
 // records nothing.
 func (w *window) measure(probe *telemetry.Probe, run func() error) error {
 	sink := probe.Attribution()
 	before := sink.Snapshot()
-	critpath.DrainFromSink(sink)
-	exemplar.FromSink(sink).Drain()
+	critpath.FromSink(sink).Reset()
+	exemplar.FromSink(sink).Reset()
 	if err := run(); err != nil {
 		return err
 	}

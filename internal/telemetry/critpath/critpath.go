@@ -348,16 +348,22 @@ func (r *Recorder) Snapshot() Snapshot {
 // and resets the recorder, so one recorder shared across an experiment's
 // stacks yields per-stack sections the way AttrSnapshot deltas do.
 func (r *Recorder) Drain() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
 	s := r.Snapshot()
+	r.Reset()
+	return s
+}
+
+// Reset discards everything recorded since the previous Drain, as Drain
+// does, without building the snapshot Drain returns.
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
 	r.base = r.mark()
 	r.ops = [telemetry.NumOps]OpAgg{}
 	r.paths, r.side = r.paths[:0], r.side[:0]
 	r.stride = 1
 	r.seq = 0
-	return s
 }
 
 // DrainFromSink drains the recorder attached to sink (no-op empty snapshot

@@ -382,10 +382,17 @@ func (s *Snapshot) Rebase(delta uint64) {
 // per-stack sections the way AttrSnapshot deltas do. The snapshot source
 // (SetSnap) is left armed.
 func (r *Reservoir) Drain() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
 	s := r.Snapshot()
+	r.Reset()
+	return s
+}
+
+// Reset discards everything captured since the previous Drain, as Drain
+// does, without building the snapshot Drain returns.
+func (r *Reservoir) Reset() {
+	if r == nil {
+		return
+	}
 	r.ios = 0
 	r.flagSeen = 0
 	r.flagNext = 0
@@ -393,7 +400,6 @@ func (r *Reservoir) Drain() Snapshot {
 	for t := 0; t < telemetry.MaxTenants; t++ {
 		r.heaps[t] = r.heaps[t][:0]
 	}
-	return s
 }
 
 // sortWorstFirst orders exemplars by descending latency, ascending seq.

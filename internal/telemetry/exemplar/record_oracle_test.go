@@ -422,3 +422,49 @@ func TestRecordFoldsMatchOracleRecorded(t *testing.T) {
 		})
 	}
 }
+
+// discarding wraps a design so that every other mid-stream drain keeps
+// only the attribution, as core's measured window does before it runs:
+// with reset non-nil it calls reset there in place of the drain, and
+// without it drains and drops the recordings.
+func discarding(a armed, reset func()) armed {
+	n := 0
+	drain := a.drain
+	a.drain = func() checkpoint {
+		if n++; n%2 == 0 {
+			return drain()
+		}
+		if reset != nil {
+			reset()
+			s := a.sink.(*telemetry.AttrSink)
+			return checkpoint{attr: s.Snapshot(), tenants: s.TenantSnapshot()}
+		}
+		cp := drain()
+		cp.crit, cp.exem = critpath.Snapshot{}, exemplar.Snapshot{}
+		return cp
+	}
+	return a
+}
+
+// TestResetIsADiscardedDrain: Reset leaves the critical-path recorder and
+// the exemplar reservoir as a Drain whose snapshot is dropped leaves them,
+// so every later drain of seeded random streams is the same. The drains
+// compared with are the oracle's (oracle_test.go), whose Drain is its own.
+func TestResetIsADiscardedDrain(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		stream, _ := randomStream(seed, 3000)
+		sink := telemetry.NewAttrSink()
+		rec := critpath.Attach(sink, critpath.Options{SampleCap: 16})
+		res := exemplar.Attach(sink, exemplar.Options{K: 3, FlagCap: 4})
+		res.SetSnap(snapOf)
+		resetting := armed{sink: sink, drain: func() checkpoint {
+			return checkpoint{sink.Snapshot(), sink.TenantSnapshot(), rec.Drain(), res.Drain()}
+		}}
+		got := replay(stream, discarding(resetting, func() { rec.Reset(); res.Reset() }))
+		want := replay(stream, discarding(oldArmed(16, 3, 4), nil))
+		if len(got) < 3 {
+			t.Fatalf("seed %d: %d checkpoints, want a reset between two drains", seed, len(got))
+		}
+		compareCheckpoints(t, got, want)
+	}
+}

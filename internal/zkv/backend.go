@@ -34,7 +34,10 @@ type Backend interface {
 	// copy; a longer one is copied.
 	ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, []byte, error)
 	// Delete drops a table, releasing its space and its payload: the
-	// device keeps no reference to the blob WriteTable stored.
+	// device keeps no reference to the segments WriteTable stored. That
+	// release is what lets the backend reuse the memory of a deleted
+	// table's segments (its slab slots) for the next table; a reader must
+	// not keep what ReadAt returned across a Delete.
 	Delete(at sim.Time, h TableHandle) error
 	// AppendWAL persists n bytes of log; ResetWAL truncates the log after
 	// a flush.
@@ -63,8 +66,9 @@ type extent struct {
 }
 
 type convTable struct {
-	ext  extent
-	size int
+	ext   extent
+	size  int
+	slots [][]byte // the table's full segments, slots of the backend's slab
 }
 
 // AllocPolicy selects how the conventional backend places table extents.
@@ -89,6 +93,7 @@ const (
 // paper's title argument.
 type ConvBackend struct {
 	dev      *ftl.Device
+	slab     *slab
 	policy   AllocPolicy
 	rngState uint64
 	tables   map[TableHandle]convTable
@@ -109,6 +114,7 @@ func NewConvBackend(dev *ftl.Device, walPages int64) (*ConvBackend, error) {
 	dataPages := dev.CapacityPages() - walPages
 	return &ConvBackend{
 		dev:      dev,
+		slab:     newSlab(dev, segBytes(dev.PageSize())),
 		rngState: 0x9e3779b97f4a7c15,
 		tables:   make(map[TableHandle]convTable),
 		free:     []extent{{start: 0, pages: dataPages}},
@@ -191,22 +197,37 @@ func (b *ConvBackend) freeExtent(e extent) {
 // in one piece occupied 40 KiB.
 func segBytes(pageSize int) int { return max(pageSize, (32<<10)/pageSize*pageSize) }
 
-// storeSegments copies blob into exact-size segments of segBytes(pageSize)
-// bytes, the last one shorter, and calls put with each page's payload in
-// page order: a sub-slice of its segment that reaches to the segment's end,
-// so readSpan can return a window of it. The segments are the only copy of
-// the table a device keeps; blob is not retained.
-func storeSegments(blob []byte, pageSize int, put func(payload []byte) error) error {
+// storeSegments copies blob into segments of segBytes(pageSize) bytes, the
+// last one shorter, and calls put with each page's payload in page order: a
+// sub-slice of its segment that reaches to the segment's end, so readSpan can
+// return a window of it. A full segment is a slot taken from s; the shorter
+// last one is an exact-size heap allocation, since a slot would keep up to a
+// segment of spare bytes for as long as the table lives. The segments are the
+// only copy of the table a device keeps; blob is not retained. It returns the
+// slots it took, also when put fails.
+func storeSegments(blob []byte, pageSize int, s *slab, put func(payload []byte) error) ([][]byte, error) {
 	seg := segBytes(pageSize)
+	var slots [][]byte
+	if full := len(blob) / seg; full > 0 {
+		slots = make([][]byte, 0, full)
+	}
 	for lo := 0; lo < len(blob); lo += seg {
-		s := slices.Clip(bytes.Clone(blob[lo:min(lo+seg, len(blob))])) // not zeroed first
-		for p := 0; p < len(s); p += pageSize {
-			if err := put(s[p:min(p+pageSize, len(s))]); err != nil {
-				return err
+		part := blob[lo:min(lo+seg, len(blob))]
+		var sg []byte
+		if len(part) == seg {
+			sg = s.take()
+			slots = append(slots, sg)
+			copy(sg, part)
+		} else {
+			sg = slices.Clip(bytes.Clone(part)) // not zeroed first
+		}
+		for p := 0; p < len(sg); p += pageSize {
+			if err := put(sg[p:min(p+pageSize, len(sg))]); err != nil {
+				return slots, err
 			}
 		}
 	}
-	return nil
+	return slots, nil
 }
 
 // WriteTable implements Backend. The level hint is ignored: a block device
@@ -219,16 +240,19 @@ func (b *ConvBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHand
 		return 0, at, ErrNoSpace
 	}
 	done, lpn := at, start
-	if err := storeSegments(blob, int(ps), func(payload []byte) error {
+	slots, err := storeSegments(blob, int(ps), b.slab, func(payload []byte) error {
 		d, err := b.dev.WritePage(at, lpn, payload)
 		done, lpn = sim.Max(done, d), lpn+1
 		return err
-	}); err != nil {
+	})
+	if err != nil {
+		_ = b.dev.DropPayload(start, pages) // in range: alloc handed it out
+		b.slab.put(slots)
 		return 0, at, err
 	}
 	h := b.next
 	b.next++
-	b.tables[h] = convTable{ext: extent{start: start, pages: pages}, size: len(blob)}
+	b.tables[h] = convTable{ext: extent{start: start, pages: pages}, size: len(blob), slots: slots}
 	return h, done, nil
 }
 
@@ -295,8 +319,8 @@ func readSpan(at sim.Time, pageSize, off, n int, readPage func(page int64) (sim.
 }
 
 // Delete implements Backend: trim the extent, drop its payload (a device
-// without TRIM would keep it until the pages are overwritten) and return it
-// to the free list.
+// without TRIM would keep it until the pages are overwritten), and return
+// the table's slots to the slab and the extent to the free list.
 func (b *ConvBackend) Delete(at sim.Time, h TableHandle) error {
 	t, ok := b.tables[h]
 	if !ok {
@@ -308,6 +332,7 @@ func (b *ConvBackend) Delete(at sim.Time, h TableHandle) error {
 	if err := b.dev.DropPayload(t.ext.start, t.ext.pages); err != nil {
 		return err
 	}
+	b.slab.put(t.slots)
 	delete(b.tables, h)
 	b.freeExtent(t.ext)
 	return nil

@@ -97,7 +97,8 @@ func describe(db *DB) []string {
 // nonempty value is longer than a segment, so each such entry that starts
 // before a read's tail piece straddles a cut, and a source takes its spill
 // buffers in turn on consecutive entries (with one buffer instead of two,
-// the merger's key is overwritten and the run fails).
+// the merger's key is overwritten and the run fails). Both stores' slabs
+// are in poison mode, so a read of a deleted table's slot fails the run.
 func TestCompactionMatchesPerTableOracle(t *testing.T) {
 	for _, layout := range []oracleLayout{
 		{"", 2 << 10, 1, 0, 120},
@@ -128,6 +129,7 @@ func compactionMatchesOracle(t *testing.T, backend string, seed int64, layout or
 	opts.TableTargetBytes = layout.tableTarget
 	open := func() (*DB, *recBackend) {
 		r := &recBackend{Backend: dbBackends(t)[backend], blobs: map[TableHandle][]byte{}}
+		poisonSlab(t, r.Backend)
 		return Open(r, opts), r
 	}
 	got, gotRec := open()
@@ -247,6 +249,65 @@ func TestMergeStraddleDoesNotAllocate(t *testing.T) {
 				t.Errorf("%s: merging %d tables (spill buffers: %v) made %.1f allocations and %d keys, want %s and %d",
 					name, len(run), spill != nil, allocs, merged, map[bool]string{false: "about one a table", true: "0"}[spill != nil], keys)
 			}
+		}
+	}
+}
+
+// TestGetStraddleDoesNotAllocate: a Get whose entry straddles a segment
+// cut (the last entry of a full table shaped like kv_lsm's) copies it into
+// the DB's reused spill buffers, so it allocates only the clone it returns,
+// as a Get of an entry inside one segment does. The clone stays the
+// caller's: a later Get of another straddling entry leaves it as it was.
+func TestGetStraddleDoesNotAllocate(t *testing.T) {
+	const keys = 400
+	for name, b := range dbBackends(t) {
+		opts := manualOpts(1)
+		opts.TableTargetBytes, opts.DisableWAL = 32<<10, true
+		db := Open(b, opts)
+		for k := 0; k < keys; k++ {
+			if _, err := db.Put(0, key(k), patterned(590, byte(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+		type entry struct{ key, value []byte }
+		var straddling, inside []entry
+		for _, tm := range db.levels[0] {
+			_, region, err := b.ReadAt(0, tm.handle, 0, tm.indexOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := blobIter{data: region}
+			for pos := 0; it.next(); {
+				end := tm.indexOff - len(it.data)
+				e := entry{bytes.Clone(it.key), bytes.Clone(it.value)}
+				if pos/db.seg != (end-1)/db.seg {
+					straddling = append(straddling, e)
+				} else if len(inside) == 0 {
+					inside = append(inside, e)
+				}
+				pos = end
+			}
+		}
+		if len(straddling) < 2 {
+			t.Fatalf("%s: %d tables, %d straddling entries", name, len(db.levels[0]), len(straddling))
+		}
+		for _, e := range append(straddling, inside...) {
+			var v []byte
+			get := func() { _, v, _, _ = db.Get(0, e.key) }
+			get() // grows the spill buffers
+			if allocs := testing.AllocsPerRun(20, get); allocs != 1 || !bytes.Equal(v, e.value) {
+				t.Errorf("%s: Get(%s) made %.1f allocations, want 1; value right: %v", name, e.key, allocs, bytes.Equal(v, e.value))
+			}
+		}
+		_, first, _, _ := db.Get(0, straddling[0].key)
+		for _, e := range straddling[1:] {
+			db.Get(0, e.key)
+		}
+		if !bytes.Equal(first, straddling[0].value) {
+			t.Errorf("%s: a later Get changed the value an earlier one returned", name)
 		}
 	}
 }

@@ -85,6 +85,7 @@ type DB struct {
 
 	mem    *memtable
 	tb     tableBuilder   // builds every table, flushed or compacted; empty in between
+	spill  spillBufs      // Get's straddling entries; Get clones its value before the next read
 	levels [][]*tableMeta // levels[0] unsorted (newest last); 1+ sorted, disjoint
 	seq    uint64
 	cursor [][]byte // per-level compaction cursor (last victim's lastKey)
@@ -216,7 +217,8 @@ func (db *DB) Get(at sim.Time, key []byte) (done sim.Time, value []byte, found b
 //   - absent:     (nil, found=false) — keep descending
 //
 // A live value aliases the chunk ReadAt returned, which may be the stored
-// table itself: Get copies it before handing it out.
+// table itself, or db.spill, where an entry that straddles a segment cut is
+// copied: Get copies it before handing it out, and before any later read.
 func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (sim.Time, []byte, bool, error) {
 	if !t.filter.mayContain(hash) {
 		return at, nil, false, nil // Bloom-negative: no I/O at all
@@ -225,7 +227,7 @@ func (db *DB) searchTable(at sim.Time, t *tableMeta, key []byte, hash uint64) (s
 	if lo >= hi {
 		return at, nil, false, nil
 	}
-	var it blobIter
+	it := blobIter{spill: &db.spill}
 	done, err := db.readEntries(at, t, lo, hi, &it)
 	if err != nil {
 		return at, nil, false, err

@@ -140,7 +140,9 @@ func spanLayouts(rng *rand.Rand) []*spanLayout {
 // requires the same bytes, the same completion time and error, and the
 // same page reads in the same order. The result must also be exact-size, so
 // a caller's append cannot write into a stored blob. It fails unless both
-// the aliasing and the copying path ran.
+// the aliasing and the copying path ran. Then it reads tables stored in
+// slab slots, some of them returned and reused, on both backends
+// (readSpanOverSlabs).
 func TestReadSpanMatchesCopyingParent(t *testing.T) {
 	const at = sim.Time(5000)
 	var aliased, copied int
@@ -176,5 +178,67 @@ func TestReadSpanMatchesCopyingParent(t *testing.T) {
 	}
 	if aliased == 0 || copied == 0 {
 		t.Fatalf("%d spans aliased, %d copied: both paths must run", aliased, copied)
+	}
+	readSpanOverSlabs(t)
+}
+
+// readSpanOverSlabs is TestReadSpanMatchesCopyingParent over both backends'
+// devices, in poison mode: tables of one to three full segments and a tail
+// are written, every other one deleted (its slots poisoned and returned)
+// and later tables written into those slots; then every span of a live
+// table that starts and ends near a cut or an end, read page by page from
+// the device, gives the bytes written through readSpan and through
+// copySpan.
+func readSpanOverSlabs(t *testing.T) {
+	conv, zoned := spanBackends(t, segGeom)
+	ps, seg := segGeom.PageSize, segBytes(segGeom.PageSize)
+	for name, b := range map[string]Backend{"conv": conv, "zns": zoned} {
+		poisonSlab(t, b)
+		blobs := map[TableHandle][]byte{}
+		var dead [][]byte // the deleted tables' slots
+		for i := 0; i < 8; i++ {
+			blob := patterned((1+i%3)*seg+100*(i+1), byte(i))
+			h := writeTable(t, b, blob)
+			blobs[h] = blob
+			if i%2 == 1 {
+				dead = append(dead, tableSlots(b, h)...)
+				if err := b.Delete(0, h); err != nil {
+					t.Fatal(err)
+				}
+				delete(blobs, h)
+			}
+		}
+		reused := 0
+		for h, blob := range blobs {
+			for _, s := range tableSlots(b, h) {
+				if slices.ContainsFunc(dead, func(d []byte) bool { return &d[0] == &s[0] }) {
+					reused++
+				}
+			}
+			var near []int // offsets within 2 bytes of a cut or an end
+			for c := 0; c <= len(blob)+seg; c += seg {
+				for o := max(0, c-2); o <= min(len(blob), c+2); o++ {
+					near = append(near, o)
+				}
+			}
+			near = append(near, len(blob)-1, len(blob))
+			_, page := tablePages(t, b, h)
+			for _, lo := range near {
+				for _, hi := range near {
+					if lo > hi {
+						continue
+					}
+					_, got, err := readSpan(0, ps, lo, hi-lo, page)
+					_, want, _ := copySpan(0, ps, lo, hi-lo, page)
+					if err != nil || !bytes.Equal(got, want) || !bytes.Equal(got, blob[lo:hi]) {
+						t.Fatalf("%s: table %d, span [%d, %d): %v; readSpan right: %v, copySpan right: %v",
+							name, h, lo, hi, err, bytes.Equal(got, blob[lo:hi]), bytes.Equal(want, blob[lo:hi]))
+					}
+				}
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("%s: no table took a returned slot", name)
+		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 // Scan visits every live key in [start, limit) in ascending order, calling
 // fn with each key/value; fn returning false stops early. A nil limit means
 // "to the end". Tombstones and shadowed versions are skipped. The returned
-// time includes all table reads the scan needed.
+// time includes all table reads the scan needed. fn must not write to db:
+// a write may compact away a table the scan is still reading, and the
+// backend reuses a deleted table's memory.
 func (db *DB) Scan(at sim.Time, start, limit []byte, fn func(key, value []byte) bool) (sim.Time, error) {
 	// Sources newest first: the memtable, each L0 table, then one run per
 	// deeper level, whose tables are disjoint and sorted. Of each run, read

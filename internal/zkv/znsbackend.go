@@ -18,6 +18,7 @@ import (
 // ZNS, and a concrete instance of §4.1's lifetime-aware placement.
 type ZNSBackend struct {
 	dev     *zns.Device
+	slab    *slab
 	streams int
 	// za places tables: slot s < streams is level stream s's, slot streams
 	// the WAL's.
@@ -29,7 +30,8 @@ type ZNSBackend struct {
 
 type znsTable struct {
 	zalloc.Extent
-	size int
+	size  int
+	slots [][]byte // the table's full segments, slots of the backend's slab
 }
 
 // NewZNSBackend wraps a ZNS device with the given number of level streams
@@ -48,6 +50,7 @@ func NewZNSBackend(dev *zns.Device, streams int) (*ZNSBackend, error) {
 	}
 	b := &ZNSBackend{
 		dev:     dev,
+		slab:    newSlab(dev, segBytes(dev.PageSize())),
 		streams: streams,
 		za:      zalloc.New(dev, streams+1),
 		tables:  make(map[TableHandle]*znsTable),
@@ -99,14 +102,17 @@ func (b *ZNSBackend) WriteTable(at sim.Time, blob []byte, level int) (TableHandl
 	}
 	off := b.dev.WP(z)
 	done := at
-	if err := storeSegments(blob, int(ps), func(payload []byte) error {
+	slots, err := storeSegments(blob, int(ps), b.slab, func(payload []byte) error {
 		_, d, err := b.dev.Append(at, z, payload)
 		done = sim.Max(done, d)
 		return err
-	}); err != nil {
+	})
+	if err != nil {
+		_ = b.dev.DropPayload(b.dev.LBA(z, off), b.dev.WP(z)-off) // the pages appended
+		b.slab.put(slots)
 		return 0, at, err
 	}
-	t := &znsTable{Extent: zalloc.Extent{Pages: pages}, size: len(blob)}
+	t := &znsTable{Extent: zalloc.Extent{Pages: pages}, size: len(blob), slots: slots}
 	b.za.Place(&t.Extent, z, off)
 	h := b.next
 	b.next++
@@ -129,8 +135,8 @@ func (b *ZNSBackend) ReadAt(at sim.Time, h TableHandle, off, n int) (sim.Time, [
 }
 
 // Delete implements Backend: drop the table's payload (its pages stay in
-// the zone until the zone is reset) and mark it dead; a sealed zone whose
-// tables are all dead is reset immediately.
+// the zone until the zone is reset), return its slots to the slab and mark
+// it dead; a sealed zone whose tables are all dead is reset immediately.
 func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 	t, ok := b.tables[h]
 	if !ok {
@@ -140,6 +146,7 @@ func (b *ZNSBackend) Delete(at sim.Time, h TableHandle) error {
 	if err := b.dev.DropPayload(b.dev.LBA(z, t.Off), t.Pages); err != nil {
 		return err
 	}
+	b.slab.put(t.slots)
 	b.za.Kill(&t.Extent)
 	delete(b.tables, h)
 	b.recycle(at, z)
