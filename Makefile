@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build lint test bench-selftest bench-telemetry bench bench-e2e coverage-product fuzz fuzz-zns fuzz-faults clean
+.PHONY: all check vet build lint test bench-selftest bench-telemetry bench bench-e2e ab coverage-product fuzz fuzz-zns fuzz-faults clean
 
 all: check
 
@@ -84,6 +84,17 @@ else
 	bash bench/run.sh -repeat 1 -out $(OUT)
 endif
 
+# A speed claim against another revision: N pairs of one workload, this
+# checkout against BASE, in ABBA order, with every run, the pairs won, both
+# medians and BASE's interquartile range (scripts/ab.sh).
+#   make ab BASE=<rev> W=<workload> [N=10 SEED=42 SECS=10 M=sim_ops_per_s]
+N ?= 10
+SEED ?= 42
+SECS ?= 10
+M ?= sim_ops_per_s
+ab:
+	bash scripts/ab.sh "$(BASE)" "$(W)" $(N) $(SEED) $(SECS) $(M)
+
 # The product-coverage audit: machinery stays only if the product runs it.
 # Builds the two CLIs with coverage of every package in the module, runs
 # the invocations that define the product (the README quick start, the
@@ -152,4 +163,4 @@ fuzz-faults:
 clean:
 	$(GO) clean ./...
 	rm -f trace.json metrics.json cpu.pprof
-	rm -rf .bench_build .coverage-product
+	rm -rf .bench_build .coverage-product .ab

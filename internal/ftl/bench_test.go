@@ -106,20 +106,34 @@ func BenchmarkPickVictim(b *testing.B) {
 }
 
 // TestSteadyStateGCWritesDoNotAllocate pins the GC path — victim index
-// updates, picks, relocation, erase — at zero allocations per host write, in
-// both scheduling modes.
+// updates, picks, relocation, erase, and at femu256, where the free pool
+// sits at the GC reserve, host allocation's jump over empty frontiers — at
+// zero allocations per host write, in both scheduling modes. The femu256 run
+// skips under -short and -race; `make bench-telemetry` runs it.
 func TestSteadyStateGCWritesDoNotAllocate(t *testing.T) {
-	for _, mode := range []GCMode{GCForeground, GCDeviceIncremental} {
-		d, keys, at := steadyStateGC(t, benchGeom, mode)
-		runs := d.GCRuns()
-		allocs := testing.AllocsPerRun(20000, func() {
-			at, _ = d.WritePage(at, keys.Next(), nil)
-		})
-		if d.GCRuns() == runs {
-			t.Fatalf("%v: no GC ran during the measured writes", mode)
+	for _, g := range steadyStateGeoms {
+		if g.geom != benchGeom && (testing.Short() || raceEnabled) {
+			continue
 		}
-		if allocs != 0 {
-			t.Errorf("%v: steady-state GC write allocates %.2f times per op, want 0", mode, allocs)
+		for _, mode := range []GCMode{GCForeground, GCDeviceIncremental} {
+			d, keys, at := steadyStateGC(t, g.geom, mode)
+			runs, atReserve := d.GCRuns(), 0
+			allocs := testing.AllocsPerRun(20000, func() {
+				at, _ = d.WritePage(at, keys.Next(), nil)
+				if d.freeCount <= gcReserveBlocks {
+					atReserve++
+				}
+			})
+			t.Logf("%s/%v: %d of the measured writes left the pool at the GC reserve", g.name, mode, atReserve)
+			if d.GCRuns() == runs {
+				t.Fatalf("%s/%v: no GC ran during the measured writes", g.name, mode)
+			}
+			if g.geom == oracleFemu256 && atReserve == 0 {
+				t.Fatalf("%s/%v: the pool never sat at the GC reserve", g.name, mode)
+			}
+			if allocs != 0 {
+				t.Errorf("%s/%v: steady-state GC write allocates %.2f times per op, want 0", g.name, mode, allocs)
+			}
 		}
 	}
 }

@@ -22,6 +22,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"blockhead/internal/fault"
 	"blockhead/internal/flash"
@@ -174,9 +175,14 @@ type Device struct {
 	freeSlots      int64
 	thresholdSlots int64
 	hostFront      [][]frontier // [stream][lun] host write frontiers
-	gcFront        []frontier   // per-LUN GC write frontier (if separated)
-	rr             []int        // per-stream round-robin cursor over LUNs
-	gcRR           int
+	// hostOpen[stream] has bit lun (word lun/64) set exactly when
+	// hostFront[stream][lun] holds a block: at the GC reserve, where no empty
+	// host frontier can take a free block, allocPage jumps over the empty
+	// ones with it.
+	hostOpen [][]uint64
+	gcFront  []frontier // per-LUN GC write frontier (if separated)
+	rr       []int      // per-stream round-robin cursor over LUNs, in [0, LUNs)
+	gcRR     int        // the GC frontiers' cursor, in [0, LUNs)
 	// hostResidual is the unwritten page slots in the blocks the host
 	// frontier slots reference — the sum hostSlots needs on every host write,
 	// kept as a counter by moveFrontier and consumeSlot.
@@ -187,10 +193,11 @@ type Device struct {
 	// victim index (victim.go), the incremental cursor, and the tenant blame
 	// state.
 	gc reclaim.Engine
-	// retireHook stands in for retireBlock; the differential test sets it
-	// (and gc.Copy) to the per-page versions those replaced, production
-	// leaves it nil.
+	// retireHook and allocHook stand in for retireBlock and allocPage; the
+	// differential test sets them (and gc.Copy) to the per-page versions
+	// those replaced, production leaves them nil.
 	retireHook func(at sim.Time, block int) sim.Time
+	allocHook  func(stream int, gc bool) (block, page int, err error)
 
 	data [][]byte // payload by logical page; nil unless StoreData
 
@@ -270,6 +277,7 @@ func New(cfg Config) (*Device, error) {
 		freePerLUN:   make([][]int, cfg.Geom.LUNs()),
 		freeBit:      make([]bool, blocks),
 		hostFront:    make([][]frontier, cfg.Streams),
+		hostOpen:     make([][]uint64, cfg.Streams),
 		gcFront:      make([]frontier, cfg.Geom.LUNs()),
 		rr:           make([]int, cfg.Streams),
 		gc:           reclaim.New(blocks, cfg.Geom.PagesPerBlock, logical),
@@ -285,6 +293,7 @@ func New(cfg Config) (*Device, error) {
 	}
 	for st := range d.hostFront {
 		d.hostFront[st] = make([]frontier, cfg.Geom.LUNs())
+		d.hostOpen[st] = make([]uint64, (cfg.Geom.LUNs()+63)/64)
 		for i := range d.hostFront[st] {
 			d.hostFront[st][i].block = -1
 		}
@@ -362,35 +371,91 @@ func (d *Device) ppn(block, page int) int32 {
 func (d *Device) blockOf(ppn int32) int { return int(ppn) / d.pages }
 func (d *Device) pageOf(ppn int32) int  { return int(ppn) % d.pages }
 
-// allocPage returns the next physical page on the rotating frontier set of
+// allocPage returns the block and page next on the rotating frontier set of
 // the given stream, pulling fresh free blocks (least-erased first, for wear
 // leveling) as frontiers fill. gc selects the GC frontier set when
 // separation is on.
-func (d *Device) allocPage(stream int, gc bool) (int32, error) {
+func (d *Device) allocPage(stream int, gc bool) (block, page int, err error) {
+	if d.allocHook != nil {
+		return d.allocHook(stream, gc)
+	}
 	fronts, cursor, host := d.hostFront[stream], &d.rr[stream], true
 	if gc && d.cfg.HotColdSeparation {
 		fronts, cursor, host = d.gcFront, &d.gcRR, false
 	}
 	luns := len(fronts)
+	// At the GC reserve a host frontier holding no block cannot take one, so
+	// the scan would pass it changing nothing but the cursor: jump to the
+	// next one that holds a block. The pool cannot grow during the scan.
+	jump := !gc && d.freeCount <= gcReserveBlocks
+	start := *cursor
 	for try := 0; try < luns; try++ {
-		lun := *cursor % luns
-		*cursor++
+		if jump {
+			if try += d.nextOpen(stream, wrap(start+try, luns)); try >= luns {
+				break
+			}
+		}
+		lun := wrap(start+try, luns)
+		*cursor = wrap(lun+1, luns)
 		f := &fronts[lun]
 		// A frontier that grew bad (failed program) or was sealed by crash
 		// recovery no longer accepts programs; fall through and replace it.
 		if f.block >= 0 && d.chip.WrittenPages(f.block) < d.pages &&
 			!d.chip.IsBad(f.block) && !d.chip.IsSealed(f.block) {
-			return d.ppn(f.block, d.chip.WrittenPages(f.block)), nil
+			return f.block, d.chip.WrittenPages(f.block), nil
 		}
 		if b, ok := d.takeFreeBlock(lun, gc); ok {
 			d.moveFrontier(f, host, b)
-			return d.ppn(b, 0), nil
+			if host {
+				d.setOpen(stream, lun, true)
+			}
+			return b, 0, nil
 		}
 		// Full frontier and no replacement: drop the reference so the full
 		// block becomes a GC candidate instead of being pinned forever.
 		d.moveFrontier(f, host, -1)
+		if host {
+			d.setOpen(stream, lun, false)
+		}
 	}
-	return 0, ErrOutOfSpace
+	*cursor = start
+	return 0, 0, ErrOutOfSpace
+}
+
+// wrap reduces i, in [0, 2n), modulo n.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
+// setOpen records whether host frontier slot lun of stream holds a block.
+func (d *Device) setOpen(stream, lun int, open bool) {
+	w, bit := &d.hostOpen[stream][lun>>6], uint64(1)<<(lun&63)
+	if open {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
+// nextOpen returns how many LUNs on from lun, cyclically, the next host
+// frontier of stream that holds a block is: 0 if lun's does, the LUN count
+// if none does.
+func (d *Device) nextOpen(stream, lun int) int {
+	words, luns := d.hostOpen[stream], len(d.hostFront[stream])
+	for dist := 0; dist < luns; {
+		if w := words[lun>>6] >> (lun & 63); w != 0 {
+			return dist + bits.TrailingZeros64(w)
+		}
+		// No bit from lun to the end of its word (or of the LUNs, past
+		// which no bit is set): go on from the next word's first LUN.
+		next := min((lun|63)+1, luns)
+		dist += next - lun
+		lun = wrap(next, luns)
+	}
+	return luns
 }
 
 // moveFrontier points a frontier slot at block to (-1 for none). The block
@@ -483,19 +548,18 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 	gcFrom := at
 	at = d.maybeGC(at)
 
-	ppn, err := d.allocPage(stream, false)
+	block, page, err := d.allocPage(stream, false)
 	if err != nil {
 		// This stream's frontiers are dry even though the device as a whole
 		// passed the GC trigger: force a reclamation round and retry once.
 		at = d.forceGC(at)
-		if ppn, err = d.allocPage(stream, false); err != nil {
+		if block, page, err = d.allocPage(stream, false); err != nil {
 			return at, err
 		}
 	}
 	d.attr.ChargeBlamed(telemetry.PhaseGCStall, at-gcFrom, d.gc.Culprit)
 	var done sim.Time
 	for attempt := 0; ; attempt++ {
-		block, page := d.blockOf(ppn), d.pageOf(ppn)
 		done, err = d.chip.ProgramPage(at, block, page)
 		if err == nil {
 			if d.cfg.Recovery {
@@ -514,16 +578,16 @@ func (d *Device) WritePageStream(at sim.Time, lpn int64, stream int, data []byte
 		// the write stalled behind device housekeeping.
 		retryFrom := at
 		at = d.retireBlock(done, block)
-		if ppn, err = d.allocPage(stream, false); err != nil {
+		if block, page, err = d.allocPage(stream, false); err != nil {
 			at = d.forceGC(at)
-			if ppn, err = d.allocPage(stream, false); err != nil {
+			if block, page, err = d.allocPage(stream, false); err != nil {
 				return at, err
 			}
 		}
 		d.attr.Charge(telemetry.PhaseGCStall, at-retryFrom)
 	}
 	d.consumeSlot(false)
-	d.gc.Bind(at, lpn, ppn)
+	d.gc.Bind(at, lpn, d.ppn(block, page))
 
 	if d.data != nil && data != nil {
 		d.data[lpn] = data

@@ -95,10 +95,11 @@ func (d *Device) gcSlots() int64 {
 
 // dropFrontier removes block from every open frontier reference.
 func (d *Device) dropFrontier(block int) {
-	for _, fronts := range d.hostFront {
+	for st, fronts := range d.hostFront {
 		for i := range fronts {
 			if fronts[i].block == block {
 				d.moveFrontier(&fronts[i], true, -1)
+				d.setOpen(st, i, false)
 			}
 		}
 	}
@@ -138,15 +139,15 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 				continue
 			}
 			for {
-				dst, err := d.allocPage(0, true)
+				dstBlock, dstPage, err := d.allocPage(0, true)
 				if err != nil {
 					// No GC-reachable space to migrate into: the page stays
 					// mapped on the retired block, which remains readable.
 					break
 				}
-				done, cErr := d.chip.CopyPage(at, b, p, d.blockOf(dst), d.pageOf(dst))
+				done, cErr := d.chip.CopyPage(at, b, p, dstBlock, dstPage)
 				if cErr == flash.ErrProgramFailed {
-					work = append(work, d.blockOf(dst))
+					work = append(work, dstBlock)
 					continue
 				}
 				if cErr != nil {
@@ -156,7 +157,7 @@ func (d *Device) retireBlock(at sim.Time, block int) sim.Time {
 					break
 				}
 				at = sim.Max(at, done)
-				d.copied(ppn, lpn, dst)
+				d.copied(lpn, ppn, b, dstBlock, dstPage)
 				break
 			}
 		}
@@ -181,12 +182,13 @@ func (d *Device) flushL2P() {
 	d.pending = d.pending[:0]
 }
 
-// copied re-points lpn from ppn to dst once a relocation copy has succeeded;
-// the l2p store waits for flushL2P.
-func (d *Device) copied(ppn, lpn, dst int32) {
+// copied re-points lpn from ppn, on block src, to page dstPage of block dst
+// once a relocation copy has succeeded; the l2p store waits for flushL2P.
+func (d *Device) copied(lpn, ppn int32, src, dst, dstPage int) {
 	d.consumeSlot(true)
-	d.gc.Move(lpn, ppn, dst)
-	d.pending = append(d.pending, l2pStore{lpn, dst})
+	to := d.ppn(dst, dstPage)
+	d.gc.Move(lpn, ppn, to, src, dst)
+	d.pending = append(d.pending, l2pStore{lpn, to})
 	d.counters.FlashReadPages++
 	d.counters.FlashProgramPages++
 	d.counters.GCCopyPages++
@@ -213,11 +215,11 @@ func (d *Device) relocate(at sim.Time, victim int, from int64, budget int) recla
 		if lpn == unmapped {
 			continue
 		}
-		dst, err := d.allocPage(0, true)
+		dst, dstPage, err := d.allocPage(0, true)
 		if err != nil {
 			return p // out of space mid-GC; the caller surfaces ErrOutOfSpace
 		}
-		done, err := d.chip.CopyPage(p.Issue, victim, page, d.blockOf(dst), d.pageOf(dst))
+		done, err := d.chip.CopyPage(p.Issue, victim, page, dst, dstPage)
 		switch err {
 		case nil:
 		case flash.ErrProgramFailed:
@@ -225,7 +227,7 @@ func (d *Device) relocate(at sim.Time, victim int, from int64, budget int) recla
 			// already copied into it, so their l2p entries must be in place
 			// first) and retry this page.
 			d.flushL2P()
-			p.Issue = d.retireBlock(done, d.blockOf(dst))
+			p.Issue = d.retireBlock(done, dst)
 			p.Next--
 			continue
 		case flash.ErrUncorrectable:
@@ -239,7 +241,7 @@ func (d *Device) relocate(at sim.Time, victim int, from int64, budget int) recla
 			return p
 		}
 		p.Done = sim.Max(p.Done, done)
-		d.copied(ppn, lpn, dst)
+		d.copied(lpn, ppn, victim, dst, dstPage)
 		p.Moved++
 	}
 	p.Empty, p.OK = p.Next >= int64(d.pages), true

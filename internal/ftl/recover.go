@@ -50,6 +50,7 @@ func (d *Device) Recover(crashAt sim.Time) (fault.RecoveryReport, error) {
 		for i := range d.hostFront[st] {
 			d.hostFront[st][i].block = -1
 		}
+		clear(d.hostOpen[st])
 	}
 	for i := range d.gcFront {
 		d.gcFront[i].block = -1

@@ -222,7 +222,7 @@ func (f *FTL) remap(src, dst int64) {
 	if lpn == unmapped {
 		return
 	}
-	f.gc.Move(lpn, int32(src), int32(dst))
+	f.gc.Move(lpn, int32(src), int32(dst), int(src/f.zonePages), int(dst/f.zonePages))
 	f.gc.L2P[lpn] = int32(dst)
 	f.remaps++
 }

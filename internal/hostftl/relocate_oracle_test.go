@@ -21,8 +21,11 @@ import (
 // invisible: same completion times, same tables, same free pool order, same
 // device state, at every point a host call can observe.
 //
-// The function below is copied from the commit that introduced the deferral;
-// only its name and the release of a full GC zone changed.
+// The functions below are copied from the commit that introduced the
+// deferral; only their names, the release of a full GC zone and the remap
+// call changed. remapPerPage keeps the remap of that commit, which found both
+// zones of a move by dividing, so the reference does not run the production
+// remap either.
 
 // relocateRangePerPage is the parent's relocateRange, verbatim.
 //
@@ -64,7 +67,7 @@ func (f *FTL) relocateRangePerPage(at sim.Time, victim int, from, to int64) (sim
 					return false
 				}
 				for i := int64(0); i < n; i++ {
-					f.remap(batch[i], first+i)
+					f.remapPerPage(batch[i], first+i)
 				}
 				batch = batch[n:]
 				done = sim.Max(done, cDone)
@@ -104,10 +107,29 @@ func (f *FTL) relocateRangePerPage(at sim.Time, victim int, from, to int64) (sim
 			lpn, seq := f.dev.OOB(src)
 			f.dev.StampOOB(dst, lpn, seq)
 		}
-		f.remap(src, dst)
+		f.remapPerPage(src, dst)
 		done = sim.Max(done, wDone)
 	}
 	return done, true
+}
+
+// remapPerPage is the parent's remap, with the reclaim.Engine.Move it called
+// inlined, verbatim.
+//
+// remap moves a live mapping from src to dst.
+func (f *FTL) remapPerPage(src, dst int64) {
+	lpn := f.gc.P2L[src]
+	if lpn == unmapped {
+		return
+	}
+	if f.gc.Owner != nil {
+		f.gc.Owner[dst] = f.gc.Owner[src]
+	}
+	f.gc.P2L[src], f.gc.P2L[dst] = unmapped, lpn
+	f.gc.Valid[int(src)/int(f.zonePages)]--
+	f.gc.Valid[int(dst)/int(f.zonePages)]++
+	f.gc.L2P[lpn] = int32(dst)
+	f.remaps++
 }
 
 // relocTwin is one configuration of the differential run.

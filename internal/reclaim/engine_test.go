@@ -62,7 +62,7 @@ func (f *fakeStack) copy(at sim.Time, v int, from int64, budget int) Progress {
 			return p
 		}
 		f.failAfter--
-		f.e.Move(lpn, src, f.sink)
+		f.e.Move(lpn, src, f.sink, v, int(f.sink)/fakePages)
 		f.e.L2P[lpn] = f.sink
 		f.sink++
 		p.Moved++

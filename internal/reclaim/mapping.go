@@ -52,18 +52,20 @@ func (e *Engine) Bind(at sim.Time, lpn int64, phys int32) {
 	}
 }
 
-// Move re-points lpn's physical side after a relocation copy from src, on
-// the victim or a unit that cannot be reclaimed (a retired block, a
-// read-only zone), to dst, on an open unit: neither is in the index. The
-// page keeps its writer, since moving data does not launder who polluted
-// the unit it lands in. The caller stores L2P[lpn] = dst when it chooses.
-func (e *Engine) Move(lpn, src, dst int32) {
+// Move re-points lpn's physical side after a relocation copy from src, in
+// unit srcUnit — the victim or a unit that cannot be reclaimed (a retired
+// block, a read-only zone) — to dst, in dstUnit, an open unit: neither is in
+// the index. The caller knows both units, so the page numbers are not
+// divided here. The page keeps its writer, since moving data does not
+// launder who polluted the unit it lands in. The caller stores L2P[lpn] =
+// dst when it chooses.
+func (e *Engine) Move(lpn, src, dst int32, srcUnit, dstUnit int) {
 	if e.Owner != nil {
 		e.Owner[dst] = e.Owner[src]
 	}
 	e.P2L[src], e.P2L[dst] = Unmapped, lpn
-	e.Valid[int(src)/e.unitPages]--
-	e.Valid[int(dst)/e.unitPages]++
+	e.Valid[srcUnit]--
+	e.Valid[dstUnit]++
 }
 
 // Drop unmaps lpn, whose only copy, phys, a relocation found unreadable: a

@@ -219,14 +219,24 @@ func (db *DB) merge(at sim.Time, runs [][]*tableMeta, outLevel int) ([]*tableMet
 		return nil
 	}
 
+	// prev is the key added last (in b, or the last output table's), for the
+	// order check: source bytes that decode but are out of order are
+	// corrupt, and b.add would panic on them.
+	var prev []byte
 	for m.next() {
 		if !(m.value == nil && bottom) { // drop tombstones at the bottom
+			if (b.count > 0 || len(outs) > 0) && bytes.Compare(m.key, prev) <= 0 {
+				b.reset()
+				return nil, done, ErrCorrupt
+			}
 			b.add(m.key, m.value)
+			prev = b.last
 		}
 		if b.sizeEstimate() >= db.opts.TableTargetBytes {
 			if err := emit(); err != nil {
 				return nil, done, err
 			}
+			prev = outs[len(outs)-1].lastKey
 		}
 	}
 	if m.err != nil {

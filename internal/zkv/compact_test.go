@@ -434,3 +434,31 @@ func TestCorruptTableIsReported(t *testing.T) {
 		}
 	}
 }
+
+// A table whose bytes decode but whose keys are out of order is corrupt too:
+// compacting one returns ErrCorrupt, where the merge used to hand the keys to
+// the table builder, which panicked.
+func TestCompactionOfUnsortedTableIsCorrupt(t *testing.T) {
+	for name, backend := range dbBackends(t) {
+		db := Open(backend, manualOpts(1))
+		var b tableBuilder
+		for i := 0; i < 4; i++ {
+			b.add(key(i), value("v"))
+		}
+		blob, meta := b.finish()
+		// Every entry has the same shape, so swapping the keys of entries 1
+		// and 2 (where each first occurs) swaps the entries.
+		i1, i2 := bytes.Index(blob, key(1)), bytes.Index(blob, key(2))
+		copy(blob[i1:], key(2))
+		copy(blob[i2:], key(1))
+		h, at, err := backend.WriteTable(0, blob, 0)
+		if err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		meta.handle, meta.seq = h, 1
+		db.levels[0] = append(db.levels[0], meta)
+		if _, err := db.compactL0(at); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: compaction of a table with two entries swapped: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
